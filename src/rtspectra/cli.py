@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     InvalidGradingError,
     RTSpectraError,
-    SolverError,
     ValidationError,
 )
 from .modereduce import FourierMode
@@ -55,7 +54,6 @@ class RunConfig:
     quadrature_order: int = 6
     k_max: int = 4
     fixed_point_tol: float = 1e-8
-    eig_tol: float = 1e-10
     k1: int = 1
     k2: int = 0
     dt: Optional[float] = None
@@ -196,7 +194,6 @@ def parse_config(path: str) -> RunConfig:
         k_max=_get(num_s, "numerics", "k_max", int, 4),
         fixed_point_tol=_positive("fixed_point_tol",
                                   _get(num_s, "numerics", "fixed_point_tol", float, 1e-8)),
-        eig_tol=_positive("eig_tol", _get(num_s, "numerics", "eig_tol", float, 1e-10)),
         k1=_get(num_s, "numerics", "k1", int, 1),
         k2=_get(num_s, "numerics", "k2", int, 0),
     )
@@ -303,7 +300,7 @@ def cmd_equilibrium(cfg: RunConfig, out: str) -> int:
 def cmd_xi(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     mm = _single_mode(cfg, profile, mesh)
-    value, _ = spectral.xi_per_mode(mm, cfg.params.medium, cfg.eig_tol)
+    value, _ = spectral.xi_per_mode(mm, cfg.params.medium)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "k1": cfg.k1, "k2": cfg.k2,

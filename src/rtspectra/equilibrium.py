@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     InvalidLawError,
@@ -155,11 +154,6 @@ class _Layer:
             return np.full_like(np.asarray(y3, dtype=float), self.anchor)
         return np.atleast_1d(self.dense(y3))
 
-    def table_interpolant(self) -> PchipInterpolator:
-        """Monotone cubic through the sample table (export/debug use)."""
-        order = np.argsort(self.y)
-        return PchipInterpolator(self.y[order], self.rho[order])
-
 
 @dataclass
 class EquilibriumProfile:
@@ -212,9 +206,6 @@ class EquilibriumProfile:
 
     def sup_density(self) -> float:
         return max(float(self.layer_plus.rho.max()), float(self.layer_minus.rho.max()))
-
-    def inf_density(self) -> float:
-        return min(float(self.layer_plus.rho.min()), float(self.layer_minus.rho.min()))
 
     def to_csv(self, path) -> None:
         """Export both layer tables: columns y3, rho, rho_prime, p_prime_rho."""

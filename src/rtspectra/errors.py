@@ -87,7 +87,3 @@ class ConfigError(RTSpectraError):
 
 class ValidationError(RTSpectraError):
     """Configuration value violates a constraint."""
-
-
-class SolverError(RTSpectraError):
-    """A solver failed during a CLI run."""

@@ -3,40 +3,43 @@
 The stability discriminant per mode is the largest generalized eigenvalue
 of (numerator, denominator); the growth rate comes from the fixed point
 Lambda^2 = alpha(Lambda) with alpha(s) the largest eigenvalue of the
-dissipation-penalized pencil (A - s*D, Mass).  alpha is non-increasing in
-s (the penalized supremum can only decrease), so f(s) = alpha(s) - s^2 is
-strictly decreasing and the fixed point is a bracketed bisection root.
+dissipation-penalized pencil (A - s*D, Mass).
+
+Both are top eigenpairs of banded Hermitian pencils with a definite
+right-hand side, computed by one banded shift-invert solver (_top_pair).
+alpha is non-increasing and convex in s (a supremum of affine functions
+of s), so f(s) = alpha(s) - s^2 is strictly decreasing and the fixed point
+is the root of a bracketed Newton iteration.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
 
-from .assembly import (
-    Mesh1D,
-    ModeMatrices,
-    assemble,
-    assemble_scalar_gravity_kernel,
-)
+from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .equilibrium import EquilibriumProfile
-from .errors import (
-    BracketError,
-    EigenSolverError,
-    IndefiniteDenominatorError,
-    IndefinitePencilError,
-)
+from .errors import (BracketError, EigenSolverError, IndefiniteDenominatorError,
+                     IndefinitePencilError, RTSpectraError)
+from . import modereduce as mr
 from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
 EPS_NULL = 1e-10
 EIGVEC_RESIDUAL_TOL = 1e-8
-# below LAPACK's own rescaling threshold of about 2**255 (dsyevr's RMAX)
-EIGH_SCALE_EXPONENT = 250
+# alpha must factor as the top of its pencil at this relative margin above it
+TOP_BRANCH_MARGIN = 1e-6
+# shifts 1, 4, 16, ..., 4**40 (about 1e24) are tried above a spectrum
+SHIFT_TRIES = 41
+# seeds the Lanczos start vector and ARPACK's restart vectors
+LANCZOS_SEED = 20240811
+MAX_FIXED_POINT_STEPS = 100
 
 
 @dataclass
@@ -74,57 +77,70 @@ def _operator(matrices: ModeMatrices, medium: str) -> np.ndarray:
     return matrices._cache[key]
 
 
-def _chol_reduce(matrices: ModeMatrices, medium: str):
-    """Cache the Cholesky-reduced operator pair (A, D) w.r.t. the mass matrix."""
-    key = ("reduce", medium)
-    if key not in matrices._cache:
-        L = np.linalg.cholesky(matrices.mass)
-        A = _operator(matrices, medium)
-        D = matrices.dissipation
-        Y = sla.solve_triangular(L, A, lower=True, check_finite=False)
-        At = sla.solve_triangular(L, Y.conj().T, lower=True, check_finite=False)
-        Y = sla.solve_triangular(L, D, lower=True, check_finite=False)
-        Dt = sla.solve_triangular(L, Y.conj().T, lower=True, check_finite=False)
-        matrices._cache[key] = (L, _hermitize(At), _hermitize(Dt),
-                                float(np.linalg.norm(A)), float(np.linalg.norm(D)))
-    return matrices._cache[key]
+def _band(X: np.ndarray, p: int, dtype) -> np.ndarray:
+    """Upper LAPACK band storage of a Hermitian matrix of half-bandwidth p."""
+    ab = np.zeros((p + 1, X.shape[0]), dtype=dtype)
+    for k in range(p + 1):
+        ab[p - k, k:] = np.diagonal(X, k)
+    return ab
 
 
-def _eigh_extreme(H: np.ndarray, which: str, vectors: bool = True):
-    """Largest ('max') or smallest ('min') eigenvalue of a Hermitian matrix,
-    with its eigenvector when ``vectors`` (else None).
+def _bandwidth(*mats: np.ndarray) -> int:
+    rows, cols = np.nonzero(np.logical_or.reduce([X != 0 for X in mats]))
+    return int(np.max(cols - rows, initial=0))
 
-    LAPACK works on a copy scaled by a power of two, which is exact, to a
-    largest entry near 2**EIGH_SCALE_EXPONENT.  The Cholesky-reduced pencils
-    decay exponentially away from the diagonal, and at their own scale the
-    fill of the Householder reduction sinks into subnormal numbers, which
-    made a top-eigenvalue solve at n_per_layer=200 about 1.5x slower.
-    """
-    n = H.shape[0]
-    idx = n - 1 if which == "max" else 0
-    scale = math.ldexp(1.0, EIGH_SCALE_EXPONENT - math.frexp(float(np.max(np.abs(H))))[1])
+
+def _cholesky(ab: np.ndarray) -> Optional[np.ndarray]:
+    """Banded Cholesky factor, or None when the matrix is not positive definite."""
     try:
-        out = sla.eigh(np.multiply(H, scale, order="F"), eigvals_only=not vectors,
-                       subset_by_index=[idx, idx], overwrite_a=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise EigenSolverError(f"dense Hermitian eigensolver failed: {exc}") from exc
-    if vectors:
-        return float(out[0][0]) / scale, out[1][:, 0]
-    return float(out[0]) / scale, None
+        return sla.cholesky_banded(ab, check_finite=False)
+    except sla.LinAlgError:
+        return None
 
 
-def _sparse_ops(matrices: ModeMatrices, medium: str):
-    """CSR copies of (A, D, M); the P1 matrices are banded so matvecs are cheap."""
-    key = ("sparse", medium)
-    if key not in matrices._cache:
-        from scipy.sparse import csr_matrix
+def _positive_definite(X: np.ndarray) -> bool:
+    return _cholesky(_band(X, _bandwidth(X), X.dtype)) is not None
 
-        matrices._cache[key] = (
-            csr_matrix(_operator(matrices, medium)),
-            csr_matrix(matrices.dissipation),
-            csr_matrix(matrices.mass),
-        )
-    return matrices._cache[key]
+
+def _top_pair(H: np.ndarray, M: np.ndarray):
+    """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
+    and its eigenvector normalized to v* M v = 1.
+
+    sigma = 1, 4, 16, ... grows until sigma*M - H has a banded Cholesky
+    factor, which certifies that sigma lies above the whole spectrum.
+    Shift-invert Lanczos about sigma, with that factor as the inverse, then
+    finds the eigenvalue nearest sigma.  The start vector and ARPACK's
+    restart vectors come from a seeded generator, so a repeated call
+    returns the same bits.
+    """
+    n, p = H.shape[0], _bandwidth(H, M)
+    dtype = np.result_type(H, M)
+    hb, mb = _band(H, p, dtype), _band(M, p, dtype)
+    sigma = 1.0
+    for _ in range(SHIFT_TRIES):
+        factor = _cholesky(sigma * mb - hb)
+        if factor is not None:
+            break
+        sigma *= 4.0
+    else:
+        raise EigenSolverError(f"no shift up to {sigma / 4.0:.1e} lies above the pencil's spectrum")
+
+    complex_pencil = np.iscomplexobj(mb)
+    bandmv = sla.get_blas_funcs("hbmv" if complex_pencil else "sbmv", (mb,))
+    H_op, M_op = (LinearOperator((n, n), matvec=lambda x, b=b: bandmv(p, 1.0, b, x), dtype=dtype)
+                  for b in (hb, mb))
+    OPinv = LinearOperator((n, n), dtype=dtype, matvec=lambda x: -sla.cho_solve_banded(
+        (factor, False), x, check_finite=False))
+    rng = np.random.default_rng(LANCZOS_SEED)
+    v0 = rng.uniform(-1.0, 1.0, n).astype(dtype)
+    # eigsh hands complex input to eigs without the generator, so call eigs directly
+    solver = eigs if complex_pencil else eigsh
+    try:
+        w, V = solver(H_op, k=1, M=M_op, sigma=sigma, OPinv=OPinv, v0=v0, rng=rng)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise EigenSolverError(f"shift-invert Lanczos failed: {exc}") from exc
+    v = V[:, 0]
+    return float(np.real(w[0])), v / math.sqrt(float(np.real(np.vdot(v, M_op.matvec(v)))))
 
 
 def _form_rayleigh(matrices: ModeMatrices, medium: str, s: float, v: np.ndarray) -> float:
@@ -135,233 +151,71 @@ def _form_rayleigh(matrices: ModeMatrices, medium: str, s: float, v: np.ndarray)
     graded meshes, so Rayleigh quotients of smooth eigenvectors come out
     accurate to rounding rather than to eps * ||matrix||.
     """
-    from . import modereduce as mr
-
-    fld = matrices.field_from_tilde(v)
-    co = matrices.coeffs
-    mode = matrices.mode
-    e = mr.energy_form(fld, co, mode, medium)
-    p = mr.dissipation_form(fld, co, mode)
-    m = mr.mass_form(fld, co)
-    return (e - s * p) / m
+    fld, co, mode = matrices.field_from_tilde(v), matrices.coeffs, matrices.mode
+    e, p = mr.energy_form(fld, co, mode, medium), mr.dissipation_form(fld, co, mode)
+    return (e - s * p) / mr.mass_form(fld, co)
 
 
 def alpha(s: float, matrices: ModeMatrices, medium: str):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
-    A values-only dense solve locates the eigenvalue to eps * ||pencil||;
-    shifted inverse iteration then delivers the eigenvector, and its
-    element-wise Rayleigh quotient restores absolute accuracy far below
-    the dense error floor on interface-graded meshes.  The eigenvector is
-    normalized to unit mass form, v* Mass v = 1.
+    The value is the element-wise Rayleigh quotient of the banded solver's
+    eigenvector (v* Mass v = 1), which graded meshes do not spoil by
+    cancellation.  EigenSolverError when the eigen-residual is too large,
+    or when the pencil does not factor a relative TOP_BRANCH_MARGIN above
+    the value (the vector is then not on the top branch).
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    _, At, Dt, normA, normD = _chol_reduce(matrices, medium)
-    H = At - s * Dt
-    theta = _alpha_quick(s, matrices, medium, H=H)
-    dense_err = 100.0 * np.finfo(float).eps * _pencil_spectral_scale(matrices, medium, s)
-    rho, v = _shift_invert_polish(matrices, medium, s, theta, dense_err)
-    A_s, D_s, M_s = _sparse_ops(matrices, medium)
-    res = np.linalg.norm(A_s @ v - s * (D_s @ v) - rho * (M_s @ v))
-    scale = (normA + abs(s) * normD) * np.linalg.norm(v)
+    A, D, M = _operator(matrices, medium), matrices.dissipation, matrices.mass
+    H = A - s * D
+    _, v = _top_pair(H, M)
+    rho = _form_rayleigh(matrices, medium, s, v)
+    res = np.linalg.norm(H @ v - rho * (M @ v))
+    scale = (np.linalg.norm(A) + abs(s) * np.linalg.norm(D)) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise EigenSolverError(
-            f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}"
-        )
+            f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
+    if not _positive_definite((rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho))) * M - H):
+        raise EigenSolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
     return rho, v
-
-
-def _pencil_spectral_scale(matrices: ModeMatrices, medium: str, s: float) -> float:
-    """Upper bound for ||A_til - s*D_til||_2 from cached eigenvalue extremes."""
-    key = ("norm2", medium)
-    if key not in matrices._cache:
-        _, At, Dt, _, _ = _chol_reduce(matrices, medium)
-        a_lo = _eigh_extreme(At, "min", vectors=False)[0]
-        a_hi = _eigh_extreme(At, "max", vectors=False)[0]
-        d_hi = _eigh_extreme(Dt, "max", vectors=False)[0]
-        matrices._cache[key] = (max(abs(a_lo), abs(a_hi)), abs(d_hi))
-    na, nd = matrices._cache[key]
-    return na + abs(s) * nd
-
-
-def _shift_invert_polish(matrices: ModeMatrices, medium: str, s: float,
-                         theta: float, dense_err: float):
-    """Largest-eigenpair refinement by safeguarded shifted inverse iteration.
-
-    theta estimates the top eigenvalue to within dense_err, so a shift a few
-    dense_err above it clears the whole spectrum and power iteration on the
-    inverted pencil converges to the top eigenvector.  Rayleigh quotients
-    never exceed the target, so re-shifting just above the current quotient
-    is always safe (a too-low shift fails the Cholesky factorization and is
-    backed off).
-    """
-    _, _, M_s = _sparse_ops(matrices, medium)
-    M = matrices.mass
-    Hn = _operator(matrices, medium) - s * matrices.dissipation
-
-    def factor_above(level, delta):
-        for _ in range(12):
-            try:
-                return sla.cho_factor((level + delta) * M - Hn, lower=True, check_finite=False)
-            except sla.LinAlgError:
-                delta *= 8.0
-        raise EigenSolverError("shift-invert factorization failed: shift never cleared the spectrum")
-
-    n = M.shape[0]
-    dtype = complex if np.iscomplexobj(Hn) else float
-    seed_key = ("alpha_seed", medium)
-    seed = matrices._cache.get(seed_key)
-    # small block: near eigenvalue crossings the top two branches are close
-    # and a single iterated vector can lock onto the wrong one
-    cols = [np.ones(n), np.cos(np.linspace(0.0, 3.0 * math.pi, n)), np.linspace(-1.0, 1.0, n)]
-    if seed is not None:
-        cols[-1] = seed.real if dtype is float else seed
-    X = np.stack(cols, axis=1).astype(dtype)
-
-    A_s, D_s, _ = _sparse_ops(matrices, medium)
-    Hs = (A_s - s * D_s).tocsr()
-
-    if dense_err > 0.05 * max(1.0, abs(theta)):
-        # extreme mesh grading: the dense estimate cannot even locate the
-        # eigenvalue's neighborhood.  Hunt the shift by certified bisection:
-        # Cholesky success is an exact "above the spectrum" oracle, a
-        # Rayleigh quotient an exact lower bound.
-        ub = theta + max(4.0 * dense_err, 1.0)
-        for _ in range(12):
-            try:
-                sla.cho_factor(ub * M - Hn, lower=True, check_finite=False)
-                break
-            except sla.LinAlgError:
-                ub = theta + 8.0 * (ub - theta)
-        else:
-            raise EigenSolverError("certified shift bisection found no upper bound")
-        v0 = X[:, -1] / math.sqrt(abs(float(np.real(np.vdot(X[:, -1], M_s @ X[:, -1])))))
-        lb = _form_rayleigh(matrices, medium, s, v0)
-        while ub - lb > 1e-3 * max(1.0, abs(ub)):
-            cand = 0.5 * (lb + ub)
-            try:
-                sla.cho_factor(cand * M - Hn, lower=True, check_finite=False)
-                ub = cand
-            except sla.LinAlgError:
-                lb = cand
-        theta, dense_err = lb, max(ub - lb, 1e-12)
-
-    def ritz_top(X):
-        G = _hermitize(X.conj().T @ (M_s @ X))
-        w, Q = sla.eigh(G, check_finite=False)
-        keep = w > 1e-12 * w[-1]
-        X = (X @ Q[:, keep]) / np.sqrt(w[keep])
-        P = _hermitize(X.conj().T @ (Hs @ X))
-        _, R = sla.eigh(P, check_finite=False)
-        X = X @ R[:, ::-1]                      # leading column = top Ritz vector
-        return X
-
-    tol = 1e-14
-    rho, step, prev = theta, math.inf, math.inf
-    factor = factor_above(theta, max(4.0 * dense_err, 1e-9 * max(1.0, abs(theta))))
-    plateau = 0
-    converged = False
-    for it in range(120):
-        X = sla.cho_solve(factor, M_s @ X, check_finite=False)
-        X = ritz_top(X)
-        rho = _form_rayleigh(matrices, medium, s, X[:, 0])
-        step = abs(rho - prev)
-        prev = rho
-        if step <= tol * max(1.0, abs(rho)):
-            plateau += 1
-            if plateau >= 2:
-                converged = True
-                break
-        else:
-            plateau = 0
-        if it in (40, 80):
-            # slow contraction: re-shift just above the current quotient
-            factor = factor_above(rho, max(30.0 * step, 1e-11 * max(1.0, abs(rho))))
-    if not converged and step > 1e-11 * max(1.0, abs(rho)):
-        raise EigenSolverError(
-            f"shift-invert polish stagnated (last step {step:.3e} at rho={rho:.6g})"
-        )
-    v = X[:, 0]
-    v = v / math.sqrt(float(np.real(np.vdot(v, M_s @ v))))
-    matrices._cache[seed_key] = v
-    return rho, v
-
-
-def _lambda_min_dissipation(matrices: ModeMatrices, medium: str) -> float:
-    _, _, Dt, _, _ = _chol_reduce(matrices, medium)
-    val, _ = _eigh_extreme(Dt, "min")
-    return val
 
 
 def growth_rate(matrices: ModeMatrices, medium: str, tol: float = 1e-8):
-    """Fixed point Lambda of Lambda^2 = alpha(Lambda), or None when stable.
-
-    Bisection on f(s) = alpha(s) - s^2, which is continuous and strictly
-    decreasing; since alpha is non-increasing, f(s) <= alpha(0) - s^2 < 0
-    above sqrt(alpha(0)), so that point plus one is a guaranteed bracket.
-    """
-    lam, _, _ = growth_rate_detailed(matrices, medium, tol)
-    return lam
-
-
-def _alpha_quick(s: float, matrices: ModeMatrices, medium: str,
-                 H: Optional[np.ndarray] = None) -> float:
-    """Dense-only alpha estimate (no polish); error ~ eps * ||pencil||."""
-    if H is None:
-        _, At, Dt, _, _ = _chol_reduce(matrices, medium)
-        H = At - s * Dt
-    return _eigh_extreme(H, "max", vectors=False)[0]
+    """Fixed point Lambda of Lambda^2 = alpha(Lambda), or None when stable."""
+    return growth_rate_detailed(matrices, medium, tol)[0]
 
 
 def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8):
     """growth_rate plus the principal eigenvector and fixed-point residual.
 
-    Bisection runs in two phases: a cheap dense pass narrows the bracket to
-    a width safely above that pass's eigenvalue noise, then polished alpha
-    evaluations finish to the requested fixed-point tolerance.
+    Newton iteration on f(s) = alpha(s) - s^2 from s = 0, with the
+    Hellmann-Feynman slope f'(s) = -v* D v - 2s of the mass-normalized top
+    eigenvector v.  Each evaluation narrows a bracket [lo, hi] with
+    f(lo) > 0 >= f(hi), starting from [0, sqrt(alpha(0)) + 1], and a step
+    that leaves it is replaced by its midpoint.  Returns once
+    |f| <= tol * max(1, s^2); BracketError if the bracket collapses first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    alpha0, vec0 = alpha(0.0, matrices, medium)
-    if alpha0 <= 0.0:
+    a, vec = alpha(0.0, matrices, medium)
+    if a <= 0.0:
         return None, None, None
-    s_up = math.sqrt(alpha0) + 1.0
-    a_up = alpha(s_up, matrices, medium)[0]
-    f_up = a_up - s_up * s_up
-    if f_up >= 0.0:
-        raise BracketError(f"no sign change below the safe upper bound s={s_up:.6g}")
-
-    lo, hi = 0.0, s_up
-    # the cheap pass is only trustworthy when its eigenvalue noise (probed
-    # against the polished value) is far below the bracket width it targets
-    noise_probe = abs(_alpha_quick(s_up, matrices, medium) - a_up)
-    coarse_width = max(1e-2 * max(1.0, s_up * 2 ** -10), 100.0 * noise_probe)
-    while hi - lo > coarse_width:
-        mid = 0.5 * (lo + hi)
-        if _alpha_quick(mid, matrices, medium) - mid * mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # guard against dense-pass noise having nudged the bracket off the root
-    pad = hi - lo if hi - lo < s_up else 0.0
-    lo, hi = max(0.0, lo - pad), min(s_up, hi + pad)
-
-    f_mid, vec = alpha0, vec0
-    mid = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        a_mid, vec = alpha(mid, matrices, medium)
-        f_mid = a_mid - mid * mid
-        if abs(f_mid) <= tol * max(1.0, mid * mid):
-            return mid, vec, abs(f_mid)
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise BracketError(
-        f"bisection did not reach |f| <= {tol:.1e} within 200 iterations (last |f|={abs(f_mid):.3e})"
-    )
+    lo, hi = 0.0, math.sqrt(a) + 1.0
+    s, f = 0.0, a
+    for _ in range(MAX_FIXED_POINT_STEPS):
+        s -= f / (-float(np.real(np.vdot(vec, matrices.dissipation @ vec))) - 2.0 * s)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break
+        a, vec = alpha(s, matrices, medium)
+        f = a - s * s
+        if abs(f) <= tol * max(1.0, s * s):
+            return s, vec, abs(f)
+        lo, hi = (s, hi) if f > 0.0 else (lo, s)
+    raise BracketError(f"no fixed point with |f| <= {tol:.1e} in [{lo:.17g}, {hi:.17g}] "
+                       f"(last |f|={abs(f):.3e})")
 
 
 def _xi_pencil(matrices: ModeMatrices, medium: str):
@@ -373,58 +227,67 @@ def _xi_pencil(matrices: ModeMatrices, medium: str):
 
 
 def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
-    """Detect per-mode configurations whose denominator vanishes on
-    divergence-free fields with free vertical profile.
+    """Certificate field of an infinite discriminant, or None.
 
-    For mhd this happens exactly when M3 = 0 and M . xi = 0 (the magnetic
-    form then only sees the divergence); with xi != 0 the horizontal
-    components can absorb any psi', so the continuum kernel carries the
-    scalar numerator g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).  A positive
-    supremum of that form certifies an infinite discriminant.
+    For mhd with M3 = 0 and M . xi = 0 the magnetic form only sees the
+    divergence, so the denominator vanishes on divergence-free fields; with
+    xi != 0 the horizontal components absorb any psi', and that kernel
+    carries the scalar numerator g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
+    A positive supremum of that form certifies an infinite discriminant.
     """
-    if medium != MHD:
-        return None
-    mode = matrices.mode
-    if mode.is_zero():
-        return None
-    co = matrices.coeffs
-    if co.g == 0.0:
-        return None
-    M = co.M
-    if M[2] != 0.0 or (M[0] * mode.xi1 + M[1] * mode.xi2) != 0.0:
+    mode, co, M = matrices.mode, matrices.coeffs, matrices.coeffs.M
+    if (medium != MHD or mode.is_zero() or co.g == 0.0 or M[2] != 0.0
+            or (M[0] * mode.xi1 + M[1] * mode.xi2) != 0.0):
         return None
     Q, Mpsi = assemble_scalar_gravity_kernel(co.profile, matrices.mesh, co.quadrature_order)
-    lam_max, psi = _eigh_extreme(_reduce_pencil(Q, Mpsi), "max")
-    tol = 1e-10 * max(1.0, co.g)
-    if lam_max <= tol:
+    lam_max, psi = _top_pair(Q, Mpsi)
+    if lam_max <= 1e-10 * max(1.0, co.g):
         return None
     # embed the certificate as a near-divergence-free nodal field
-    psi_full = np.zeros(matrices.mesh.nodes.size)
-    psi_full[1:-1] = _unreduce(Mpsi, psi)
+    psi_full = np.concatenate(([0.0], psi, [0.0]))
     slope = np.gradient(psi_full, matrices.mesh.nodes)
-    xi2n = mode.norm2
     vec = np.zeros((matrices.mesh.nodes.size, 3))
-    vec[:, 0] = -mode.xi1 / xi2n * slope
-    vec[:, 1] = -mode.xi2 / xi2n * slope
+    vec[:, 0] = -mode.xi1 / mode.norm2 * slope
+    vec[:, 1] = -mode.xi2 / mode.norm2 * slope
     vec[:, 2] = psi_full
-    vec[0] = vec[-1] = 0.0
     v = vec[1:-1].reshape(-1)
-    num = float(np.real(np.vdot(v, matrices.gravity @ v)))
-    if num <= 0.0:
-        return None
-    return v
+    return v if float(np.real(np.vdot(v, matrices.gravity @ v))) > 0.0 else None
 
 
-def _reduce_pencil(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 A L^-H for B = L L^H (B must be positive definite)."""
-    L = np.linalg.cholesky(B)
-    Y = sla.solve_triangular(L, A, lower=True, check_finite=False)
-    return _hermitize(sla.solve_triangular(L, Y.conj().T, lower=True, check_finite=False))
+def _xi_deflated(Ns: np.ndarray, Bs: np.ndarray, eps_null: float):
+    """Discriminant of a Jacobi-scaled pencil whose denominator is singular.
 
+    A positive numerator direction on the denominator's near-null space
+    certifies an infinite supremum, a nonpositive one is deflated away, and
+    a sign-indefinite numerator there raises IndefiniteDenominatorError.
+    Returns (value, eigvec) in the scaled coordinates.
+    """
+    def top(X):
+        w, U = sla.eigh(X, subset_by_index=[len(X) - 1] * 2, check_finite=False)
+        return float(w[0]), U[:, 0]
 
-def _unreduce(B: np.ndarray, u: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(B)
-    return sla.solve_triangular(L.conj().T, u, lower=False, check_finite=False)
+    try:
+        w, V = sla.eigh(Bs, check_finite=False)
+        tol_pos = eps_null * max(1.0, float(np.linalg.norm(Ns)))
+        if w[-1] <= 0.0:
+            # denominator vanishes identically: classify by the numerator alone
+            nmax, nvec = top(Ns)
+            return (math.inf if nmax > tol_pos else 0.0), nvec
+        null_mask = w < eps_null * w[-1]
+        if np.any(null_mask):
+            V0 = V[:, null_mask]
+            N0 = _hermitize(V0.conj().T @ Ns @ V0)
+            n0 = sla.eigvalsh(N0, check_finite=False)
+            if n0[-1] > tol_pos:
+                if n0[0] < -tol_pos:
+                    raise IndefiniteDenominatorError(
+                        "numerator indefinite on the denominator's near-null space")
+                return math.inf, V0 @ top(N0)[1]
+        W = V[:, ~null_mask] / np.sqrt(w[~null_mask])
+        val, u = top(_hermitize(W.conj().T @ Ns @ W))
+        return val, W @ u
+    except sla.LinAlgError as exc:
+        raise EigenSolverError(f"dense Hermitian eigensolver failed: {exc}") from exc
 
 
 def xi_per_mode(matrices: ModeMatrices, medium: str, eps_null: float = EPS_NULL):
@@ -432,68 +295,30 @@ def xi_per_mode(matrices: ModeMatrices, medium: str, eps_null: float = EPS_NULL)
 
     Returns (value, eigvec) with value possibly math.inf.  The pencil is
     Jacobi-scaled by the mass diagonal so that graded meshes do not fake
-    singularity; a Cholesky factorization then certifies a definite
-    denominator.  Genuinely singular denominators are restricted to their
-    near-null subspace: a positive numerator direction there certifies an
-    infinite supremum, a nonpositive one is deflated away, and a
-    sign-indefinite numerator on the null space is reported as unresolved.
+    singularity.  When the scaled denominator has a banded Cholesky factor,
+    the banded solver gives the top eigenpair; a denominator that does not
+    factor, or an eigenvector that fails to realize its eigenvalue as a
+    quotient, goes to the singular-denominator deflation (_xi_deflated).
     """
     Nmat, B = _xi_pencil(matrices, medium)
-
     v_inf = _divfree_kernel_unbounded(matrices, medium)
     if v_inf is not None:
         return math.inf, v_inf
 
-    d = np.sqrt(np.diag(matrices.mass).real)
-    dinv = 1.0 / d
+    dinv = 1.0 / np.sqrt(np.diag(matrices.mass).real)
     Bs = _hermitize(B * np.outer(dinv, dinv))
     Ns = _hermitize(Nmat * np.outer(dinv, dinv))
-
-    try:
-        L = np.linalg.cholesky(Bs)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is not None:
-        Y = sla.solve_triangular(L, Ns, lower=True, check_finite=False)
-        St = _hermitize(sla.solve_triangular(L, Y.conj().T, lower=True, check_finite=False))
-        val, u = _eigh_extreme(St, "max")
-        v = dinv * sla.solve_triangular(L.conj().T, u, lower=False, check_finite=False)
+    if _positive_definite(Bs):
+        val, u = _top_pair(Ns, Bs)
+        v = dinv * u
         qn = float(np.real(np.vdot(v, Nmat @ v)))
         qb = float(np.real(np.vdot(v, B @ v)))
-        # the returned eigenvector must realize the eigenvalue as a quotient;
-        # a gross mismatch means the factorization slipped through a
-        # numerically singular denominator (tolerance covers conditioning
-        # noise of legitimately stiff graded-mesh pencils)
+        # a gross mismatch means a numerically singular denominator slipped through the
+        # factorization (the tolerance covers stiff graded-mesh pencils)
         if qb > 0.0 and abs(qn / qb - val) <= 1e-6 * max(1.0, abs(val)):
             return val, v
-
-    w, V = sla.eigh(Bs, check_finite=False)
-    wmax = w[-1]
-    tol_pos = eps_null * max(1.0, float(np.linalg.norm(Ns)))
-    if wmax <= 0.0:
-        # denominator vanishes identically: classify by the numerator alone
-        nmax, nvec = _eigh_extreme(Ns, "max")
-        if nmax > tol_pos:
-            return math.inf, dinv * nvec
-        return 0.0, dinv * nvec
-
-    null_mask = w < eps_null * wmax
-    if np.any(null_mask):
-        V0 = V[:, null_mask]
-        N0 = _hermitize(V0.conj().T @ Ns @ V0)
-        n0 = sla.eigvalsh(N0, check_finite=False)
-        if n0[-1] > tol_pos:
-            if n0[0] < -tol_pos:
-                raise IndefiniteDenominatorError(
-                    "numerator indefinite on the denominator's near-null space"
-                )
-            _, u0 = _eigh_extreme(N0, "max")
-            return math.inf, dinv * (V0 @ u0)
-    V1 = V[:, ~null_mask]
-    w1 = w[~null_mask]
-    S = _hermitize((V1 / np.sqrt(w1)).conj().T @ Ns @ (V1 / np.sqrt(w1)))
-    val, u = _eigh_extreme(S, "max")
-    return val, dinv * ((V1 / np.sqrt(w1)) @ u)
+    val, u = _xi_deflated(Ns, Bs, eps_null)
+    return val, dinv * u
 
 
 def coercivity_constant(matrices: ModeMatrices, medium: str = MHD) -> float:
@@ -501,16 +326,15 @@ def coercivity_constant(matrices: ModeMatrices, medium: str = MHD) -> float:
 
     A positive value realizes the stabilizing estimate
     ||(w, M.grad w, div w)||^2 <= (1/constant) * (-E(w)) at this mode.
+    Metric and mass are both definite, so the top eigenvalue of (A, metric)
+    has the sign of alpha(0); IndefinitePencilError when it is positive.
     """
-    _, At, _, _, _ = _chol_reduce(matrices, medium)
-    a0, _ = _eigh_extreme(At, "max")
-    if a0 > 1e-12 * max(1.0, float(np.linalg.norm(At))):
+    top, _ = _top_pair(_operator(matrices, medium), matrices.coercivity_metric)
+    if top > 0.0:
         raise IndefinitePencilError(
-            f"-A is not positive semidefinite (alpha(0) = {a0:.6g} > 0): mode not strictly stable"
-        )
-    A = matrices.operator(medium)
-    val, _ = _eigh_extreme(_reduce_pencil(-A, matrices.coercivity_metric), "min")
-    return val
+            f"-A is not positive semidefinite (top eigenvalue of (A, metric) = {top:.6g} > 0): "
+            "mode not strictly stable")
+    return -top
 
 
 def mode_lattice(k_max: int):
@@ -525,18 +349,12 @@ def analyze_mode(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
     """Full verdict for one assembled mode."""
     xi_val, xvec = xi_per_mode(matrices, medium)
     a0, _ = alpha(0.0, matrices, medium)
-    lam = res = None
-    vec = None
+    lam = res = vec = None
     if a0 > 0.0:
         lam, vec, res = growth_rate_detailed(matrices, medium, tol)
-    return ModeVerdict(
-        mode=matrices.mode,
-        xi_value=xi_val,
-        alpha0=a0,
-        lambda_value=lam,
-        residual=res,
-        eigvec=(vec if vec is not None else xvec) if keep_eigvec else None,
-    )
+    return ModeVerdict(mode=matrices.mode, xi_value=xi_val, alpha0=a0, lambda_value=lam,
+                       residual=res,
+                       eigvec=(vec if vec is not None else xvec) if keep_eigvec else None)
 
 
 def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1D,
@@ -544,10 +362,10 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
                 quadrature_order: int = 6, threads: int = 1) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
-    Per-mode failures are collected and do not stop the scan; the
-    truncation flag drops to False whenever a boundary-shell mode is
-    unstable (xi >= 1 or a positive growth rate), since instability could
-    then extend past the window.
+    A mode whose solve raises RTSpectraError is reported in ``errors`` and
+    the scan goes on; any other exception propagates.  The truncation flag
+    drops to False when a boundary-shell mode is unstable (xi >= 1 or a
+    positive growth rate) or unsolved: instability could extend past it.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -555,51 +373,27 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
     modes = mode_lattice(k_max)
 
     def solve(km):
-        k1, k2 = km
-        mode = FourierMode.from_indices(k1, k2, profile.geometry)
-        mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
-        return analyze_mode(mm, medium, tol)
+        mode = FourierMode.from_indices(km[0], km[1], profile.geometry)
+        try:
+            mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
+            return analyze_mode(mm, medium, tol)
+        except RTSpectraError as exc:
+            return f"{type(exc).__name__}: {exc}"
 
-    results: Dict[Tuple[int, int], ModeVerdict] = {}
-    errors: Dict[Tuple[int, int], str] = {}
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(solve, km): km for km in modes}
-            for fut, km in futures.items():
-                try:
-                    results[km] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - per-mode errors are reported
-                    errors[km] = f"{type(exc).__name__}: {exc}"
+            outcomes = list(pool.map(solve, modes))
     else:
-        for km in modes:
-            try:
-                results[km] = solve(km)
-            except Exception as exc:  # noqa: BLE001
-                errors[km] = f"{type(exc).__name__}: {exc}"
+        outcomes = [solve(km) for km in modes]
+    verdicts = [out for out in outcomes if isinstance(out, ModeVerdict)]
+    errors = {km: out for km, out in zip(modes, outcomes) if isinstance(out, str)}
 
-    verdicts = [results[km] for km in modes if km in results]
     xi_values = [v.xi_value for v in verdicts]
-    global_xi = max(xi_values) if xi_values else math.nan
     lambdas = [v.lambda_value for v in verdicts if v.lambda_value is not None]
-    global_lambda = max(lambdas) if lambdas else None
-
-    truncation_converged = True
-    for v in verdicts:
-        on_shell = max(abs(v.mode.k1), abs(v.mode.k2)) == k_max
-        if on_shell and (v.xi_value >= 1.0 or (v.lambda_value or 0.0) > 0.0):
-            truncation_converged = False
-    if errors:
-        # unsolved boundary modes also void the truncation claim
-        for (k1, k2) in errors:
-            if max(abs(k1), abs(k2)) == k_max:
-                truncation_converged = False
-
+    # unstable or unsolved modes on the boundary shell void the truncation claim
+    unsettled = [(v.mode.k1, v.mode.k2) for v in verdicts
+                 if v.xi_value >= 1.0 or (v.lambda_value or 0.0) > 0.0] + list(errors)
     return StabilityVerdict(
-        verdicts=verdicts,
-        global_xi=global_xi,
-        global_lambda=global_lambda,
-        truncation_converged=truncation_converged,
-        errors=errors,
-    )
+        verdicts=verdicts, global_xi=max(xi_values) if xi_values else math.nan,
+        global_lambda=max(lambdas) if lambdas else None, errors=errors,
+        truncation_converged=all(max(abs(k1), abs(k2)) < k_max for k1, k2 in unsettled))

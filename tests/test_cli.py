@@ -1,6 +1,7 @@
 """Command-line interface: parsing, validation, artifacts, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -145,6 +146,22 @@ def test_scan_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.csv.summary.json").read_bytes() \
         == (tmp_path / "b.csv.summary.json").read_bytes()
+
+
+def test_xi_matches_scan(tmp_path):
+    # stable stratification and a horizontal field normal to the mode: the
+    # denominator is singular, so the null-space threshold sets xi
+    cfgp = write_config(tmp_path, **{
+        "c2_plus = 1.0": "c2_plus = 2.0", "c2_minus = 2.0": "c2_minus = 1.0",
+        "rho_plus_interface = 2.0": "rho_plus_interface = 1.0",
+        "m3 = 0.0": "m2 = 1.0\nm3 = 0.0", "k_max = 1": "k_max = 1\neig_tol = 1e-3"})
+    xi_out, scan_out = tmp_path / "xi.json", tmp_path / "scan.csv"
+    assert cli.run(str(cfgp), "xi", out=str(xi_out)) == 0
+    assert cli.run(str(cfgp), "scan", out=str(scan_out)) == 0
+    xi_value = json.loads(xi_out.read_text())["xi_value"]
+    rows = [line.split(",") for line in scan_out.read_text().splitlines()[1:]]
+    scanned = [float(r[4]) for r in rows if (r[0], r[1]) == ("1", "0")]
+    assert math.isfinite(xi_value) and scanned == [xi_value]
 
 
 def test_thresholds_viscoelastic(tmp_path, capsys):

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import make_mode
 from rtspectra import assembly, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
-from rtspectra.errors import BracketError, IndefinitePencilError
+from rtspectra.errors import BracketError, EigenSolverError, IndefinitePencilError
 from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
 
 M3_STABLE = 1.05 * 2.2677017880818765   # 1.05x the canonical vertical threshold
@@ -78,18 +79,30 @@ def test_xi_scale_invariance(mm_vertical):
     assert cosangle == pytest.approx(1.0, abs=1e-9)
 
 
-def test_eigh_extreme_any_scale(rng):
-    """The dense solver's power-of-two working scale is exact at any matrix scale."""
-    X = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    H = X + X.conj().T
-    w = np.linalg.eigvalsh(H)
-    for factor in (1e-200, 1.0, 1e200):
-        top, v = spectral._eigh_extreme(factor * H, "max")
-        low, no_vec = spectral._eigh_extreme(factor * H, "min", vectors=False)
-        assert top == pytest.approx(factor * w[-1], rel=1e-12)
-        assert low == pytest.approx(factor * w[0], rel=1e-12)
-        assert no_vec is None
-        assert np.linalg.norm(H @ v - w[-1] * v) <= 1e-10 * np.linalg.norm(H)
+def _random_banded(rng, n, p, complex_valued):
+    X = rng.standard_normal((n, n))
+    if complex_valued:
+        X = X + 1j * rng.standard_normal((n, n))
+    X = np.triu(np.tril(X, p), -p)
+    return X + X.conj().T
+
+
+def test_top_pair_banded_pencils(rng):
+    """The banded solver matches dense eigh on random banded Hermitian pencils."""
+    n = 120
+    for p in (1, 5):
+        for complex_valued in (False, True):
+            H = _random_banded(rng, n, p, complex_valued)
+            M = _random_banded(rng, n, p, complex_valued)
+            M = M + 8.0 * (2 * p + 1) * np.eye(n)     # diagonally dominant: definite
+            w = sla.eigh(H, M, eigvals_only=True)
+            top, v = spectral._top_pair(H, M)
+            assert top == pytest.approx(w[-1], rel=1e-10)
+            assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
+            residual = np.linalg.norm(H @ v - top * (M @ v))
+            assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v)
+            top2, v2 = spectral._top_pair(H, M)
+            assert top2 == top and np.array_equal(v2, v)
 
 
 def test_xi_deflation_consistency(canonical_profile, mesh60, geometry):
@@ -138,7 +151,7 @@ def test_alpha_negative_semidefinite_case(geometry, mesh60):
 def test_alpha_large_s_negative(mm_nofield):
     a0, _ = spectral.alpha(0.0, mm_nofield, MHD)
     assert a0 > 0
-    dmin = spectral._lambda_min_dissipation(mm_nofield, MHD)
+    dmin = sla.eigh(mm_nofield.dissipation, mm_nofield.mass, eigvals_only=True)[0]
     s_big = 10.0 * a0 / dmin
     a_big, _ = spectral.alpha(s_big, mm_nofield, MHD)
     assert a_big < 0
@@ -227,12 +240,59 @@ def test_global_scan_unstable_flags(canonical_profile, baseline_params, geometry
 
 def test_global_scan_threads_match(canonical_profile, geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
-    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 2.5))
-    v1 = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
-    v2 = spectral.global_scan(canonical_profile, params, mesh, 1, MHD, threads=3)
-    x1 = [v.xi_value for v in v1.verdicts]
-    x2 = [v.xi_value for v in v2.verdicts]
-    assert x1 == x2
+    # a stable vertical field, and a weak mixed field with unstable modes
+    for M, unstable in (((0.0, 0.0, 2.5), 0), ((0.05, -0.03, 0.1), 4)):
+        params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
+        v1 = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
+        v2 = spectral.global_scan(canonical_profile, params, mesh, 1, MHD, threads=3)
+        rows1 = [(v.xi_value, v.alpha0, v.lambda_value) for v in v1.verdicts]
+        rows2 = [(v.xi_value, v.alpha0, v.lambda_value) for v in v2.verdicts]
+        assert len(rows1) == 5 and rows1 == rows2
+        assert sum(lam is not None for _, _, lam in rows1) == unstable
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_global_scan_propagates_programming_errors(canonical_profile, baseline_params,
+                                                   geometry, monkeypatch, threads):
+    real = spectral.analyze_mode
+
+    def broken(matrices, *args, **kwargs):
+        if (matrices.mode.k1, matrices.mode.k2) == (1, 0):
+            raise TypeError("broken mode solver")
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "analyze_mode", broken)
+    mesh = assembly.build_mesh(geometry, n_per_layer=20)
+    with pytest.raises(TypeError, match="broken mode solver"):
+        spectral.global_scan(canonical_profile, baseline_params, mesh, 1, MHD, threads=threads)
+
+
+def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeypatch):
+    real = spectral.analyze_mode
+
+    def failing(matrices, *args, **kwargs):
+        if (matrices.mode.k1, matrices.mode.k2) == (1, 1):
+            raise EigenSolverError("no convergence")
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "analyze_mode", failing)
+    mesh = assembly.build_mesh(geometry, n_per_layer=20)
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, M3_STABLE))
+    verdict = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
+    assert verdict.errors == {(1, 1): "EigenSolverError: no convergence"}
+    assert len(verdict.verdicts) == 4
+    assert not verdict.truncation_converged
+
+
+def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
+    """Smallest element 2.9e-9 of a layer: alpha matches values recorded with
+    a dense Cholesky-reduction solver and element-wise polished quotients."""
+    mesh = assembly.build_mesh(geometry, 200, grading=1.09)
+    assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
+    mm = assembly.assemble(canonical_profile, baseline_params, make_mode(1, 0, geometry), mesh)
+    for s, recorded in ((0.0, 0.23525264299814733), (0.4, -0.06240307581947192)):
+        value, _ = spectral.alpha(s, mm, MHD)
+        assert abs(value - recorded) <= 1e-12 * max(1.0, abs(recorded))
 
 
 def test_bracket_error_message(mm_vertical):
