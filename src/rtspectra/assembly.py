@@ -9,7 +9,9 @@ Hermitian representations of the original sesquilinear forms under the
 nodal map z = (i*phi, i*theta, psi).
 
 Degrees of freedom are interior nodes only (Dirichlet ends removed),
-ordered node-major: dof(node j, comp c) = 3*(j-1) + c.
+ordered node-major: dof(node j, comp c) = 3*(j-1) + c.  Every element
+couples two neighbouring nodes, so each form is banded with half-bandwidth
+5 and is assembled straight into LAPACK upper band storage (see band.py).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import band
 from .equilibrium import EquilibriumProfile, Geometry
 from .errors import AssemblyError, DefinitenessError, InvalidGradingError
 from .modereduce import (
@@ -34,7 +37,7 @@ DEFAULT_N_PER_LAYER = 200
 DEFAULT_SIZE_RATIO = 10.0
 # Smallest admissible element, relative to the layer height: the floor of the
 # equilibrium sample table.  Far below it (5.6e-19 at n=800, grading 1.05)
-# the dense mass and dissipation matrices stop being numerically definite.
+# the mass and dissipation matrices stop being numerically definite.
 MIN_ELEMENT_FRACTION = 1e-9
 
 
@@ -116,15 +119,17 @@ def refine_mesh(mesh: Mesh1D) -> Mesh1D:
 
 @dataclass
 class ModeMatrices:
-    """Discrete Hermitian forms of one Fourier mode.
+    """Discrete Hermitian forms of one Fourier mode, in upper band storage.
 
     mass/gravity/compress/magnetic/elastic/dissipation carry the per-mode
     quadratic forms; coercivity_metric carries |w|^2 + |M.grad w|^2 + |div w|^2
-    for the stability-certificate pencil.  Matrices are real symmetric except
-    when the base field mixes vertical and in-plane components, which adds an
-    imaginary skew part.  Treat instances as immutable: solvers cache
-    reductions and evaluate Rayleigh quotients through the generating
-    coefficients, so mutating a matrix in place desynchronizes the two.
+    for the stability-certificate pencil.  Each is an array of shape
+    (6, n_dof) in the layout of band.py; band.to_dense gives the matrix.
+    Matrices are real symmetric except when the base field mixes vertical
+    and in-plane components, which adds an imaginary skew part.  Treat
+    instances as immutable: solvers cache operators and norms and evaluate
+    Rayleigh quotients through the generating coefficients, so mutating a
+    matrix in place desynchronizes them.
     """
 
     mode: FourierMode
@@ -141,10 +146,10 @@ class ModeMatrices:
 
     @property
     def n_dof(self) -> int:
-        return self.mass.shape[0]
+        return self.mass.shape[1]
 
     def operator(self, medium: str) -> np.ndarray:
-        """Energy operator A: gravity minus the medium's stabilizing forms."""
+        """Energy operator A (band): gravity minus the medium's stabilizing forms."""
         if medium == MHD:
             return self.gravity - self.compress - self.magnetic
         if medium == VISCOELASTIC:
@@ -168,9 +173,9 @@ class ModeMatrices:
         return ModeField(self.mesh.nodes, values)
 
     def quadratic(self, matrix: np.ndarray, field: ModeField) -> float:
-        """Evaluate v* X v for a ModeField through the basis map."""
+        """Evaluate v* X v for a band matrix X and a ModeField through the basis map."""
         z = self.tilde_vector(field.values)
-        return float(np.real(np.vdot(z, matrix @ z)))
+        return float(np.real(np.vdot(z, band.matvec(matrix, z))))
 
 
 def _functional_rows(coeffs: FormCoefficients, mode: FourierMode):
@@ -294,28 +299,16 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
     _accumulate(mats["dissipation"], w * (coeffs.bulk - 2.0 * coeffs.mu / 3.0), d_row)
     mats["elastic"] -= np.einsum("eq,eqi,eqj->eij", w * coeffs.kappa, d_row, d_row, optimize=True)
 
-    # scatter element blocks into global interior matrices
-    n_nodes = mesh.nodes.size
-    ndof_full = 3 * n_nodes
+    # scatter the upper triangle of each element block into interior band storage
     out = {}
-    rows_idx = (3 * np.arange(ne))[:, None] + np.arange(6)[None, :]
-
-    def scatter(blocks):
-        full = np.zeros((ndof_full, ndof_full))
-        np.add.at(full, (rows_idx[:, :, None], rows_idx[:, None, :]), blocks)
-        return full[3:-3, 3:-3]
-
     for name, blocks in mats.items():
-        out[name] = scatter(blocks)
         if name in skew and np.any(skew[name]):
-            out[name] = out[name] + 1j * scatter(skew[name])
+            blocks = blocks + 1j * skew[name]
+        out[name] = band.from_element_blocks(blocks, 3)
 
-    # interface rank-one jump contribution to gravity
+    # interface rank-one jump contribution to gravity, on the diagonal (last band row)
     iface_dof = 3 * (mesh.interface_index - 1) + 2
-    out["gravity"][iface_dof, iface_dof] += coeffs.g * coeffs.rho_jump
-
-    for name in out:
-        out[name] = 0.5 * (out[name] + out[name].conj().T)
+    out["gravity"][-1, iface_dof] += coeffs.g * coeffs.rho_jump
 
     mm = ModeMatrices(
         mode=mode, mesh=mesh, coeffs=coeffs,
@@ -324,10 +317,8 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
         dissipation=out["dissipation"], coercivity_metric=out["metric"],
     )
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise DefinitenessError(f"{name} matrix is not positive definite") from exc
+        if band.cholesky(matrix) is None:
+            raise DefinitenessError(f"{name} matrix is not positive definite")
     return mm
 
 
@@ -335,7 +326,8 @@ def assemble_scalar_gravity_kernel(profile: EquilibriumProfile, mesh: Mesh1D,
                                    quadrature_order: int = DEFAULT_QUADRATURE_ORDER):
     """Scalar-psi forms restricted to divergence-free directions.
 
-    Returns (Q, Mpsi) over interior psi dofs: Q carries
+    Returns (Q, Mpsi) over interior psi dofs, in upper band storage with
+    half-bandwidth 1: Q carries
     g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2), Mpsi the rho-weighted mass.
     These are the numerator and normalization seen by fields whose per-mode
     divergence vanishes identically.
@@ -349,15 +341,9 @@ def assemble_scalar_gravity_kernel(profile: EquilibriumProfile, mesh: Mesh1D,
     rowV[:, :, 1] = N[1][None, :]
     blocks_q = np.einsum("eq,eqi,eqj->eij", w * coeffs.g * coeffs.rho_prime, rowV, rowV)
     blocks_m = np.einsum("eq,eqi,eqj->eij", w * coeffs.rho, rowV, rowV)
-    n = mesh.nodes.size
-    Q = np.zeros((n, n))
-    Mp = np.zeros((n, n))
-    idx = np.stack([np.arange(ne), np.arange(1, ne + 1)], axis=1)
-    np.add.at(Q, (idx[:, :, None], idx[:, None, :]), blocks_q)
-    np.add.at(Mp, (idx[:, :, None], idx[:, None, :]), blocks_m)
-    i0 = mesh.interface_index
-    Q[i0, i0] += coeffs.g * coeffs.rho_jump
-    return Q[1:-1, 1:-1], Mp[1:-1, 1:-1]
+    Q, Mp = band.from_element_blocks(blocks_q, 1), band.from_element_blocks(blocks_m, 1)
+    Q[-1, mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
+    return Q, Mp
 
 
 def export_matrices(mm: ModeMatrices, path: str, fmt: str = "npz") -> None:
@@ -367,10 +353,8 @@ def export_matrices(mm: ModeMatrices, path: str, fmt: str = "npz") -> None:
     dissipation plus mode indices and mesh nodes.  ``txt``: one coordinate
     block per matrix ("name i j value", 0-based, upper triangle).
     """
-    arrays = {
-        "mass": mm.mass, "gravity": mm.gravity, "compress": mm.compress,
-        "magnetic": mm.magnetic, "elastic": mm.elastic, "dissipation": mm.dissipation,
-    }
+    arrays = {name: band.to_dense(getattr(mm, name)) for name in
+              ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
     if fmt == "npz":
         np.savez(path, k1=mm.mode.k1, k2=mm.mode.k2, nodes=mm.mesh.nodes, **arrays)
     elif fmt == "txt":

@@ -3,7 +3,8 @@
 Configs are flat INI sections (JSON accepted as an alternative encoding of
 the same sections).  All outputs are deterministic: fixed float formatting,
 sorted keys, no timestamps.  Exit codes: 0 success, 2 configuration or
-validation error, 3 solver error.
+validation error, 3 solver error (an RTSpectraError or a ValueError raised
+while solving).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _positive(name: str, value: float) -> float:
 
 
 def _nonnegative(name: str, value: float) -> float:
-    if value < 0:
+    if not value >= 0:     # also refuses NaN
         raise ValidationError(f"{name} must be nonnegative, got {value}")
     return value
 
@@ -129,6 +130,11 @@ def _law_from(section: Dict[str, str], side: str) -> PressureLaw:
     except RTSpectraError:
         raise
     raise ValidationError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
+
+
+def _check_horizon(dt: float, T: float) -> None:
+    if not T >= 10 * dt:
+        raise ValidationError(f"T={T:.6g} must cover at least 10 steps of dt={dt:.6g}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -210,6 +216,8 @@ def parse_config(path: str) -> RunConfig:
         _positive("dt", cfg.dt)
     if cfg.T is not None:
         _positive("T", cfg.T)
+    if cfg.dt is not None and cfg.T is not None:
+        _check_horizon(cfg.dt, cfg.T)
 
     out_s = sections.get("output", {})
     cfg.out_path = _get(out_s, "output", "path", str, "report")
@@ -315,8 +323,9 @@ def cmd_xi(cfg: RunConfig, out: str) -> int:
 def cmd_growth(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     mm = _single_mode(cfg, profile, mesh)
-    a0, _ = spectral.alpha(0.0, mm, cfg.params.medium)
-    lam, _, res = spectral.growth_rate_detailed(mm, cfg.params.medium, cfg.fixed_point_tol)
+    a0, v0 = spectral.alpha(0.0, mm, cfg.params.medium)
+    lam, _, res = spectral.growth_rate_detailed(mm, cfg.params.medium, cfg.fixed_point_tol,
+                                                alpha0=(a0, v0))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "k1": cfg.k1, "k2": cfg.k2,
@@ -427,6 +436,7 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
     lam, _, _ = spectral.growth_rate_detailed(mm, cfg.params.medium, cfg.fixed_point_tol)
     dt = cfg.dt if cfg.dt is not None else (1e-3 / lam if lam else 1e-2)
     T = cfg.T if cfg.T is not None else (10.0 / lam if lam else 20.0)
+    _check_horizon(dt, T)
     eta0, u0 = evolution.random_initial_data(mm, cfg.seed)
     result = evolution.integrate_linearized(mm, eta0, u0, dt, T, cfg.params.medium)
     evolution.export_trajectory(result, out)
@@ -458,7 +468,11 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
             cfg.out_format = fmt
         out = out or cfg.out_path
         if threads is None:
-            threads = int(os.environ.get("RT_SPECTRA_THREADS", "1"))
+            raw = os.environ.get("RT_SPECTRA_THREADS", "1")
+            try:
+                threads = int(raw)
+            except ValueError as exc:
+                raise ValidationError(f"RT_SPECTRA_THREADS must be an integer, got {raw!r}") from exc
         if subcommand == "equilibrium":
             return cmd_equilibrium(cfg, out)
         if subcommand == "xi":
@@ -472,10 +486,10 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
         if subcommand == "thresholds":
             return cmd_thresholds(cfg, out)
         return cmd_evolve(cfg, out)
-    except (ConfigError, ValidationError, InvalidGradingError, ValueError) as exc:
+    except (ConfigError, ValidationError, InvalidGradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RTSpectraError as exc:
+    except (RTSpectraError, ValueError) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,8 @@ Lambda^2 = alpha(Lambda) with alpha(s) the largest eigenvalue of the
 dissipation-penalized pencil (A - s*D, Mass).
 
 Both are top eigenpairs of banded Hermitian pencils with a definite
-right-hand side, computed by one banded shift-invert solver (_top_pair).
+right-hand side, computed by one banded shift-invert solver (_top_pair) on
+the matrices as assembled, in upper band storage.
 alpha is non-increasing and convex in s (a supremum of affine functions
 of s), so f(s) = alpha(s) - s^2 is strictly decreasing and the fixed point
 is the root of a bracketed Newton iteration.
@@ -23,6 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
 
+from . import band
 from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .equilibrium import EquilibriumProfile
 from .errors import (BracketError, EigenSolverError, IndefiniteDenominatorError,
@@ -66,45 +68,19 @@ class StabilityVerdict:
     errors: Dict[Tuple[int, int], str] = field(default_factory=dict)
 
 
-def _hermitize(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.conj().T)
-
-
-def _operator(matrices: ModeMatrices, medium: str) -> np.ndarray:
+def _operator(matrices: ModeMatrices, medium: str):
+    """Energy operator A and the Frobenius norms of A and the dissipation, cached."""
     key = ("operator", medium)
     if key not in matrices._cache:
-        matrices._cache[key] = matrices.operator(medium)
+        A = matrices.operator(medium)
+        matrices._cache[key] = A, band.frobenius(A), band.frobenius(matrices.dissipation)
     return matrices._cache[key]
 
 
-def _band(X: np.ndarray, p: int, dtype) -> np.ndarray:
-    """Upper LAPACK band storage of a Hermitian matrix of half-bandwidth p."""
-    ab = np.zeros((p + 1, X.shape[0]), dtype=dtype)
-    for k in range(p + 1):
-        ab[p - k, k:] = np.diagonal(X, k)
-    return ab
-
-
-def _bandwidth(*mats: np.ndarray) -> int:
-    rows, cols = np.nonzero(np.logical_or.reduce([X != 0 for X in mats]))
-    return int(np.max(cols - rows, initial=0))
-
-
-def _cholesky(ab: np.ndarray) -> Optional[np.ndarray]:
-    """Banded Cholesky factor, or None when the matrix is not positive definite."""
-    try:
-        return sla.cholesky_banded(ab, check_finite=False)
-    except sla.LinAlgError:
-        return None
-
-
-def _positive_definite(X: np.ndarray) -> bool:
-    return _cholesky(_band(X, _bandwidth(X), X.dtype)) is not None
-
-
-def _top_pair(H: np.ndarray, M: np.ndarray):
+def _top_pair(hb: np.ndarray, mb: np.ndarray):
     """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
-    and its eigenvector normalized to v* M v = 1.
+    and its eigenvector normalized to v* M v = 1.  H and M come in upper
+    band storage of one shape.
 
     sigma = 1, 4, 16, ... grows until sigma*M - H has a banded Cholesky
     factor, which certifies that sigma lies above the whole spectrum.
@@ -113,12 +89,12 @@ def _top_pair(H: np.ndarray, M: np.ndarray):
     restart vectors come from a seeded generator, so a repeated call
     returns the same bits.
     """
-    n, p = H.shape[0], _bandwidth(H, M)
-    dtype = np.result_type(H, M)
-    hb, mb = _band(H, p, dtype), _band(M, p, dtype)
+    p, n = hb.shape[0] - 1, hb.shape[1]
+    dtype = np.result_type(hb, mb)
+    hb, mb = hb.astype(dtype, copy=False), mb.astype(dtype, copy=False)
     sigma = 1.0
     for _ in range(SHIFT_TRIES):
-        factor = _cholesky(sigma * mb - hb)
+        factor = band.cholesky(sigma * mb - hb)
         if factor is not None:
             break
         sigma *= 4.0
@@ -167,16 +143,16 @@ def alpha(s: float, matrices: ModeMatrices, medium: str):
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    A, D, M = _operator(matrices, medium), matrices.dissipation, matrices.mass
-    H = A - s * D
+    (A, norm_a, norm_d), M = _operator(matrices, medium), matrices.mass
+    H = A - s * matrices.dissipation
     _, v = _top_pair(H, M)
     rho = _form_rayleigh(matrices, medium, s, v)
-    res = np.linalg.norm(H @ v - rho * (M @ v))
-    scale = (np.linalg.norm(A) + abs(s) * np.linalg.norm(D)) * np.linalg.norm(v)
+    res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
+    scale = (norm_a + abs(s) * norm_d) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise EigenSolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
-    if not _positive_definite((rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho))) * M - H):
+    if band.cholesky((rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho))) * M - H) is None:
         raise EigenSolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
     return rho, v
 
@@ -186,8 +162,12 @@ def growth_rate(matrices: ModeMatrices, medium: str, tol: float = 1e-8):
     return growth_rate_detailed(matrices, medium, tol)[0]
 
 
-def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8):
+def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
+                         alpha0: Optional[Tuple[float, np.ndarray]] = None):
     """growth_rate plus the principal eigenvector and fixed-point residual.
+
+    ``alpha0`` is the result of alpha(0.0, matrices, medium) when the caller
+    has it already; it is solved here otherwise.
 
     Newton iteration on f(s) = alpha(s) - s^2 from s = 0, with the
     Hellmann-Feynman slope f'(s) = -v* D v - 2s of the mass-normalized top
@@ -198,13 +178,13 @@ def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8)
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a, vec = alpha(0.0, matrices, medium)
+    a, vec = alpha0 if alpha0 is not None else alpha(0.0, matrices, medium)
     if a <= 0.0:
         return None, None, None
     lo, hi = 0.0, math.sqrt(a) + 1.0
     s, f = 0.0, a
     for _ in range(MAX_FIXED_POINT_STEPS):
-        s -= f / (-float(np.real(np.vdot(vec, matrices.dissipation @ vec))) - 2.0 * s)
+        s -= f / (-float(np.real(np.vdot(vec, band.matvec(matrices.dissipation, vec)))) - 2.0 * s)
         if not lo < s < hi:
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
@@ -251,7 +231,11 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
     vec[:, 1] = -mode.xi2 / mode.norm2 * slope
     vec[:, 2] = psi_full
     v = vec[1:-1].reshape(-1)
-    return v if float(np.real(np.vdot(v, matrices.gravity @ v))) > 0.0 else None
+    return v if float(np.real(np.vdot(v, band.matvec(matrices.gravity, v)))) > 0.0 else None
+
+
+def _hermitize(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + X.conj().T)
 
 
 def _xi_deflated(Ns: np.ndarray, Bs: np.ndarray, eps_null: float):
@@ -305,19 +289,18 @@ def xi_per_mode(matrices: ModeMatrices, medium: str, eps_null: float = EPS_NULL)
     if v_inf is not None:
         return math.inf, v_inf
 
-    dinv = 1.0 / np.sqrt(np.diag(matrices.mass).real)
-    Bs = _hermitize(B * np.outer(dinv, dinv))
-    Ns = _hermitize(Nmat * np.outer(dinv, dinv))
-    if _positive_definite(Bs):
+    dinv = 1.0 / np.sqrt(matrices.mass[-1].real)     # the last band row is the diagonal
+    Bs, Ns = band.jacobi_scaled(B, dinv), band.jacobi_scaled(Nmat, dinv)
+    if band.cholesky(Bs) is not None:
         val, u = _top_pair(Ns, Bs)
         v = dinv * u
-        qn = float(np.real(np.vdot(v, Nmat @ v)))
-        qb = float(np.real(np.vdot(v, B @ v)))
+        qn = float(np.real(np.vdot(v, band.matvec(Nmat, v))))
+        qb = float(np.real(np.vdot(v, band.matvec(B, v))))
         # a gross mismatch means a numerically singular denominator slipped through the
         # factorization (the tolerance covers stiff graded-mesh pencils)
         if qb > 0.0 and abs(qn / qb - val) <= 1e-6 * max(1.0, abs(val)):
             return val, v
-    val, u = _xi_deflated(Ns, Bs, eps_null)
+    val, u = _xi_deflated(band.to_dense(Ns), band.to_dense(Bs), eps_null)
     return val, dinv * u
 
 
@@ -329,7 +312,7 @@ def coercivity_constant(matrices: ModeMatrices, medium: str = MHD) -> float:
     Metric and mass are both definite, so the top eigenvalue of (A, metric)
     has the sign of alpha(0); IndefinitePencilError when it is positive.
     """
-    top, _ = _top_pair(_operator(matrices, medium), matrices.coercivity_metric)
+    top, _ = _top_pair(_operator(matrices, medium)[0], matrices.coercivity_metric)
     if top > 0.0:
         raise IndefinitePencilError(
             f"-A is not positive semidefinite (top eigenvalue of (A, metric) = {top:.6g} > 0): "
@@ -348,10 +331,10 @@ def analyze_mode(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
                  keep_eigvec: bool = False) -> ModeVerdict:
     """Full verdict for one assembled mode."""
     xi_val, xvec = xi_per_mode(matrices, medium)
-    a0, _ = alpha(0.0, matrices, medium)
+    a0, v0 = alpha(0.0, matrices, medium)
     lam = res = vec = None
     if a0 > 0.0:
-        lam, vec, res = growth_rate_detailed(matrices, medium, tol)
+        lam, vec, res = growth_rate_detailed(matrices, medium, tol, alpha0=(a0, v0))
     return ModeVerdict(mode=matrices.mode, xi_value=xi_val, alpha0=a0, lambda_value=lam,
                        residual=res,
                        eigvec=(vec if vec is not None else xvec) if keep_eigvec else None)

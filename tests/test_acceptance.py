@@ -13,7 +13,7 @@ import pytest
 
 from conftest import make_mode, random_field
 from oracles import etilde_value
-from rtspectra import assembly, criteria, evolution, modereduce as mr, spectral
+from rtspectra import assembly, band, criteria, evolution, modereduce as mr, spectral
 from rtspectra.cli import run as cli_run
 from rtspectra.equilibrium import (
     Geometry,
@@ -111,13 +111,14 @@ def test_criterion_04_matrix_invariants(geo, profile):
     for params in configs:
         for km in ((1, 0), (2, 1)):
             mm = assembly.assemble(profile, params, make_mode(*km, geo), mesh)
-            for name, X in (("mass", mm.mass), ("gravity", mm.gravity),
-                            ("compress", mm.compress), ("magnetic", mm.magnetic),
-                            ("elastic", mm.elastic), ("dissipation", mm.dissipation)):
+            dense = {name: band.to_dense(getattr(mm, name)) for name in
+                     ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
+            for name, X in dense.items():
                 assert np.linalg.norm(X - X.conj().T) <= 1e-12 * max(np.linalg.norm(X), 1e-300), name
-            assert np.linalg.eigvalsh(mm.mass).min() > 0
-            assert np.linalg.eigvalsh(mm.dissipation).min() > 0
-            for name, X in (("compress", mm.compress), ("magnetic", mm.magnetic)):
+            assert np.linalg.eigvalsh(dense["mass"]).min() > 0
+            assert np.linalg.eigvalsh(dense["dissipation"]).min() > 0
+            for name in ("compress", "magnetic"):
+                X = dense[name]
                 assert np.linalg.eigvalsh(X).min() >= -1e-12 * np.linalg.norm(X), name
     report(4, "assembled matrices Hermitian, mass/dissipation PD, stabilizers PSD")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
-from rtspectra import assembly, modereduce as mr
+from rtspectra import assembly, band, modereduce as mr
 from rtspectra.equilibrium import Geometry
 from rtspectra.errors import InvalidGradingError
 from rtspectra.params import PhysicalParams
@@ -68,10 +68,12 @@ def assembled(canonical_profile, mixed_params, mesh60, geometry):
 
 
 def all_matrices(mm):
+    """Dense views of the seven band matrices."""
     return {
-        "mass": mm.mass, "gravity": mm.gravity, "compress": mm.compress,
-        "magnetic": mm.magnetic, "elastic": mm.elastic,
-        "dissipation": mm.dissipation, "metric": mm.coercivity_metric,
+        name: band.to_dense(getattr(mm, attr)) for name, attr in (
+            ("mass", "mass"), ("gravity", "gravity"), ("compress", "compress"),
+            ("magnetic", "magnetic"), ("elastic", "elastic"),
+            ("dissipation", "dissipation"), ("metric", "coercivity_metric"))
     }
 
 
@@ -82,11 +84,13 @@ def test_hermitian(assembled):
 
 
 def test_definiteness(assembled):
-    evs = np.linalg.eigvalsh(assembled.mass)
+    dense = all_matrices(assembled)
+    evs = np.linalg.eigvalsh(dense["mass"])
     assert evs.min() > 0
-    evs = np.linalg.eigvalsh(assembled.dissipation)
+    evs = np.linalg.eigvalsh(dense["dissipation"])
     assert evs.min() > 0
-    for name, X in (("compress", assembled.compress), ("magnetic", assembled.magnetic)):
+    for name in ("compress", "magnetic"):
+        X = dense[name]
         evs = np.linalg.eigvalsh(X)
         assert evs.min() >= -1e-12 * np.linalg.norm(X), name
 
@@ -165,9 +169,9 @@ def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     for n in (20, 40, 80):
         mesh = assembly.build_mesh(geometry, n_per_layer=n)
         mm = assembly.assemble(canonical_profile, params, mode, mesh)
-        B = mm.compress + mm.magnetic
+        B = band.to_dense(mm.compress + mm.magnetic)
         L = np.linalg.cholesky(B)
-        Y = sla.solve_triangular(L, mm.gravity, lower=True)
+        Y = sla.solve_triangular(L, band.to_dense(mm.gravity), lower=True)
         At = sla.solve_triangular(L, Y.conj().T, lower=True)
         values.append(sla.eigh(0.5 * (At + At.conj().T), eigvals_only=True,
                                subset_by_index=[B.shape[0] - 1] * 2)[0])

@@ -61,6 +61,12 @@ def test_validation_negative_mu(tmp_path, capsys):
     assert "mu_plus" in capsys.readouterr().err
 
 
+def test_validation_nan_values(tmp_path):
+    # NaN used to pass: g = nan hung the equilibrium ODE, bulk_plus = nan exited 0
+    for old, new in (("g = 1.0", "g = nan"), ("bulk_plus = 0.1", "bulk_plus = nan")):
+        assert cli.run(str(write_config(tmp_path, **{old: new})), "xi") == 2
+
+
 def test_validation_degenerate_mesh(tmp_path, capsys):
     cfgp = write_config(tmp_path, **{"n_per_layer = 30": "n_per_layer = 400\ngrading = 1.05"})
     assert cli.run(str(cfgp), "xi") == 2
@@ -215,3 +221,29 @@ def test_main_entry(tmp_path):
     cfgp = write_config(tmp_path, medium=VE_BLOCK)
     code = cli.main(["thresholds", "--config", str(cfgp), "--out", str(tmp_path / "x.json")])
     assert code == 0
+
+
+def test_validation_evolve_horizon(tmp_path, capsys):
+    """T must cover 10 steps: checked in the config, and again once dt or T comes from Lambda."""
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.5\nt = 4.0\n")
+    assert cli.run(str(cfgp), "evolve") == 2
+    assert "10 steps" in capsys.readouterr().err
+    # T defaults to 10/Lambda, less than 10 steps of this dt (and dt*Lambda < 2)
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 6.0\n")
+    assert cli.run(str(cfgp), "evolve") == 2
+    assert "10 steps" in capsys.readouterr().err
+
+
+def test_solver_value_error_exit_code(tmp_path, monkeypatch, capsys):
+    """A ValueError raised while solving is a solver error (3), not a config error (2)."""
+    def broken(*args, **kwargs):
+        raise ValueError("broken solver")
+
+    monkeypatch.setattr(cli.spectral, "xi_per_mode", broken)
+    assert cli.run(str(write_config(tmp_path)), "xi") == 3
+    assert "broken solver" in capsys.readouterr().err
+    # a malformed thread count is still a configuration error
+    monkeypatch.setenv("RT_SPECTRA_THREADS", "two")
+    assert cli.run(str(write_config(tmp_path)), "xi") == 2

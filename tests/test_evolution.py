@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import make_mode
-from rtspectra import assembly, evolution, spectral
-from rtspectra.errors import BlowupError, DegenerateFitError
+from rtspectra import assembly, band, evolution, spectral
+from rtspectra.errors import BlowupError, DegenerateFitError, StepError
 from rtspectra.params import MHD, PhysicalParams
 
 
@@ -123,3 +124,31 @@ def test_trajectory_export(tmp_path, mm_stable):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,eta_norm,u_norm"
     assert len(lines) == result.times.size + 1
+
+
+@pytest.mark.parametrize("fixture", ["mm_unstable", "mm_stable"])
+def test_matches_dense_reference(request, fixture):
+    """50 steps of the banded integrator against a dense implicit-midpoint loop."""
+    mm = request.getfixturevalue(fixture)
+    A, M, D = (band.to_dense(X) for X in (mm.operator(MHD), mm.mass, mm.dissipation))
+    eta, u = evolution.random_initial_data(mm, seed=8)
+    dt, n_steps = 1e-2, 50
+    result = evolution.integrate_linearized(mm, eta, u, dt, n_steps * dt)
+    K = M - (dt * dt / 4.0) * A + (dt / 2.0) * D
+    for k in range(1, n_steps + 1):
+        s = sla.solve(K, 2.0 * (M @ u) + dt * (A @ eta), assume_a="pos")
+        eta, u = eta + 0.5 * dt * s, s - u
+        assert result.u_norm[k] == pytest.approx(np.sqrt(u @ M @ u), rel=1e-12)
+        assert result.eta_norm[k] == pytest.approx(np.sqrt(eta @ M @ eta), rel=1e-12)
+        energy = 0.5 * (u @ M @ u - eta @ A @ eta)
+        assert result.diagnostics["energy"][k] == pytest.approx(energy, rel=1e-12)
+
+
+def test_step_beyond_stability_bound(mm_unstable):
+    """dt * Lambda >= 2 leaves the implicit-midpoint matrix indefinite."""
+    lam = spectral.growth_rate(mm_unstable, MHD)
+    eta0, u0 = evolution.random_initial_data(mm_unstable, seed=9)
+    dt = 2.5 / lam
+    with pytest.raises(StepError, match="dt < 2/Lambda"):
+        evolution.integrate_linearized(mm_unstable, eta0, u0, dt, 20 * dt)
+    evolution.integrate_linearized(mm_unstable, eta0, u0, 1.9 / lam, 20 * 1.9 / lam)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
-from rtspectra import assembly, spectral
+from rtspectra import assembly, band, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import BracketError, EigenSolverError, IndefinitePencilError
 from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
@@ -48,7 +48,7 @@ def test_xi_infinite_without_field(mm_nofield):
     value, vec = spectral.xi_per_mode(mm_nofield, MHD)
     assert math.isinf(value)
     # the certificate direction really has positive numerator
-    num = float(np.real(np.vdot(vec, mm_nofield.gravity @ vec)))
+    num = float(np.real(np.vdot(vec, band.to_dense(mm_nofield.gravity) @ vec)))
     assert num > 0
 
 
@@ -79,12 +79,15 @@ def test_xi_scale_invariance(mm_vertical):
     assert cosangle == pytest.approx(1.0, abs=1e-9)
 
 
-def _random_banded(rng, n, p, complex_valued):
-    X = rng.standard_normal((n, n))
+def _random_band(rng, n, p, complex_valued):
+    """Upper band storage of a random Hermitian matrix of half-bandwidth p."""
+    ab = rng.standard_normal((p + 1, n))
     if complex_valued:
-        X = X + 1j * rng.standard_normal((n, n))
-    X = np.triu(np.tril(X, p), -p)
-    return X + X.conj().T
+        ab = ab + 1j * rng.standard_normal((p + 1, n))
+        ab[p] = ab[p].real
+    for k in range(1, p + 1):
+        ab[p - k, :k] = 0.0
+    return ab
 
 
 def test_top_pair_banded_pencils(rng):
@@ -92,16 +95,17 @@ def test_top_pair_banded_pencils(rng):
     n = 120
     for p in (1, 5):
         for complex_valued in (False, True):
-            H = _random_banded(rng, n, p, complex_valued)
-            M = _random_banded(rng, n, p, complex_valued)
-            M = M + 8.0 * (2 * p + 1) * np.eye(n)     # diagonally dominant: definite
+            hb = _random_band(rng, n, p, complex_valued)
+            mb = _random_band(rng, n, p, complex_valued)
+            mb[p] += 8.0 * (2 * p + 1)      # diagonally dominant: definite
+            H, M = band.to_dense(hb), band.to_dense(mb)
             w = sla.eigh(H, M, eigvals_only=True)
-            top, v = spectral._top_pair(H, M)
+            top, v = spectral._top_pair(hb, mb)
             assert top == pytest.approx(w[-1], rel=1e-10)
             assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
             residual = np.linalg.norm(H @ v - top * (M @ v))
             assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v)
-            top2, v2 = spectral._top_pair(H, M)
+            top2, v2 = spectral._top_pair(hb, mb)
             assert top2 == top and np.array_equal(v2, v)
 
 
@@ -151,7 +155,8 @@ def test_alpha_negative_semidefinite_case(geometry, mesh60):
 def test_alpha_large_s_negative(mm_nofield):
     a0, _ = spectral.alpha(0.0, mm_nofield, MHD)
     assert a0 > 0
-    dmin = sla.eigh(mm_nofield.dissipation, mm_nofield.mass, eigvals_only=True)[0]
+    dmin = sla.eigh(band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass),
+                    eigvals_only=True)[0]
     s_big = 10.0 * a0 / dmin
     a_big, _ = spectral.alpha(s_big, mm_nofield, MHD)
     assert a_big < 0
@@ -160,12 +165,13 @@ def test_alpha_large_s_negative(mm_nofield):
 def test_alpha_eigvec_residual(mm_nofield):
     for s in (0.0, 0.3, 1.1):
         val, v = spectral.alpha(s, mm_nofield, MHD)
-        A = mm_nofield.operator(MHD)
-        res = np.linalg.norm((A - s * mm_nofield.dissipation) @ v - val * (mm_nofield.mass @ v))
-        scale = (np.linalg.norm(A) + s * np.linalg.norm(mm_nofield.dissipation)) * np.linalg.norm(v)
+        A = band.to_dense(mm_nofield.operator(MHD))
+        D, M = band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass)
+        res = np.linalg.norm((A - s * D) @ v - val * (M @ v))
+        scale = (np.linalg.norm(A) + s * np.linalg.norm(D)) * np.linalg.norm(v)
         assert res <= 1e-8 * scale
         # normalized to the mass form
-        assert np.real(np.vdot(v, mm_nofield.mass @ v)) == pytest.approx(1.0, rel=1e-10)
+        assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_growth_rate_stable_none(mm_vertical):
@@ -298,3 +304,37 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(ValueError):
         spectral.growth_rate(mm_vertical, MHD, tol=-1.0)
+
+
+def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
+    """analyze_mode hands its alpha(0) to the fixed point instead of solving it twice."""
+    real, calls = spectral.alpha, []
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "alpha", counting)
+    verdict = spectral.analyze_mode(mm_nofield, MHD)
+    assert verdict.lambda_value is not None and verdict.lambda_value > 0
+    assert calls.count(0.0) == 1
+
+
+@pytest.mark.parametrize("m3", [M3_STABLE, 0.0])
+def test_analyze_mode_fine_mesh(canonical_profile, geometry, m3):
+    """At n_per_layer=2000 (11,997 unknowns) the band matrices take 4 MB; dense
+    storage of the seven forms would take about 8 GB."""
+    mesh = assembly.build_mesh(geometry, n_per_layer=2000)
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            lam=1.0, M=(0.0, 0.0, m3))
+    mm = assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh)
+    assert mm.n_dof == 11997
+    names = ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation",
+             "coercivity_metric")
+    assert sum(getattr(mm, name).nbytes for name in names) < 10 * 2 ** 20
+    verdict = spectral.analyze_mode(mm, MHD)
+    if m3 > 0.0:
+        assert 0.0 < verdict.xi_value < 1.0 and verdict.lambda_value is None
+    else:
+        assert math.isinf(verdict.xi_value) and verdict.lambda_value > 0.0
+        assert verdict.residual <= 1e-8 * max(1.0, verdict.lambda_value ** 2)
