@@ -367,6 +367,11 @@ def cmd_scan(cfg: RunConfig, out: str, threads: int) -> int:
         _write_json(out + ".summary.json",
                     {"schema_version": SCHEMA_VERSION, "summary": _summary_dict(verdict)})
     print(_summary_line(verdict))
+    if verdict.errors:
+        # a failed mode may hide the mode that decides the global verdict
+        for (k1, k2), msg in sorted(verdict.errors.items()):
+            print(f"failed mode ({k1},{k2}): {msg}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -393,7 +398,9 @@ def cmd_witness(cfg: RunConfig, out: str) -> int:
     }
     _write_json(out, payload)
     print(f"witness_kind={kind} energy_value={_fmt(w.energy_value)} "
-          f"closed_form={_fmt(w.closed_form_value)} positive={str(payload['positive']).lower()}")
+          f"closed_form={_fmt(w.closed_form_value)} positive={str(payload['positive']).lower()} "
+          f"agreement={_fmt(w.diagnostics['agreement'])} "
+          f"grid_nodes={w.diagnostics['grid_nodes']}")
     return 0
 
 

@@ -8,6 +8,7 @@ the assembled solver on the same mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -33,6 +34,8 @@ from .params import MHD, PhysicalParams
 
 #: background resolution of witness sample grids (per layer)
 WITNESS_POINTS = 65536
+#: background resolution of the tent witness grid (per half-support)
+TENT_POINTS = 256
 #: dyadic refinement levels inserted around coefficient or field kinks
 KINK_LEVELS = 48
 
@@ -132,13 +135,27 @@ def _refine_around(grid: np.ndarray, points, levels: int = KINK_LEVELS) -> np.nd
     return out[(out >= grid[0]) & (out <= grid[-1])]
 
 
-def witness_grid(geometry: Geometry, kinks=(), n: int = WITNESS_POINTS) -> np.ndarray:
-    """Uniform high-resolution grid with dyadic clusters at 0 and the kinks."""
+def witness_grid(lower: float, upper: float, kinks=(), n: int = WITNESS_POINTS) -> np.ndarray:
+    """Grid on [lower, upper] (lower < 0 < upper): n uniform elements on each
+    side of 0, with dyadic clusters at 0 and the kinks."""
     base = np.unique(np.concatenate([
-        np.linspace(geometry.h_minus, 0.0, n + 1),
-        np.linspace(0.0, geometry.h_plus, n + 1),
+        np.linspace(lower, 0.0, n + 1),
+        np.linspace(0.0, upper, n + 1),
     ]))
     return _refine_around(base, [0.0, *kinks])
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _grid_diagnostics(grid: np.ndarray) -> dict:
+    return {"grid_nodes": int(grid.size), "h_min": float(np.min(np.diff(grid)))}
 
 
 def default_bump(geometry: Geometry) -> Callable[[np.ndarray], np.ndarray]:
@@ -185,7 +202,7 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
         raise FieldOrientationError("witness needs a base field along the first axis")
     geo = profile.geometry
     if grid is None:
-        grid = witness_grid(geo)
+        grid = witness_grid(geo.h_minus, geo.h_plus)
     if psi0_shape is None:
         psi0_shape = default_bump(geo)
         psi0_derivative = _default_bump_derivative(geo)
@@ -221,6 +238,7 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     witness.diagnostics = {
         "agreement": abs(witness.energy_value - witness.closed_form_value),
         "positive": witness.closed_form_value > 0.0,
+        **_grid_diagnostics(grid),
     }
     return witness
 
@@ -235,7 +253,7 @@ def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
     independent of the form/assembly machinery.
     """
     geo = profile.geometry
-    x, w = np.polynomial.legendre.leggauss(quad_points)
+    x, w = _leggauss(quad_points)
     total = 0.0
     for a, b in ((geo.h_minus, 0.0), (0.0, geo.h_plus)):
         y = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -286,6 +304,17 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     int(rho*psi*psi') = -([[rho]]*psi(0)^2 + int(rho'*psi^2))/2 < 0 exactly
     when the jump term wins.  The witness is divergence-free, so its energy
     reduces to the gravity numerator.
+
+    The field vanishes outside [-eps, eps], so the grid covers that support
+    only, and between its kinks it is exactly piecewise linear.
+
+    ``diagnostics["full_energy"]`` (the energy with the medium's magnetic or
+    elastic term) is not a certificate: phi = -psi'/xi1 jumps at 0 and
+    +-eps, so the magnetic part of its P1 interpolant grows like 1/h of the
+    smallest kink element.  For |M| = 0.080 (the growth_mixed benchmark
+    field of seed 1) it is -3.4e17 on a whole-domain grid whose smallest
+    element is 5.4e-20 and -5.9e15 on the support grid (3.5e-18).  Only its
+    scaling in |M|^2 is grid-independent.
     """
     geo = profile.geometry
     if not 0.0 < epsilon < min(geo.h_plus, -geo.h_minus):
@@ -303,7 +332,7 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
         if profile.g * lhs < 0.0:
             eps_smallest = eps_j
             if eps_used is None:
-                eps_used = eps_j
+                eps_used, lhs_used = eps_j, lhs
     if eps_used is None:
         raise ConcentrationError(
             "g*int(rho*psi*psi') stayed nonnegative for all sampled widths: "
@@ -311,46 +340,49 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
         )
 
     mode = FourierMode(k1=1, k2=0, xi1=1.0 / geo.L1, xi2=0.0)
-    grid = witness_grid(geo, kinks=(-eps_used, eps_used))
-    psi = np.maximum(0.0, 1.0 - np.abs(grid) / eps_used)
-    dpsi = np.where(np.abs(grid) < eps_used, -np.sign(grid) / eps_used, 0.0)
-    dpsi[grid == 0.0] = 0.0  # midpoint of the kink; phi value there is arbitrary
-    phi = -dpsi / mode.xi1
-    theta = np.zeros_like(psi)
-
-    witness = WitnessField(mode=mode, grid=grid, phi=phi, theta=theta, psi=psi,
-                           energy_value=0.0, closed_form_value=0.0)
+    grid = witness_grid(-eps_used, eps_used, kinks=(-eps_used, eps_used), n=TENT_POINTS)
+    witness = _tent_witness(mode, grid, eps_used)
     fld = witness.to_mode_field()
     coeffs = FormCoefficients(profile, params, grid)
-    e1e2 = gravity_form(fld, coeffs, mode) - compressibility_form(fld, coeffs, mode)
-    witness.energy_value = e1e2
-    lhs = _jump_integral(profile, eps_used)
-    witness.closed_form_value = -2.0 * profile.g * lhs
+    witness.energy_value = gravity_form(fld, coeffs, mode) - compressibility_form(fld, coeffs, mode)
+    witness.closed_form_value = -2.0 * profile.g * lhs_used
     witness.diagnostics = {
         "eps_used": eps_used,
         "eps_smallest_working": eps_smallest,
-        "jump_integral": lhs,
+        "jump_integral": lhs_used,
         "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
                                 + profile.density_jump),
+        "agreement": abs(witness.energy_value - witness.closed_form_value),
         "full_energy": energy_form(fld, coeffs, mode, params.medium),
         "samples": tried,
+        **_grid_diagnostics(grid),
     }
     return witness
 
 
+def _tent_witness(mode: FourierMode, grid: np.ndarray, eps: float) -> WitnessField:
+    """Tent psi = max(0, 1 - |y|/eps) with phi = -psi'/xi1 and theta = 0 on grid."""
+    psi = np.maximum(0.0, 1.0 - np.abs(grid) / eps)
+    dpsi = np.where(np.abs(grid) < eps, -np.sign(grid) / eps, 0.0)
+    dpsi[grid == 0.0] = 0.0  # midpoint of the kink; phi value there is arbitrary
+    phi = -dpsi / mode.xi1
+    return WitnessField(mode=mode, grid=grid, phi=phi, theta=np.zeros_like(psi), psi=psi,
+                        energy_value=0.0, closed_form_value=0.0)
+
+
 def _tent_panels(profile: EquilibriumProfile, eps: float, quad_points: int = 32):
-    x, w = np.polynomial.legendre.leggauss(quad_points)
+    """Gauss panels on [-eps, 0] and [0, eps] with the layer's evaluate_layer tuple."""
+    x, w = _leggauss(quad_points)
     for a, b, side in ((-eps, 0.0, "-"), (0.0, eps, "+")):
         y = 0.5 * (b - a) * x + 0.5 * (a + b)
         wy = 0.5 * (b - a) * w
-        rho, _, _ = profile.evaluate_layer(y, side)
-        yield y, wy, rho
+        yield y, wy, profile.evaluate_layer(y, side)
 
 
 def _jump_integral(profile: EquilibriumProfile, eps: float) -> float:
     """int(rho * psi_eps * psi_eps') over both layers (analytic tent)."""
     total = 0.0
-    for y, wy, rho in _tent_panels(profile, eps):
+    for y, wy, (rho, _, _) in _tent_panels(profile, eps):
         psi = 1.0 - np.abs(y) / eps
         dpsi = -np.sign(y) / eps
         total += float(np.sum(wy * rho * psi * dpsi))
@@ -360,11 +392,7 @@ def _jump_integral(profile: EquilibriumProfile, eps: float) -> float:
 def _stratification_integral(profile: EquilibriumProfile, eps: float) -> float:
     """int(rho' * psi_eps^2) over both layers (analytic tent)."""
     total = 0.0
-    x, w = np.polynomial.legendre.leggauss(32)
-    for a, b, side in ((-eps, 0.0, "-"), (0.0, eps, "+")):
-        y = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wy = 0.5 * (b - a) * w
-        _, rho_p, _ = profile.evaluate_layer(y, side)
+    for y, wy, (_, rho_p, _) in _tent_panels(profile, eps):
         psi = 1.0 - np.abs(y) / eps
         total += float(np.sum(wy * rho_p * psi * psi))
     return total
@@ -410,7 +438,7 @@ def _scalar_direction_norms(values: np.ndarray, grid: np.ndarray, mode: FourierM
     values = np.asarray(values, dtype=complex)
     h = np.diff(grid)
     v0, v1 = values[:-1], values[1:]
-    x, w = np.polynomial.legendre.leggauss(4)
+    x, w = _leggauss(4)
     t = (x + 1.0) / 2.0
     wt = w / 2.0
     vals = v0[:, None] * (1.0 - t)[None, :] + v1[:, None] * t[None, :]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from rtspectra import cli
+from rtspectra.errors import EigenSolverError
 
 BASE_INI = """
 [geometry]
@@ -154,6 +155,26 @@ def test_scan_determinism(tmp_path):
         == (tmp_path / "b.csv.summary.json").read_bytes()
 
 
+def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys):
+    """A scan with a failed mode writes its artifacts, then exits 3."""
+    real = cli.spectral.analyze_mode
+
+    def failing(matrices, *args, **kwargs):
+        if (matrices.mode.k1, matrices.mode.k2) == (1, 1):
+            raise EigenSolverError("no convergence")
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
+    out = tmp_path / "scan.csv"
+    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out)) == 3
+    assert len(out.read_text().splitlines()) == 1 + 4
+    summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
+    assert summary["errors"] == {"1,1": "EigenSolverError: no convergence"}
+    captured = capsys.readouterr()
+    assert "global_xi=" in captured.out
+    assert "failed mode (1,1): EigenSolverError: no convergence" in captured.err
+
+
 def test_xi_matches_scan(tmp_path):
     # stable stratification and a horizontal field normal to the mode: the
     # denominator is singular, so the null-space threshold sets xi
@@ -196,13 +217,17 @@ def test_witness_horizontal(tmp_path, capsys):
     assert doc["positive"] is True
 
 
-def test_witness_small_field(tmp_path):
+def test_witness_small_field(tmp_path, capsys):
     cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
     out = tmp_path / "wit.json"
     assert cli.run(str(cfgp), "witness", out=str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "small_field"
     assert doc["energy_value"] > 0
+    # recorded on a whole-domain grid of 131,323 nodes
+    assert doc["energy_value"] == pytest.approx(0.8002481240161288, rel=1e-13)
+    printed = capsys.readouterr().out
+    assert "agreement=" in printed and "grid_nodes=" in printed
 
 
 def test_evolve_artifacts(tmp_path, capsys):

@@ -69,6 +69,8 @@ def test_horizontal_witness_agreement(canonical_profile):
     w = criteria.horizontal_field_witness(canonical_profile, params, mode)
     assert abs(w.energy_value - w.closed_form_value) \
         <= 1e-8 * max(1.0, abs(w.closed_form_value))
+    assert w.diagnostics["grid_nodes"] == w.grid.size > 2 * criteria.WITNESS_POINTS
+    assert w.diagnostics["h_min"] == np.min(np.diff(w.grid))
 
 
 def test_horizontal_witness_zero_field_positive(canonical_profile):
@@ -116,6 +118,35 @@ def test_small_field_witness_canonical(canonical_profile):
     assert w.diagnostics["jump_integral"] == pytest.approx(w.diagnostics["identity_rhs"],
                                                            rel=1e-10)
     assert canonical_profile.g * w.diagnostics["jump_integral"] < 0
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_tent_support_grid_matches_full_domain(canonical_profile, eps):
+    """Outside [-eps, eps] the tent field is 0, so the support grid loses nothing.
+
+    The canonical profile is also the growth_mixed benchmark profile, whose
+    witness uses eps = 0.25.
+    """
+    geo = canonical_profile.geometry
+    mode = mr.FourierMode(k1=1, k2=0, xi1=1.0 / geo.L1, xi2=0.0)
+    values = []
+    for grid in (criteria.witness_grid(geo.h_minus, geo.h_plus, kinks=(-eps, eps)),
+                 criteria.witness_grid(-eps, eps, kinks=(-eps, eps), n=criteria.TENT_POINTS)):
+        fld = criteria._tent_witness(mode, grid, eps).to_mode_field()
+        coeffs = mr.FormCoefficients(canonical_profile, PhysicalParams(), grid)
+        values.append(mr.gravity_form(fld, coeffs, mode) - mr.compressibility_form(fld, coeffs, mode))
+    assert values[1] == pytest.approx(values[0], rel=1e-13)
+
+
+def test_small_field_witness_grid(canonical_profile):
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 0.02))
+    w = criteria.small_field_witness(canonical_profile, params, 0.1)
+    eps = w.diagnostics["eps_used"]
+    assert w.grid[0] == -eps and w.grid[-1] == eps
+    assert w.grid.size < 1000
+    assert w.diagnostics["grid_nodes"] == w.grid.size
+    assert w.diagnostics["h_min"] == np.min(np.diff(w.grid))
+    assert w.diagnostics["agreement"] == abs(w.energy_value - w.closed_form_value)
 
 
 def test_small_field_sign_persistence(canonical_profile):
