@@ -85,7 +85,7 @@ def to_csr(ab: np.ndarray) -> csr_matrix:
 
 
 def to_dense(ab: np.ndarray) -> np.ndarray:
-    """X as a dense n x n array (for deflation, export and tests only)."""
+    """X as a dense n x n array, for export_matrices and tests; no solve uses it."""
     n = ab.shape[1]
     X = np.zeros((n, n), dtype=ab.dtype)
     for k, diag in zip(*_diagonals(ab)):

@@ -13,7 +13,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -339,11 +338,11 @@ def cmd_growth(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig, out: str, threads: int) -> int:
+def cmd_scan(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     verdict = spectral.global_scan(profile, cfg.params, mesh, cfg.k_max,
                                    cfg.params.medium, cfg.fixed_point_tol,
-                                   cfg.quadrature_order, threads=threads)
+                                   cfg.quadrature_order)
     if cfg.out_format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -463,7 +462,10 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
 
 def run(config_path: str, subcommand: str, out: Optional[str] = None,
         fmt: Optional[str] = None, threads: Optional[int] = None) -> int:
-    """Execute one subcommand; returns the process exit status."""
+    """Execute one subcommand; returns the process exit status.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     if subcommand not in SUBCOMMANDS:
         print(f"error: unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
@@ -474,12 +476,6 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
                 raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
             cfg.out_format = fmt
         out = out or cfg.out_path
-        if threads is None:
-            raw = os.environ.get("RT_SPECTRA_THREADS", "1")
-            try:
-                threads = int(raw)
-            except ValueError as exc:
-                raise ValidationError(f"RT_SPECTRA_THREADS must be an integer, got {raw!r}") from exc
         if subcommand == "equilibrium":
             return cmd_equilibrium(cfg, out)
         if subcommand == "xi":
@@ -487,7 +483,7 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
         if subcommand == "growth":
             return cmd_growth(cfg, out)
         if subcommand == "scan":
-            return cmd_scan(cfg, out, threads)
+            return cmd_scan(cfg, out)
         if subcommand == "witness":
             return cmd_witness(cfg, out)
         if subcommand == "thresholds":
@@ -512,7 +508,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output artifact path")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
     parser.add_argument("--threads", type=int, default=None,
-                        help="mode-scan parallelism (default: RT_SPECTRA_THREADS or 1)")
+                        help="accepted and ignored: modes are solved one after another")
     args = parser.parse_args(argv)
     return run(args.config, args.subcommand, args.out, args.format, args.threads)
 

@@ -49,10 +49,6 @@ class IndefinitePencilError(RTSpectraError):
     """Coercivity pencil is indefinite: the mode is not strictly stable."""
 
 
-class IndefiniteDenominatorError(RTSpectraError):
-    """Numerator indefinite on the denominator's near-null space."""
-
-
 class DegenerateModeError(RTSpectraError):
     """Witness construction requires a nonzero first wavenumber."""
 

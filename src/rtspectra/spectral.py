@@ -7,7 +7,9 @@ dissipation-penalized pencil (A - s*D, Mass).
 
 Both are top eigenpairs of banded Hermitian pencils with a definite
 right-hand side, computed by one banded shift-invert solver (_top_pair) on
-the matrices as assembled, in upper band storage.
+the matrices as assembled, in upper band storage.  The discriminant's
+singular cases have explicit kernels and are settled before the solve
+(xi_per_mode), so no dense matrix is built.
 alpha is non-increasing and convex in s (a supremum of affine functions
 of s), so f(s) = alpha(s) - s^2 is strictly decreasing and the fixed point
 is the root of a bracketed Newton iteration.
@@ -16,7 +18,6 @@ is the root of a bracketed Newton iteration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,13 +28,11 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from . import band
 from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .equilibrium import EquilibriumProfile
-from .errors import (BracketError, EigenSolverError, IndefiniteDenominatorError,
-                     IndefinitePencilError, RTSpectraError)
+from .errors import BracketError, EigenSolverError, IndefinitePencilError, RTSpectraError
 from . import modereduce as mr
 from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
-EPS_NULL = 1e-10
 EIGVEC_RESIDUAL_TOL = 1e-8
 # alpha must factor as the top of its pencil at this relative margin above it
 TOP_BRANCH_MARGIN = 1e-6
@@ -53,7 +52,6 @@ class ModeVerdict:
     alpha0: float
     lambda_value: Optional[float] = None
     residual: Optional[float] = None      # |Lambda^2 - alpha(Lambda)|
-    eigvec: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -79,15 +77,14 @@ def _operator(matrices: ModeMatrices, medium: str):
 
 def _top_pair(hb: np.ndarray, mb: np.ndarray):
     """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
-    and its eigenvector normalized to v* M v = 1.  H and M come in upper
-    band storage of one shape.
+    and its eigenvector normalized to v* M v = 1; H and M in upper band
+    storage of one shape.
 
     sigma = 1, 4, 16, ... grows until sigma*M - H has a banded Cholesky
     factor, which certifies that sigma lies above the whole spectrum.
     Shift-invert Lanczos about sigma, with that factor as the inverse, then
-    finds the eigenvalue nearest sigma.  The start vector and ARPACK's
-    restart vectors come from a seeded generator, so a repeated call
-    returns the same bits.
+    finds the eigenvalue nearest sigma.  A seeded start vector and restart
+    generator make a repeated call return the same bits.
     """
     p, n = hb.shape[0] - 1, hb.shape[1]
     dtype = np.result_type(hb, mb)
@@ -120,13 +117,9 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray):
 
 
 def _form_rayleigh(matrices: ModeMatrices, medium: str, s: float, v: np.ndarray) -> float:
-    """(E(v) - s*Psi(v)) / mass(v) evaluated through the per-element forms.
-
-    Element-level quadrature sums the same quadratic forms without the
-    catastrophic cancellation a dense matrix product suffers on strongly
-    graded meshes, so Rayleigh quotients of smooth eigenvectors come out
-    accurate to rounding rather than to eps * ||matrix||.
-    """
+    """(E(v) - s*Psi(v)) / mass(v) through the per-element forms: accurate to
+    rounding on strongly graded meshes, where a matrix product cancels to
+    eps * ||matrix||."""
     fld, co, mode = matrices.field_from_tilde(v), matrices.coeffs, matrices.mode
     e, p = mr.energy_form(fld, co, mode, medium), mr.dissipation_form(fld, co, mode)
     return (e - s * p) / mr.mass_form(fld, co)
@@ -206,18 +199,27 @@ def _xi_pencil(matrices: ModeMatrices, medium: str):
     raise ValueError(f"unknown medium {medium!r}")
 
 
+def _transverse_kernel(matrices: ModeMatrices, medium: str) -> bool:
+    """mhd with M3 = 0 and M . xi = 0 (to rounding: 0.3*2 - 0.2*3 = -1.1e-16).
+
+    The magnetic form then only sees the divergence, so the horizontal
+    component transverse to xi is in the kernel of both forms.
+    """
+    mode, M = matrices.mode, matrices.coeffs.M
+    return (medium == MHD and M[2] == 0.0 and abs(M[0] * mode.xi1 + M[1] * mode.xi2)
+            <= 1e-12 * math.hypot(M[0], M[1]) * math.sqrt(mode.norm2))
+
+
 def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
     """Certificate field of an infinite discriminant, or None.
 
-    For mhd with M3 = 0 and M . xi = 0 the magnetic form only sees the
-    divergence, so the denominator vanishes on divergence-free fields; with
-    xi != 0 the horizontal components absorb any psi', and that kernel
-    carries the scalar numerator g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
+    On a transverse kernel the denominator vanishes on divergence-free
+    fields; with xi != 0 the horizontal components absorb any psi', and that
+    kernel carries the scalar numerator g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
     A positive supremum of that form certifies an infinite discriminant.
     """
-    mode, co, M = matrices.mode, matrices.coeffs, matrices.coeffs.M
-    if (medium != MHD or mode.is_zero() or co.g == 0.0 or M[2] != 0.0
-            or (M[0] * mode.xi1 + M[1] * mode.xi2) != 0.0):
+    mode, co = matrices.mode, matrices.coeffs
+    if not _transverse_kernel(matrices, medium):
         return None
     Q, Mpsi = assemble_scalar_gravity_kernel(co.profile, matrices.mesh, co.quadrature_order)
     lam_max, psi = _top_pair(Q, Mpsi)
@@ -234,73 +236,51 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
     return v if float(np.real(np.vdot(v, band.matvec(matrices.gravity, v)))) > 0.0 else None
 
 
-def _hermitize(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.conj().T)
-
-
-def _xi_deflated(Ns: np.ndarray, Bs: np.ndarray, eps_null: float):
-    """Discriminant of a Jacobi-scaled pencil whose denominator is singular.
-
-    A positive numerator direction on the denominator's near-null space
-    certifies an infinite supremum, a nonpositive one is deflated away, and
-    a sign-indefinite numerator there raises IndefiniteDenominatorError.
-    Returns (value, eigvec) in the scaled coordinates.
-    """
-    def top(X):
-        w, U = sla.eigh(X, subset_by_index=[len(X) - 1] * 2, check_finite=False)
-        return float(w[0]), U[:, 0]
-
-    try:
-        w, V = sla.eigh(Bs, check_finite=False)
-        tol_pos = eps_null * max(1.0, float(np.linalg.norm(Ns)))
-        if w[-1] <= 0.0:
-            # denominator vanishes identically: classify by the numerator alone
-            nmax, nvec = top(Ns)
-            return (math.inf if nmax > tol_pos else 0.0), nvec
-        null_mask = w < eps_null * w[-1]
-        if np.any(null_mask):
-            V0 = V[:, null_mask]
-            N0 = _hermitize(V0.conj().T @ Ns @ V0)
-            n0 = sla.eigvalsh(N0, check_finite=False)
-            if n0[-1] > tol_pos:
-                if n0[0] < -tol_pos:
-                    raise IndefiniteDenominatorError(
-                        "numerator indefinite on the denominator's near-null space")
-                return math.inf, V0 @ top(N0)[1]
-        W = V[:, ~null_mask] / np.sqrt(w[~null_mask])
-        val, u = top(_hermitize(W.conj().T @ Ns @ W))
-        return val, W @ u
-    except sla.LinAlgError as exc:
-        raise EigenSolverError(f"dense Hermitian eigensolver failed: {exc}") from exc
-
-
-def xi_per_mode(matrices: ModeMatrices, medium: str, eps_null: float = EPS_NULL):
+def xi_per_mode(matrices: ModeMatrices, medium: str):
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
-    Returns (value, eigvec) with value possibly math.inf.  The pencil is
-    Jacobi-scaled by the mass diagonal so that graded meshes do not fake
-    singularity.  When the scaled denominator has a banded Cholesky factor,
-    the banded solver gives the top eigenpair; a denominator that does not
-    factor, or an eigenvector that fails to realize its eigenvalue as a
-    quotient, goes to the singular-denominator deflation (_xi_deflated).
+    Returns (value, eigvec) with value possibly math.inf.  Explicit cases:
+    - xi = 0 or g = 0: the gravity form vanishes identically (at xi = 0 it
+      is g*[[rho]]*|psi(0)|^2 + int((g*rho*|psi|^2)') = 0): exactly 0.0,
+      eigvec None;
+    - an identically zero denominator (viscoelastic, kappa = 0 in both
+      layers): inf when the numerator has a positive direction, else 0.0;
+    - a transverse kernel: the div-free certificate, or else t t^T with
+      t = (-xi2, xi1, 0)/|xi| joins each node's block of the denominator.
+      Both forms vanish on t and the supremum is >= 0 (psi = 0 gives 0).
+    The pencil, Jacobi-scaled by the mass diagonal (uniform within a node),
+    then goes to the banded solver.  EigenSolverError when the scaled
+    denominator does not factor, or the eigenvector does not realize its
+    eigenvalue as a quotient of the solved pencil.
     """
-    Nmat, B = _xi_pencil(matrices, medium)
+    mode, co = matrices.mode, matrices.coeffs
+    if mode.is_zero() or co.g == 0.0:
+        return 0.0, None
     v_inf = _divfree_kernel_unbounded(matrices, medium)
     if v_inf is not None:
         return math.inf, v_inf
 
+    Nmat, B = _xi_pencil(matrices, medium)
     dinv = 1.0 / np.sqrt(matrices.mass[-1].real)     # the last band row is the diagonal
     Bs, Ns = band.jacobi_scaled(B, dinv), band.jacobi_scaled(Nmat, dinv)
-    if band.cholesky(Bs) is not None:
-        val, u = _top_pair(Ns, Bs)
-        v = dinv * u
-        qn = float(np.real(np.vdot(v, band.matvec(Nmat, v))))
-        qb = float(np.real(np.vdot(v, band.matvec(B, v))))
-        # a gross mismatch means a numerically singular denominator slipped through the
-        # factorization (the tolerance covers stiff graded-mesh pencils)
-        if qb > 0.0 and abs(qn / qb - val) <= 1e-6 * max(1.0, abs(val)):
-            return val, v
-    val, u = _xi_deflated(band.to_dense(Ns), band.to_dense(Bs), eps_null)
+    if not np.any(B):
+        top, v = _top_pair(Nmat, matrices.mass)
+        # positive beyond rounding: the transverse direction gives 0 up to eps*||Ns||
+        return (math.inf if top > 1e-10 * max(1.0, band.frobenius(Ns)) else 0.0), v
+    if _transverse_kernel(matrices, medium):
+        t1, t2 = -mode.xi2 / math.sqrt(mode.norm2), mode.xi1 / math.sqrt(mode.norm2)
+        Bs[-1, 0::3] += t1 * t1
+        Bs[-1, 1::3] += t2 * t2
+        Bs[-2, 1::3] += t1 * t2
+    if band.cholesky(Bs) is None:
+        raise EigenSolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
+                               "no banded Cholesky factor")
+    val, u = _top_pair(Ns, Bs)
+    qn, qb = (float(np.real(np.vdot(u, band.matvec(X, u)))) for X in (Ns, Bs))
+    # the tolerance covers stiff graded-mesh pencils
+    if not (qb > 0.0 and abs(qn / qb - val) <= 1e-6 * max(1.0, abs(val))):
+        raise EigenSolverError(f"eigenvector of mode ({mode.k1}, {mode.k2}) gives the quotient "
+                               f"{qn:.6g}/{qb:.6g}, not its eigenvalue {val:.6g}")
     return val, dinv * u
 
 
@@ -327,22 +307,20 @@ def mode_lattice(k_max: int):
     return sorted(modes)
 
 
-def analyze_mode(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
-                 keep_eigvec: bool = False) -> ModeVerdict:
+def analyze_mode(matrices: ModeMatrices, medium: str, tol: float = 1e-8) -> ModeVerdict:
     """Full verdict for one assembled mode."""
-    xi_val, xvec = xi_per_mode(matrices, medium)
+    xi_val, _ = xi_per_mode(matrices, medium)
     a0, v0 = alpha(0.0, matrices, medium)
-    lam = res = vec = None
+    lam = res = None
     if a0 > 0.0:
-        lam, vec, res = growth_rate_detailed(matrices, medium, tol, alpha0=(a0, v0))
+        lam, _, res = growth_rate_detailed(matrices, medium, tol, alpha0=(a0, v0))
     return ModeVerdict(mode=matrices.mode, xi_value=xi_val, alpha0=a0, lambda_value=lam,
-                       residual=res,
-                       eigvec=(vec if vec is not None else xvec) if keep_eigvec else None)
+                       residual=res)
 
 
 def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1D,
                 k_max: int, medium: str, tol: float = 1e-8,
-                quadrature_order: int = 6, threads: int = 1) -> StabilityVerdict:
+                quadrature_order: int = 6) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
     A mode whose solve raises RTSpectraError is reported in ``errors`` and
@@ -353,24 +331,14 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
-    modes = mode_lattice(k_max)
-
-    def solve(km):
-        mode = FourierMode.from_indices(km[0], km[1], profile.geometry)
+    verdicts, errors = [], {}
+    for k1, k2 in mode_lattice(k_max):
+        mode = FourierMode.from_indices(k1, k2, profile.geometry)
         try:
             mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
-            return analyze_mode(mm, medium, tol)
+            verdicts.append(analyze_mode(mm, medium, tol))
         except RTSpectraError as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(solve, modes))
-    else:
-        outcomes = [solve(km) for km in modes]
-    verdicts = [out for out in outcomes if isinstance(out, ModeVerdict)]
-    errors = {km: out for km, out in zip(modes, outcomes) if isinstance(out, str)}
-
+            errors[(k1, k2)] = f"{type(exc).__name__}: {exc}"
     xi_values = [v.xi_value for v in verdicts]
     lambdas = [v.lambda_value for v in verdicts if v.lambda_value is not None]
     # unstable or unsolved modes on the boundary shell void the truncation claim

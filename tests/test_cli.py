@@ -177,7 +177,7 @@ def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_xi_matches_scan(tmp_path):
     # stable stratification and a horizontal field normal to the mode: the
-    # denominator is singular, so the null-space threshold sets xi
+    # transverse component is in the denominator's kernel and is deflated
     cfgp = write_config(tmp_path, **{
         "c2_plus = 1.0": "c2_plus = 2.0", "c2_minus = 2.0": "c2_minus = 1.0",
         "rho_plus_interface = 2.0": "rho_plus_interface = 1.0",
@@ -269,6 +269,16 @@ def test_solver_value_error_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.spectral, "xi_per_mode", broken)
     assert cli.run(str(write_config(tmp_path)), "xi") == 3
     assert "broken solver" in capsys.readouterr().err
-    # a malformed thread count is still a configuration error
-    monkeypatch.setenv("RT_SPECTRA_THREADS", "two")
-    assert cli.run(str(write_config(tmp_path)), "xi") == 2
+
+
+def test_singular_denominator_exit_code(tmp_path, capsys):
+    """kappa = 0 in one layer: xi exits 3 naming the singular denominator, and
+    a scan lists every mode but (0,0) as failed."""
+    cfgp = write_config(tmp_path, medium="[viscoelastic]\nkappa_plus = 0.0\nkappa_minus = 0.3\n")
+    assert cli.run(str(cfgp), "xi", out=str(tmp_path / "xi.json")) == 3
+    assert "singular denominator" in capsys.readouterr().err
+    out = tmp_path / "scan.csv"
+    assert cli.run(str(cfgp), "scan", out=str(out)) == 3
+    summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
+    assert sorted(summary["errors"]) == ["0,1", "1,-1", "1,0", "1,1"]
+    assert len(out.read_text().splitlines()) == 1 + 1
