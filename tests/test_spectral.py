@@ -303,8 +303,9 @@ def test_global_scan_threads_match(canonical_profile, geometry):
     assert sum(v.lambda_value is not None for v in verdict.verdicts) == 4
 
 
+@pytest.mark.parametrize("k_max", [1, 2])
 def test_global_scan_propagates_programming_errors(canonical_profile, baseline_params,
-                                                   geometry, monkeypatch):
+                                                   geometry, monkeypatch, k_max):
     real = spectral.analyze_mode
 
     def broken(matrices, *args, **kwargs):
@@ -315,7 +316,7 @@ def test_global_scan_propagates_programming_errors(canonical_profile, baseline_p
     monkeypatch.setattr(spectral, "analyze_mode", broken)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     with pytest.raises(TypeError, match="broken mode solver"):
-        spectral.global_scan(canonical_profile, baseline_params, mesh, 1, MHD)
+        spectral.global_scan(canonical_profile, baseline_params, mesh, k_max, MHD)
 
 
 def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeypatch):
