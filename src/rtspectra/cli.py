@@ -234,7 +234,8 @@ def _xi_str(x: float) -> str:
 
 
 def _json_value(x):
-    if x is None:
+    """JSON-safe value: inf as the string "inf", NaN (no value) as null."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
         return None
     if isinstance(x, float) and math.isinf(x):
         return "inf"
@@ -271,9 +272,9 @@ def _summary_dict(verdict: spectral.StabilityVerdict) -> dict:
 
 
 def _summary_line(verdict: spectral.StabilityVerdict) -> str:
-    lam = verdict.global_lambda
+    xi, lam = verdict.global_xi, verdict.global_lambda
     return "global_xi=%s global_lambda=%s truncation_converged=%s" % (
-        _xi_str(verdict.global_xi),
+        "none" if math.isnan(xi) else _xi_str(xi),
         "none" if lam is None else _fmt(lam),
         str(verdict.truncation_converged).lower(),
     )

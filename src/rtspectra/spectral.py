@@ -18,7 +18,7 @@ is the root of a bracketed Newton iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -323,22 +323,40 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
                 quadrature_order: int = 6) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
-    A mode whose solve raises RTSpectraError is reported in ``errors`` and
-    the scan goes on; any other exception propagates.  The truncation flag
-    drops to False when a boundary-shell mode is unstable (xi >= 1 or a
-    positive growth rate) or unsolved: instability could extend past it.
+    With a viscoelastic medium, or an mhd field with M1 = M2 = 0, every
+    per-mode form is invariant under a rotation of the horizontal
+    components, so modes of equal |xi|^2 have orthogonally equivalent
+    pencils and equal verdicts.  The modes are then grouped by the exact
+    float ``mode.norm2``: only the first mode of each class in lattice order
+    is assembled and solved, and every member gets a copy of its verdict
+    under its own mode.  Any other field solves every mode.
+
+    A mode whose solve raises RTSpectraError is reported in ``errors`` (with
+    every member of its class) and the scan goes on; any other exception
+    propagates.  The truncation flag drops to False when a boundary-shell
+    mode is unstable (xi >= 1 or a positive growth rate) or unsolved:
+    instability could extend past it.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
+    isotropic = medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}
+    solved = {}     # class key -> ModeVerdict or error message
     for k1, k2 in mode_lattice(k_max):
         mode = FourierMode.from_indices(k1, k2, profile.geometry)
-        try:
-            mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
-            verdicts.append(analyze_mode(mm, medium, tol))
-        except RTSpectraError as exc:
-            errors[(k1, k2)] = f"{type(exc).__name__}: {exc}"
+        key = mode.norm2 if isotropic else (k1, k2)
+        if key not in solved:
+            try:
+                mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
+                solved[key] = analyze_mode(mm, medium, tol)
+            except RTSpectraError as exc:
+                solved[key] = f"{type(exc).__name__}: {exc}"
+        result = solved[key]
+        if isinstance(result, str):
+            errors[(k1, k2)] = result
+        else:
+            verdicts.append(replace(result, mode=mode, diagnostics={}))
     xi_values = [v.xi_value for v in verdicts]
     lambdas = [v.lambda_value for v in verdicts if v.lambda_value is not None]
     # unstable or unsolved modes on the boundary shell void the truncation claim

@@ -155,24 +155,57 @@ def test_scan_determinism(tmp_path):
         == (tmp_path / "b.csv.summary.json").read_bytes()
 
 
-def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys):
+# (mhd block edit, failing modes, expected failed modes): a mixed field solves
+# (1,1) alone; without a horizontal field the class {(1,-1), (1,1)} is solved
+# once, at (1,-1), and both members fail
+FAILING_SCANS = {
+    "mixed": ({"m3 = 0.0": "m1 = 0.05\nm2 = -0.03\nm3 = 0.1"},
+              lambda mode: (mode.k1, mode.k2) == (1, 1), ["1,1"]),
+    "isotropic": ({}, lambda mode: mode.norm2 == 2.0, ["1,-1", "1,1"]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FAILING_SCANS))
+def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys, field):
     """A scan with a failed mode writes its artifacts, then exits 3."""
+    edits, fails, failed = FAILING_SCANS[field]
     real = cli.spectral.analyze_mode
 
     def failing(matrices, *args, **kwargs):
-        if (matrices.mode.k1, matrices.mode.k2) == (1, 1):
+        if fails(matrices.mode):
             raise EigenSolverError("no convergence")
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
     out = tmp_path / "scan.csv"
-    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out)) == 3
-    assert len(out.read_text().splitlines()) == 1 + 4
+    assert cli.run(str(write_config(tmp_path, **edits)), "scan", out=str(out)) == 3
+    assert len(out.read_text().splitlines()) == 1 + 5 - len(failed)
     summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
-    assert summary["errors"] == {"1,1": "EigenSolverError: no convergence"}
+    assert summary["errors"] == {k: "EigenSolverError: no convergence" for k in failed}
     captured = capsys.readouterr()
     assert "global_xi=" in captured.out
-    assert "failed mode (1,1): EigenSolverError: no convergence" in captured.err
+    for k in failed:
+        assert f"failed mode ({k}): EigenSolverError: no convergence" in captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_all_failed_strict_json(tmp_path, monkeypatch, capsys, fmt):
+    """With no mode solved there is no global xi: null in strict JSON, none on stdout."""
+    def failing(*args, **kwargs):
+        raise EigenSolverError("no convergence")
+
+    monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
+    out = tmp_path / f"scan.{fmt}"
+    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out), fmt=fmt) == 3
+    path = tmp_path / "scan.csv.summary.json" if fmt == "csv" else out
+    summary = json.loads(path.read_text(), parse_constant=_reject_constant)["summary"]
+    assert summary["global_xi"] is None and summary["global_lambda"] is None
+    assert len(summary["errors"]) == 5
+    assert "global_xi=none global_lambda=none" in capsys.readouterr().out
 
 
 def test_xi_matches_scan(tmp_path):

@@ -11,6 +11,7 @@ from conftest import make_mode
 from rtspectra import assembly, band, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import BracketError, EigenSolverError, IndefinitePencilError
+from rtspectra.modereduce import FormCoefficients
 from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
 
 M3_STABLE = 1.05 * 2.2677017880818765   # 1.05x the canonical vertical threshold
@@ -40,6 +41,14 @@ def mm_viscoelastic_soft(canonical_profile, mesh60, geometry):
 def stable_profile(geometry):
     """The canonical laws swapped: a negative density jump, RT-stable."""
     return build_profile(geometry, PressureLaw.linear(2.0), PressureLaw.linear(1.0), 1.0, 1.0)
+
+
+def _assert_dichotomy(verdict):
+    """The paper's dichotomy per mode: alpha(0) > 0 exactly when xi > 1, for
+    every solved nonzero mode whose xi is not within 1e-6 of 1."""
+    for v in verdict.verdicts:
+        if not v.mode.is_zero() and abs(v.xi_value - 1.0) > 1e-6:
+            assert (v.alpha0 > 0.0) == (v.xi_value > 1.0), (v.mode, v.xi_value, v.alpha0)
 
 
 @pytest.mark.parametrize("M", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], ids=["vertical", "horizontal"])
@@ -281,6 +290,7 @@ def test_global_scan_stable(canonical_profile, geometry):
     assert verdict.truncation_converged
     zero = [v for v in verdict.verdicts if v.mode.is_zero()][0]
     assert abs(zero.xi_value) <= 1e-9
+    _assert_dichotomy(verdict)
 
 
 def test_global_scan_unstable_flags(canonical_profile, baseline_params, geometry):
@@ -292,6 +302,7 @@ def test_global_scan_unstable_flags(canonical_profile, baseline_params, geometry
     assert not verdict.truncation_converged
     for v in verdict.verdicts:
         assert (v.lambda_value is not None) == (v.alpha0 > 0)
+    _assert_dichotomy(verdict)
 
 
 def test_global_scan_threads_match(canonical_profile, geometry):
@@ -301,6 +312,7 @@ def test_global_scan_threads_match(canonical_profile, geometry):
     verdict = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
     assert len(verdict.verdicts) == 5 and not verdict.errors
     assert sum(v.lambda_value is not None for v in verdict.verdicts) == 4
+    _assert_dichotomy(verdict)
 
 
 @pytest.mark.parametrize("k_max", [1, 2])
@@ -309,31 +321,96 @@ def test_global_scan_propagates_programming_errors(canonical_profile, baseline_p
     real = spectral.analyze_mode
 
     def broken(matrices, *args, **kwargs):
-        if (matrices.mode.k1, matrices.mode.k2) == (1, 0):
+        if matrices.mode.norm2 == 1.0:
             raise TypeError("broken mode solver")
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "analyze_mode", broken)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
+    # the class {(0,1), (1,0)} is solved second; at k_max = 2 four classes follow it
     with pytest.raises(TypeError, match="broken mode solver"):
         spectral.global_scan(canonical_profile, baseline_params, mesh, k_max, MHD)
 
 
-def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeypatch):
+# (base field, failing modes, expected errors, verdicts): a mixed field solves
+# (1,1) alone; a vertical field solves the class {(1,-1), (1,1)} once, at (1,-1)
+FAILING_SCANS = {
+    "mixed": ((0.05, -0.03, 0.1), lambda mode: (mode.k1, mode.k2) == (1, 1), [(1, 1)], 4),
+    "isotropic": ((0.0, 0.0, M3_STABLE), lambda mode: mode.norm2 == 2.0, [(1, -1), (1, 1)], 3),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FAILING_SCANS))
+def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeypatch, field):
+    M, fails, failed, n_verdicts = FAILING_SCANS[field]
     real = spectral.analyze_mode
 
     def failing(matrices, *args, **kwargs):
-        if (matrices.mode.k1, matrices.mode.k2) == (1, 1):
+        if fails(matrices.mode):
             raise EigenSolverError("no convergence")
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "analyze_mode", failing)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
-    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, M3_STABLE))
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
     verdict = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
-    assert verdict.errors == {(1, 1): "EigenSolverError: no convergence"}
-    assert len(verdict.verdicts) == 4
+    assert verdict.errors == {k: "EigenSolverError: no convergence" for k in failed}
+    assert len(verdict.verdicts) == n_verdicts
     assert not verdict.truncation_converged
+
+
+VISCOUS = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
+SCAN_FIELDS = {
+    "no_field": dict(VISCOUS, lam=1.0),
+    "weak_vertical": dict(VISCOUS, lam=1.0, M=(0.0, 0.0, 0.02)),
+    "stable_vertical": dict(VISCOUS, lam=1.0, M=(0.0, 0.0, M3_STABLE)),
+    "ve_soft": dict(VISCOUS, kappa_plus=0.01, kappa_minus=0.01, medium=VISCOELASTIC),
+    "ve_soft_field": dict(VISCOUS, kappa_plus=0.01, kappa_minus=0.01, M=(0.5, 0.3, 0.2),
+                          medium=VISCOELASTIC),
+    "ve_stiff": dict(VISCOUS, kappa_plus=0.55, kappa_minus=0.55, medium=VISCOELASTIC),
+    "mixed": dict(VISCOUS, lam=1.0, M=(0.05, -0.03, 0.1)),
+}
+
+
+def _agrees(value, reference, rel):
+    if value is None or reference is None or math.isinf(reference):
+        return value == reference
+    return abs(value - reference) <= rel * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("L2", [1.0, 1.7])
+@pytest.mark.parametrize("field", list(SCAN_FIELDS))
+def test_global_scan_isotropic_classes(monkeypatch, field, L2):
+    """A rotation-invariant field solves one mode per |xi|^2 class of k_max = 2
+    (6 of 13 at L2 = 1, 9 at L2 = 1.7), and every member agrees with
+    analyze_mode on its own matrices; a mixed field solves all 13 modes and
+    agrees bit for bit."""
+    geometry = Geometry(h_minus=-1.0, h_plus=1.0, L1=1.0, L2=L2)
+    profile = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0),
+                            g=1.0, rho_plus_at_interface=2.0)
+    mesh = assembly.build_mesh(geometry, n_per_layer=60)
+    params = PhysicalParams(**SCAN_FIELDS[field])
+    real, solved = spectral.analyze_mode, []
+
+    def counting(matrices, *args, **kwargs):
+        solved.append(matrices.mode)
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "analyze_mode", counting)
+    verdict = spectral.global_scan(profile, params, mesh, k_max=2, medium=params.medium)
+    assert len(verdict.verdicts) == 13 and not verdict.errors
+    isotropic = field != "mixed"
+    assert len(solved) == ({1.0: 6, 1.7: 9}[L2] if isotropic else 13)
+    _assert_dichotomy(verdict)
+
+    xi_rel, rel = (1e-8, 1e-12) if isotropic else (0.0, 0.0)
+    coeffs = FormCoefficients(profile, params, mesh.nodes)
+    for v in verdict.verdicts:
+        mm = assembly.assemble(profile, params, v.mode, mesh, coeffs=coeffs)
+        ref = real(mm, params.medium)
+        assert _agrees(v.xi_value, ref.xi_value, xi_rel), (v.mode, v.xi_value, ref.xi_value)
+        for name in ("alpha0", "lambda_value", "residual"):
+            assert _agrees(getattr(v, name), getattr(ref, name), rel), (v.mode, name)
 
 
 def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
@@ -406,3 +483,4 @@ def test_scan_builds_no_dense_matrix(canonical_profile, stable_profile, geometry
     ):
         verdict = spectral.global_scan(profile, params, mesh, k_max=2, medium=params.medium)
         assert len(verdict.verdicts) == 13 and not verdict.errors
+        _assert_dichotomy(verdict)
