@@ -16,7 +16,7 @@ couples two neighbouring nodes, so each form is banded with half-bandwidth
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .modereduce import (
     FourierMode,
     ModeField,
 )
-from .params import MHD, VISCOELASTIC, PhysicalParams
+from .params import MHD, PhysicalParams
 
 DEFAULT_N_PER_LAYER = 200
 # Largest over smallest element of the default mesh family, the same at every n.
@@ -127,9 +127,13 @@ class ModeMatrices:
     (6, n_dof) in the layout of band.py; band.to_dense gives the matrix.
     Matrices are real symmetric except when the base field mixes vertical
     and in-plane components, which adds an imaginary skew part.  Treat
-    instances as immutable: solvers cache operators and norms and evaluate
-    Rayleigh quotients through the generating coefficients, so mutating a
-    matrix in place desynchronizes them.
+    instances as immutable: solvers evaluate Rayleigh quotients through the
+    generating coefficients, so mutating a matrix in place desynchronizes
+    them.
+
+    The medium is read from ``coeffs.params.medium`` only; :attr:`operator`
+    and :attr:`discriminant_pencil` are the one place that maps it to the
+    stabilizing form (magnetic tension or elasticity).
     """
 
     mode: FourierMode
@@ -142,19 +146,28 @@ class ModeMatrices:
     elastic: np.ndarray
     dissipation: np.ndarray
     coercivity_metric: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_dof(self) -> int:
         return self.mass.shape[1]
 
-    def operator(self, medium: str) -> np.ndarray:
+    @property
+    def operator(self) -> np.ndarray:
         """Energy operator A (band): gravity minus the medium's stabilizing forms."""
-        if medium == MHD:
+        if self.coeffs.params.medium == MHD:
             return self.gravity - self.compress - self.magnetic
-        if medium == VISCOELASTIC:
-            return self.gravity - self.compress - self.elastic
-        raise ValueError(f"unknown medium {medium!r}")
+        return self.gravity - self.compress - self.elastic
+
+    @property
+    def discriminant_pencil(self):
+        """(numerator, denominator) of the stability discriminant, in band storage.
+
+        mhd: gravity over compressibility plus magnetic tension; viscoelastic:
+        gravity minus compressibility over elasticity.
+        """
+        if self.coeffs.params.medium == MHD:
+            return self.gravity, self.compress + self.magnetic
+        return self.gravity - self.compress, self.elastic
 
     def tilde_vector(self, field_values: np.ndarray) -> np.ndarray:
         """Map complex nodal (phi, theta, psi) values to the assembled basis."""

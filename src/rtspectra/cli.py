@@ -1,10 +1,10 @@
 """Command-line front end: config parsing, scans, reports.
 
 Configs are flat INI sections (JSON accepted as an alternative encoding of
-the same sections).  All outputs are deterministic: fixed float formatting,
-sorted keys, no timestamps.  Exit codes: 0 success, 2 configuration or
-validation error, 3 solver error (an RTSpectraError or a ValueError raised
-while solving).
+the same sections); section names and keys ignore case in both encodings.
+All outputs are deterministic: fixed float formatting, sorted keys, no
+timestamps.  Exit codes: 0 success, 2 configuration or validation error,
+3 solver error (an RTSpectraError or a ValueError raised while solving).
 """
 
 from __future__ import annotations
@@ -64,7 +64,19 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
 
+def _lower_keys(pairs, where: str) -> Dict:
+    """The pairs as a dict with lower-cased keys; ConfigError when two keys differ only in case."""
+    out = {}
+    for key, value in pairs:
+        key = str(key).lower()
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r} in {where} (keys ignore case)")
+        out[key] = value
+    return out
+
+
 def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
+    """Sections of an INI or JSON config, section names and keys lower-cased."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -76,15 +88,20 @@ def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not (isinstance(data, dict) and all(isinstance(v, dict) for v in data.values())):
             raise ConfigError("JSON config must be an object of sections")
-        return {str(k): {str(kk): str(vv) for kk, vv in v.items()} for k, v in data.items()}
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config is not valid INI: {exc}") from exc
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+        sections = [(name, items.items()) for name, items in data.items()]
+    else:
+        # lower-cases keys, not section names; "key = value  ; note" drops the note
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"config is not valid INI: {exc}") from exc
+        sections = [(name, parser.items(name)) for name in parser.sections()]
+    return _lower_keys(
+        ((name, _lower_keys(((k, str(v)) for k, v in items), f"section [{name}]"))
+         for name, items in sections), "the config")
 
 
 def _get(section: Dict[str, str], sec_name: str, key: str, cast, default=None,
@@ -123,9 +140,9 @@ def _law_from(section: Dict[str, str], side: str) -> PressureLaw:
             c2 = _get(section, "equilibrium", f"c2_{side}", float, required=True)
             return PressureLaw.linear(_positive(f"c2_{side}", c2))
         if kind == "polytropic":
-            K = _get(section, "equilibrium", f"K_{side}", float, required=True)
+            K = _get(section, "equilibrium", f"k_{side}", float, required=True)
             gamma = _get(section, "equilibrium", f"gamma_{side}", float, required=True)
-            return PressureLaw.polytropic(_positive(f"K_{side}", K), gamma)
+            return PressureLaw.polytropic(_positive(f"k_{side}", K), gamma)
     except RTSpectraError:
         raise
     raise ValidationError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
@@ -144,8 +161,8 @@ def parse_config(path: str) -> RunConfig:
     geometry_kwargs = {
         "h_minus": _get(geo_s, "geometry", "h_minus", float, required=True),
         "h_plus": _get(geo_s, "geometry", "h_plus", float, required=True),
-        "L1": _get(geo_s, "geometry", "l1", float, default=_get(geo_s, "geometry", "L1", float, 1.0)),
-        "L2": _get(geo_s, "geometry", "l2", float, default=_get(geo_s, "geometry", "L2", float, 1.0)),
+        "L1": _get(geo_s, "geometry", "l1", float, 1.0),
+        "L2": _get(geo_s, "geometry", "l2", float, 1.0),
     }
     try:
         geometry = Geometry(**geometry_kwargs)
@@ -209,7 +226,7 @@ def parse_config(path: str) -> RunConfig:
 
     ev_s = sections.get("evolution", {})
     cfg.dt = _get(ev_s, "evolution", "dt", float, None)
-    cfg.T = _get(ev_s, "evolution", "t", float, _get(ev_s, "evolution", "T", float, None))
+    cfg.T = _get(ev_s, "evolution", "t", float, None)
     cfg.seed = _get(ev_s, "evolution", "seed", int, 0)
     if cfg.dt is not None:
         _positive("dt", cfg.dt)
@@ -308,7 +325,7 @@ def cmd_equilibrium(cfg: RunConfig, out: str) -> int:
 def cmd_xi(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     mm = _single_mode(cfg, profile, mesh)
-    value, _ = spectral.xi_per_mode(mm, cfg.params.medium)
+    value, _ = spectral.xi_per_mode(mm)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "k1": cfg.k1, "k2": cfg.k2,
@@ -323,9 +340,8 @@ def cmd_xi(cfg: RunConfig, out: str) -> int:
 def cmd_growth(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     mm = _single_mode(cfg, profile, mesh)
-    a0, v0 = spectral.alpha(0.0, mm, cfg.params.medium)
-    lam, _, res = spectral.growth_rate_detailed(mm, cfg.params.medium, cfg.fixed_point_tol,
-                                                alpha0=(a0, v0))
+    a0, v0 = spectral.alpha(0.0, mm)
+    lam, _, res = spectral.growth_rate_detailed(mm, cfg.fixed_point_tol, alpha0=(a0, v0))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "k1": cfg.k1, "k2": cfg.k2,
@@ -342,8 +358,7 @@ def cmd_growth(cfg: RunConfig, out: str) -> int:
 def cmd_scan(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     verdict = spectral.global_scan(profile, cfg.params, mesh, cfg.k_max,
-                                   cfg.params.medium, cfg.fixed_point_tol,
-                                   cfg.quadrature_order)
+                                   cfg.fixed_point_tol, cfg.quadrature_order)
     if cfg.out_format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -440,12 +455,12 @@ def cmd_thresholds(cfg: RunConfig, out: str) -> int:
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
     profile, mesh = _build_state(cfg)
     mm = _single_mode(cfg, profile, mesh)
-    lam, _, _ = spectral.growth_rate_detailed(mm, cfg.params.medium, cfg.fixed_point_tol)
+    lam, _, _ = spectral.growth_rate_detailed(mm, cfg.fixed_point_tol)
     dt = cfg.dt if cfg.dt is not None else (1e-3 / lam if lam else 1e-2)
     T = cfg.T if cfg.T is not None else (10.0 / lam if lam else 20.0)
     _check_horizon(dt, T)
     eta0, u0 = evolution.random_initial_data(mm, cfg.seed)
-    result = evolution.integrate_linearized(mm, eta0, u0, dt, T, cfg.params.medium)
+    result = evolution.integrate_linearized(mm, eta0, u0, dt, T)
     evolution.export_trajectory(result, out)
     comparison = {
         "schema_version": SCHEMA_VERSION,

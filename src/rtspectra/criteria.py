@@ -8,10 +8,8 @@ the assembled solver on the same mode.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .modereduce import (
     FormCoefficients,
     FourierMode,
     ModeField,
+    _leggauss,
     compressibility_form,
     energy_form,
     gravity_form,
@@ -38,6 +37,8 @@ WITNESS_POINTS = 65536
 TENT_POINTS = 256
 #: dyadic refinement levels inserted around coefficient or field kinks
 KINK_LEVELS = 48
+#: tent widths eps, eps/2, ..., eps/2**19 tried by the small-field witness
+TENT_WIDTHS = 20
 
 
 @dataclass(frozen=True)
@@ -145,74 +146,44 @@ def witness_grid(lower: float, upper: float, kinks=(), n: int = WITNESS_POINTS) 
     return _refine_around(base, [0.0, *kinks])
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _grid_diagnostics(grid: np.ndarray) -> dict:
     return {"grid_nodes": int(grid.size), "h_min": float(np.min(np.diff(grid)))}
 
 
-def default_bump(geometry: Geometry) -> Callable[[np.ndarray], np.ndarray]:
-    """Quartic bump ((h+ - y)(y - h-)/(-h+h-))^2, equal to 1 at the interface.
+def _bump(y: np.ndarray, geometry: Geometry):
+    """Quartic bump psi0 = ((h+ - y)(y - h-)/(-h+h-))^2 and its slope at y.
 
-    The squared form also has vanishing slope at the walls, so the derived
-    horizontal witness components vanish there and the whole witness is
-    admissible; a plain quadratic bump would leave them nonzero at the
-    Dirichlet boundary.
+    psi0 is 1 at the interface.  The squared form also has vanishing slope
+    at the walls, so the derived horizontal witness components vanish there
+    and the whole witness is admissible; a plain quadratic bump would leave
+    them nonzero at the Dirichlet boundary.
     """
     hp, hm = geometry.h_plus, geometry.h_minus
-
-    def shape(y):
-        return ((hp - y) * (y - hm) / (-hp * hm)) ** 2
-
-    return shape
-
-
-def _default_bump_derivative(geometry: Geometry):
-    hp, hm = geometry.h_plus, geometry.h_minus
-
-    def dshape(y):
-        return 2.0 * ((hp - y) * (y - hm) / (-hp * hm)) * (hp + hm - 2.0 * y) / (-hp * hm)
-
-    return dshape
+    base = (hp - y) * (y - hm) / (-hp * hm)
+    return base ** 2, 2.0 * base * (hp + hm - 2.0 * y) / (-hp * hm)
 
 
 def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
-                             mode: FourierMode,
-                             psi0_shape: Optional[Callable] = None,
-                             psi0_derivative: Optional[Callable] = None,
-                             grid: Optional[np.ndarray] = None) -> WitnessField:
-    """Explicit trial field for a horizontal base field M = (M1, 0, 0).
+                             mode: FourierMode) -> WitnessField:
+    """Explicit trial field for an mhd base field M = (M1, 0, 0).
 
     The choices theta0 = -xi2*psi0'/|xi|^2 and
     phi0 = (g*rho*psi0/(P'(rho)*rho) - psi0' - xi2*theta0)/xi1 collapse the
     energy to the closed form
     g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2),
-    which is positive for large enough first period.
+    which is positive for large enough first period.  psi0 is the quartic
+    bump of :func:`_bump`, sampled on a :func:`witness_grid` of both layers.
     """
     if mode.xi1 == 0.0:
         raise DegenerateModeError("witness needs xi1 != 0")
-    if params.M[1] != 0.0 or params.M[2] != 0.0:
-        raise FieldOrientationError("witness needs a base field along the first axis")
+    if params.medium != MHD or params.M[1] != 0.0 or params.M[2] != 0.0:
+        raise FieldOrientationError("witness needs an mhd base field along the first axis")
     geo = profile.geometry
-    if grid is None:
-        grid = witness_grid(geo.h_minus, geo.h_plus)
-    if psi0_shape is None:
-        psi0_shape = default_bump(geo)
-        psi0_derivative = _default_bump_derivative(geo)
-    if psi0_derivative is None:
-        raise ValueError("psi0_derivative is required with a custom psi0_shape")
+    grid = witness_grid(geo.h_minus, geo.h_plus)
 
     xi1, xi2 = mode.xi1, mode.xi2
     xi2n = mode.norm2
-    psi = psi0_shape(grid)
-    dpsi = psi0_derivative(grid)
+    psi, dpsi = _bump(grid, geo)
     theta = -xi2 * dpsi / xi2n
 
     # phi carries the equilibrium coefficients; two-sided at the interface node
@@ -232,9 +203,8 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     )
     fld = witness.to_mode_field()
     coeffs = FormCoefficients(profile, params, grid)
-    witness.energy_value = energy_form(fld, coeffs, mode, MHD)
-    witness.closed_form_value = closed_form_horizontal(profile, params, mode,
-                                                       psi0_shape, psi0_derivative)
+    witness.energy_value = energy_form(fld, coeffs, mode)
+    witness.closed_form_value = closed_form_horizontal(profile, params, mode)
     witness.diagnostics = {
         "agreement": abs(witness.energy_value - witness.closed_form_value),
         "positive": witness.closed_form_value > 0.0,
@@ -244,49 +214,42 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
 
 
 def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
-                           mode: FourierMode, psi0_shape: Callable,
-                           psi0_derivative: Callable,
-                           quad_points: int = 64) -> float:
+                           mode: FourierMode) -> float:
     """g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2).
 
-    Integrates the analytic shape with composite Gauss panels per layer;
-    independent of the form/assembly machinery.
+    Integrates the analytic bump psi0 with one 64-point Gauss panel per
+    layer; independent of the form/assembly machinery.
     """
     geo = profile.geometry
-    x, w = _leggauss(quad_points)
+    x, w = _leggauss(64)
     total = 0.0
     for a, b in ((geo.h_minus, 0.0), (0.0, geo.h_plus)):
         y = 0.5 * (b - a) * x + 0.5 * (a + b)
         wy = 0.5 * (b - a) * w
-        total += np.sum(wy * (psi0_shape(y) ** 2 + psi0_derivative(y) ** 2 / mode.norm2))
-    psi0_at_0 = float(psi0_shape(np.array([0.0]))[0])
+        psi0, dpsi0 = _bump(y, geo)
+        total += np.sum(wy * (psi0 ** 2 + dpsi0 ** 2 / mode.norm2))
+    psi0_at_0 = float(_bump(np.array([0.0]), geo)[0][0])
     return (profile.g * profile.density_jump * psi0_at_0 ** 2
             - params.lam * mode.xi1 ** 2 * params.M[0] ** 2 * total)
 
 
 def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalParams,
-                                k1: int = 1, k2: int = 1,
-                                psi0_shape: Optional[Callable] = None,
-                                psi0_derivative: Optional[Callable] = None,
-                                L1_bracket: Tuple[float, float] = (1e-3, 1e6),
-                                tol: float = 1e-10) -> float:
-    """Bisect the closed-form witness value in L1: positive for L1 above the root."""
+                                k1: int = 1, k2: int = 1) -> float:
+    """Bisect the closed-form witness value in L1 over [1e-3, 1e6] to a relative
+    1e-10: positive for L1 above the root."""
     geo = profile.geometry
-    if psi0_shape is None:
-        psi0_shape = default_bump(geo)
-        psi0_derivative = _default_bump_derivative(geo)
 
     def value(L1: float) -> float:
         mode = FourierMode(k1=k1, k2=k2, xi1=k1 / L1, xi2=k2 / geo.L2)
-        return closed_form_horizontal(profile, params, mode, psi0_shape, psi0_derivative)
+        return closed_form_horizontal(profile, params, mode)
 
-    lo, hi = L1_bracket
+    lo, hi = 1e-3, 1e6
     f_lo, f_hi = value(lo), value(hi)
     if f_lo > 0.0:
         return lo
     if f_hi <= 0.0:
         raise DegenerateModeError("closed form never positive on the bracket")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-10 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if value(mid) > 0.0:
             hi = mid
@@ -296,7 +259,7 @@ def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalPar
 
 
 def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
-                        epsilon: float, n_samples: int = 20) -> WitnessField:
+                        epsilon: float) -> WitnessField:
     """Interface-concentrated tent witness at the smallest lattice mode (1, 0).
 
     psi_eps(y) = max(0, 1 - |y|/eps) concentrates at the interface where the
@@ -325,7 +288,7 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     eps_used = None
     eps_smallest = None
     tried = []
-    for j in range(n_samples):
+    for j in range(TENT_WIDTHS):
         eps_j = epsilon * 0.5 ** j
         lhs = _jump_integral(profile, eps_j)
         tried.append((eps_j, lhs))
@@ -353,7 +316,7 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
         "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
                                 + profile.density_jump),
         "agreement": abs(witness.energy_value - witness.closed_form_value),
-        "full_energy": energy_form(fld, coeffs, mode, params.medium),
+        "full_energy": energy_form(fld, coeffs, mode),
         "samples": tried,
         **_grid_diagnostics(grid),
     }
@@ -399,7 +362,7 @@ def _stratification_integral(profile: EquilibriumProfile, eps: float) -> float:
 
 
 def poincare_check(values: np.ndarray, grid: np.ndarray, mode: FourierMode,
-                   nu, geometry: Geometry, quad_points: int = 8):
+                   nu, geometry: Geometry):
     """Verify ||phi|| <= (h+ - h-)/pi * ||nu . grad phi|| on one scalar profile.
 
     nu must have third component 1; the per-mode directional derivative is

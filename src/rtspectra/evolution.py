@@ -1,7 +1,7 @@
 """Direct time integration of the discretized linearized dynamics.
 
 The per-mode linearized system is Mass * u' = A * eta - Diss * u with
-eta' = u, where A is the energy operator of the chosen medium.  Implicit
+eta' = u, where A is the energy operator of the run's medium.  Implicit
 midpoint is A-stable and symmetric and satisfies the discrete energy
 identity
 
@@ -33,7 +33,6 @@ import scipy.linalg as sla
 from . import band
 from .assembly import ModeMatrices
 from .errors import BlowupError, DegenerateFitError, StepError
-from .params import MHD
 
 NORM_OVERFLOW = 1e150
 
@@ -65,18 +64,17 @@ def random_initial_data(matrices: ModeMatrices, seed: int = 0):
 
 
 def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarray,
-                         dt: float, T: float, medium: str = MHD,
-                         fit_window: Optional[Tuple[float, float]] = None) -> EvolutionResult:
+                         dt: float, T: float) -> EvolutionResult:
     """Implicit-midpoint trajectory of (eta, u) with per-step mass norms.
 
     The exponential rate is fitted on log(u_norm) over the second half of
-    [0, T] unless an explicit window is given.
+    [0, T].
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if T < 10 * dt:
         raise ValueError("T must cover at least 10 steps")
-    A, M, D = matrices.operator(medium), matrices.mass, matrices.dissipation
+    A, M, D = matrices.operator, matrices.mass, matrices.dissipation
     n_steps = int(round(T / dt))
 
     factor = band.cholesky(M - (dt * dt / 4.0) * A + (dt / 2.0) * D)
@@ -123,7 +121,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
         drift = max(drift, abs(energy[k] - energy[k - 1] + dissipated))
 
     scale = max(1.0, float(np.max(np.abs(energy))))
-    window = fit_window if fit_window is not None else (T / 2.0, T)
+    window = (T / 2.0, T)
     rate = fit_rate(times, u_norm, window)
     return EvolutionResult(
         times=times,

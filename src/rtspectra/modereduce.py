@@ -19,6 +19,7 @@ Gauss-Legendre quadrature that never straddles the interface node at 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry
 from .errors import GridMismatchError
-from .params import MHD, VISCOELASTIC, PhysicalParams
+from .params import MHD, PhysicalParams
 
 DEFAULT_QUADRATURE_ORDER = 6
 
@@ -93,23 +94,20 @@ class ModeField:
 
 # -- quadrature machinery ----------------------------------------------------
 
-_GAUSS_CACHE: dict = {}
-
-
-def _gauss(order: int):
-    if order not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        # map from [-1, 1] to [0, 1]
-        _GAUSS_CACHE[order] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GAUSS_CACHE[order]
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 class FormCoefficients:
     """Equilibrium and material coefficients bound to one grid.
 
-    Holds nodal samples (two-sided at the interface) and per-element
-    quadrature tables so that every form sees coefficients evaluated at
-    Gauss points of the correct layer.
+    Holds per-element quadrature tables so that every form sees
+    coefficients evaluated at Gauss points of the correct layer.
     """
 
     def __init__(self, profile: EquilibriumProfile, params: PhysicalParams,
@@ -126,7 +124,8 @@ class FormCoefficients:
         self.M = np.asarray(params.M, dtype=float)
         self.rho_jump = profile.density_jump
 
-        t, w = _gauss(self.quadrature_order)
+        x, w = _leggauss(self.quadrature_order)
+        t, w = (x + 1.0) / 2.0, w / 2.0                   # mapped to [0, 1]
         y0, y1 = grid[:-1], grid[1:]
         h = y1 - y0
         self.element_h = h
@@ -135,13 +134,11 @@ class FormCoefficients:
         self.shape = np.stack([1.0 - t, t])               # (2, q)
 
         upper = y0 >= 0.0                                 # elements never straddle 0
-        self.element_side = np.where(upper, "+", "-")
         ne, q = self.qp_y.shape
         self.rho = np.empty((ne, q))
         self.rho_prime = np.empty((ne, q))
         self.p_prime_rho = np.empty((ne, q))
-        for side in ("+", "-"):
-            mask = self.element_side == side
+        for side, mask in (("+", upper), ("-", ~upper)):
             if not np.any(mask):
                 continue
             ys = self.qp_y[mask].ravel()
@@ -152,18 +149,6 @@ class FormCoefficients:
         self.mu = np.where(upper, params.mu_plus, params.mu_minus)[:, None] * np.ones((1, q))
         self.bulk = np.where(upper, params.bulk_plus, params.bulk_minus)[:, None] * np.ones((1, q))
         self.kappa = np.where(upper, params.kappa_plus, params.kappa_minus)[:, None] * np.ones((1, q))
-
-        # nodal samples, two-sided at the interface
-        iface = int(np.nonzero(grid == 0.0)[0][0])
-        self.node_rho = np.empty(grid.size)
-        self.node_rho_prime = np.empty(grid.size)
-        self.node_p_prime_rho = np.empty(grid.size)
-        for side, sl in (("-", slice(0, iface)), ("+", slice(iface + 1, grid.size))):
-            r, rp, pp = profile.evaluate_layer(grid[sl], side)
-            self.node_rho[sl], self.node_rho_prime[sl], self.node_p_prime_rho[sl] = r, rp, pp
-        self.node_rho[iface] = profile.rho_interface_plus
-        r, rp, pp = profile.evaluate_layer(np.array([0.0]), "+")
-        self.node_rho_prime[iface], self.node_p_prime_rho[iface] = rp[0], pp[0]
 
 
 def _check_grid(field: ModeField, coeffs: FormCoefficients) -> None:
@@ -306,15 +291,12 @@ def dissipation_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMo
     return _integrate(coeffs, density)
 
 
-def energy_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode,
-                medium: str = MHD) -> float:
-    """Spectral energy: gravity minus the medium's stabilizing forms."""
-    if medium == MHD:
+def energy_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
+    """Spectral energy: gravity minus the stabilizing forms of ``coeffs.params.medium``."""
+    if coeffs.params.medium == MHD:
         stabilizer = compressibility_form(field, coeffs, mode) + magnetic_form(field, coeffs, mode)
-    elif medium == VISCOELASTIC:
-        stabilizer = compressibility_form(field, coeffs, mode) + elastic_form(field, coeffs, mode)
     else:
-        raise ValueError(f"unknown medium {medium!r}")
+        stabilizer = compressibility_form(field, coeffs, mode) + elastic_form(field, coeffs, mode)
     return gravity_form(field, coeffs, mode) - stabilizer
 
 

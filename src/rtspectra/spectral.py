@@ -66,15 +66,6 @@ class StabilityVerdict:
     errors: Dict[Tuple[int, int], str] = field(default_factory=dict)
 
 
-def _operator(matrices: ModeMatrices, medium: str):
-    """Energy operator A and the Frobenius norms of A and the dissipation, cached."""
-    key = ("operator", medium)
-    if key not in matrices._cache:
-        A = matrices.operator(medium)
-        matrices._cache[key] = A, band.frobenius(A), band.frobenius(matrices.dissipation)
-    return matrices._cache[key]
-
-
 def _top_pair(hb: np.ndarray, mb: np.ndarray):
     """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
     and its eigenvector normalized to v* M v = 1; H and M in upper band
@@ -116,16 +107,16 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray):
     return float(np.real(w[0])), v / math.sqrt(float(np.real(np.vdot(v, M_op.matvec(v)))))
 
 
-def _form_rayleigh(matrices: ModeMatrices, medium: str, s: float, v: np.ndarray) -> float:
+def _form_rayleigh(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
     """(E(v) - s*Psi(v)) / mass(v) through the per-element forms: accurate to
     rounding on strongly graded meshes, where a matrix product cancels to
     eps * ||matrix||."""
     fld, co, mode = matrices.field_from_tilde(v), matrices.coeffs, matrices.mode
-    e, p = mr.energy_form(fld, co, mode, medium), mr.dissipation_form(fld, co, mode)
+    e, p = mr.energy_form(fld, co, mode), mr.dissipation_form(fld, co, mode)
     return (e - s * p) / mr.mass_form(fld, co)
 
 
-def alpha(s: float, matrices: ModeMatrices, medium: str):
+def alpha(s: float, matrices: ModeMatrices):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
     The value is the element-wise Rayleigh quotient of the banded solver's
@@ -136,12 +127,12 @@ def alpha(s: float, matrices: ModeMatrices, medium: str):
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    (A, norm_a, norm_d), M = _operator(matrices, medium), matrices.mass
-    H = A - s * matrices.dissipation
+    A, D, M = matrices.operator, matrices.dissipation, matrices.mass
+    H = A - s * D
     _, v = _top_pair(H, M)
-    rho = _form_rayleigh(matrices, medium, s, v)
+    rho = _form_rayleigh(matrices, s, v)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
-    scale = (norm_a + abs(s) * norm_d) * np.linalg.norm(v)
+    scale = (band.frobenius(A) + abs(s) * band.frobenius(D)) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise EigenSolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
@@ -150,16 +141,16 @@ def alpha(s: float, matrices: ModeMatrices, medium: str):
     return rho, v
 
 
-def growth_rate(matrices: ModeMatrices, medium: str, tol: float = 1e-8):
+def growth_rate(matrices: ModeMatrices, tol: float = 1e-8):
     """Fixed point Lambda of Lambda^2 = alpha(Lambda), or None when stable."""
-    return growth_rate_detailed(matrices, medium, tol)[0]
+    return growth_rate_detailed(matrices, tol)[0]
 
 
-def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
+def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
                          alpha0: Optional[Tuple[float, np.ndarray]] = None):
     """growth_rate plus the principal eigenvector and fixed-point residual.
 
-    ``alpha0`` is the result of alpha(0.0, matrices, medium) when the caller
+    ``alpha0`` is the result of alpha(0.0, matrices) when the caller
     has it already; it is solved here otherwise.
 
     Newton iteration on f(s) = alpha(s) - s^2 from s = 0, with the
@@ -171,7 +162,7 @@ def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a, vec = alpha0 if alpha0 is not None else alpha(0.0, matrices, medium)
+    a, vec = alpha0 if alpha0 is not None else alpha(0.0, matrices)
     if a <= 0.0:
         return None, None, None
     lo, hi = 0.0, math.sqrt(a) + 1.0
@@ -182,7 +173,7 @@ def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
                 break
-        a, vec = alpha(s, matrices, medium)
+        a, vec = alpha(s, matrices)
         f = a - s * s
         if abs(f) <= tol * max(1.0, s * s):
             return s, vec, abs(f)
@@ -191,26 +182,19 @@ def growth_rate_detailed(matrices: ModeMatrices, medium: str, tol: float = 1e-8,
                        f"(last |f|={abs(f):.3e})")
 
 
-def _xi_pencil(matrices: ModeMatrices, medium: str):
-    if medium == MHD:
-        return matrices.gravity, matrices.compress + matrices.magnetic
-    if medium == VISCOELASTIC:
-        return matrices.gravity - matrices.compress, matrices.elastic
-    raise ValueError(f"unknown medium {medium!r}")
-
-
-def _transverse_kernel(matrices: ModeMatrices, medium: str) -> bool:
+def _transverse_kernel(matrices: ModeMatrices) -> bool:
     """mhd with M3 = 0 and M . xi = 0 (to rounding: 0.3*2 - 0.2*3 = -1.1e-16).
 
     The magnetic form then only sees the divergence, so the horizontal
     component transverse to xi is in the kernel of both forms.
     """
     mode, M = matrices.mode, matrices.coeffs.M
-    return (medium == MHD and M[2] == 0.0 and abs(M[0] * mode.xi1 + M[1] * mode.xi2)
+    return (matrices.coeffs.params.medium == MHD and M[2] == 0.0
+            and abs(M[0] * mode.xi1 + M[1] * mode.xi2)
             <= 1e-12 * math.hypot(M[0], M[1]) * math.sqrt(mode.norm2))
 
 
-def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
+def _divfree_kernel_unbounded(matrices: ModeMatrices):
     """Certificate field of an infinite discriminant, or None.
 
     On a transverse kernel the denominator vanishes on divergence-free
@@ -219,7 +203,7 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
     A positive supremum of that form certifies an infinite discriminant.
     """
     mode, co = matrices.mode, matrices.coeffs
-    if not _transverse_kernel(matrices, medium):
+    if not _transverse_kernel(matrices):
         return None
     Q, Mpsi = assemble_scalar_gravity_kernel(co.profile, matrices.mesh, co.quadrature_order)
     lam_max, psi = _top_pair(Q, Mpsi)
@@ -236,7 +220,7 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices, medium: str):
     return v if float(np.real(np.vdot(v, band.matvec(matrices.gravity, v)))) > 0.0 else None
 
 
-def xi_per_mode(matrices: ModeMatrices, medium: str):
+def xi_per_mode(matrices: ModeMatrices):
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
     Returns (value, eigvec) with value possibly math.inf.  Explicit cases:
@@ -256,18 +240,18 @@ def xi_per_mode(matrices: ModeMatrices, medium: str):
     mode, co = matrices.mode, matrices.coeffs
     if mode.is_zero() or co.g == 0.0:
         return 0.0, None
-    v_inf = _divfree_kernel_unbounded(matrices, medium)
+    v_inf = _divfree_kernel_unbounded(matrices)
     if v_inf is not None:
         return math.inf, v_inf
 
-    Nmat, B = _xi_pencil(matrices, medium)
+    Nmat, B = matrices.discriminant_pencil
     dinv = 1.0 / np.sqrt(matrices.mass[-1].real)     # the last band row is the diagonal
     Bs, Ns = band.jacobi_scaled(B, dinv), band.jacobi_scaled(Nmat, dinv)
     if not np.any(B):
         top, v = _top_pair(Nmat, matrices.mass)
         # positive beyond rounding: the transverse direction gives 0 up to eps*||Ns||
         return (math.inf if top > 1e-10 * max(1.0, band.frobenius(Ns)) else 0.0), v
-    if _transverse_kernel(matrices, medium):
+    if _transverse_kernel(matrices):
         t1, t2 = -mode.xi2 / math.sqrt(mode.norm2), mode.xi1 / math.sqrt(mode.norm2)
         Bs[-1, 0::3] += t1 * t1
         Bs[-1, 1::3] += t2 * t2
@@ -284,7 +268,7 @@ def xi_per_mode(matrices: ModeMatrices, medium: str):
     return val, dinv * u
 
 
-def coercivity_constant(matrices: ModeMatrices, medium: str = MHD) -> float:
+def coercivity_constant(matrices: ModeMatrices) -> float:
     """Smallest eigenvalue of (-A, metric): positive certifies coercivity.
 
     A positive value realizes the stabilizing estimate
@@ -292,7 +276,7 @@ def coercivity_constant(matrices: ModeMatrices, medium: str = MHD) -> float:
     Metric and mass are both definite, so the top eigenvalue of (A, metric)
     has the sign of alpha(0); IndefinitePencilError when it is positive.
     """
-    top, _ = _top_pair(_operator(matrices, medium)[0], matrices.coercivity_metric)
+    top, _ = _top_pair(matrices.operator, matrices.coercivity_metric)
     if top > 0.0:
         raise IndefinitePencilError(
             f"-A is not positive semidefinite (top eigenvalue of (A, metric) = {top:.6g} > 0): "
@@ -307,24 +291,24 @@ def mode_lattice(k_max: int):
     return sorted(modes)
 
 
-def analyze_mode(matrices: ModeMatrices, medium: str, tol: float = 1e-8) -> ModeVerdict:
+def analyze_mode(matrices: ModeMatrices, tol: float = 1e-8) -> ModeVerdict:
     """Full verdict for one assembled mode."""
-    xi_val, _ = xi_per_mode(matrices, medium)
-    a0, v0 = alpha(0.0, matrices, medium)
+    xi_val, _ = xi_per_mode(matrices)
+    a0, v0 = alpha(0.0, matrices)
     lam = res = None
     if a0 > 0.0:
-        lam, _, res = growth_rate_detailed(matrices, medium, tol, alpha0=(a0, v0))
+        lam, _, res = growth_rate_detailed(matrices, tol, alpha0=(a0, v0))
     return ModeVerdict(mode=matrices.mode, xi_value=xi_val, alpha0=a0, lambda_value=lam,
                        residual=res)
 
 
 def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1D,
-                k_max: int, medium: str, tol: float = 1e-8,
+                k_max: int, tol: float = 1e-8,
                 quadrature_order: int = 6) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
-    With a viscoelastic medium, or an mhd field with M1 = M2 = 0, every
-    per-mode form is invariant under a rotation of the horizontal
+    With a viscoelastic ``params.medium``, or an mhd field with M1 = M2 = 0,
+    every per-mode form is invariant under a rotation of the horizontal
     components, so modes of equal |xi|^2 have orthogonally equivalent
     pencils and equal verdicts.  The modes are then grouped by the exact
     float ``mode.norm2``: only the first mode of each class in lattice order
@@ -340,7 +324,7 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
-    isotropic = medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
+    isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}
     solved = {}     # class key -> ModeVerdict or error message
     for k1, k2 in mode_lattice(k_max):
@@ -349,7 +333,7 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
         if key not in solved:
             try:
                 mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
-                solved[key] = analyze_mode(mm, medium, tol)
+                solved[key] = analyze_mode(mm, tol)
             except RTSpectraError as exc:
                 solved[key] = f"{type(exc).__name__}: {exc}"
         result = solved[key]

@@ -21,7 +21,7 @@ from rtspectra.equilibrium import (
     build_profile,
     infimum_p_prime_rho,
 )
-from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
+from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 VISC = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
 
@@ -77,7 +77,7 @@ def test_criterion_02_form_reduction_oracle(geo, profile):
                 arr[0] = arr[-1] = 0.0
             values = np.stack([-1j * pt, -1j * tt, st + 0j], axis=1)
             fld = mr.ModeField(grid, values)
-            got = mr.energy_form(fld, co, mode, MHD)
+            got = mr.energy_form(fld, co, mode)
             want = etilde_value(profile, lam, M1, grid, pt, tt, st, mode)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
             checked += 1
@@ -127,22 +127,20 @@ def test_criterion_05_alpha_monotone_and_fixed_point(geo, profile):
     start = time.monotonic()
     mesh = assembly.build_mesh(geo, n_per_layer=120)
     configs = (
-        (PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.0)), MHD),
-        (PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.02)), MHD),
-        (PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 2.3811)), MHD),
-        (PhysicalParams(**VISC, kappa_plus=0.01, kappa_minus=0.01, medium=VISCOELASTIC),
-         VISCOELASTIC),
-        (PhysicalParams(**VISC, kappa_plus=0.55, kappa_minus=0.55, medium=VISCOELASTIC),
-         VISCOELASTIC),
+        PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.0)),
+        PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.02)),
+        PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 2.3811)),
+        PhysicalParams(**VISC, kappa_plus=0.01, kappa_minus=0.01, medium=VISCOELASTIC),
+        PhysicalParams(**VISC, kappa_plus=0.55, kappa_minus=0.55, medium=VISCOELASTIC),
     )
     mode = make_mode(1, 0, geo)
     returned = 0
-    for params, medium in configs:
+    for params in configs:
         mm = assembly.assemble(profile, params, mode, mesh)
         svals = np.linspace(0.0, 2.0, 20)
-        avals = [spectral.alpha(float(s), mm, medium)[0] for s in svals]
+        avals = [spectral.alpha(float(s), mm)[0] for s in svals]
         assert np.all(np.diff(avals) <= 1e-10), "alpha must be non-increasing"
-        lam, _, res = spectral.growth_rate_detailed(mm, medium, tol=1e-8)
+        lam, _, res = spectral.growth_rate_detailed(mm, tol=1e-8)
         if lam is not None:
             assert res <= 1e-8 * max(1.0, lam * lam)
             returned += 1
@@ -157,7 +155,7 @@ def test_criterion_06_growth_rate_vs_evolution(geo, profile):
     params = PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.0))
     mesh = assembly.build_mesh(geo, n_per_layer=200)
     mm = assembly.assemble(profile, params, make_mode(1, 0, geo), mesh)
-    lam = spectral.growth_rate(mm, MHD, tol=1e-8)
+    lam = spectral.growth_rate(mm, tol=1e-8)
     assert lam is not None and lam > 0
     eta0, u0 = evolution.random_initial_data(mm, seed=0)
     result = evolution.integrate_linearized(mm, eta0, u0, dt=1e-3 / lam, T=10.0 / lam)
@@ -182,7 +180,7 @@ def test_criterion_07_vertical_field_sufficiency(geo, profile):
     shell_unstable = False
     for (k1, k2) in spectral.mode_lattice(k_max):
         mm = assembly.assemble(profile, params, make_mode(k1, k2, geo), mesh, coeffs=coeffs)
-        xi, _ = spectral.xi_per_mode(mm, MHD)
+        xi, _ = spectral.xi_per_mode(mm)
         c = spectral.coercivity_constant(mm)
         worst_xi = max(worst_xi, xi)
         worst_coercivity = min(worst_coercivity, c)
@@ -200,7 +198,7 @@ def test_criterion_07_vertical_field_sufficiency(geo, profile):
 def test_criterion_08_small_field_instability(geo, profile):
     params = PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.02))
     mesh = assembly.build_mesh(geo, n_per_layer=100)
-    verdict = spectral.global_scan(profile, params, mesh, k_max=1, medium=MHD)
+    verdict = spectral.global_scan(profile, params, mesh, k_max=1)
     unstable = [v for v in verdict.verdicts
                 if v.xi_value > 1.0 and (v.lambda_value or 0.0) > 0.0]
     assert unstable, "expected an unstable mode for a weak vertical field"
@@ -232,7 +230,7 @@ def test_criterion_09_horizontal_field_large_period(profile):
     assert narrow.closed_form_value < 0.0
 
     mesh = assembly.build_mesh(geo_wide, n_per_layer=100)
-    verdict = spectral.global_scan(prof_wide, base_params, mesh, k_max=2, medium=MHD)
+    verdict = spectral.global_scan(prof_wide, base_params, mesh, k_max=2)
     assert verdict.global_xi > 1.0
     at_witness = [v for v in verdict.verdicts if (v.mode.k1, v.mode.k2) == (1, 1)][0]
     assert at_witness.xi_value > 1.0  # solver agrees with the positive witness
@@ -259,11 +257,11 @@ def test_criterion_10_viscoelastic_identity_and_thresholds(geo, profile):
 
     stiff = PhysicalParams(**VISC, kappa_plus=1.1 * threshold, kappa_minus=1.1 * threshold,
                            medium=VISCOELASTIC)
-    stable = spectral.global_scan(profile, stiff, mesh, k_max=4, medium=VISCOELASTIC)
+    stable = spectral.global_scan(profile, stiff, mesh, k_max=4)
     assert stable.global_xi < 1.0
 
     soft = PhysicalParams(**VISC, kappa_plus=0.01, kappa_minus=0.01, medium=VISCOELASTIC)
-    unstable = spectral.global_scan(profile, soft, mesh, k_max=1, medium=VISCOELASTIC)
+    unstable = spectral.global_scan(profile, soft, mesh, k_max=1)
     assert unstable.global_xi > 1.0
     assert unstable.global_lambda > 0.0
     report(10, f"elastic identity to 1e-12 on 100 fields; kappa=0.55 stable "
@@ -316,19 +314,19 @@ def test_criterion_12_mesh_convergence(geo, profile):
         meshes.append(assembly.refine_mesh(meshes[-1]))
     assert [m.n_per_layer for m in meshes] == [100, 200, 400]
     lines = []
-    for label, params, medium, quantity in (
-        ("xi_mhd", stable_mhd, MHD, "xi"),
-        ("xi_ve", stiff_ve, VISCOELASTIC, "xi"),
-        ("lambda_mhd", unstable_mhd, MHD, "lambda"),
-        ("lambda_ve", soft_ve, VISCOELASTIC, "lambda"),
+    for label, params, quantity in (
+        ("xi_mhd", stable_mhd, "xi"),
+        ("xi_ve", stiff_ve, "xi"),
+        ("lambda_mhd", unstable_mhd, "lambda"),
+        ("lambda_ve", soft_ve, "lambda"),
     ):
         values = []
         for mesh in meshes:
             mm = assembly.assemble(profile, params, mode, mesh)
             if quantity == "xi":
-                values.append(spectral.xi_per_mode(mm, medium)[0])
+                values.append(spectral.xi_per_mode(mm)[0])
             else:
-                values.append(spectral.growth_rate(mm, medium, tol=1e-8))
+                values.append(spectral.growth_rate(mm, tol=1e-8))
         coarse, fine = abs(values[1] - values[0]), abs(values[2] - values[1])
         gap = fine / abs(values[2])
         assert gap <= 1e-3, (label, values)

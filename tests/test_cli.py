@@ -1,7 +1,10 @@
 """Command-line interface: parsing, validation, artifacts, determinism."""
 
+import configparser
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +112,41 @@ def test_json_config_equivalent(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
     assert report["xi_value"] == "inf"
+
+
+def test_readme_config_parses(tmp_path):
+    """The README's INI example parses as documented; so does its polytropic
+    variant (K_plus / gamma_plus, as its comment says) and the same sections
+    as JSON with upper-case section names and keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "readme.ini").write_text(ini)
+    cfg = cli.parse_config(str(tmp_path / "readme.ini"))
+    assert cfg.params.medium == "mhd" and cfg.params.M == (0.0, 0.0, 2.4)
+    assert (cfg.geometry.L1, cfg.geometry.L2, cfg.law_plus.kind) == (1.0, 1.0, "linear")
+    assert (cfg.n_per_layer, cfg.k_max, cfg.k1, cfg.out_path) == (200, 8, 1, "scan.csv")
+
+    poly = re.sub(r"law_plus = linear.*\nc2_plus = 1.0",
+                  "law_plus = polytropic\nK_plus = 1.5\ngamma_plus = 1.4", ini)
+    (tmp_path / "poly.ini").write_text(poly)
+    law = cli.parse_config(str(tmp_path / "poly.ini")).law_plus
+    assert (law.kind, law.K, law.gamma) == ("polytropic", 1.5, 1.4)
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.optionxform = str                  # keep the README's own key case
+    parser.read_string(ini)
+    payload = {name.upper(): {key.upper(): value for key, value in parser.items(name)}
+               for name in parser.sections()}
+    assert payload["MHD"]["M3"] == "2.4" and payload["GEOMETRY"]["L1"] == "1.0"
+    (tmp_path / "readme.json").write_text(json.dumps(payload))
+    assert cli.parse_config(str(tmp_path / "readme.json")) == cfg
+
+
+def test_config_keys_differing_only_in_case(tmp_path, capsys):
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps({"mhd": {"m3": 1.0, "M3": 2.0}}))
+    assert cli.run(str(p), "xi") == 2
+    assert "duplicate key 'm3'" in capsys.readouterr().err
 
 
 def test_equilibrium_artifact(tmp_path, capsys):

@@ -14,7 +14,7 @@ from rtspectra.errors import (
     DegenerateModeError,
     FieldOrientationError,
 )
-from rtspectra.params import PhysicalParams
+from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 
 def test_vertical_threshold_canonical(canonical_profile):
@@ -92,6 +92,11 @@ def test_horizontal_witness_errors(canonical_profile):
         criteria.horizontal_field_witness(canonical_profile,
                                           PhysicalParams(M=(1.0, 0.0, 0.5)),
                                           make_mode(1, 0, geo))
+    with pytest.raises(FieldOrientationError):
+        criteria.horizontal_field_witness(canonical_profile,
+                                          PhysicalParams(M=(1.0, 0.0, 0.0), kappa_plus=1.0,
+                                                         kappa_minus=1.0, medium=VISCOELASTIC),
+                                          make_mode(1, 0, geo))
 
 
 def test_horizontal_period_bisection(canonical_profile):
@@ -101,9 +106,7 @@ def test_horizontal_period_bisection(canonical_profile):
 
     def value(L1):
         mode = mr.FourierMode(k1=1, k2=1, xi1=1.0 / L1, xi2=1.0 / geo.L2)
-        return criteria.closed_form_horizontal(
-            canonical_profile, params, mode,
-            criteria.default_bump(geo), criteria._default_bump_derivative(geo))
+        return criteria.closed_form_horizontal(canonical_profile, params, mode)
 
     assert value(1.02 * L1_star) > 0
     assert value(0.98 * L1_star) < 0

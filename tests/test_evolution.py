@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from conftest import make_mode
 from rtspectra import assembly, band, evolution, spectral
 from rtspectra.errors import BlowupError, DegenerateFitError, StepError
-from rtspectra.params import MHD, PhysicalParams
+from rtspectra.params import PhysicalParams
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_fit_rate_degenerate():
 
 
 def test_rate_matches_growth_rate(mm_unstable):
-    lam, vec, _ = spectral.growth_rate_detailed(mm_unstable, MHD, 1e-8)
+    lam, vec, _ = spectral.growth_rate_detailed(mm_unstable, 1e-8)
     eta0, u0 = evolution.random_initial_data(mm_unstable, seed=3)
     dt, T = 1e-3 / lam, 10.0 / lam
     result = evolution.integrate_linearized(mm_unstable, eta0, u0, dt, T)
@@ -62,7 +62,7 @@ def test_rate_matches_growth_rate(mm_unstable):
 
 
 def test_eigvec_initialization_pure_exponential(mm_unstable):
-    lam, vec, _ = spectral.growth_rate_detailed(mm_unstable, MHD, 1e-8)
+    lam, vec, _ = spectral.growth_rate_detailed(mm_unstable, 1e-8)
     dt, T = 1e-3 / lam, 5.0 / lam
     result = evolution.integrate_linearized(mm_unstable, vec / lam, vec, dt, T)
     logs = np.log(result.u_norm[1:])
@@ -92,8 +92,7 @@ def test_energy_identity_dt_refinement(mm_stable):
 def test_conservative_time_reversal(mm_stable):
     """With the dissipation removed, the quadratic energy is conserved."""
     frictionless = dataclasses.replace(mm_stable,
-                                       dissipation=np.zeros_like(mm_stable.dissipation),
-                                       _cache={})
+                                       dissipation=np.zeros_like(mm_stable.dissipation))
     eta0, u0 = evolution.random_initial_data(mm_stable, seed=4)
     result = evolution.integrate_linearized(frictionless, eta0, u0, 1e-2, 10.0)
     energy = result.diagnostics["energy"]
@@ -102,7 +101,7 @@ def test_conservative_time_reversal(mm_stable):
 
 
 def test_blowup_guard(mm_unstable):
-    lam, _, _ = spectral.growth_rate_detailed(mm_unstable, MHD, 1e-6)
+    lam, _, _ = spectral.growth_rate_detailed(mm_unstable, 1e-6)
     eta0, u0 = evolution.random_initial_data(mm_unstable, seed=5)
     with pytest.raises(BlowupError):
         evolution.integrate_linearized(mm_unstable, eta0, u0, 0.5, 400.0 / lam * 4.0)
@@ -130,7 +129,7 @@ def test_trajectory_export(tmp_path, mm_stable):
 def test_matches_dense_reference(request, fixture):
     """50 steps of the banded integrator against a dense implicit-midpoint loop."""
     mm = request.getfixturevalue(fixture)
-    A, M, D = (band.to_dense(X) for X in (mm.operator(MHD), mm.mass, mm.dissipation))
+    A, M, D = (band.to_dense(X) for X in (mm.operator, mm.mass, mm.dissipation))
     eta, u = evolution.random_initial_data(mm, seed=8)
     dt, n_steps = 1e-2, 50
     result = evolution.integrate_linearized(mm, eta, u, dt, n_steps * dt)
@@ -146,7 +145,7 @@ def test_matches_dense_reference(request, fixture):
 
 def test_step_beyond_stability_bound(mm_unstable):
     """dt * Lambda >= 2 leaves the implicit-midpoint matrix indefinite."""
-    lam = spectral.growth_rate(mm_unstable, MHD)
+    lam = spectral.growth_rate(mm_unstable)
     eta0, u0 = evolution.random_initial_data(mm_unstable, seed=9)
     dt = 2.5 / lam
     with pytest.raises(StepError, match="dt < 2/Lambda"):

@@ -1,5 +1,6 @@
 """Per-mode forms against independent quadrature oracles and identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,7 +293,7 @@ def test_energy_form_etilde_oracle(canonical_profile, rng):
                 arr[0] = arr[-1] = 0.0
             values = np.stack([-1j * pt, -1j * tt, st + 0j], axis=1)
             f = mr.ModeField(grid, values)
-            got = mr.energy_form(f, co, mode, MHD)
+            got = mr.energy_form(f, co, mode)
 
             def integrand(y):
                 rho = sample_coefficient(canonical_profile, y, "rho")
@@ -316,14 +317,18 @@ def test_energy_form_etilde_oracle(canonical_profile, rng):
 def test_energy_medium_dispatch(coeffs60, mesh60, geometry, rng):
     mode = make_mode(1, 1, geometry)
     f = random_field(mesh60.nodes, rng)
-    e_mhd = mr.energy_form(f, coeffs60, mode, MHD)
-    e_ve = mr.energy_form(f, coeffs60, mode, VISCOELASTIC)
+    """energy_form takes the stabilizer of coeffs.params.medium."""
+    assert coeffs60.params.medium == MHD
+    ve_params = dataclasses.replace(coeffs60.params, medium=VISCOELASTIC)
+    coeffs_ve = mr.FormCoefficients(coeffs60.profile, ve_params, mesh60.nodes)
+    e_mhd = mr.energy_form(f, coeffs60, mode)
+    e_ve = mr.energy_form(f, coeffs_ve, mode)
     g = mr.gravity_form(f, coeffs60, mode)
     c = mr.compressibility_form(f, coeffs60, mode)
     assert e_mhd == pytest.approx(g - c - mr.magnetic_form(f, coeffs60, mode), rel=1e-13)
     assert e_ve == pytest.approx(g - c - mr.elastic_form(f, coeffs60, mode), rel=1e-13)
     with pytest.raises(ValueError):
-        mr.energy_form(f, coeffs60, mode, "plasma")
+        dataclasses.replace(coeffs60.params, medium="plasma")
 
 
 def test_energy_no_stabilizers_nonpositive(geometry, mesh60, rng):
@@ -332,7 +337,7 @@ def test_energy_no_stabilizers_nonpositive(geometry, mesh60, rng):
     mode = make_mode(1, 1, geometry)
     for _ in range(10):
         f = random_field(mesh60.nodes, rng)
-        e = mr.energy_form(f, co, mode, MHD)
+        e = mr.energy_form(f, co, mode)
         assert e <= 1e-14
         assert e == pytest.approx(-mr.compressibility_form(f, co, mode), rel=1e-12)
 

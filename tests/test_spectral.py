@@ -1,6 +1,7 @@
 """Variational solvers: discriminants, alpha, fixed points, scans."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
-from rtspectra import assembly, band, spectral
+from rtspectra import assembly, band, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import BracketError, EigenSolverError, IndefinitePencilError
 from rtspectra.modereduce import FormCoefficients
-from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
+from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 M3_STABLE = 1.05 * 2.2677017880818765   # 1.05x the canonical vertical threshold
 
@@ -56,12 +57,12 @@ def test_xi_zero_gravity(geometry, mesh60, M):
     prof0 = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
     mm = assembly.assemble(prof0, params, make_mode(1, 1, geometry), mesh60)
-    value, _ = spectral.xi_per_mode(mm, MHD)
+    value, _ = spectral.xi_per_mode(mm)
     assert value == 0.0
 
 
 def test_xi_infinite_without_field(mm_nofield):
-    value, vec = spectral.xi_per_mode(mm_nofield, MHD)
+    value, vec = spectral.xi_per_mode(mm_nofield)
     assert math.isinf(value)
     # the certificate direction really has positive numerator
     num = float(np.real(np.vdot(vec, band.to_dense(mm_nofield.gravity) @ vec)))
@@ -70,26 +71,25 @@ def test_xi_infinite_without_field(mm_nofield):
 
 def test_xi_zero_mode_vanishes(canonical_profile, baseline_params, mesh60, geometry):
     mm = assembly.assemble(canonical_profile, baseline_params, make_mode(0, 0, geometry), mesh60)
-    value, _ = spectral.xi_per_mode(mm, MHD)
+    value, _ = spectral.xi_per_mode(mm)
     assert value == 0.0
 
 
 def test_xi_stable_vertical_field(mm_vertical):
-    value, _ = spectral.xi_per_mode(mm_vertical, MHD)
+    value, _ = spectral.xi_per_mode(mm_vertical)
     assert 0.0 < value < 1.0
 
 
 def test_xi_scale_invariance(mm_vertical):
-    value, vec = spectral.xi_per_mode(mm_vertical, MHD)
+    value, vec = spectral.xi_per_mode(mm_vertical)
     scaled = dataclasses.replace(
         mm_vertical,
         mass=3.0 * mm_vertical.mass, gravity=3.0 * mm_vertical.gravity,
         compress=3.0 * mm_vertical.compress, magnetic=3.0 * mm_vertical.magnetic,
         elastic=3.0 * mm_vertical.elastic, dissipation=3.0 * mm_vertical.dissipation,
         coercivity_metric=3.0 * mm_vertical.coercivity_metric,
-        _cache={},
     )
-    value2, vec2 = spectral.xi_per_mode(scaled, MHD)
+    value2, vec2 = spectral.xi_per_mode(scaled)
     assert value2 == pytest.approx(value, rel=1e-12)
     cosangle = abs(np.vdot(vec, vec2)) / (np.linalg.norm(vec) * np.linalg.norm(vec2))
     assert cosangle == pytest.approx(1.0, abs=1e-9)
@@ -142,11 +142,11 @@ def test_xi_restricted_dense_reference(stable_profile, mesh60, geometry):
     certificate exists.  The banded value is the restricted dense one."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(1.0, 0.0, 0.0))
     mode = make_mode(0, 1, geometry)
-    value, _ = spectral.xi_per_mode(assembly.assemble(stable_profile, params, mode, mesh60), MHD)
+    value, _ = spectral.xi_per_mode(assembly.assemble(stable_profile, params, mode, mesh60))
     assert abs(value - 0.7380293829795882) <= 1e-9
     for n in (100, 200):
         mm = assembly.assemble(stable_profile, params, mode, assembly.build_mesh(geometry, n))
-        value, _ = spectral.xi_per_mode(mm, MHD)
+        value, _ = spectral.xi_per_mode(mm)
         assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
 
 
@@ -157,9 +157,9 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
     assert params.M[0] * mode.xi1 + params.M[1] * mode.xi2 != 0.0
     for n in (30, 60):
         mm = assembly.assemble(canonical_profile, params, mode, assembly.build_mesh(geometry, n))
-        assert math.isinf(spectral.xi_per_mode(mm, MHD)[0])
+        assert math.isinf(spectral.xi_per_mode(mm)[0])
     mm = assembly.assemble(stable_profile, params, mode, assembly.build_mesh(geometry, 100))
-    value, _ = spectral.xi_per_mode(mm, MHD)
+    value, _ = spectral.xi_per_mode(mm)
     assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
     assert value == pytest.approx(0.95300952456, abs=1e-10)
 
@@ -173,7 +173,7 @@ def test_xi_viscoelastic_zero_kappa(canonical_profile, geometry):
         params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, kappa_plus=kappa[0],
                                 kappa_minus=kappa[1], medium=VISCOELASTIC)
         mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh)
-        return spectral.xi_per_mode(mm, VISCOELASTIC)[0]
+        return spectral.xi_per_mode(mm)[0]
 
     with pytest.raises(EigenSolverError, match="singular denominator"):
         xi((0.0, 0.3), (1, 0))
@@ -186,20 +186,15 @@ def test_xi_mode_symmetry(canonical_profile, mesh60, geometry):
     vals = []
     for (k1, k2) in ((2, 1), (-2, -1)):
         mm = assembly.assemble(canonical_profile, params, make_mode(k1, k2, geometry), mesh60)
-        vals.append(spectral.xi_per_mode(mm, MHD)[0])
+        vals.append(spectral.xi_per_mode(mm)[0])
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
 
 def test_alpha_monotone_nonincreasing(mm_nofield, mm_vertical, mm_viscoelastic_soft):
-    grids = {
-        MHD: (mm_nofield, mm_vertical),
-        VISCOELASTIC: (mm_viscoelastic_soft,),
-    }
-    for medium, mats in grids.items():
-        for mm in mats:
-            svals = np.linspace(0.0, 2.0, 10)
-            avals = [spectral.alpha(float(s), mm, medium)[0] for s in svals]
-            assert np.all(np.diff(avals) <= 1e-10)
+    for mm in (mm_nofield, mm_vertical, mm_viscoelastic_soft):
+        svals = np.linspace(0.0, 2.0, 10)
+        avals = [spectral.alpha(float(s), mm)[0] for s in svals]
+        assert np.all(np.diff(avals) <= 1e-10)
 
 
 def test_alpha_negative_semidefinite_case(geometry, mesh60):
@@ -207,24 +202,24 @@ def test_alpha_negative_semidefinite_case(geometry, mesh60):
     prof0 = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 0.0))
     mm = assembly.assemble(prof0, params, make_mode(1, 0, geometry), mesh60)
-    a0, _ = spectral.alpha(0.0, mm, MHD)
+    a0, _ = spectral.alpha(0.0, mm)
     assert a0 <= 1e-12
 
 
 def test_alpha_large_s_negative(mm_nofield):
-    a0, _ = spectral.alpha(0.0, mm_nofield, MHD)
+    a0, _ = spectral.alpha(0.0, mm_nofield)
     assert a0 > 0
     dmin = sla.eigh(band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass),
                     eigvals_only=True)[0]
     s_big = 10.0 * a0 / dmin
-    a_big, _ = spectral.alpha(s_big, mm_nofield, MHD)
+    a_big, _ = spectral.alpha(s_big, mm_nofield)
     assert a_big < 0
 
 
 def test_alpha_eigvec_residual(mm_nofield):
     for s in (0.0, 0.3, 1.1):
-        val, v = spectral.alpha(s, mm_nofield, MHD)
-        A = band.to_dense(mm_nofield.operator(MHD))
+        val, v = spectral.alpha(s, mm_nofield)
+        A = band.to_dense(mm_nofield.operator)
         D, M = band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass)
         res = np.linalg.norm((A - s * D) @ v - val * (M @ v))
         scale = (np.linalg.norm(A) + s * np.linalg.norm(D)) * np.linalg.norm(v)
@@ -234,31 +229,31 @@ def test_alpha_eigvec_residual(mm_nofield):
 
 
 def test_growth_rate_stable_none(mm_vertical):
-    assert spectral.growth_rate(mm_vertical, MHD) is None
+    assert spectral.growth_rate(mm_vertical) is None
 
 
 def test_growth_rate_fixed_point(mm_nofield):
-    lam, vec, res = spectral.growth_rate_detailed(mm_nofield, MHD, tol=1e-8)
+    lam, vec, res = spectral.growth_rate_detailed(mm_nofield, tol=1e-8)
     assert lam is not None and lam > 0
     assert res <= 1e-8 * max(1.0, lam * lam)
-    a, _ = spectral.alpha(lam, mm_nofield, MHD)
+    a, _ = spectral.alpha(lam, mm_nofield)
     assert abs(a - lam * lam) <= 1e-8 * max(1.0, lam * lam)
 
 
 def test_growth_rate_decreases_with_dissipation(canonical_profile, mesh60, geometry,
                                                 mm_nofield):
-    lam1 = spectral.growth_rate(mm_nofield, MHD)
+    lam1 = spectral.growth_rate(mm_nofield)
     doubled = PhysicalParams(mu_plus=0.2, mu_minus=0.2, bulk_plus=0.2, bulk_minus=0.2,
                              lam=1.0, M=(0.0, 0.0, 0.0))
     mm2 = assembly.assemble(canonical_profile, doubled, make_mode(1, 0, geometry), mesh60)
-    lam2 = spectral.growth_rate(mm2, MHD)
+    lam2 = spectral.growth_rate(mm2)
     assert lam2 < lam1
 
 
 def test_growth_rate_viscoelastic(mm_viscoelastic_soft):
-    xi, _ = spectral.xi_per_mode(mm_viscoelastic_soft, VISCOELASTIC)
+    xi, _ = spectral.xi_per_mode(mm_viscoelastic_soft)
     assert xi > 1.0
-    lam = spectral.growth_rate(mm_viscoelastic_soft, VISCOELASTIC)
+    lam = spectral.growth_rate(mm_viscoelastic_soft)
     assert lam is not None and lam > 0
 
 
@@ -272,6 +267,39 @@ def test_coercivity_indefinite_when_unstable(mm_nofield):
         spectral.coercivity_constant(mm_nofield)
 
 
+def test_stiff_viscoelastic_mode_reads_its_medium(canonical_profile, mesh60, geometry):
+    """kappa = 0.55 above the elastic threshold 0.5: mode (1,0) is stable, and
+    the solvers see elasticity from the params alone.  Solved as an unfielded
+    mhd mode it would be unstable (coercivity fails, the trajectory grows)."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            kappa_plus=0.55, kappa_minus=0.55, medium=VISCOELASTIC)
+    mm = assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+    eta0, u0 = evolution.random_initial_data(mm, seed=1)
+    result = evolution.integrate_linearized(mm, eta0, u0, 1e-2, 20.0)
+    assert result.fitted_rate < 0.0
+    assert result.energy_balance_residual <= 1e-12
+    assert spectral.coercivity_constant(mm) > 0.0
+    assert spectral.xi_per_mode(mm)[0] < 1.0
+
+
+def test_no_solver_takes_a_medium():
+    """The medium comes from PhysicalParams.medium only: no public function or
+    method of the solver layers has a ``medium`` parameter."""
+    checked = []
+    for mod in (spectral, evolution, assembly, modereduce):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                checked.append(obj)
+            elif inspect.isclass(obj):
+                checked += [fn for attr, fn in vars(obj).items() if inspect.isfunction(fn)
+                            and (attr == "__init__" or not attr.startswith("_"))]
+    assert spectral.alpha in checked and assembly.ModeMatrices.tilde_vector in checked
+    for fn in checked:
+        assert "medium" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
 def test_mode_lattice_shape():
     modes = spectral.mode_lattice(2)
     assert (0, 0) in modes and (0, 2) in modes and (2, -2) in modes
@@ -283,7 +311,7 @@ def test_global_scan_stable(canonical_profile, geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=40)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, M3_STABLE))
-    verdict = spectral.global_scan(canonical_profile, params, mesh, k_max=2, medium=MHD)
+    verdict = spectral.global_scan(canonical_profile, params, mesh, k_max=2)
     assert not verdict.errors
     assert verdict.global_xi < 1.0
     assert verdict.global_lambda is None
@@ -296,7 +324,7 @@ def test_global_scan_stable(canonical_profile, geometry):
 def test_global_scan_unstable_flags(canonical_profile, baseline_params, geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=40)
     verdict = spectral.global_scan(canonical_profile, baseline_params, mesh,
-                                   k_max=1, medium=MHD)
+                                   k_max=1)
     assert math.isinf(verdict.global_xi)
     assert verdict.global_lambda > 0
     assert not verdict.truncation_converged
@@ -309,7 +337,7 @@ def test_global_scan_threads_match(canonical_profile, geometry):
     """A weak mixed field: four of the five modes of k_max=1 are unstable."""
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.05, -0.03, 0.1))
-    verdict = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
+    verdict = spectral.global_scan(canonical_profile, params, mesh, 1)
     assert len(verdict.verdicts) == 5 and not verdict.errors
     assert sum(v.lambda_value is not None for v in verdict.verdicts) == 4
     _assert_dichotomy(verdict)
@@ -329,7 +357,7 @@ def test_global_scan_propagates_programming_errors(canonical_profile, baseline_p
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     # the class {(0,1), (1,0)} is solved second; at k_max = 2 four classes follow it
     with pytest.raises(TypeError, match="broken mode solver"):
-        spectral.global_scan(canonical_profile, baseline_params, mesh, k_max, MHD)
+        spectral.global_scan(canonical_profile, baseline_params, mesh, k_max)
 
 
 # (base field, failing modes, expected errors, verdicts): a mixed field solves
@@ -353,7 +381,7 @@ def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeyp
     monkeypatch.setattr(spectral, "analyze_mode", failing)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
-    verdict = spectral.global_scan(canonical_profile, params, mesh, 1, MHD)
+    verdict = spectral.global_scan(canonical_profile, params, mesh, 1)
     assert verdict.errors == {k: "EigenSolverError: no convergence" for k in failed}
     assert len(verdict.verdicts) == n_verdicts
     assert not verdict.truncation_converged
@@ -397,7 +425,7 @@ def test_global_scan_isotropic_classes(monkeypatch, field, L2):
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "analyze_mode", counting)
-    verdict = spectral.global_scan(profile, params, mesh, k_max=2, medium=params.medium)
+    verdict = spectral.global_scan(profile, params, mesh, k_max=2)
     assert len(verdict.verdicts) == 13 and not verdict.errors
     isotropic = field != "mixed"
     assert len(solved) == ({1.0: 6, 1.7: 9}[L2] if isotropic else 13)
@@ -407,7 +435,7 @@ def test_global_scan_isotropic_classes(monkeypatch, field, L2):
     coeffs = FormCoefficients(profile, params, mesh.nodes)
     for v in verdict.verdicts:
         mm = assembly.assemble(profile, params, v.mode, mesh, coeffs=coeffs)
-        ref = real(mm, params.medium)
+        ref = real(mm)
         assert _agrees(v.xi_value, ref.xi_value, xi_rel), (v.mode, v.xi_value, ref.xi_value)
         for name in ("alpha0", "lambda_value", "residual"):
             assert _agrees(getattr(v, name), getattr(ref, name), rel), (v.mode, name)
@@ -420,13 +448,13 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
     assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
     mm = assembly.assemble(canonical_profile, baseline_params, make_mode(1, 0, geometry), mesh)
     for s, recorded in ((0.0, 0.23525264299814733), (0.4, -0.06240307581947192)):
-        value, _ = spectral.alpha(s, mm, MHD)
+        value, _ = spectral.alpha(s, mm)
         assert abs(value - recorded) <= 1e-12 * max(1.0, abs(recorded))
 
 
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(ValueError):
-        spectral.growth_rate(mm_vertical, MHD, tol=-1.0)
+        spectral.growth_rate(mm_vertical, tol=-1.0)
 
 
 def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
@@ -438,7 +466,7 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
         return real(s, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "alpha", counting)
-    verdict = spectral.analyze_mode(mm_nofield, MHD)
+    verdict = spectral.analyze_mode(mm_nofield)
     assert verdict.lambda_value is not None and verdict.lambda_value > 0
     assert calls.count(0.0) == 1
 
@@ -455,7 +483,7 @@ def test_analyze_mode_fine_mesh(canonical_profile, geometry, m3):
     names = ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation",
              "coercivity_metric")
     assert sum(getattr(mm, name).nbytes for name in names) < 10 * 2 ** 20
-    verdict = spectral.analyze_mode(mm, MHD)
+    verdict = spectral.analyze_mode(mm)
     if m3 > 0.0:
         assert 0.0 < verdict.xi_value < 1.0 and verdict.lambda_value is None
     else:
@@ -481,6 +509,6 @@ def test_scan_builds_no_dense_matrix(canonical_profile, stable_profile, geometry
         (canonical_profile, PhysicalParams(**visc, kappa_plus=0.01, kappa_minus=0.01,
                                            medium=VISCOELASTIC)),
     ):
-        verdict = spectral.global_scan(profile, params, mesh, k_max=2, medium=params.medium)
+        verdict = spectral.global_scan(profile, params, mesh, k_max=2)
         assert len(verdict.verdicts) == 13 and not verdict.errors
         _assert_dichotomy(verdict)
