@@ -191,54 +191,36 @@ class ModeMatrices:
         return float(np.real(np.vdot(z, band.matvec(matrix, z))))
 
 
-def _functional_rows(coeffs: FormCoefficients, mode: FourierMode):
-    """Per-element row builders for value/derivative functionals.
+def _gram(*rows) -> np.ndarray:
+    """sum of conj(r) r^T: the Hermitian 6x6 matrix of sum |r . f|^2 over f = (w, w')."""
+    return sum(np.outer(np.conj(r), r) for r in rows)
 
-    Returns (V, D) with V[c] of shape (ne, q, 6) selecting the value of
-    component c at quadrature points, and D[c] the derivative.
-    Local dof order: [pt1, tt1, st1, pt2, tt2, st2].
+
+def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
+    """Shape-function moments m[e, k, a, l, b] = sum_q w * coefficient * P[k, a] * P[l, b].
+
+    P = [[N0, N1], [-1/h, 1/h]] maps an element's two nodal values of one
+    component to its value (k = 0) and derivative (k = 1) at a quadrature point.
     """
-    ne, q = coeffs.qp_y.shape
-    N = coeffs.shape                      # (2, q)
-    inv_h = 1.0 / coeffs.element_h        # (ne,)
-    V = []
-    D = []
-    for c in range(3):
-        v = np.zeros((ne, q, 6))
-        v[:, :, c] = N[0][None, :]
-        v[:, :, 3 + c] = N[1][None, :]
-        V.append(v)
-        d = np.zeros((ne, q, 6))
-        d[:, :, c] = -inv_h[:, None]
-        d[:, :, 3 + c] = inv_h[:, None]
-        D.append(d)
-    return V, D
+    ne, q = coeffs.qp_w.shape
+    P = np.empty((ne, q, 2, 2))
+    P[:, :, 0] = coeffs.shape.T
+    P[:, :, 1] = (np.array([-1.0, 1.0]) / coeffs.element_h[:, None])[:, None, :]
+    P = P.reshape(ne, q, 4)
+    weight = coefficient * coeffs.qp_w
+    return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, 2, 2, 2)
 
 
-def _accumulate(elem: np.ndarray, weight: np.ndarray, R: np.ndarray,
-                S: Optional[np.ndarray] = None) -> None:
-    """elem += sum_q weight * R^T S (symmetrized when S differs from R)."""
-    if S is None:
-        elem += np.einsum("eq,eqi,eqj->eij", weight, R, R, optimize=True)
-    else:
-        cross = np.einsum("eq,eqi,eqj->eij", weight, R, S, optimize=True)
-        elem += cross + cross.transpose(0, 2, 1)
+def _element_blocks(m: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Element blocks (ne, 6, 6) of sum_q coefficient * conj(f) C f from its moments.
 
-
-def _accumulate_complex(elem_real: np.ndarray, elem_skew: np.ndarray, weight: np.ndarray,
-                        A: np.ndarray, B: np.ndarray) -> None:
-    """Hermitian contribution of the functional A + i*B (A, B real rows).
-
-    |(A + iB) z|^2 = z^H [ (A^T A + B^T B) + i (A^T B - B^T A) ] z; the skew
-    part vanishes unless both A and B are nonzero.
+    Local dof order [pt1, tt1, st1, pt2, tt2, st2]; C is taken real when its
+    imaginary part vanishes, so forms without a skew part stay real.
     """
-    if np.any(A):
-        elem_real += np.einsum("eq,eqi,eqj->eij", weight, A, A, optimize=True)
-    if np.any(B):
-        elem_real += np.einsum("eq,eqi,eqj->eij", weight, B, B, optimize=True)
-    if np.any(A) and np.any(B):
-        cross = np.einsum("eq,eqi,eqj->eij", weight, A, B, optimize=True)
-        elem_skew += cross - cross.transpose(0, 2, 1)
+    if not np.any(np.imag(C)):
+        C = np.real(C)
+    blocks = np.tensordot(m, C.reshape(2, 3, 2, 3), axes=([1, 3], [0, 2]))
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 6, 6)
 
 
 def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierMode,
@@ -248,7 +230,9 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
 
     Piecewise-linear conforming elements per component, Gauss-Legendre
     quadrature of the given order per element; the interface jump enters
-    the gravity matrix as a rank-one nodal term.
+    the gravity matrix as a rank-one nodal term.  Every form is a sum of
+    Hermitian 6x6 matrices C over f = (pt, tt, st, pt', tt', st'), each
+    times one scalar coefficient per quadrature point.
     """
     if coeffs is None:
         coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
@@ -258,77 +242,43 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
     xi1, xi2 = mode.xi1, mode.xi2
     M1, M2, M3 = coeffs.M
     mdotxi = M1 * xi1 + M2 * xi2
-    w = coeffs.qp_w
-    ne = w.shape[0]
+    v, dv = np.eye(6)[:3], np.eye(6)[3:]            # value and derivative of each component
+    div = xi1 * v[0] + xi2 * v[1] + dv[2]           # per-mode divergence (tilde)
+    C_div = _gram(div)
+    # |G + G^T|_F^2 / 2, shared by dissipation and elasticity
+    C_sym = 2.0 * _gram(xi1 * v[0], xi2 * v[1], dv[2]) + _gram(
+        xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
+    # magnetic rows d*M - m and field-directional rows m = (M.xi) w - i M3 w' (tilde)
+    C_mag = coeffs.lam * _gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
+                               M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
+                               M3 * (div - dv[2]) - 1j * mdotxi * v[2])
+    C_dir = _gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
+                  M3 * dv[2] + 1j * mdotxi * v[2])
+    C_val = _gram(*v)
 
-    V, D = _functional_rows(coeffs, mode)
-    d_row = xi1 * V[0] + xi2 * V[1] + D[2]          # per-mode divergence (tilde)
-
-    mats = {name: np.zeros((ne, 6, 6)) for name in
-            ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation", "metric")}
-    skew = {name: np.zeros((ne, 6, 6)) for name in ("magnetic", "metric")}
-
-    # mass and plain L2 part of the coercivity metric
-    for c in range(3):
-        _accumulate(mats["mass"], w * coeffs.rho, V[c])
-        _accumulate(mats["metric"], w, V[c])
-
-    # compressibility and the metric's divergence part
-    _accumulate(mats["compress"], w * coeffs.p_prime_rho, d_row)
-    _accumulate(mats["metric"], w, d_row)
-
-    # gravity: stratification + divergence coupling (jump term added nodally)
-    _accumulate(mats["gravity"], w * coeffs.g * coeffs.rho_prime, V[2])
-    _accumulate(mats["gravity"], w * coeffs.g * coeffs.rho, d_row, V[2])
-
-    # magnetic: lam * |d*M - m|^2, componentwise A + i*B with A, B real rows
-    for A, B in (
-        (M1 * d_row - mdotxi * V[0], M3 * D[0]),
-        (M2 * d_row - mdotxi * V[1], M3 * D[1]),
-        (M3 * (d_row - D[2]), -mdotxi * V[2]),
-    ):
-        _accumulate_complex(mats["magnetic"], skew["magnetic"], w * coeffs.lam, A, B)
-    # metric's |M.grad w|^2 part: m_c = (M.xi) w_c - i M3 w_c' (horizontal comps)
-    for A, B in (
-        (mdotxi * V[0], -M3 * D[0]),
-        (mdotxi * V[1], -M3 * D[1]),
-        (M3 * D[2], mdotxi * V[2]),
-    ):
-        _accumulate_complex(mats["metric"], skew["metric"], w, A, B)
-
-    # symmetric-gradient squares shared by dissipation and elasticity
-    sym_rows = (
-        (4.0, V[0] * xi1),
-        (4.0, V[1] * xi2),
-        (4.0, D[2]),
-        (2.0, xi1 * V[1] + xi2 * V[0]),
-        (2.0, xi1 * V[2] - D[0]),
-        (2.0, xi2 * V[2] - D[1]),
+    by_coefficient = (
+        (coeffs.rho, {"mass": C_val,
+                      "gravity": coeffs.g * (np.outer(div, v[2]) + np.outer(v[2], div))}),
+        (coeffs.rho_prime, {"gravity": coeffs.g * np.outer(v[2], v[2])}),
+        (coeffs.p_prime_rho, {"compress": C_div}),
+        (1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
+        (coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
+        (coeffs.bulk, {"dissipation": C_div}),
+        (coeffs.kappa, {"elastic": C_sym - C_div}),
     )
-    for fac, row in sym_rows:
-        if np.any(row):
-            _accumulate(mats["dissipation"], w * (0.5 * coeffs.mu * fac), row)
-            _accumulate(mats["elastic"], w * (0.5 * coeffs.kappa * fac), row)
-    _accumulate(mats["dissipation"], w * (coeffs.bulk - 2.0 * coeffs.mu / 3.0), d_row)
-    mats["elastic"] -= np.einsum("eq,eqi,eqj->eij", w * coeffs.kappa, d_row, d_row, optimize=True)
+    blocks = {}
+    for coefficient, forms in by_coefficient:
+        m = _moments(coeffs, coefficient)
+        for name, C in forms.items():
+            blocks[name] = blocks.get(name, 0.0) + _element_blocks(m, C)
 
     # scatter the upper triangle of each element block into interior band storage
-    out = {}
-    for name, blocks in mats.items():
-        if name in skew and np.any(skew[name]):
-            blocks = blocks + 1j * skew[name]
-        out[name] = band.from_element_blocks(blocks, 3)
+    out = {name: band.from_element_blocks(b, 3) for name, b in blocks.items()}
 
-    # interface rank-one jump contribution to gravity, on the diagonal (last band row)
-    iface_dof = 3 * (mesh.interface_index - 1) + 2
-    out["gravity"][-1, iface_dof] += coeffs.g * coeffs.rho_jump
+    # interface rank-one jump on psi's diagonal entry (dof 3*(i-1) + 2, last band row)
+    out["gravity"][-1, 3 * mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
 
-    mm = ModeMatrices(
-        mode=mode, mesh=mesh, coeffs=coeffs,
-        mass=out["mass"], gravity=out["gravity"], compress=out["compress"],
-        magnetic=out["magnetic"], elastic=out["elastic"],
-        dissipation=out["dissipation"], coercivity_metric=out["metric"],
-    )
+    mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:
             raise DefinitenessError(f"{name} matrix is not positive definite")
@@ -346,15 +296,8 @@ def assemble_scalar_gravity_kernel(profile: EquilibriumProfile, mesh: Mesh1D,
     divergence vanishes identically.
     """
     coeffs = FormCoefficients(profile, PhysicalParams(), mesh.nodes, quadrature_order)
-    N = coeffs.shape
-    w = coeffs.qp_w
-    ne = w.shape[0]
-    rowV = np.zeros((ne, N.shape[1], 2))
-    rowV[:, :, 0] = N[0][None, :]
-    rowV[:, :, 1] = N[1][None, :]
-    blocks_q = np.einsum("eq,eqi,eqj->eij", w * coeffs.g * coeffs.rho_prime, rowV, rowV)
-    blocks_m = np.einsum("eq,eqi,eqj->eij", w * coeffs.rho, rowV, rowV)
-    Q, Mp = band.from_element_blocks(blocks_q, 1), band.from_element_blocks(blocks_m, 1)
+    Q, Mp = (band.from_element_blocks(_moments(coeffs, coefficient)[:, 0, :, 0, :], 1)
+             for coefficient in (coeffs.g * coeffs.rho_prime, coeffs.rho))
     Q[-1, mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
     return Q, Mp
 

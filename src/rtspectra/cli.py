@@ -14,13 +14,11 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from . import assembly, criteria, evolution, spectral
-from .equilibrium import Geometry, PressureLaw, build_profile
+from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
 from .errors import (
     ConfigError,
     InvalidGradingError,
@@ -61,7 +59,6 @@ class RunConfig:
     seed: int = 0
     out_path: str = "report"
     out_format: str = "csv"
-    extras: dict = field(default_factory=dict)
 
 
 def _lower_keys(pairs, where: str) -> Dict:
@@ -135,16 +132,13 @@ def _nonnegative(name: str, value: float) -> float:
 
 def _law_from(section: Dict[str, str], side: str) -> PressureLaw:
     kind = section.get(f"law_{side}", "linear")
-    try:
-        if kind == "linear":
-            c2 = _get(section, "equilibrium", f"c2_{side}", float, required=True)
-            return PressureLaw.linear(_positive(f"c2_{side}", c2))
-        if kind == "polytropic":
-            K = _get(section, "equilibrium", f"k_{side}", float, required=True)
-            gamma = _get(section, "equilibrium", f"gamma_{side}", float, required=True)
-            return PressureLaw.polytropic(_positive(f"k_{side}", K), gamma)
-    except RTSpectraError:
-        raise
+    if kind == "linear":
+        c2 = _get(section, "equilibrium", f"c2_{side}", float, required=True)
+        return PressureLaw.linear(_positive(f"c2_{side}", c2))
+    if kind == "polytropic":
+        K = _get(section, "equilibrium", f"k_{side}", float, required=True)
+        gamma = _get(section, "equilibrium", f"gamma_{side}", float, required=True)
+        return PressureLaw.polytropic(_positive(f"k_{side}", K), gamma)
     raise ValidationError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
 
 
@@ -317,7 +311,7 @@ def _single_mode(cfg: RunConfig, profile, mesh):
 def cmd_equilibrium(cfg: RunConfig, out: str) -> int:
     profile = _profile(cfg)
     profile.to_csv(out)
-    stable, jump = profile.density_jump > 0, profile.density_jump
+    stable, jump = check_rt_condition(profile)
     print(f"rho_jump={_fmt(jump)} rt_condition={str(stable).lower()} wrote {out}")
     return 0
 

@@ -53,7 +53,7 @@ def random_initial_data(matrices: ModeMatrices, seed: int = 0):
     rng = np.random.default_rng(seed)
     n = matrices.n_dof
     out = []
-    complex_state = np.iscomplexobj(matrices.magnetic)
+    complex_state = np.iscomplexobj(matrices.operator)
     for _ in range(2):
         v = rng.standard_normal(n)
         if complex_state:

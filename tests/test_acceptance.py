@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  Criteria with stated runtime budgets assert them.
 """
 
-import json
 import math
 import time
 
@@ -15,12 +14,7 @@ from conftest import make_mode, random_field
 from oracles import etilde_value
 from rtspectra import assembly, band, criteria, evolution, modereduce as mr, spectral
 from rtspectra.cli import run as cli_run
-from rtspectra.equilibrium import (
-    Geometry,
-    PressureLaw,
-    build_profile,
-    infimum_p_prime_rho,
-)
+from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 VISC = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)

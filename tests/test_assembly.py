@@ -1,13 +1,15 @@
 """Mesh construction and discrete-form consistency with the quadrature layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
+from oracles import oracle_integrate, p1_eval, p1_slope
 from rtspectra import assembly, band, modereduce as mr
-from rtspectra.equilibrium import Geometry
 from rtspectra.errors import InvalidGradingError
-from rtspectra.params import PhysicalParams
+from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 
 def test_uniform_mesh_nodes(geometry):
@@ -106,21 +108,58 @@ def test_elastic_dominates_discrete_gradient(assembled, mixed_params, mesh60, ge
         assert el >= kmin * grad - 1e-12 * max(1.0, el)
 
 
-def test_galerkin_consistency(assembled, mesh60, rng):
-    co = assembled.coeffs
-    mode = assembled.mode
+def _metric_oracle(f, co, mode):
+    """int |w|^2 + int |d_xi(w)|^2 on the P1 field, plus int |m_xi(w)|^2."""
+    grid, values = f.grid, f.values
+
+    def density(y):
+        w = [p1_eval(grid, values[:, c], y) for c in range(3)]
+        d = 1j * (mode.xi1 * w[0] + mode.xi2 * w[1]) + p1_slope(grid, values[:, 2], y)
+        return sum(np.abs(wc) ** 2 for wc in w) + np.abs(d) ** 2
+
+    return oracle_integrate(grid, density) + mr.field_directional_form(f, co, mode)
+
+
+@pytest.mark.parametrize("field, k", [
+    ({}, (2, -1)),
+    ({"M": (0.0, 0.0, 1.5)}, (1, 1)),
+    ({"M": (1.0, 0.0, 0.0)}, (0, 1)),        # M.xi = 0
+    ({"M": (1.0, 0.0, 1.0)}, (0, 1)),        # M.xi = 0, skew part nonzero
+    ({"medium": VISCOELASTIC}, (2, -1)),
+], ids=["mixed", "vertical", "horizontal_perp", "skew_perp", "viscoelastic"])
+def test_galerkin_consistency(field, k, canonical_profile, mixed_params, mesh60, geometry, rng):
+    params = dataclasses.replace(mixed_params, **field)
+    mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh60)
+    co, mode = mm.coeffs, mm.mode
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
         pairs = (
-            (assembled.mass, mr.mass_form(f, co)),
-            (assembled.gravity, mr.gravity_form(f, co, mode)),
-            (assembled.compress, mr.compressibility_form(f, co, mode)),
-            (assembled.magnetic, mr.magnetic_form(f, co, mode)),
-            (assembled.elastic, mr.elastic_form(f, co, mode)),
-            (assembled.dissipation, mr.dissipation_form(f, co, mode)),
+            (mm.mass, mr.mass_form(f, co)),
+            (mm.gravity, mr.gravity_form(f, co, mode)),
+            (mm.compress, mr.compressibility_form(f, co, mode)),
+            (mm.magnetic, mr.magnetic_form(f, co, mode)),
+            (mm.elastic, mr.elastic_form(f, co, mode)),
+            (mm.dissipation, mr.dissipation_form(f, co, mode)),
+            (mm.coercivity_metric, _metric_oracle(f, co, mode)),
         )
         for X, form_value in pairs:
-            assert assembled.quadratic(X, f) == pytest.approx(form_value, rel=1e-10, abs=1e-12)
+            assert mm.quadratic(X, f) == pytest.approx(form_value, rel=1e-10, abs=1e-12)
+
+
+def test_scalar_gravity_kernel(canonical_profile, mesh60, rng):
+    """Q = g[[rho]]|psi(0)|^2 + int g rho' |psi|^2 and Mpsi = int rho |psi|^2 on P1 psi."""
+    Q, Mpsi = assembly.assemble_scalar_gravity_kernel(canonical_profile, mesh60)
+    co = mr.FormCoefficients(canonical_profile, PhysicalParams(), mesh60.nodes)
+    for _ in range(20):
+        psi = rng.standard_normal(mesh60.nodes.size) + 1j * rng.standard_normal(mesh60.nodes.size)
+        psi[0] = psi[-1] = 0.0
+        at_q = np.abs(psi[:-1, None] * co.shape[0] + psi[1:, None] * co.shape[1]) ** 2
+        jump = co.g * co.rho_jump * abs(psi[mesh60.interface_index]) ** 2
+        z = psi[1:-1]
+        for X, value in ((Q, jump + np.sum(co.qp_w * co.g * co.rho_prime * at_q)),
+                         (Mpsi, np.sum(co.qp_w * co.rho * at_q))):
+            got = np.real(np.vdot(z, band.matvec(X, z)))
+            assert got == pytest.approx(value, rel=1e-10, abs=1e-12)
 
 
 def test_magnetic_zero_matrix_without_field(canonical_profile, baseline_params, mesh60, geometry):

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from conftest import make_mode
 from rtspectra import assembly, band, evolution, spectral
 from rtspectra.errors import BlowupError, DegenerateFitError, StepError
-from rtspectra.params import PhysicalParams
+from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,21 @@ def test_parameter_validation(mm_stable):
         evolution.integrate_linearized(mm_stable, eta0, u0, -0.1, 1.0)
     with pytest.raises(ValueError):
         evolution.integrate_linearized(mm_stable, eta0, u0, 0.5, 1.0)
+
+
+def test_initial_data_follows_the_operator(canonical_profile, mesh60, geometry):
+    """A viscoelastic mode under a mixed field has a complex magnetic form but
+    a real operator: its initial data is real and keeps unit mass."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            M=(0.3, -0.2, 0.7), kappa_plus=0.8, kappa_minus=0.8,
+                            medium=VISCOELASTIC)
+    mm = assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+    assert np.iscomplexobj(mm.magnetic) and not np.iscomplexobj(mm.operator)
+    eta0, u0 = evolution.random_initial_data(mm, seed=0)
+    assert not np.iscomplexobj(eta0) and not np.iscomplexobj(u0)
+    result = evolution.integrate_linearized(mm, eta0, u0, 1e-2, 0.2)
+    assert result.eta_norm[0] == pytest.approx(1.0, rel=1e-12)
+    assert result.u_norm[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_trajectory_export(tmp_path, mm_stable):

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from conftest import make_mode
 from rtspectra import assembly, band, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
-from rtspectra.errors import BracketError, EigenSolverError, IndefinitePencilError
+from rtspectra.errors import EigenSolverError, IndefinitePencilError
 from rtspectra.modereduce import FormCoefficients
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
@@ -439,6 +439,30 @@ def test_global_scan_isotropic_classes(monkeypatch, field, L2):
         assert _agrees(v.xi_value, ref.xi_value, xi_rel), (v.mode, v.xi_value, ref.xi_value)
         for name in ("alpha0", "lambda_value", "residual"):
             assert _agrees(getattr(v, name), getattr(ref, name), rel), (v.mode, name)
+
+
+@pytest.mark.parametrize("field", list(SCAN_FIELDS))
+def test_xi_inertia_certificate(canonical_profile, geometry, field):
+    """Sylvester's law of inertia, independent of the eigensolver: for a
+    positive definite denominator B, B - N is positive definite exactly when
+    xi < 1.  Checked on every k_max = 2 mode with a finite xi not within 1e-6
+    of 1; without a field B vanishes on divergence-free fields and never
+    factors."""
+    mesh = assembly.build_mesh(geometry, n_per_layer=60)
+    params = PhysicalParams(**SCAN_FIELDS[field])
+    coeffs = FormCoefficients(canonical_profile, params, mesh.nodes)
+    checked = 0
+    for k in spectral.mode_lattice(2):
+        mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh,
+                               coeffs=coeffs)
+        N, B = mm.discriminant_pencil
+        if band.cholesky(B) is None:
+            continue
+        xi, _ = spectral.xi_per_mode(mm)
+        if math.isfinite(xi) and abs(xi - 1.0) > 1e-6:
+            checked += 1
+            assert (band.cholesky(B - N) is not None) == (xi < 1.0), (k, xi)
+    assert checked == (0 if field == "no_field" else 13)
 
 
 def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
