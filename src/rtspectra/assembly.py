@@ -23,7 +23,7 @@ import numpy as np
 
 from . import band
 from .equilibrium import EquilibriumProfile, Geometry
-from .errors import AssemblyError, DefinitenessError, InvalidGradingError
+from .errors import InputError, SolverError
 from .modereduce import (
     DEFAULT_QUADRATURE_ORDER,
     FormCoefficients,
@@ -65,13 +65,13 @@ class Mesh1D:
 def _layer_nodes(height: float, n: int, grading: float) -> np.ndarray:
     """Node offsets 0..height with element sizes growing away from 0 by `grading`.
 
-    Raises InvalidGradingError when the element at 0 would be smaller than
+    Raises InputError when the element at 0 would be smaller than
     MIN_ELEMENT_FRACTION * height.
     """
     sizes = grading ** (np.arange(n) - (n - 1.0))   # largest is 1: no overflow
     sizes *= height / sizes.sum()
     if not sizes[0] >= MIN_ELEMENT_FRACTION * height:
-        raise InvalidGradingError(
+        raise InputError(
             f"grading {grading} with {n} elements gives a smallest element of "
             f"{sizes[0]:.3e}, below {MIN_ELEMENT_FRACTION:.0e} * layer height {height}"
         )
@@ -90,14 +90,14 @@ def build_mesh(geometry: Geometry, n_per_layer: int = DEFAULT_N_PER_LAYER,
     shrink like 1/n.  An explicit ``grading`` is the ratio between
     neighbouring elements; at large n it compounds, so meshes whose
     smallest element falls below MIN_ELEMENT_FRACTION of a layer height
-    raise InvalidGradingError.
+    raise InputError.
     """
     if n_per_layer < 4:
-        raise ValueError(f"need at least 4 elements per layer, got {n_per_layer}")
+        raise InputError(f"need at least 4 elements per layer, got {n_per_layer}")
     if grading is None:
         grading = DEFAULT_SIZE_RATIO ** (1.0 / (n_per_layer - 1))
     if not grading >= 1.0:
-        raise InvalidGradingError(f"grading must be >= 1, got {grading}")
+        raise InputError(f"grading must be >= 1, got {grading}")
     upper = _layer_nodes(geometry.h_plus, n_per_layer, grading)
     lower = -_layer_nodes(-geometry.h_minus, n_per_layer, grading)[::-1]
     nodes = np.concatenate([lower[:-1], upper])
@@ -237,7 +237,7 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
     if coeffs is None:
         coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
     elif not np.array_equal(coeffs.grid, mesh.nodes):
-        raise AssemblyError("coefficient table grid does not match the mesh")
+        raise InputError("coefficient table grid does not match the mesh")
 
     xi1, xi2 = mode.xi1, mode.xi2
     M1, M2, M3 = coeffs.M
@@ -281,24 +281,23 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
     mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:
-            raise DefinitenessError(f"{name} matrix is not positive definite")
+            raise SolverError(f"{name} matrix is not positive definite")
     return mm
 
 
-def assemble_scalar_gravity_kernel(profile: EquilibriumProfile, mesh: Mesh1D,
-                                   quadrature_order: int = DEFAULT_QUADRATURE_ORDER):
+def assemble_scalar_gravity_kernel(coeffs: FormCoefficients):
     """Scalar-psi forms restricted to divergence-free directions.
 
-    Returns (Q, Mpsi) over interior psi dofs, in upper band storage with
-    half-bandwidth 1: Q carries
+    Returns (Q, Mpsi) over the interior psi dofs of the coefficient table's
+    grid, in upper band storage with half-bandwidth 1: Q carries
     g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2), Mpsi the rho-weighted mass.
     These are the numerator and normalization seen by fields whose per-mode
     divergence vanishes identically.
     """
-    coeffs = FormCoefficients(profile, PhysicalParams(), mesh.nodes, quadrature_order)
     Q, Mp = (band.from_element_blocks(_moments(coeffs, coefficient)[:, 0, :, 0, :], 1)
              for coefficient in (coeffs.g * coeffs.rho_prime, coeffs.rho))
-    Q[-1, mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
+    interface = int(np.nonzero(coeffs.grid == 0.0)[0][0])
+    Q[-1, interface - 1] += coeffs.g * coeffs.rho_jump
     return Q, Mp
 
 
@@ -322,4 +321,4 @@ def export_matrices(mm: ModeMatrices, path: str, fmt: str = "npz") -> None:
                 for i, j in zip(ii, jj):
                     fh.write(f"{name} {i} {j} {format(X[i, j], '.17g')}\n")
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        raise InputError(f"unknown export format {fmt!r}")

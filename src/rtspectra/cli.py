@@ -3,8 +3,10 @@
 Configs are flat INI sections (JSON accepted as an alternative encoding of
 the same sections); section names and keys ignore case in both encodings.
 All outputs are deterministic: fixed float formatting, sorted keys, no
-timestamps.  Exit codes: 0 success, 2 configuration or validation error,
-3 solver error (an RTSpectraError or a ValueError raised while solving).
+timestamps.  Exit codes: 0 success, 2 InputError (the configuration or a
+value in it is not admissible), 3 SolverError or a bare ValueError raised
+while solving.  Each value is checked by the type or function that owns
+it; parse_config checks only what no type owns.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from typing import Dict, Optional
 
 from . import assembly, criteria, evolution, spectral
 from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
-from .errors import (
-    ConfigError,
-    InvalidGradingError,
-    RTSpectraError,
-    ValidationError,
-)
+from .errors import InputError, RTSpectraError
 from .modereduce import FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
@@ -62,12 +59,12 @@ class RunConfig:
 
 
 def _lower_keys(pairs, where: str) -> Dict:
-    """The pairs as a dict with lower-cased keys; ConfigError when two keys differ only in case."""
+    """The pairs as a dict with lower-cased keys; InputError when two keys differ only in case."""
     out = {}
     for key, value in pairs:
         key = str(key).lower()
         if key in out:
-            raise ConfigError(f"duplicate key {key!r} in {where} (keys ignore case)")
+            raise InputError(f"duplicate key {key!r} in {where} (keys ignore case)")
         out[key] = value
     return out
 
@@ -78,15 +75,15 @@ def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise InputError(f"cannot read config file {path!r}: {exc}") from exc
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise InputError(f"config is not valid JSON: {exc}") from exc
         if not (isinstance(data, dict) and all(isinstance(v, dict) for v in data.values())):
-            raise ConfigError("JSON config must be an object of sections")
+            raise InputError("JSON config must be an object of sections")
         sections = [(name, items.items()) for name, items in data.items()]
     else:
         # lower-cases keys, not section names; "key = value  ; note" drops the note
@@ -94,7 +91,7 @@ def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
         try:
             parser.read_string(text)
         except configparser.Error as exc:
-            raise ConfigError(f"config is not valid INI: {exc}") from exc
+            raise InputError(f"config is not valid INI: {exc}") from exc
         sections = [(name, parser.items(name)) for name in parser.sections()]
     return _lower_keys(
         ((name, _lower_keys(((k, str(v)) for k, v in items), f"section [{name}]"))
@@ -105,7 +102,7 @@ def _get(section: Dict[str, str], sec_name: str, key: str, cast, default=None,
          required: bool = False):
     if key not in section:
         if required:
-            raise ValidationError(f"missing key {key!r} in section [{sec_name}]")
+            raise InputError(f"missing key {key!r} in section [{sec_name}]")
         return default
     raw = section[key]
     try:
@@ -115,36 +112,24 @@ def _get(section: Dict[str, str], sec_name: str, key: str, cast, default=None,
             return float(raw)
         return raw
     except ValueError as exc:
-        raise ValidationError(f"key {key!r} in [{sec_name}] is not a valid {cast.__name__}: {raw!r}") from exc
+        raise InputError(f"key {key!r} in [{sec_name}] is not a valid {cast.__name__}: {raw!r}") from exc
 
 
 def _positive(name: str, value: float) -> float:
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _nonnegative(name: str, value: float) -> float:
-    if not value >= 0:     # also refuses NaN
-        raise ValidationError(f"{name} must be nonnegative, got {value}")
+    if not 0.0 < value < math.inf:     # also refuses NaN
+        raise InputError(f"{name} must be positive and finite, got {value}")
     return value
 
 
 def _law_from(section: Dict[str, str], side: str) -> PressureLaw:
     kind = section.get(f"law_{side}", "linear")
     if kind == "linear":
-        c2 = _get(section, "equilibrium", f"c2_{side}", float, required=True)
-        return PressureLaw.linear(_positive(f"c2_{side}", c2))
+        return PressureLaw.linear(_get(section, "equilibrium", f"c2_{side}", float, required=True))
     if kind == "polytropic":
         K = _get(section, "equilibrium", f"k_{side}", float, required=True)
         gamma = _get(section, "equilibrium", f"gamma_{side}", float, required=True)
-        return PressureLaw.polytropic(_positive(f"k_{side}", K), gamma)
-    raise ValidationError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
-
-
-def _check_horizon(dt: float, T: float) -> None:
-    if not T >= 10 * dt:
-        raise ValidationError(f"T={T:.6g} must cover at least 10 steps of dt={dt:.6g}")
+        return PressureLaw.polytropic(K, gamma)
+    raise InputError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -152,53 +137,39 @@ def parse_config(path: str) -> RunConfig:
     sections = _read_sections(path)
 
     geo_s = sections.get("geometry", {})
-    geometry_kwargs = {
-        "h_minus": _get(geo_s, "geometry", "h_minus", float, required=True),
-        "h_plus": _get(geo_s, "geometry", "h_plus", float, required=True),
-        "L1": _get(geo_s, "geometry", "l1", float, 1.0),
-        "L2": _get(geo_s, "geometry", "l2", float, 1.0),
-    }
-    try:
-        geometry = Geometry(**geometry_kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"geometry: {exc}") from exc
+    geometry = Geometry(
+        h_minus=_get(geo_s, "geometry", "h_minus", float, required=True),
+        h_plus=_get(geo_s, "geometry", "h_plus", float, required=True),
+        L1=_get(geo_s, "geometry", "l1", float, 1.0),
+        L2=_get(geo_s, "geometry", "l2", float, 1.0),
+    )
 
     eq_s = sections.get("equilibrium", {})
-    g = _nonnegative("g", _get(eq_s, "equilibrium", "g", float, required=True))
-    rho_anchor = _positive(
-        "rho_plus_interface",
-        _get(eq_s, "equilibrium", "rho_plus_interface", float, required=True),
-    )
+    g = _get(eq_s, "equilibrium", "g", float, required=True)
+    rho_anchor = _get(eq_s, "equilibrium", "rho_plus_interface", float, required=True)
     law_plus = _law_from(eq_s, "plus")
     law_minus = _law_from(eq_s, "minus")
 
     ph_s = sections.get("physics", {})
-    mu_plus = _positive("mu_plus", _get(ph_s, "physics", "mu_plus", float, 1.0))
-    mu_minus = _positive("mu_minus", _get(ph_s, "physics", "mu_minus", float, 1.0))
-    bulk_plus = _nonnegative("bulk_plus", _get(ph_s, "physics", "bulk_plus", float, 0.0))
-    bulk_minus = _nonnegative("bulk_minus", _get(ph_s, "physics", "bulk_minus", float, 0.0))
+    viscosities = {key: _get(ph_s, "physics", key, float, default) for key, default in
+                   (("mu_plus", 1.0), ("mu_minus", 1.0), ("bulk_plus", 0.0), ("bulk_minus", 0.0))}
 
     has_mhd = "mhd" in sections
     has_ve = "viscoelastic" in sections
     if has_mhd == has_ve:
-        raise ValidationError("exactly one of [mhd] or [viscoelastic] must be present")
+        raise InputError("exactly one of [mhd] or [viscoelastic] must be present")
     if has_mhd:
         m_s = sections["mhd"]
-        lam = _positive("lambda", _get(m_s, "mhd", "lambda", float, 1.0))
-        M = (
-            _get(m_s, "mhd", "m1", float, 0.0),
-            _get(m_s, "mhd", "m2", float, 0.0),
-            _get(m_s, "mhd", "m3", float, 0.0),
-        )
-        params = PhysicalParams(mu_plus=mu_plus, mu_minus=mu_minus, bulk_plus=bulk_plus,
-                                bulk_minus=bulk_minus, lam=lam, M=M, medium=MHD)
+        M = tuple(_get(m_s, "mhd", key, float, 0.0) for key in ("m1", "m2", "m3"))
+        params = PhysicalParams(**viscosities, lam=_get(m_s, "mhd", "lambda", float, 1.0),
+                                M=M, medium=MHD)
     else:
         v_s = sections["viscoelastic"]
-        kp = _nonnegative("kappa_plus", _get(v_s, "viscoelastic", "kappa_plus", float, required=True))
-        km = _nonnegative("kappa_minus", _get(v_s, "viscoelastic", "kappa_minus", float, required=True))
-        params = PhysicalParams(mu_plus=mu_plus, mu_minus=mu_minus, bulk_plus=bulk_plus,
-                                bulk_minus=bulk_minus, kappa_plus=kp, kappa_minus=km,
-                                medium=VISCOELASTIC)
+        params = PhysicalParams(
+            **viscosities,
+            kappa_plus=_get(v_s, "viscoelastic", "kappa_plus", float, required=True),
+            kappa_minus=_get(v_s, "viscoelastic", "kappa_minus", float, required=True),
+            medium=VISCOELASTIC)
 
     num_s = sections.get("numerics", {})
     cfg = RunConfig(
@@ -213,10 +184,6 @@ def parse_config(path: str) -> RunConfig:
         k1=_get(num_s, "numerics", "k1", int, 1),
         k2=_get(num_s, "numerics", "k2", int, 0),
     )
-    if cfg.n_per_layer < 4:
-        raise ValidationError(f"n_per_layer must be at least 4, got {cfg.n_per_layer}")
-    if cfg.k_max < 1:
-        raise ValidationError(f"k_max must be at least 1, got {cfg.k_max}")
 
     ev_s = sections.get("evolution", {})
     cfg.dt = _get(ev_s, "evolution", "dt", float, None)
@@ -226,14 +193,14 @@ def parse_config(path: str) -> RunConfig:
         _positive("dt", cfg.dt)
     if cfg.T is not None:
         _positive("T", cfg.T)
-    if cfg.dt is not None and cfg.T is not None:
-        _check_horizon(cfg.dt, cfg.T)
+    if cfg.dt is not None and cfg.T is not None and not cfg.T >= 10 * cfg.dt:
+        raise InputError(f"T={cfg.T:.6g} must cover at least 10 steps of dt={cfg.dt:.6g}")
 
     out_s = sections.get("output", {})
     cfg.out_path = _get(out_s, "output", "path", str, "report")
     cfg.out_format = _get(out_s, "output", "format", str, "csv")
     if cfg.out_format not in ("csv", "json"):
-        raise ValidationError(f"format must be 'csv' or 'json', got {cfg.out_format!r}")
+        raise InputError(f"format must be 'csv' or 'json', got {cfg.out_format!r}")
     return cfg
 
 
@@ -387,7 +354,7 @@ def cmd_scan(cfg: RunConfig, out: str) -> int:
 def cmd_witness(cfg: RunConfig, out: str) -> int:
     profile = _profile(cfg)
     if cfg.params.medium != MHD:
-        raise ValidationError("witness reports require the [mhd] medium")
+        raise InputError("witness reports require the [mhd] medium")
     M = cfg.params.M
     if M[0] != 0.0 and M[1] == 0.0 and M[2] == 0.0:
         mode = FourierMode.from_indices(cfg.k1, cfg.k2, cfg.geometry)
@@ -452,7 +419,6 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
     lam, _, _ = spectral.growth_rate_detailed(mm, cfg.fixed_point_tol)
     dt = cfg.dt if cfg.dt is not None else (1e-3 / lam if lam else 1e-2)
     T = cfg.T if cfg.T is not None else (10.0 / lam if lam else 20.0)
-    _check_horizon(dt, T)
     eta0, u0 = evolution.random_initial_data(mm, cfg.seed)
     result = evolution.integrate_linearized(mm, eta0, u0, dt, T)
     evolution.export_trajectory(result, out)
@@ -476,14 +442,13 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
 
     ``threads`` is accepted for compatibility and ignored.
     """
-    if subcommand not in SUBCOMMANDS:
-        print(f"error: unknown subcommand {subcommand!r}", file=sys.stderr)
-        return 2
     try:
+        if subcommand not in SUBCOMMANDS:
+            raise InputError(f"unknown subcommand {subcommand!r}")
         cfg = parse_config(config_path)
         if fmt is not None:
             if fmt not in ("csv", "json"):
-                raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
+                raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")
             cfg.out_format = fmt
         out = out or cfg.out_path
         if subcommand == "equilibrium":
@@ -499,7 +464,7 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
         if subcommand == "thresholds":
             return cmd_thresholds(cfg, out)
         return cmd_evolve(cfg, out)
-    except (ConfigError, ValidationError, InvalidGradingError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RTSpectraError, ValueError) as exc:

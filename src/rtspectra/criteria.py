@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry, infimum_p_prime_rho
-from .errors import (
-    BadDirectionError,
-    ConcentrationError,
-    DegenerateModeError,
-    FieldOrientationError,
-)
+from .errors import InputError, SolverError
 from .modereduce import (
     FormCoefficients,
     FourierMode,
@@ -37,7 +32,7 @@ WITNESS_POINTS = 65536
 TENT_POINTS = 256
 #: dyadic refinement levels inserted around coefficient or field kinks
 KINK_LEVELS = 48
-#: tent widths eps, eps/2, ..., eps/2**19 tried by the small-field witness
+#: tent widths eps, eps/2, ..., eps/2**19 tried in turn by the small-field witness
 TENT_WIDTHS = 20
 
 
@@ -84,7 +79,7 @@ def vertical_field_threshold(profile: EquilibriumProfile, lam: float,
     sufficient, not necessary.
     """
     if not lam > 0:
-        raise ValueError("lam must be positive")
+        raise InputError("lam must be positive")
     geo = profile.geometry
     p_inf = infimum_p_prime_rho(profile)
     rho_max = profile.sup_density()
@@ -175,9 +170,9 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     bump of :func:`_bump`, sampled on a :func:`witness_grid` of both layers.
     """
     if mode.xi1 == 0.0:
-        raise DegenerateModeError("witness needs xi1 != 0")
+        raise InputError("witness needs xi1 != 0")
     if params.medium != MHD or params.M[1] != 0.0 or params.M[2] != 0.0:
-        raise FieldOrientationError("witness needs an mhd base field along the first axis")
+        raise InputError("witness needs an mhd base field along the first axis")
     geo = profile.geometry
     grid = witness_grid(geo.h_minus, geo.h_plus)
 
@@ -248,7 +243,7 @@ def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalPar
     if f_lo > 0.0:
         return lo
     if f_hi <= 0.0:
-        raise DegenerateModeError("closed form never positive on the bracket")
+        raise InputError("closed form never positive on the bracket")
     while hi - lo > 1e-10 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if value(mid) > 0.0:
@@ -265,8 +260,10 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     psi_eps(y) = max(0, 1 - |y|/eps) concentrates at the interface where the
     jump dominates the interior stratification:
     int(rho*psi*psi') = -([[rho]]*psi(0)^2 + int(rho'*psi^2))/2 < 0 exactly
-    when the jump term wins.  The witness is divergence-free, so its energy
-    reduces to the gravity numerator.
+    when the jump term wins.  The widths epsilon, epsilon/2, ... are tried
+    in turn and the first with g*int(rho*psi*psi') < 0 is used.  The
+    witness is divergence-free, so its energy reduces to the gravity
+    numerator.
 
     The field vanishes outside [-eps, eps], so the grid covers that support
     only, and between its kinks it is exactly piecewise linear.
@@ -281,23 +278,17 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     """
     geo = profile.geometry
     if not 0.0 < epsilon < min(geo.h_plus, -geo.h_minus):
-        raise ValueError(f"epsilon={epsilon} outside (0, {min(geo.h_plus, -geo.h_minus)})")
+        raise InputError(f"epsilon={epsilon} outside (0, {min(geo.h_plus, -geo.h_minus)})")
     if profile.density_jump <= 0.0:
-        raise ConcentrationError("witness requires a positive density jump")
+        raise SolverError("witness requires a positive density jump")
 
-    eps_used = None
-    eps_smallest = None
-    tried = []
     for j in range(TENT_WIDTHS):
-        eps_j = epsilon * 0.5 ** j
-        lhs = _jump_integral(profile, eps_j)
-        tried.append((eps_j, lhs))
-        if profile.g * lhs < 0.0:
-            eps_smallest = eps_j
-            if eps_used is None:
-                eps_used, lhs_used = eps_j, lhs
-    if eps_used is None:
-        raise ConcentrationError(
+        eps_used = epsilon * 0.5 ** j
+        lhs_used = _jump_integral(profile, eps_used)
+        if profile.g * lhs_used < 0.0:
+            break
+    else:
+        raise SolverError(
             "g*int(rho*psi*psi') stayed nonnegative for all sampled widths: "
             "the jump is too weak against the interior stratification"
         )
@@ -311,13 +302,11 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     witness.closed_form_value = -2.0 * profile.g * lhs_used
     witness.diagnostics = {
         "eps_used": eps_used,
-        "eps_smallest_working": eps_smallest,
         "jump_integral": lhs_used,
         "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
                                 + profile.density_jump),
         "agreement": abs(witness.energy_value - witness.closed_form_value),
         "full_energy": energy_form(fld, coeffs, mode),
-        "samples": tried,
         **_grid_diagnostics(grid),
     }
     return witness
@@ -370,10 +359,10 @@ def poincare_check(values: np.ndarray, grid: np.ndarray, mode: FourierMode,
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (3,) or nu[2] != 1.0:
-        raise BadDirectionError("direction must be (nu1, nu2, 1)")
+        raise InputError("direction must be (nu1, nu2, 1)")
     values = np.asarray(values, dtype=complex)
     if values[0] != 0 or values[-1] != 0:
-        raise ValueError("scalar profile must vanish at the end points")
+        raise InputError("scalar profile must vanish at the end points")
     lhs2, dir2 = _scalar_direction_norms(values, grid, mode, nu)
     rhs = (geometry.height / math.pi) * math.sqrt(dir2)
     lhs = math.sqrt(lhs2)
@@ -384,7 +373,7 @@ def trace_check(fld: ModeField, mode: FourierMode, nu, geometry: Geometry):
     """Verify |psi(0)| <= sqrt(h-h+/(h- - h+)) * ||nu . grad w|| on a ModeField."""
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (3,) or nu[2] != 1.0:
-        raise BadDirectionError("direction must be (nu1, nu2, 1)")
+        raise InputError("direction must be (nu1, nu2, 1)")
     dir2 = 0.0
     for c in range(3):
         _, d2 = _scalar_direction_norms(fld.values[:, c], fld.grid, mode, nu)

@@ -15,12 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (
-    InvalidLawError,
-    NoRootError,
-    OutOfDomainError,
-    VacuumReachedError,
-)
+from .errors import InputError
 
 #: points per layer in the exported sample table
 TABLE_POINTS = 1024
@@ -57,15 +52,14 @@ class PressureLaw:
 
     def validate(self) -> None:
         if self.kind == "linear":
-            if not self.c2 > 0.0:
-                raise InvalidLawError(f"linear law needs c2 > 0, got {self.c2}")
+            if not 0.0 < self.c2 < math.inf:
+                raise InputError(f"linear law needs finite c2 > 0, got {self.c2}")
         elif self.kind == "polytropic":
-            if not (self.K > 0.0 and self.gamma > 1.0):
-                raise InvalidLawError(
-                    f"polytropic law needs K > 0 and gamma > 1, got K={self.K}, gamma={self.gamma}"
-                )
+            if not (0.0 < self.K < math.inf and 1.0 < self.gamma < math.inf):
+                raise InputError(f"polytropic law needs finite K > 0 and gamma > 1, "
+                                 f"got K={self.K}, gamma={self.gamma}")
         else:
-            raise InvalidLawError(f"unknown pressure law kind {self.kind!r}")
+            raise InputError(f"unknown pressure law kind {self.kind!r}")
 
     def value(self, tau):
         if self.kind == "linear":
@@ -79,8 +73,8 @@ class PressureLaw:
 
     def inverse(self, p: float) -> float:
         """Unique positive root of P(tau) = p (strict monotonicity)."""
-        if not p > 0.0:
-            raise NoRootError(f"pressure matching target must be positive, got {p}")
+        if not 0.0 < p < math.inf:
+            raise InputError(f"pressure matching target must be positive and finite, got {p}")
         if self.kind == "linear":
             return p / self.c2
         return (p / self.K) ** (1.0 / self.gamma)
@@ -105,10 +99,10 @@ class Geometry:
     L2: float
 
     def __post_init__(self):
-        if not (self.h_minus < 0.0 < self.h_plus):
-            raise ValueError(f"need h_minus < 0 < h_plus, got {self.h_minus}, {self.h_plus}")
-        if not (self.L1 > 0.0 and self.L2 > 0.0):
-            raise ValueError(f"need positive periods, got L1={self.L1}, L2={self.L2}")
+        if not -math.inf < self.h_minus < 0.0 < self.h_plus < math.inf:
+            raise InputError(f"need finite h_minus < 0 < h_plus, got {self.h_minus}, {self.h_plus}")
+        if not (0.0 < self.L1 < math.inf and 0.0 < self.L2 < math.inf):
+            raise InputError(f"need finite positive periods, got L1={self.L1}, L2={self.L2}")
 
     @property
     def height(self) -> float:
@@ -142,7 +136,6 @@ def _clustered_grid(h_from0: float, n: int = TABLE_POINTS, ratio: float = TABLE_
 class _Layer:
     """One integrated layer: dense ODE solution plus the sample table."""
 
-    sign: int                      # +1 upper, -1 lower
     law: PressureLaw
     anchor: float                  # density at the interface side
     y: np.ndarray                  # sample grid from 0 to h (monotone in y3)
@@ -181,11 +174,11 @@ class EquilibriumProfile:
         rho' is recovered from the hydrostatic identity rho' = -rho*g/P'(rho),
         never by numerical differentiation.  y3 = 0 requires side '+' or '-'.
         """
-        if y3 < self.geometry.h_minus or y3 > self.geometry.h_plus:
-            raise OutOfDomainError(f"y3={y3} outside [{self.geometry.h_minus}, {self.geometry.h_plus}]")
+        if not self.geometry.h_minus <= y3 <= self.geometry.h_plus:
+            raise InputError(f"y3={y3} outside [{self.geometry.h_minus}, {self.geometry.h_plus}]")
         if y3 == 0.0:
             if side not in ("+", "-"):
-                raise ValueError("y3=0 requires side '+' or '-'")
+                raise InputError("y3=0 requires side '+' or '-'")
         else:
             side = "+" if y3 > 0.0 else "-"
         rho, rho_p, pp_rho = self.evaluate_layer(np.array([y3]), side)
@@ -232,12 +225,12 @@ class EquilibriumProfile:
             fh.write("\n".join(lines) + "\n")
 
 
-def _integrate_layer(law: PressureLaw, anchor: float, h: float, g: float, sign: int) -> _Layer:
+def _integrate_layer(law: PressureLaw, anchor: float, h: float, g: float) -> _Layer:
     """Integrate rho' = -g*rho/P'(rho) from the interface to y3 = h."""
     grid = _clustered_grid(h)
     if g == 0.0:
         rho = np.full(grid.shape, anchor)
-        layer = _Layer(sign=sign, law=law, anchor=anchor, y=grid, rho=rho, dense=None)
+        layer = _Layer(law=law, anchor=anchor, y=grid, rho=rho, dense=None)
     else:
         floor = VACUUM_FLOOR * anchor
 
@@ -261,11 +254,11 @@ def _integrate_layer(law: PressureLaw, anchor: float, h: float, g: float, sign: 
             events=hit_floor,
         )
         if not sol.success or sol.t[-1] != h:
-            raise VacuumReachedError(
+            raise InputError(
                 f"density reached the non-vacuum floor at y3={sol.t[-1]:.6g} before {h:.6g}"
             )
         rho = sol.sol(grid)[0]
-        layer = _Layer(sign=sign, law=law, anchor=anchor, y=grid, rho=rho, dense=lambda y, s=sol: s.sol(np.asarray(y))[0])
+        layer = _Layer(law=law, anchor=anchor, y=grid, rho=rho, dense=lambda y, s=sol: s.sol(np.asarray(y))[0])
     return layer
 
 
@@ -283,16 +276,16 @@ def build_profile(
     """
     law_plus.validate()
     law_minus.validate()
-    if g < 0.0:
-        raise ValueError(f"g must be nonnegative, got {g}")
-    if not rho_plus_at_interface > 0.0:
-        raise NoRootError(f"upper anchor must be positive, got {rho_plus_at_interface}")
+    if not 0.0 <= g < math.inf:
+        raise InputError(f"g must be nonnegative and finite, got {g}")
+    if not 0.0 < rho_plus_at_interface < math.inf:
+        raise InputError(f"upper anchor must be positive and finite, got {rho_plus_at_interface}")
 
     p_match = float(law_plus.value(rho_plus_at_interface))
     rho_minus = law_minus.inverse(p_match)
 
-    layer_plus = _integrate_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g, +1)
-    layer_minus = _integrate_layer(law_minus, rho_minus, geometry.h_minus, g, -1)
+    layer_plus = _integrate_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g)
+    layer_minus = _integrate_layer(law_minus, rho_minus, geometry.h_minus, g)
 
     return EquilibriumProfile(
         geometry=geometry,

@@ -32,7 +32,7 @@ import scipy.linalg as sla
 
 from . import band
 from .assembly import ModeMatrices
-from .errors import BlowupError, DegenerateFitError, StepError
+from .errors import InputError, SolverError
 
 NORM_OVERFLOW = 1e150
 
@@ -43,13 +43,14 @@ class EvolutionResult:
     eta_norm: np.ndarray
     u_norm: np.ndarray
     fitted_rate: float
-    fit_window: Tuple[float, float]
     energy_balance_residual: float
     diagnostics: dict = field(default_factory=dict)
 
 
 def random_initial_data(matrices: ModeMatrices, seed: int = 0):
     """Random nodal (eta0, u0), each normalized to unit mass norm."""
+    if not seed >= 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     n = matrices.n_dof
     out = []
@@ -70,16 +71,16 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
     The exponential rate is fitted on log(u_norm) over the second half of
     [0, T].
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if T < 10 * dt:
-        raise ValueError("T must cover at least 10 steps")
+    if not 0.0 < dt < math.inf:
+        raise InputError(f"dt must be positive and finite, got {dt}")
+    if not 10 * dt <= T < math.inf:
+        raise InputError(f"T={T:.6g} must be finite and cover at least 10 steps of dt={dt:.6g}")
     A, M, D = matrices.operator, matrices.mass, matrices.dissipation
     n_steps = int(round(T / dt))
 
     factor = band.cholesky(M - (dt * dt / 4.0) * A + (dt / 2.0) * D)
     if factor is None:
-        raise StepError(
+        raise SolverError(
             f"implicit-midpoint matrix at dt={dt:.6g} is not positive definite: the mode grows "
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
@@ -112,25 +113,23 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
         uMu, etaMeta, etaAeta = quad(u, Mu), quad(eta, M_s @ eta), quad(eta, A_eta)
         eta_norm[k], u_norm[k] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
         if u_norm[k] > NORM_OVERFLOW or eta_norm[k] > NORM_OVERFLOW:
-            raise BlowupError(f"norms exceeded {NORM_OVERFLOW:.1e} at t={k * dt:.6g}; shorten T")
+            raise SolverError(f"norms exceeded {NORM_OVERFLOW:.1e} at t={k * dt:.6g}; shorten T")
         # a non-finite entry of the step reaches these quadratic forms
         if not math.isfinite(uMu + etaMeta + etaAeta):
-            raise StepError(f"implicit step produced non-finite values at t={k * dt:.6g}")
+            raise SolverError(f"implicit step produced non-finite values at t={k * dt:.6g}")
         energy[k] = 0.5 * (uMu - etaAeta)
         dissipated = dt * quad(u_mid, D_s @ u_mid)
         drift = max(drift, abs(energy[k] - energy[k - 1] + dissipated))
 
     scale = max(1.0, float(np.max(np.abs(energy))))
-    window = (T / 2.0, T)
-    rate = fit_rate(times, u_norm, window)
+    rate = fit_rate(times, u_norm, (T / 2.0, T))
     return EvolutionResult(
         times=times,
         eta_norm=eta_norm,
         u_norm=u_norm,
         fitted_rate=rate,
-        fit_window=window,
         energy_balance_residual=drift / scale,
-        diagnostics={"energy": energy, "n_steps": n_steps},
+        diagnostics={"energy": energy},
     )
 
 
@@ -142,9 +141,9 @@ def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float,
         mask = (times >= window[0]) & (times <= window[1])
         times, norms = times[mask], norms[mask]
     if times.size < 10:
-        raise DegenerateFitError(f"need at least 10 samples in the window, got {times.size}")
+        raise SolverError(f"need at least 10 samples in the window, got {times.size}")
     if np.any(norms <= 0.0):
-        raise DegenerateFitError("norms must be positive for a log-linear fit")
+        raise SolverError("norms must be positive for a log-linear fit")
     slope, _ = np.polyfit(times, np.log(norms), 1)
     return float(slope)
 

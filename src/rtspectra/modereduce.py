@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry
-from .errors import GridMismatchError
+from .errors import InputError
 from .params import MHD, PhysicalParams
 
 DEFAULT_QUADRATURE_ORDER = 6
@@ -44,10 +42,6 @@ class FourierMode:
     @staticmethod
     def from_indices(k1: int, k2: int, geometry: Geometry) -> "FourierMode":
         return FourierMode(k1=int(k1), k2=int(k2), xi1=k1 / geometry.L1, xi2=k2 / geometry.L2)
-
-    @property
-    def xi(self) -> Tuple[float, float]:
-        return (self.xi1, self.xi2)
 
     @property
     def norm2(self) -> float:
@@ -71,13 +65,13 @@ class ModeField:
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=complex)
         if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing with at least 3 nodes")
+            raise InputError("grid must be strictly increasing with at least 3 nodes")
         if not np.any(grid == 0.0):
-            raise ValueError("grid must contain a node exactly at 0")
+            raise InputError("grid must contain a node exactly at 0")
         if values.shape != (grid.size, 3):
-            raise ValueError(f"values must have shape ({grid.size}, 3)")
+            raise InputError(f"values must have shape ({grid.size}, 3)")
         if np.any(values[0] != 0) or np.any(values[-1] != 0):
-            raise ValueError("Dirichlet ends: values must vanish at the first and last node")
+            raise InputError("Dirichlet ends: values must vanish at the first and last node")
         self.grid = grid
         self.values = values
 
@@ -114,7 +108,9 @@ class FormCoefficients:
                  grid: np.ndarray, quadrature_order: int = DEFAULT_QUADRATURE_ORDER):
         grid = np.asarray(grid, dtype=float)
         if not np.any(grid == 0.0):
-            raise ValueError("grid must contain the interface node 0")
+            raise InputError("grid must contain the interface node 0")
+        if not quadrature_order >= 1:
+            raise InputError(f"quadrature order must be at least 1, got {quadrature_order}")
         self.profile = profile
         self.params = params
         self.grid = grid
@@ -153,7 +149,7 @@ class FormCoefficients:
 
 def _check_grid(field: ModeField, coeffs: FormCoefficients) -> None:
     if field.grid.shape != coeffs.grid.shape or not np.array_equal(field.grid, coeffs.grid):
-        raise GridMismatchError("field and coefficients live on different grids")
+        raise InputError("field and coefficients live on different grids")
 
 
 def _at_quadrature(field: ModeField, coeffs: FormCoefficients):

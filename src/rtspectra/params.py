@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
+
+from .errors import InputError
 
 MHD = "mhd"
 VISCOELASTIC = "viscoelastic"
@@ -30,20 +33,18 @@ class PhysicalParams:
     medium: str = MHD
 
     def __post_init__(self):
-        if not (self.mu_plus > 0.0 and self.mu_minus > 0.0):
-            raise ValueError("shear viscosities must be positive")
-        if self.bulk_plus < 0.0 or self.bulk_minus < 0.0:
-            raise ValueError("bulk viscosities must be nonnegative")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
-        if self.kappa_plus < 0.0 or self.kappa_minus < 0.0:
-            raise ValueError("elasticity coefficients must be nonnegative")
+        for name in ("mu_plus", "mu_minus", "lam"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {value}")
+        for name in ("bulk_plus", "bulk_minus", "kappa_plus", "kappa_minus"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InputError(f"{name} must be nonnegative and finite, got {value}")
+        if not all(math.isfinite(m) for m in self.M):
+            raise InputError(f"base field M must be finite, got {self.M}")
         if self.medium not in (MHD, VISCOELASTIC):
-            raise ValueError(f"medium must be '{MHD}' or '{VISCOELASTIC}'")
-
-    def side(self, name: str, side: str) -> float:
-        suffix = "plus" if side == "+" else "minus"
-        return getattr(self, f"{name}_{suffix}")
+            raise InputError(f"medium must be '{MHD}' or '{VISCOELASTIC}'")
 
     @property
     def kappa_min(self) -> float:

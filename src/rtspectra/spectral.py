@@ -28,7 +28,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from . import band
 from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .equilibrium import EquilibriumProfile
-from .errors import BracketError, EigenSolverError, IndefinitePencilError, RTSpectraError
+from .errors import InputError, RTSpectraError, SolverError
 from . import modereduce as mr
 from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
@@ -87,7 +87,7 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray):
             break
         sigma *= 4.0
     else:
-        raise EigenSolverError(f"no shift up to {sigma / 4.0:.1e} lies above the pencil's spectrum")
+        raise SolverError(f"no shift up to {sigma / 4.0:.1e} lies above the pencil's spectrum")
 
     complex_pencil = np.iscomplexobj(mb)
     bandmv = sla.get_blas_funcs("hbmv" if complex_pencil else "sbmv", (mb,))
@@ -102,7 +102,7 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray):
     try:
         w, V = solver(H_op, k=1, M=M_op, sigma=sigma, OPinv=OPinv, v0=v0, rng=rng)
     except (ArpackNoConvergence, ArpackError) as exc:
-        raise EigenSolverError(f"shift-invert Lanczos failed: {exc}") from exc
+        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
     v = V[:, 0]
     return float(np.real(w[0])), v / math.sqrt(float(np.real(np.vdot(v, M_op.matvec(v)))))
 
@@ -121,12 +121,12 @@ def alpha(s: float, matrices: ModeMatrices):
 
     The value is the element-wise Rayleigh quotient of the banded solver's
     eigenvector (v* Mass v = 1), which graded meshes do not spoil by
-    cancellation.  EigenSolverError when the eigen-residual is too large,
+    cancellation.  SolverError when the eigen-residual is too large,
     or when the pencil does not factor a relative TOP_BRANCH_MARGIN above
     the value (the vector is then not on the top branch).
     """
     if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+        raise InputError(f"s must be nonnegative, got {s}")
     A, D, M = matrices.operator, matrices.dissipation, matrices.mass
     H = A - s * D
     _, v = _top_pair(H, M)
@@ -134,10 +134,10 @@ def alpha(s: float, matrices: ModeMatrices):
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
     scale = (band.frobenius(A) + abs(s) * band.frobenius(D)) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
-        raise EigenSolverError(
+        raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
     if band.cholesky((rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho))) * M - H) is None:
-        raise EigenSolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
+        raise SolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
     return rho, v
 
 
@@ -158,10 +158,10 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
     eigenvector v.  Each evaluation narrows a bracket [lo, hi] with
     f(lo) > 0 >= f(hi), starting from [0, sqrt(alpha(0)) + 1], and a step
     that leaves it is replaced by its midpoint.  Returns once
-    |f| <= tol * max(1, s^2); BracketError if the bracket collapses first.
+    |f| <= tol * max(1, s^2); SolverError if the bracket collapses first.
     """
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
     a, vec = alpha0 if alpha0 is not None else alpha(0.0, matrices)
     if a <= 0.0:
         return None, None, None
@@ -178,7 +178,7 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
         if abs(f) <= tol * max(1.0, s * s):
             return s, vec, abs(f)
         lo, hi = (s, hi) if f > 0.0 else (lo, s)
-    raise BracketError(f"no fixed point with |f| <= {tol:.1e} in [{lo:.17g}, {hi:.17g}] "
+    raise SolverError(f"no fixed point with |f| <= {tol:.1e} in [{lo:.17g}, {hi:.17g}] "
                        f"(last |f|={abs(f):.3e})")
 
 
@@ -205,7 +205,7 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices):
     mode, co = matrices.mode, matrices.coeffs
     if not _transverse_kernel(matrices):
         return None
-    Q, Mpsi = assemble_scalar_gravity_kernel(co.profile, matrices.mesh, co.quadrature_order)
+    Q, Mpsi = assemble_scalar_gravity_kernel(co)
     lam_max, psi = _top_pair(Q, Mpsi)
     if lam_max <= 1e-10 * max(1.0, co.g):
         return None
@@ -233,7 +233,7 @@ def xi_per_mode(matrices: ModeMatrices):
       t = (-xi2, xi1, 0)/|xi| joins each node's block of the denominator.
       Both forms vanish on t and the supremum is >= 0 (psi = 0 gives 0).
     The pencil, Jacobi-scaled by the mass diagonal (uniform within a node),
-    then goes to the banded solver.  EigenSolverError when the scaled
+    then goes to the banded solver.  SolverError when the scaled
     denominator does not factor, or the eigenvector does not realize its
     eigenvalue as a quotient of the solved pencil.
     """
@@ -257,13 +257,13 @@ def xi_per_mode(matrices: ModeMatrices):
         Bs[-1, 1::3] += t2 * t2
         Bs[-2, 1::3] += t1 * t2
     if band.cholesky(Bs) is None:
-        raise EigenSolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
+        raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")
     val, u = _top_pair(Ns, Bs)
     qn, qb = (float(np.real(np.vdot(u, band.matvec(X, u)))) for X in (Ns, Bs))
     # the tolerance covers stiff graded-mesh pencils
     if not (qb > 0.0 and abs(qn / qb - val) <= 1e-6 * max(1.0, abs(val))):
-        raise EigenSolverError(f"eigenvector of mode ({mode.k1}, {mode.k2}) gives the quotient "
+        raise SolverError(f"eigenvector of mode ({mode.k1}, {mode.k2}) gives the quotient "
                                f"{qn:.6g}/{qb:.6g}, not its eigenvalue {val:.6g}")
     return val, dinv * u
 
@@ -274,11 +274,11 @@ def coercivity_constant(matrices: ModeMatrices) -> float:
     A positive value realizes the stabilizing estimate
     ||(w, M.grad w, div w)||^2 <= (1/constant) * (-E(w)) at this mode.
     Metric and mass are both definite, so the top eigenvalue of (A, metric)
-    has the sign of alpha(0); IndefinitePencilError when it is positive.
+    has the sign of alpha(0); SolverError when it is positive.
     """
     top, _ = _top_pair(matrices.operator, matrices.coercivity_metric)
     if top > 0.0:
-        raise IndefinitePencilError(
+        raise SolverError(
             f"-A is not positive semidefinite (top eigenvalue of (A, metric) = {top:.6g} > 0): "
             "mode not strictly stable")
     return -top
@@ -322,7 +322,7 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
     instability could extend past it.
     """
     if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+        raise InputError("k_max must be at least 1")
     coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
     isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_mode, random_field
 from oracles import oracle_integrate, p1_eval, p1_slope
 from rtspectra import assembly, band, modereduce as mr
-from rtspectra.errors import InvalidGradingError
+from rtspectra.errors import InputError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 
@@ -37,9 +37,9 @@ def test_interior_unknown_count(geometry, canonical_profile, baseline_params):
 
 
 def test_invalid_grading(geometry):
-    with pytest.raises(InvalidGradingError):
+    with pytest.raises(InputError, match="grading must be >= 1"):
         assembly.build_mesh(geometry, n_per_layer=8, grading=0.8)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="at least 4 elements"):
         assembly.build_mesh(geometry, n_per_layer=3)
 
 
@@ -57,9 +57,9 @@ def test_default_mesh_family(geometry):
 def test_degenerate_mesh_rejected(geometry):
     """A compounding explicit grading is refused once h_min drops below 1e-9 * height."""
     assembly.build_mesh(geometry, n_per_layer=200, grading=1.05)   # h_min 2.9e-6
-    with pytest.raises(InvalidGradingError):
+    with pytest.raises(InputError, match="smallest element"):
         assembly.build_mesh(geometry, n_per_layer=400, grading=1.05)   # h_min 1.7e-10
-    with pytest.raises(InvalidGradingError):
+    with pytest.raises(InputError, match="smallest element"):
         assembly.build_mesh(geometry, n_per_layer=8, grading=1e300)
 
 
@@ -148,8 +148,8 @@ def test_galerkin_consistency(field, k, canonical_profile, mixed_params, mesh60,
 
 def test_scalar_gravity_kernel(canonical_profile, mesh60, rng):
     """Q = g[[rho]]|psi(0)|^2 + int g rho' |psi|^2 and Mpsi = int rho |psi|^2 on P1 psi."""
-    Q, Mpsi = assembly.assemble_scalar_gravity_kernel(canonical_profile, mesh60)
     co = mr.FormCoefficients(canonical_profile, PhysicalParams(), mesh60.nodes)
+    Q, Mpsi = assembly.assemble_scalar_gravity_kernel(co)
     for _ in range(20):
         psi = rng.standard_normal(mesh60.nodes.size) + 1j * rng.standard_normal(mesh60.nodes.size)
         psi[0] = psi[-1] = 0.0

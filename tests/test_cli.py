@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rtspectra import cli
-from rtspectra.errors import EigenSolverError
+from rtspectra.errors import InputError, SolverError
 
 BASE_INI = """
 [geometry]
@@ -69,6 +69,48 @@ def test_validation_nan_values(tmp_path):
     # NaN used to pass: g = nan hung the equilibrium ODE, bulk_plus = nan exited 0
     for old, new in (("g = 1.0", "g = nan"), ("bulk_plus = 0.1", "bulk_plus = nan")):
         assert cli.run(str(write_config(tmp_path, **{old: new})), "xi") == 2
+
+
+# (subcommand, edits, stderr fragment): inadmissible input, each refused by the
+# type or function that owns it
+INADMISSIBLE = {
+    "gamma_plus=1": ("scan", {"law_plus = linear\nc2_plus = 1.0":
+                              "law_plus = polytropic\nK_plus = 1.0\ngamma_plus = 1.0"},
+                     "gamma > 1"),
+    "m3=nan": ("scan", {"m3 = 0.0": "m3 = nan"}, "M must be finite"),
+    "m3=inf": ("scan", {"m3 = 0.0": "m3 = inf"}, "M must be finite"),
+    "mu_plus=inf": ("scan", {"mu_plus = 0.1": "mu_plus = inf"}, "mu_plus"),
+    "g=inf": ("scan", {"g = 1.0": "g = inf"}, "g must be"),
+    "rho_plus_interface=inf": ("scan", {"rho_plus_interface = 2.0": "rho_plus_interface = inf"},
+                               "upper anchor"),
+    "L1=inf": ("scan", {"L1 = 1.0": "L1 = inf"}, "periods"),
+    "quadrature_order=0": ("scan", {"k_max = 1": "k_max = 1\nquadrature_order = 0"},
+                           "quadrature order"),
+    "witness_k1=0": ("witness", {"m3 = 0.0": "m1 = 1.0", "k1 = 1": "k1 = 0", "k2 = 0": "k2 = 1"},
+                     "xi1 != 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INADMISSIBLE))
+def test_validation_inadmissible_values(tmp_path, capfd, case):
+    """Exit 2 before any solve: nothing reaches stdout, not even LAPACK's own lines."""
+    subcommand, edits, fragment = INADMISSIBLE[case]
+    assert cli.run(str(write_config(tmp_path, **edits)), subcommand,
+                   out=str(tmp_path / "artifact")) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+@pytest.mark.parametrize("cls, code", [(InputError, 2), (SolverError, 3)])
+def test_error_class_decides_exit_code(tmp_path, monkeypatch, capsys, cls, code):
+    """The class alone decides the exit code, wherever it is raised."""
+    def failing(*args, **kwargs):
+        raise cls("raised while solving")
+
+    monkeypatch.setattr(cli.spectral, "xi_per_mode", failing)
+    assert cli.run(str(write_config(tmp_path)), "xi") == code
+    assert "raised while solving" in capsys.readouterr().err
 
 
 def test_validation_degenerate_mesh(tmp_path, capsys):
@@ -211,7 +253,7 @@ def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys, field):
 
     def failing(matrices, *args, **kwargs):
         if fails(matrices.mode):
-            raise EigenSolverError("no convergence")
+            raise SolverError("no convergence")
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
@@ -219,11 +261,11 @@ def test_scan_failed_mode_exit_code(tmp_path, monkeypatch, capsys, field):
     assert cli.run(str(write_config(tmp_path, **edits)), "scan", out=str(out)) == 3
     assert len(out.read_text().splitlines()) == 1 + 5 - len(failed)
     summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
-    assert summary["errors"] == {k: "EigenSolverError: no convergence" for k in failed}
+    assert summary["errors"] == {k: "SolverError: no convergence" for k in failed}
     captured = capsys.readouterr()
     assert "global_xi=" in captured.out
     for k in failed:
-        assert f"failed mode ({k}): EigenSolverError: no convergence" in captured.err
+        assert f"failed mode ({k}): SolverError: no convergence" in captured.err
 
 
 def _reject_constant(token):
@@ -234,7 +276,7 @@ def _reject_constant(token):
 def test_scan_all_failed_strict_json(tmp_path, monkeypatch, capsys, fmt):
     """With no mode solved there is no global xi: null in strict JSON, none on stdout."""
     def failing(*args, **kwargs):
-        raise EigenSolverError("no convergence")
+        raise SolverError("no convergence")
 
     monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
     out = tmp_path / f"scan.{fmt}"
@@ -320,7 +362,8 @@ def test_main_entry(tmp_path):
 
 
 def test_validation_evolve_horizon(tmp_path, capsys):
-    """T must cover 10 steps: checked in the config, and again once dt or T comes from Lambda."""
+    """T must cover 10 steps: checked in the config, and by the integrator once dt or T
+    comes from Lambda."""
     cfgp = write_config(tmp_path)
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.5\nt = 4.0\n")
     assert cli.run(str(cfgp), "evolve") == 2

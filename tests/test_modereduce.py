@@ -10,7 +10,7 @@ from conftest import make_mode, random_field
 from oracles import GAUSS12, oracle_integrate, p1_eval, p1_slope, sample_coefficient
 from rtspectra import modereduce as mr
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
-from rtspectra.errors import GridMismatchError
+from rtspectra.errors import InputError
 from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
 
 
@@ -58,13 +58,13 @@ def test_positivity(coeffs60, mesh60, geometry, rng):
 def test_grid_mismatch(coeffs60, geometry, rng):
     other = np.unique(np.concatenate([np.linspace(-1, 1, 31), [0.0]]))
     f = random_field(other, rng)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError, match="different grids"):
         mr.mass_form(f, coeffs60)
 
 
 def test_dirichlet_enforced(mesh60):
     values = np.ones((mesh60.nodes.size, 3), dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="Dirichlet ends"):
         mr.ModeField(mesh60.nodes, values)
 
 
@@ -327,7 +327,7 @@ def test_energy_medium_dispatch(coeffs60, mesh60, geometry, rng):
     c = mr.compressibility_form(f, coeffs60, mode)
     assert e_mhd == pytest.approx(g - c - mr.magnetic_form(f, coeffs60, mode), rel=1e-13)
     assert e_ve == pytest.approx(g - c - mr.elastic_form(f, coeffs60, mode), rel=1e-13)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="medium must be"):
         dataclasses.replace(coeffs60.params, medium="plasma")
 
 

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from conftest import make_mode
 from rtspectra import assembly, band, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
-from rtspectra.errors import EigenSolverError, IndefinitePencilError
+from rtspectra.errors import InputError, SolverError
 from rtspectra.modereduce import FormCoefficients
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
@@ -175,7 +175,7 @@ def test_xi_viscoelastic_zero_kappa(canonical_profile, geometry):
         mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh)
         return spectral.xi_per_mode(mm)[0]
 
-    with pytest.raises(EigenSolverError, match="singular denominator"):
+    with pytest.raises(SolverError, match="singular denominator"):
         xi((0.0, 0.3), (1, 0))
     assert math.isinf(xi((0.0, 0.0), (1, 0)))
     assert xi((0.0, 0.0), (0, 0)) == 0.0
@@ -263,7 +263,7 @@ def test_coercivity_positive_when_stable(mm_vertical):
 
 
 def test_coercivity_indefinite_when_unstable(mm_nofield):
-    with pytest.raises(IndefinitePencilError):
+    with pytest.raises(SolverError, match="not strictly stable"):
         spectral.coercivity_constant(mm_nofield)
 
 
@@ -375,14 +375,14 @@ def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeyp
 
     def failing(matrices, *args, **kwargs):
         if fails(matrices.mode):
-            raise EigenSolverError("no convergence")
+            raise SolverError("no convergence")
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "analyze_mode", failing)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
     verdict = spectral.global_scan(canonical_profile, params, mesh, 1)
-    assert verdict.errors == {k: "EigenSolverError: no convergence" for k in failed}
+    assert verdict.errors == {k: "SolverError: no convergence" for k in failed}
     assert len(verdict.verdicts) == n_verdicts
     assert not verdict.truncation_converged
 
@@ -477,7 +477,7 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
 
 
 def test_bracket_error_message(mm_vertical):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="tol must be positive"):
         spectral.growth_rate(mm_vertical, tol=-1.0)
 
 
