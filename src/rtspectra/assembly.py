@@ -278,6 +278,10 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
     # interface rank-one jump on psi's diagonal entry (dof 3*(i-1) + 2, last band row)
     out["gravity"][-1, 3 * mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
 
+    for name, matrix in out.items():
+        if not np.isfinite(band.frobenius(matrix)):
+            raise InputError(f"smallest element {np.diff(mesh.nodes).min():.3e} is too small: "
+                             f"the {name} matrix's Frobenius norm overflows")
     mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:

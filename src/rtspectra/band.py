@@ -62,9 +62,11 @@ def jacobi_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def frobenius(ab: np.ndarray) -> float:
-    """Frobenius norm of X: every off-diagonal entry counted twice."""
+    """Frobenius norm of X: every off-diagonal entry counted twice; inf, with
+    no warning, when its square overflows."""
     p = ab.shape[0] - 1
-    return float(np.sqrt(np.sum(np.abs(ab[p]) ** 2) + 2.0 * np.sum(np.abs(ab[:p]) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(np.abs(ab[p]) ** 2) + 2.0 * np.sum(np.abs(ab[:p]) ** 2)))
 
 
 def _diagonals(ab: np.ndarray):

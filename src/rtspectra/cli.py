@@ -4,9 +4,10 @@ Configs are flat INI sections (JSON accepted as an alternative encoding of
 the same sections); section names and keys ignore case in both encodings.
 All outputs are deterministic: fixed float formatting, sorted keys, no
 timestamps.  Exit codes: 0 success, 2 InputError (the configuration or a
-value in it is not admissible), 3 SolverError or a bare ValueError raised
-while solving.  Each value is checked by the type or function that owns
-it; parse_config checks only what no type owns.
+value in it is not admissible) or OSError (an artifact path that cannot be
+written), 3 SolverError or a bare ValueError raised while solving.  Each
+value is checked by the type or function that owns it; parse_config checks
+only what no type owns.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def run(config_path: str, subcommand: str, out: Optional[str] = None,
         if subcommand == "thresholds":
             return cmd_thresholds(cfg, out)
         return cmd_evolve(cfg, out)
-    except InputError as exc:
+    except (InputError, OSError) as exc:      # OSError: an artifact that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RTSpectraError, ValueError) as exc:

@@ -86,6 +86,7 @@ INADMISSIBLE = {
     "L1=inf": ("scan", {"L1 = 1.0": "L1 = inf"}, "periods"),
     "quadrature_order=0": ("scan", {"k_max = 1": "k_max = 1\nquadrature_order = 0"},
                            "quadrature order"),
+    "h_plus=1e-300": ("xi", {"h_plus = 1.0": "h_plus = 1e-300"}, "smallest element"),
     "witness_k1=0": ("witness", {"m3 = 0.0": "m1 = 1.0", "k1 = 1": "k1 = 0", "k2 = 0": "k2 = 1"},
                      "xi1 != 0"),
 }
@@ -353,6 +354,18 @@ def test_evolve_artifacts(tmp_path, capsys):
     rate = json.loads((tmp_path / "traj.csv.rate.json").read_text())
     assert rate["lambda"] > 0
     assert "fitted_rate" in rate
+
+
+@pytest.mark.parametrize("subcommand", ["xi", "scan", "evolve", "equilibrium"])
+def test_unwritable_artifact_exit_code(tmp_path, capsys, subcommand):
+    """An artifact path in a missing directory: exit 2 and one error line naming
+    it, not a traceback."""
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\n")
+    out = tmp_path / "no_such_dir" / "artifact.json"
+    assert cli.run(str(cfgp), subcommand, out=str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and len(err.splitlines()) == 1
 
 
 def test_main_entry(tmp_path):

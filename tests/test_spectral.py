@@ -107,22 +107,39 @@ def _random_band(rng, n, p, complex_valued):
 
 
 def test_top_pair_banded_pencils(rng):
-    """The banded solver matches dense eigh on random banded Hermitian pencils."""
+    """The banded solver matches dense eigh on random banded Hermitian pencils,
+    also with the spectrum shifted far below the first shift (top near -1e6)
+    or far above it (top near 1e12, twenty x4 steps), and with a doubly
+    degenerate top (two uncoupled copies of one pencil).  A band with a NaN
+    entry raises SolverError."""
     n = 120
     for p in (1, 5):
         for complex_valued in (False, True):
             hb = _random_band(rng, n, p, complex_valued)
             mb = _random_band(rng, n, p, complex_valued)
             mb[p] += 8.0 * (2 * p + 1)      # diagonally dominant: definite
-            H, M = band.to_dense(hb), band.to_dense(mb)
-            w = sla.eigh(H, M, eigvals_only=True)
-            top, v = spectral._top_pair(hb, mb)
-            assert top == pytest.approx(w[-1], rel=1e-10)
-            assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
-            residual = np.linalg.norm(H @ v - top * (M @ v))
-            assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v)
-            top2, v2 = spectral._top_pair(hb, mb)
-            assert top2 == top and np.array_equal(v2, v)
+            pencils = {"random": (hb, mb), "below": (hb - 1e6 * mb, mb),
+                       "above": (hb + 1e12 * mb, mb),
+                       "degenerate": (np.concatenate([hb, hb], axis=1),
+                                      np.concatenate([mb, mb], axis=1))}
+            for name, (hb_case, mb_case) in pencils.items():
+                H, M = band.to_dense(hb_case), band.to_dense(mb_case)
+                w = sla.eigh(H, M, eigvals_only=True)
+                if name == "degenerate":
+                    assert w[-1] - w[-2] <= 1e-12 * abs(w[-1])
+                top, v = spectral._top_pair(hb_case, mb_case)
+                assert top == pytest.approx(w[-1], rel=1e-10), name
+                assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
+                residual = np.linalg.norm(H @ v - top * (M @ v))
+                assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v), name
+                top2, v2 = spectral._top_pair(hb_case, mb_case)
+                assert top2 == top and np.array_equal(v2, v)
+            # a NaN entry in H or M: SolverError at once (warnings are errors here)
+            for k in range(2):
+                nan_pencil = [hb.copy(), mb.copy()]
+                nan_pencil[k][p - 1, n // 2] = math.nan
+                with pytest.raises(SolverError):
+                    spectral._top_pair(*nan_pencil)
 
 
 def _restricted_dense_xi(mm):
@@ -179,6 +196,18 @@ def test_xi_viscoelastic_zero_kappa(canonical_profile, geometry):
         xi((0.0, 0.3), (1, 0))
     assert math.isinf(xi((0.0, 0.0), (1, 0)))
     assert xi((0.0, 0.0), (0, 0)) == 0.0
+
+
+def test_xi_nearly_singular_viscoelastic_denominator(stable_profile, geometry):
+    """kappa = (1e-9, 0.3) on the stable profile: the denominator factors but
+    is nearly singular, and shift-invert ARPACK failed to converge on it.
+    The top is 0 to rounding (transverse fields give a zero numerator)."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            kappa_plus=1e-9, kappa_minus=0.3, medium=VISCOELASTIC)
+    mm = assembly.assemble(stable_profile, params, make_mode(1, 1, geometry),
+                           assembly.build_mesh(geometry, 30))
+    value, _ = spectral.xi_per_mode(mm)
+    assert math.isfinite(value) and value < 1e-6
 
 
 def test_xi_mode_symmetry(canonical_profile, mesh60, geometry):
