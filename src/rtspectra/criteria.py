@@ -348,54 +348,3 @@ def _stratification_integral(profile: EquilibriumProfile, eps: float) -> float:
         psi = 1.0 - np.abs(y) / eps
         total += float(np.sum(wy * rho_p * psi * psi))
     return total
-
-
-def poincare_check(values: np.ndarray, grid: np.ndarray, mode: FourierMode,
-                   nu, geometry: Geometry):
-    """Verify ||phi|| <= (h+ - h-)/pi * ||nu . grad phi|| on one scalar profile.
-
-    nu must have third component 1; the per-mode directional derivative is
-    i*(nu1*xi1 + nu2*xi2) + d/dy3.  Returns (lhs, rhs, holds).
-    """
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (3,) or nu[2] != 1.0:
-        raise InputError("direction must be (nu1, nu2, 1)")
-    values = np.asarray(values, dtype=complex)
-    if values[0] != 0 or values[-1] != 0:
-        raise InputError("scalar profile must vanish at the end points")
-    lhs2, dir2 = _scalar_direction_norms(values, grid, mode, nu)
-    rhs = (geometry.height / math.pi) * math.sqrt(dir2)
-    lhs = math.sqrt(lhs2)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)
-
-
-def trace_check(fld: ModeField, mode: FourierMode, nu, geometry: Geometry):
-    """Verify |psi(0)| <= sqrt(h-h+/(h- - h+)) * ||nu . grad w|| on a ModeField."""
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (3,) or nu[2] != 1.0:
-        raise InputError("direction must be (nu1, nu2, 1)")
-    dir2 = 0.0
-    for c in range(3):
-        _, d2 = _scalar_direction_norms(fld.values[:, c], fld.grid, mode, nu)
-        dir2 += d2
-    const = math.sqrt(geometry.h_minus * geometry.h_plus
-                      / (geometry.h_minus - geometry.h_plus))
-    lhs = abs(fld.interface_psi())
-    rhs = const * math.sqrt(dir2)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)
-
-
-def _scalar_direction_norms(values: np.ndarray, grid: np.ndarray, mode: FourierMode, nu):
-    """(||f||^2, ||(i*(nu_h . xi) + d/dy)f||^2) for one piecewise-linear profile."""
-    values = np.asarray(values, dtype=complex)
-    h = np.diff(grid)
-    v0, v1 = values[:-1], values[1:]
-    x, w = _leggauss(4)
-    t = (x + 1.0) / 2.0
-    wt = w / 2.0
-    vals = v0[:, None] * (1.0 - t)[None, :] + v1[:, None] * t[None, :]
-    ders = ((v1 - v0) / h)[:, None] * np.ones_like(t)[None, :]
-    factor = 1j * (nu[0] * mode.xi1 + nu[1] * mode.xi2)
-    norm2 = float(np.sum((h[:, None] * wt[None, :]) * np.abs(vals) ** 2))
-    dir2 = float(np.sum((h[:, None] * wt[None, :]) * np.abs(factor * vals + ders) ** 2))
-    return norm2, dir2

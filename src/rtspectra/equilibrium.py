@@ -4,6 +4,16 @@ The density profile in each layer solves P'(rho) rho' = -rho * g with a
 prescribed density anchor on the upper side of the interface; the lower
 anchor is the unique root of the pressure-matching equation, so the
 pressure-jump condition holds by construction.
+
+Both supported laws solve the layer equation in closed form.  With the
+scale height H = P'(anchor) / g,
+
+    linear:      rho(y3) = anchor * exp(-y3 / H)
+    polytropic:  rho(y3) = anchor * (1 - (gamma - 1) * y3 / H) ** (1 / (gamma - 1))
+
+that is rho**(gamma-1) = anchor**(gamma-1) - (gamma-1)*g*y3/(K*gamma).
+Density decreases strictly with height in each layer, so the non-vacuum
+check at the layer's top end is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InputError
 
@@ -134,18 +143,32 @@ def _clustered_grid(h_from0: float, n: int = TABLE_POINTS, ratio: float = TABLE_
 
 @dataclass
 class _Layer:
-    """One integrated layer: dense ODE solution plus the sample table."""
+    """One hydrostatic layer: closed-form density plus the sample table."""
 
     law: PressureLaw
     anchor: float                  # density at the interface side
+    g: float
     y: np.ndarray                  # sample grid from 0 to h (monotone in y3)
-    rho: np.ndarray                # densities at the samples
-    dense: object                  # evaluator backed by the ODE dense output (None when g == 0)
+    rho: np.ndarray = field(init=False)    # densities at the samples
 
     def density(self, y3: np.ndarray) -> np.ndarray:
-        if self.dense is None:
-            return np.full_like(np.asarray(y3, dtype=float), self.anchor)
-        return np.atleast_1d(self.dense(y3))
+        y3 = np.atleast_1d(np.asarray(y3, dtype=float))
+        if self.g == 0.0:
+            return np.full_like(y3, self.anchor)
+        scaled = y3 * (self.g / float(self.law.derivative(self.anchor)))     # y3 / H
+        if self.law.kind == "linear":
+            return self.anchor * np.exp(-scaled)
+        e = self.law.gamma - 1.0
+        # clipped at the vacuum height, where the base reaches 0
+        return self.anchor * np.maximum(1.0 - e * scaled, 0.0) ** (1.0 / e)
+
+    def floor_height(self, floor: float) -> float:
+        """Height where the density falls to ``floor`` (< anchor, g > 0)."""
+        H = float(self.law.derivative(self.anchor)) / self.g
+        if self.law.kind == "linear":
+            return H * math.log(self.anchor / floor)
+        e = self.law.gamma - 1.0
+        return H * (1.0 - (floor / self.anchor) ** e) / e
 
 
 @dataclass
@@ -225,40 +248,21 @@ class EquilibriumProfile:
             fh.write("\n".join(lines) + "\n")
 
 
-def _integrate_layer(law: PressureLaw, anchor: float, h: float, g: float) -> _Layer:
-    """Integrate rho' = -g*rho/P'(rho) from the interface to y3 = h."""
-    grid = _clustered_grid(h)
-    if g == 0.0:
-        rho = np.full(grid.shape, anchor)
-        layer = _Layer(law=law, anchor=anchor, y=grid, rho=rho, dense=None)
-    else:
-        floor = VACUUM_FLOOR * anchor
-
-        def rhs(_y, r):
-            return -g * r / law.derivative(r)
-
-        def hit_floor(_y, r):
-            return r[0] - floor
-
-        hit_floor.terminal = True
-        hit_floor.direction = -1.0
-
-        sol = solve_ivp(
-            rhs,
-            (0.0, h),
-            [anchor],
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14 * anchor,
-            dense_output=True,
-            events=hit_floor,
+def _hydrostatic_layer(law: PressureLaw, anchor: float, h: float, g: float) -> _Layer:
+    """Closed-form layer from the interface to y3 = h, with its sample table."""
+    layer = _Layer(law=law, anchor=anchor, g=g, y=_clustered_grid(h))
+    floor = VACUUM_FLOOR * anchor
+    # density is monotone in the layer, so its far end bounds every sample
+    with np.errstate(over="ignore"):
+        rho_h = float(layer.density(h)[0])
+    if rho_h < floor:
+        raise InputError(
+            f"density reached the non-vacuum floor at y3={layer.floor_height(floor):.6g} "
+            f"before {h:.6g}"
         )
-        if not sol.success or sol.t[-1] != h:
-            raise InputError(
-                f"density reached the non-vacuum floor at y3={sol.t[-1]:.6g} before {h:.6g}"
-            )
-        rho = sol.sol(grid)[0]
-        layer = _Layer(law=law, anchor=anchor, y=grid, rho=rho, dense=lambda y, s=sol: s.sol(np.asarray(y))[0])
+    if rho_h == math.inf:
+        raise InputError(f"density overflows before the layer end y3={h:.6g}")
+    layer.rho = layer.density(layer.y)
     return layer
 
 
@@ -284,8 +288,8 @@ def build_profile(
     p_match = float(law_plus.value(rho_plus_at_interface))
     rho_minus = law_minus.inverse(p_match)
 
-    layer_plus = _integrate_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g)
-    layer_minus = _integrate_layer(law_minus, rho_minus, geometry.h_minus, g)
+    layer_plus = _hydrostatic_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g)
+    layer_minus = _hydrostatic_layer(law_minus, rho_minus, geometry.h_minus, g)
 
     return EquilibriumProfile(
         geometry=geometry,

@@ -150,7 +150,7 @@ def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float,
 
 def export_trajectory(result: EvolutionResult, path) -> None:
     """CSV trajectory: t, eta_norm, u_norm."""
+    rows = zip(result.times.tolist(), result.eta_norm.tolist(), result.u_norm.tolist())
+    text = "".join(["%.17g,%.17g,%.17g\n" % row for row in rows])
     with open(path, "w") as fh:
-        fh.write("t,eta_norm,u_norm\n")
-        for t, en, un in zip(result.times, result.eta_norm, result.u_norm):
-            fh.write(",".join(format(v, ".17g") for v in (t, en, un)) + "\n")
+        fh.write("t,eta_norm,u_norm\n" + text)

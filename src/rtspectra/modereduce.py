@@ -195,15 +195,6 @@ def gravity_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) 
     return jump + _integrate(coeffs, density)
 
 
-def theta_numerator_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Integrated-by-parts gravity numerator 2*g*int(rho*Re(i*(xi.w_h)*conj(psi)))."""
-    _check_grid(field, coeffs)
-    vals, _ = _at_quadrature(field, coeffs)
-    horiz = 1j * (mode.xi1 * vals[..., 0] + mode.xi2 * vals[..., 1])
-    density = 2.0 * coeffs.g * coeffs.rho * np.real(horiz * np.conj(vals[..., 2]))
-    return _integrate(coeffs, density)
-
-
 def compressibility_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
     """Pressure stabilizer: integral of P'(rho)*rho*|d_xi(w)|^2."""
     _check_grid(field, coeffs)
@@ -248,35 +239,6 @@ def elastic_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) 
     return _integrate(coeffs, density)
 
 
-def elastic_form_expanded(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Elastic stabilizer via the sum-of-squares expansion.
-
-    Independent of :func:`elastic_form`: integrates the four squares
-    (curl-like, two shear, deviatoric-divergence) that the integration-by-
-    parts rearrangement produces.
-    """
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    ix1, ix2 = 1j * mode.xi1, 1j * mode.xi2
-    phi, theta, psi = vals[..., 0], vals[..., 1], vals[..., 2]
-    dphi, dtheta, dpsi = ders[..., 0], ders[..., 1], ders[..., 2]
-    density = (
-        np.abs(ix1 * theta - ix2 * phi) ** 2
-        + np.abs(ix1 * psi + dphi) ** 2
-        + np.abs(ix2 * psi + dtheta) ** 2
-        + np.abs(ix1 * phi + ix2 * theta - dpsi) ** 2
-    )
-    return _integrate(coeffs, coeffs.kappa * density)
-
-
-def gradient_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Full per-mode gradient square: integral of |xi|^2*|w|^2 + |w'|^2."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    density = mode.norm2 * np.sum(np.abs(vals) ** 2, axis=2) + np.sum(np.abs(ders) ** 2, axis=2)
-    return _integrate(coeffs, density)
-
-
 def dissipation_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
     """Viscous dissipation: (bulk - 2mu/3)*|d_xi|^2 + (mu/2)*|G+G^T|_F^2."""
     _check_grid(field, coeffs)
@@ -294,14 +256,3 @@ def energy_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -
     else:
         stabilizer = compressibility_form(field, coeffs, mode) + elastic_form(field, coeffs, mode)
     return gravity_form(field, coeffs, mode) - stabilizer
-
-
-def field_directional_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Integral of |m_xi(w)|^2 (no lam factor)."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    mdotxi = coeffs.M[0] * mode.xi1 + coeffs.M[1] * mode.xi2
-    density = np.zeros(vals.shape[:2])
-    for c in range(3):
-        density += np.abs(1j * mdotxi * vals[..., c] + coeffs.M[2] * ders[..., c]) ** 2
-    return _integrate(coeffs, density)

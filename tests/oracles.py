@@ -1,11 +1,17 @@
-"""Independent quadrature oracles used by the unit and acceptance tests.
+"""Independent oracles used by the unit and acceptance tests.
 
 Everything here avoids the library's form/assembly machinery: piecewise
 linear evaluation, per-element Gauss panels, and the 1D frequency
-functional are re-coded directly from their definitions.
+functional are re-coded directly from their definitions.  The hydrostatic
+layers are integrated numerically (DOP853), independent of the closed
+forms the library evaluates.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
+
+from rtspectra.equilibrium import VACUUM_FLOOR
+from rtspectra.errors import InputError
 
 GAUSS12 = np.polynomial.legendre.leggauss(12)
 
@@ -66,3 +72,40 @@ def etilde_value(profile, lam, M1, grid, pt, tt, st, mode):
 
     jump = profile.g * profile.density_jump * p1_eval(grid, st, np.array([0.0]))[0] ** 2
     return jump + oracle_integrate(grid, integrand)
+
+
+def dop853_density(law, anchor, h, g):
+    """Integrate rho' = -g*rho/P'(rho) from the interface to y3 = h.
+
+    Returns the dense-output density on [0, h] (the constant anchor when
+    g == 0); raises InputError when the density reaches the non-vacuum
+    floor before h.
+    """
+    if g == 0.0:
+        return lambda y: np.full_like(np.asarray(y, dtype=float), anchor)
+    floor = VACUUM_FLOOR * anchor
+
+    def rhs(_y, r):
+        return -g * r / law.derivative(r)
+
+    def hit_floor(_y, r):
+        return r[0] - floor
+
+    hit_floor.terminal = True
+    hit_floor.direction = -1.0
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, h),
+        [anchor],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14 * anchor,
+        dense_output=True,
+        events=hit_floor,
+    )
+    if not sol.success or sol.t[-1] != h:
+        raise InputError(
+            f"density reached the non-vacuum floor at y3={sol.t[-1]:.6g} before {h:.6g}"
+        )
+    return lambda y: sol.sol(np.asarray(y))[0]

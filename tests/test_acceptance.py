@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
+from form_oracles import (elastic_form_expanded, poincare_check, theta_numerator_form,
+                          trace_check)
 from oracles import etilde_value
 from rtspectra import assembly, band, criteria, evolution, modereduce as mr, spectral
 from rtspectra.cli import run as cli_run
@@ -90,7 +92,7 @@ def test_criterion_03_integration_by_parts(geo, profile):
     for _ in range(100):
         f = random_field(grid, rng)
         g = mr.gravity_form(f, co, mode)
-        t = mr.theta_numerator_form(f, co, mode)
+        t = theta_numerator_form(f, co, mode)
         assert abs(g - t) <= 1e-8 * max(1.0, abs(t))
     report(3, "gravity form equals its integrated-by-parts numerator on 100 fields")
 
@@ -242,7 +244,7 @@ def test_criterion_10_viscoelastic_identity_and_thresholds(geo, profile):
     for _ in range(100):
         f = random_field(grid, rng)
         a = mr.elastic_form(f, co, mode)
-        b = mr.elastic_form_expanded(f, co, mode)
+        b = elastic_form_expanded(f, co, mode)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     threshold = criteria.viscoelastic_threshold(profile, 1.0, 1.0).threshold_value
@@ -271,19 +273,19 @@ def test_criterion_11_inequality_suites(geo):
         phi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         phi[0] = phi[-1] = 0
         nu = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
-        _, _, holds = criteria.poincare_check(phi, grid, mode, nu, geo)
+        _, _, holds = poincare_check(phi, grid, mode, nu, geo)
         assert holds
     for _ in range(1000):
         f = random_field(grid, rng)
         nu = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
-        _, _, holds = criteria.trace_check(f, mode, nu, geo)
+        _, _, holds = trace_check(f, mode, nu, geo)
         assert holds
     sharp_mesh = assembly.build_mesh(geo, n_per_layer=400, grading=1.0)
     sharp_grid = sharp_mesh.nodes
     phi = np.sin(np.pi * (sharp_grid - sharp_grid[0]) / geo.height).astype(complex)
     phi[0] = phi[-1] = 0
-    lhs, rhs, holds = criteria.poincare_check(phi, sharp_grid, make_mode(0, 0, geo),
-                                              (0.0, 0.0, 1.0), geo)
+    lhs, rhs, holds = poincare_check(phi, sharp_grid, make_mode(0, 0, geo),
+                                     (0.0, 0.0, 1.0), geo)
     assert holds and lhs / rhs >= 0.999
     report(11, f"1000+1000 random fields satisfy both inequalities; "
                f"sharp-constant ratio {lhs / rhs:.6f}")

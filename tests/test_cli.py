@@ -3,7 +3,10 @@
 import configparser
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,3 +412,14 @@ def test_singular_denominator_exit_code(tmp_path, capsys):
     summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
     assert sorted(summary["errors"]) == ["0,1", "1,-1", "1,0", "1,1"]
     assert len(out.read_text().splitlines()) == 1 + 1
+
+
+def test_import_leaves_out_scipy_integrate():
+    """Every command imports the CLI; the closed-form layers need no ODE solver."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, rtspectra.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

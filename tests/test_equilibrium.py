@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dop853_density
 from rtspectra.equilibrium import (
     Geometry,
     PressureLaw,
@@ -103,9 +104,56 @@ def test_sup_density(canonical_profile):
     assert canonical_profile.sup_density() == pytest.approx(2.0, rel=1e-12)
 
 
+LAWS = [PressureLaw.linear(c2) for c2 in (0.3, 1.0, 2.0)] + [
+    PressureLaw.polytropic(K, gamma) for K, gamma in ((1.0, 1.4), (2.0, 2.0), (0.7, 3.0))
+]
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("index", range(len(LAWS)), ids=[law.describe() for law in LAWS])
+def test_closed_forms_match_dop853(geometry, index, g):
+    # each law once above the interface and once below it
+    law_plus, law_minus = LAWS[index], LAWS[(index + 1) % len(LAWS)]
+    prof = build_profile(geometry, law_plus, law_minus, g, 2.0)
+    for side, h in (("+", geometry.h_plus), ("-", geometry.h_minus)):
+        layer = prof._layer(side)
+        y = np.linspace(0.0, h, 1000)
+        want = dop853_density(layer.law, layer.anchor, h, g)(y)
+        got, _, _ = prof.evaluate_layer(y, side)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+def _floor_height(exc_info):
+    return float(str(exc_info.value).split("y3=")[1].split()[0])
+
+
 def test_vacuum_guard():
     geo = Geometry(h_minus=-1.0, h_plus=40.0, L1=1.0, L2=1.0)
-    with pytest.raises(InputError, match="non-vacuum floor"):
+    with pytest.raises(InputError, match="non-vacuum floor") as closed:
+        build_profile(geo, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, 2.0)
+    with pytest.raises(InputError, match="non-vacuum floor") as integrated:
+        dop853_density(PressureLaw.linear(1.0), 2.0, 40.0, 1.0)
+    # rho = 2*exp(-y3) falls to 1e-8 of its anchor at y3 = ln(1e8)
+    for exc_info in (closed, integrated):
+        assert _floor_height(exc_info) == pytest.approx(math.log(1e8), rel=1e-5)
+
+
+def test_vacuum_guard_polytropic():
+    # K=1, gamma=2, anchor 2, g=1: rho = 2 - y3/2 reaches vacuum at y3 = 4
+    geo = Geometry(h_minus=-1.0, h_plus=5.0, L1=1.0, L2=1.0)
+    law = PressureLaw.polytropic(1.0, 2.0)
+    with pytest.raises(InputError, match="non-vacuum floor") as closed:
+        build_profile(geo, law, law, 1.0, 2.0)
+    with pytest.raises(InputError, match="non-vacuum floor") as integrated:
+        dop853_density(law, 2.0, 5.0, 1.0)
+    for exc_info in (closed, integrated):
+        assert _floor_height(exc_info) == pytest.approx(4.0, rel=1e-5)
+
+
+def test_deep_layer_overflow():
+    # lower rho = exp(-y3/2) exceeds the float range well above y3 = -2000
+    geo = Geometry(h_minus=-2000.0, h_plus=1.0, L1=1.0, L2=1.0)
+    with pytest.raises(InputError, match="density overflows"):
         build_profile(geo, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, 2.0)
 
 

@@ -142,6 +142,28 @@ def test_trajectory_export(tmp_path, mm_stable):
     assert len(lines) == result.times.size + 1
 
 
+def _export_per_value(result, path):
+    """Reference writer: one format(v, ".17g") call per value."""
+    with open(path, "w") as fh:
+        fh.write("t,eta_norm,u_norm\n")
+        for t, en, un in zip(result.times, result.eta_norm, result.u_norm):
+            fh.write(",".join(format(v, ".17g") for v in (t, en, un)) + "\n")
+
+
+def test_trajectory_export_bytes(tmp_path, mm_unstable):
+    eta0, u0 = evolution.random_initial_data(mm_unstable, seed=7)
+    result = evolution.integrate_linearized(mm_unstable, eta0, u0, 1e-2, 1.0)
+    edge = np.array([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308,
+                     np.inf, -np.inf, np.nan])
+    special = dataclasses.replace(result, times=edge, eta_norm=edge[::-1].copy(),
+                                  u_norm=np.roll(edge, 3))
+    for case in (result, special):
+        path, want = tmp_path / "traj.csv", tmp_path / "want.csv"
+        evolution.export_trajectory(case, path)
+        _export_per_value(case, want)
+        assert path.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("fixture", ["mm_unstable", "mm_stable"])
 def test_matches_dense_reference(request, fixture):
     """50 steps of the banded integrator against a dense implicit-midpoint loop."""

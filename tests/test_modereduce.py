@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
+from form_oracles import (elastic_form_expanded, field_directional_form, gradient_form,
+                          theta_numerator_form)
 from oracles import GAUSS12, oracle_integrate, p1_eval, p1_slope, sample_coefficient
 from rtspectra import modereduce as mr
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
@@ -124,14 +126,14 @@ def test_gravity_equals_theta_numerator(coeffs60, mesh60, geometry, rng):
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
         g = mr.gravity_form(f, coeffs60, mode)
-        t = mr.theta_numerator_form(f, coeffs60, mode)
+        t = theta_numerator_form(f, coeffs60, mode)
         assert abs(g - t) <= 1e-8 * max(1.0, abs(t))
 
 
 def test_theta_numerator_zero_mode(coeffs60, mesh60, geometry, rng):
     mode = make_mode(0, 0, geometry)
     f = random_field(mesh60.nodes, rng)
-    assert mr.theta_numerator_form(f, coeffs60, mode) == 0.0
+    assert theta_numerator_form(f, coeffs60, mode) == 0.0
 
 
 def test_theta_numerator_real_ansatz(canonical_profile, mesh60, geometry):
@@ -146,7 +148,7 @@ def test_theta_numerator_real_ansatz(canonical_profile, mesh60, geometry):
     values[0] = values[-1] = 0
     f = mr.ModeField(grid, values)
     co = mr.FormCoefficients(canonical_profile, PhysicalParams(), grid)
-    got = mr.theta_numerator_form(f, co, mode)
+    got = theta_numerator_form(f, co, mode)
 
     phi_n = values[:, 0] * 1j
     theta_n = values[:, 1] * 1j
@@ -191,7 +193,7 @@ def test_elastic_definition_vs_expansion(coeffs60, mesh60, geometry, rng):
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
         a = mr.elastic_form(f, coeffs60, mode)
-        b = mr.elastic_form_expanded(f, coeffs60, mode)
+        b = elastic_form_expanded(f, coeffs60, mode)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -201,7 +203,7 @@ def test_elastic_dominates_gradient(coeffs60, mesh60, geometry, rng):
     for _ in range(50):
         f = random_field(mesh60.nodes, rng)
         el = mr.elastic_form(f, coeffs60, mode)
-        grad = mr.gradient_form(f, coeffs60, mode)
+        grad = gradient_form(f, coeffs60, mode)
         assert el >= kmin * grad - 1e-12 * max(1.0, abs(el))
 
 
@@ -359,6 +361,6 @@ def test_stabilizing_split_inequality(canonical_profile, mesh60, geometry, rng):
         lhs = mr.compressibility_form(f, co, mode) + mr.magnetic_form(f, co, mode)
         vals, ders = mr._at_quadrature(f, co)
         d2 = float(np.sum(co.qp_w * np.abs(mr._d_xi(vals, ders, mode)) ** 2))
-        m_dir = mr.field_directional_form(f, co, mode)
+        m_dir = field_directional_form(f, co, mode)
         rhs = coef_d * d2 + (eps - 1.0) / eps * params.lam * m_dir
         assert lhs >= rhs - 1e-10 * max(1.0, abs(lhs))
