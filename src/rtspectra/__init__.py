@@ -16,7 +16,7 @@ from .equilibrium import (
     check_rt_condition,
     infimum_p_prime_rho,
 )
-from .modereduce import FormCoefficients, FourierMode, ModeField
+from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "FourierMode",
     "Geometry",
     "MHD",
-    "ModeField",
     "PhysicalParams",
     "PressureLaw",
     "VISCOELASTIC",

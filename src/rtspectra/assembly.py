@@ -1,5 +1,9 @@
 """P1 finite-element assembly of the per-mode Hermitian forms.
 
+The forms are defined once, as the coefficient-matrix table of
+:func:`modereduce.form_table`; this module contracts that table with the
+moments of the P1 shape functions and their slopes.
+
 The complex per-mode problem is assembled in a real coordinate basis: with
 the substitution (phi, theta, psi) = (-i*pt, -i*tt, st) every form becomes
 a real quadratic form in (pt, tt, st), and a general complex field splits
@@ -24,12 +28,8 @@ import numpy as np
 from . import band
 from .equilibrium import EquilibriumProfile, Geometry
 from .errors import InputError, SolverError
-from .modereduce import (
-    DEFAULT_QUADRATURE_ORDER,
-    FormCoefficients,
-    FourierMode,
-    ModeField,
-)
+from .modereduce import (DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode, energy_signs,
+                         form_table)
 from .params import MHD, PhysicalParams
 
 DEFAULT_N_PER_LAYER = 200
@@ -126,14 +126,12 @@ class ModeMatrices:
     for the stability-certificate pencil.  Each is an array of shape
     (6, n_dof) in the layout of band.py; band.to_dense gives the matrix.
     Matrices are real symmetric except when the base field mixes vertical
-    and in-plane components, which adds an imaginary skew part.  Treat
-    instances as immutable: solvers evaluate Rayleigh quotients through the
-    generating coefficients, so mutating a matrix in place desynchronizes
-    them.
+    and in-plane components, which adds an imaginary skew part.
 
     The medium is read from ``coeffs.params.medium`` only; :attr:`operator`
-    and :attr:`discriminant_pencil` are the one place that maps it to the
-    stabilizing form (magnetic tension or elasticity).
+    (through :func:`~.modereduce.energy_signs`) and :attr:`discriminant_pencil`
+    are the one place that maps it to the stabilizing form (magnetic tension
+    or elasticity).
     """
 
     mode: FourierMode
@@ -153,10 +151,9 @@ class ModeMatrices:
 
     @property
     def operator(self) -> np.ndarray:
-        """Energy operator A (band): gravity minus the medium's stabilizing forms."""
-        if self.coeffs.params.medium == MHD:
-            return self.gravity - self.compress - self.magnetic
-        return self.gravity - self.compress - self.elastic
+        """Energy operator A (band): the signed forms of :func:`~.modereduce.energy_signs`."""
+        return sum(sign * getattr(self, name)
+                   for name, sign in energy_signs(self.coeffs.params).items())
 
     @property
     def discriminant_pencil(self):
@@ -169,31 +166,18 @@ class ModeMatrices:
             return self.gravity, self.compress + self.magnetic
         return self.gravity - self.compress, self.elastic
 
-    def tilde_vector(self, field_values: np.ndarray) -> np.ndarray:
-        """Map complex nodal (phi, theta, psi) values to the assembled basis."""
-        z = np.array(field_values[1:-1], dtype=complex)
-        z[:, 0] *= 1j
-        z[:, 1] *= 1j
-        return z.reshape(-1)
-
-    def field_from_tilde(self, vec: np.ndarray) -> ModeField:
-        """Inverse of :meth:`tilde_vector`, padded with Dirichlet zeros."""
-        z = np.asarray(vec, dtype=complex).reshape(-1, 3).copy()
-        z[:, 0] *= -1j
-        z[:, 1] *= -1j
-        values = np.zeros((self.mesh.nodes.size, 3), dtype=complex)
-        values[1:-1] = z
-        return ModeField(self.mesh.nodes, values)
-
-    def quadratic(self, matrix: np.ndarray, field: ModeField) -> float:
-        """Evaluate v* X v for a band matrix X and a ModeField through the basis map."""
-        z = self.tilde_vector(field.values)
-        return float(np.real(np.vdot(z, band.matvec(matrix, z))))
-
-
-def _gram(*rows) -> np.ndarray:
-    """sum of conj(r) r^T: the Hermitian 6x6 matrix of sum |r . f|^2 over f = (w, w')."""
-    return sum(np.outer(np.conj(r), r) for r in rows)
+    def at_quadrature(self, vec: np.ndarray):
+        """(f, psi(0)) of a dof vector: f = (pt, tt, st, pt', tt', st') of its P1
+        field at the quadrature points of ``coeffs``, shape (ne, q, 6), the input
+        of :func:`~.modereduce.form_value`."""
+        nodal = np.zeros((self.mesh.nodes.size, 3), dtype=vec.dtype)
+        nodal[1:-1] = vec.reshape(-1, 3)
+        v0, v1 = nodal[:-1, None, :], nodal[1:, None, :]
+        N = self.coeffs.shape[:, None, :, None]
+        slopes = (v1 - v0) / self.coeffs.element_h[:, None, None]
+        vals = v0 * N[0] + v1 * N[1]
+        f = np.concatenate([vals, np.broadcast_to(slopes, vals.shape)], axis=-1)
+        return f, nodal[self.mesh.interface_index, 2]
 
 
 def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
@@ -230,44 +214,19 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
 
     Piecewise-linear conforming elements per component, Gauss-Legendre
     quadrature of the given order per element; the interface jump enters
-    the gravity matrix as a rank-one nodal term.  Every form is a sum of
-    Hermitian 6x6 matrices C over f = (pt, tt, st, pt', tt', st'), each
-    times one scalar coefficient per quadrature point.
+    the gravity matrix as a rank-one nodal term.  Every form is the sum of
+    its Hermitian 6x6 matrices C from :func:`~.modereduce.form_table`, each
+    times one scalar coefficient per quadrature point, contracted with the
+    P1 shape-function moments.
     """
     if coeffs is None:
         coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
     elif not np.array_equal(coeffs.grid, mesh.nodes):
         raise InputError("coefficient table grid does not match the mesh")
 
-    xi1, xi2 = mode.xi1, mode.xi2
-    M1, M2, M3 = coeffs.M
-    mdotxi = M1 * xi1 + M2 * xi2
-    v, dv = np.eye(6)[:3], np.eye(6)[3:]            # value and derivative of each component
-    div = xi1 * v[0] + xi2 * v[1] + dv[2]           # per-mode divergence (tilde)
-    C_div = _gram(div)
-    # |G + G^T|_F^2 / 2, shared by dissipation and elasticity
-    C_sym = 2.0 * _gram(xi1 * v[0], xi2 * v[1], dv[2]) + _gram(
-        xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
-    # magnetic rows d*M - m and field-directional rows m = (M.xi) w - i M3 w' (tilde)
-    C_mag = coeffs.lam * _gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
-                               M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
-                               M3 * (div - dv[2]) - 1j * mdotxi * v[2])
-    C_dir = _gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
-                  M3 * dv[2] + 1j * mdotxi * v[2])
-    C_val = _gram(*v)
-
-    by_coefficient = (
-        (coeffs.rho, {"mass": C_val,
-                      "gravity": coeffs.g * (np.outer(div, v[2]) + np.outer(v[2], div))}),
-        (coeffs.rho_prime, {"gravity": coeffs.g * np.outer(v[2], v[2])}),
-        (coeffs.p_prime_rho, {"compress": C_div}),
-        (1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
-        (coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
-        (coeffs.bulk, {"dissipation": C_div}),
-        (coeffs.kappa, {"elastic": C_sym - C_div}),
-    )
+    table = form_table(coeffs, mode)
     blocks = {}
-    for coefficient, forms in by_coefficient:
+    for _, coefficient, forms in table:
         m = _moments(coeffs, coefficient)
         for name, C in forms.items():
             blocks[name] = blocks.get(name, 0.0) + _element_blocks(m, C)
@@ -280,8 +239,11 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
 
     for name, matrix in out.items():
         if not np.isfinite(band.frobenius(matrix)):
-            raise InputError(f"smallest element {np.diff(mesh.nodes).min():.3e} is too small: "
-                             f"the {name} matrix's Frobenius norm overflows")
+            largest, label = max((np.max(np.abs(coefficient)), label)
+                                 for label, coefficient, forms in table if name in forms)
+            raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
+                             f"{np.diff(mesh.nodes).min():.3e}, largest coefficient "
+                             f"{label} = {largest:.3e}")
     mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:

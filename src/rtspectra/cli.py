@@ -377,7 +377,7 @@ def cmd_witness(cfg: RunConfig, out: str) -> int:
     print(f"witness_kind={kind} energy_value={_fmt(w.energy_value)} "
           f"closed_form={_fmt(w.closed_form_value)} positive={str(payload['positive']).lower()} "
           f"agreement={_fmt(w.diagnostics['agreement'])} "
-          f"grid_nodes={w.diagnostics['grid_nodes']}")
+          f"quadrature_points={w.diagnostics['quadrature_points']}")
     return 0
 
 

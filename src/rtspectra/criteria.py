@@ -3,7 +3,9 @@
 These are solver-independent certificates: threshold inequalities evaluate
 to plain arithmetic on equilibrium quantities, and witness fields carry
 their own closed-form energy value so positivity can be checked against
-the assembled solver on the same mode.
+the assembled solver on the same mode.  A witness's energy is
+:func:`modereduce.form_value` of its analytic field at the Gauss points of
+one panel per layer, so it reads the same form table as the assembly.
 """
 
 from __future__ import annotations
@@ -15,23 +17,12 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry, infimum_p_prime_rho
 from .errors import InputError, SolverError
-from .modereduce import (
-    FormCoefficients,
-    FourierMode,
-    ModeField,
-    _leggauss,
-    compressibility_form,
-    energy_form,
-    gravity_form,
-)
+from .modereduce import (FormCoefficients, FourierMode, _leggauss, energy_signs, form_table,
+                         form_value)
 from .params import MHD, PhysicalParams
 
-#: background resolution of witness sample grids (per layer)
-WITNESS_POINTS = 65536
-#: background resolution of the tent witness grid (per half-support)
-TENT_POINTS = 256
-#: dyadic refinement levels inserted around coefficient or field kinks
-KINK_LEVELS = 48
+#: Gauss points per layer panel of the witness energies and closed forms
+WITNESS_QUADRATURE_ORDER = 64
 #: tent widths eps, eps/2, ..., eps/2**19 tried in turn by the small-field witness
 TENT_WIDTHS = 20
 
@@ -52,22 +43,9 @@ class WitnessField:
     """Explicit trial field certifying instability when its energy is positive."""
 
     mode: FourierMode
-    grid: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
     energy_value: float
     closed_form_value: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_mode_field(self) -> ModeField:
-        """Complex ModeField with the real-ansatz phase convention."""
-        values = np.zeros((self.grid.size, 3), dtype=complex)
-        values[:, 0] = -1j * self.phi
-        values[:, 1] = -1j * self.theta
-        values[:, 2] = self.psi
-        values[0] = values[-1] = 0.0
-        return ModeField(self.grid, values)
 
 
 def vertical_field_threshold(profile: EquilibriumProfile, lam: float,
@@ -118,31 +96,11 @@ def viscoelastic_threshold(profile: EquilibriumProfile, kappa_plus: float,
     )
 
 
-def _refine_around(grid: np.ndarray, points, levels: int = KINK_LEVELS) -> np.ndarray:
-    """Insert dyadically shrinking nodes on both sides of each kink point."""
-    extra = []
-    h0 = np.max(np.diff(grid))
-    for p in points:
-        offsets = h0 * 0.5 ** np.arange(1, levels + 1)
-        extra.append(p + offsets)
-        extra.append(p - offsets)
-        extra.append(np.array([p]))
-    out = np.unique(np.concatenate([grid] + extra))
-    return out[(out >= grid[0]) & (out <= grid[-1])]
-
-
-def witness_grid(lower: float, upper: float, kinks=(), n: int = WITNESS_POINTS) -> np.ndarray:
-    """Grid on [lower, upper] (lower < 0 < upper): n uniform elements on each
-    side of 0, with dyadic clusters at 0 and the kinks."""
-    base = np.unique(np.concatenate([
-        np.linspace(lower, 0.0, n + 1),
-        np.linspace(0.0, upper, n + 1),
-    ]))
-    return _refine_around(base, [0.0, *kinks])
-
-
-def _grid_diagnostics(grid: np.ndarray) -> dict:
-    return {"grid_nodes": int(grid.size), "h_min": float(np.min(np.diff(grid)))}
+def _panels(profile: EquilibriumProfile, params: PhysicalParams,
+            lower: float, upper: float) -> FormCoefficients:
+    """Coefficients at the Gauss points of the panels [lower, 0] and [0, upper]."""
+    return FormCoefficients(profile, params, np.array([lower, 0.0, upper]),
+                            WITNESS_QUADRATURE_ORDER)
 
 
 def _bump(y: np.ndarray, geometry: Geometry):
@@ -167,56 +125,47 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     energy to the closed form
     g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2),
     which is positive for large enough first period.  psi0 is the quartic
-    bump of :func:`_bump`, sampled on a :func:`witness_grid` of both layers.
+    bump of :func:`_bump`; the field is evaluated analytically at the Gauss
+    points of one panel per layer.
     """
     if mode.xi1 == 0.0:
         raise InputError("witness needs xi1 != 0")
     if params.medium != MHD or params.M[1] != 0.0 or params.M[2] != 0.0:
         raise InputError("witness needs an mhd base field along the first axis")
     geo = profile.geometry
-    grid = witness_grid(geo.h_minus, geo.h_plus)
-
+    coeffs = _panels(profile, params, geo.h_minus, geo.h_plus)
     xi1, xi2 = mode.xi1, mode.xi2
-    xi2n = mode.norm2
-    psi, dpsi = _bump(grid, geo)
-    theta = -xi2 * dpsi / xi2n
+    energy = energy_signs(params)
+    # with M3 = 0 no energy matrix reads the horizontal slopes pt', tt' (f[3:5]),
+    # so the slope of phi, which carries the equilibrium coefficients, is not needed
+    for _, _, forms in form_table(coeffs, mode):
+        for name in energy:
+            if name in forms and (np.any(forms[name][3:5]) or np.any(forms[name][:, 3:5])):
+                raise SolverError(f"the {name} form reads the horizontal slopes")
 
-    # phi carries the equilibrium coefficients; two-sided at the interface node
-    phi = np.empty_like(psi)
-    lower = grid <= 0.0
-    upper = ~lower
-    iface = int(np.nonzero(grid == 0.0)[0][0])
-    for mask, side in ((lower, "-"), (upper, "+")):
-        rho, _, pp_rho = profile.evaluate_layer(grid[mask], side)
-        phi[mask] = (profile.g * rho * psi[mask] / pp_rho - dpsi[mask] - xi2 * theta[mask]) / xi1
-    rho_p, _, pp_p = profile.evaluate_layer(np.array([0.0]), "+")
-    phi[iface] = (profile.g * rho_p[0] * psi[iface] / pp_p[0] - dpsi[iface] - xi2 * theta[iface]) / xi1
-
-    witness = WitnessField(
-        mode=mode, grid=grid, phi=phi, theta=theta, psi=psi,
-        energy_value=0.0, closed_form_value=0.0,
-    )
-    fld = witness.to_mode_field()
-    coeffs = FormCoefficients(profile, params, grid)
-    witness.energy_value = energy_form(fld, coeffs, mode)
-    witness.closed_form_value = closed_form_horizontal(profile, params, mode)
-    witness.diagnostics = {
-        "agreement": abs(witness.energy_value - witness.closed_form_value),
-        "positive": witness.closed_form_value > 0.0,
-        **_grid_diagnostics(grid),
-    }
-    return witness
+    psi, dpsi = _bump(coeffs.qp_y, geo)
+    theta = -xi2 * dpsi / mode.norm2
+    phi = (profile.g * coeffs.rho * psi / coeffs.p_prime_rho - dpsi - xi2 * theta) / xi1
+    zero = np.zeros_like(psi)
+    f = np.stack([phi, theta, psi, zero, zero, dpsi], axis=-1)
+    psi_interface = _bump(np.array([0.0]), geo)[0][0]
+    energy_value = form_value(coeffs, mode, energy, f, psi_interface)
+    closed = closed_form_horizontal(profile, params, mode)
+    return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
+                        diagnostics={"agreement": abs(energy_value - closed),
+                                     "positive": closed > 0.0,
+                                     "quadrature_points": int(coeffs.qp_y.size)})
 
 
 def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
                            mode: FourierMode) -> float:
     """g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2).
 
-    Integrates the analytic bump psi0 with one 64-point Gauss panel per
-    layer; independent of the form/assembly machinery.
+    Integrates the analytic bump psi0 with one Gauss panel per layer;
+    independent of the form/assembly machinery.
     """
     geo = profile.geometry
-    x, w = _leggauss(64)
+    x, w = _leggauss(WITNESS_QUADRATURE_ORDER)
     total = 0.0
     for a, b in ((geo.h_minus, 0.0), (0.0, geo.h_plus)):
         y = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -265,16 +214,10 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     witness is divergence-free, so its energy reduces to the gravity
     numerator.
 
-    The field vanishes outside [-eps, eps], so the grid covers that support
-    only, and between its kinks it is exactly piecewise linear.
-
-    ``diagnostics["full_energy"]`` (the energy with the medium's magnetic or
-    elastic term) is not a certificate: phi = -psi'/xi1 jumps at 0 and
-    +-eps, so the magnetic part of its P1 interpolant grows like 1/h of the
-    smallest kink element.  For |M| = 0.080 (the growth_mixed benchmark
-    field of seed 1) it is -3.4e17 on a whole-domain grid whose smallest
-    element is 5.4e-20 and -5.9e15 on the support grid (3.5e-18).  Only its
-    scaling in |M|^2 is grid-independent.
+    The field vanishes outside [-eps, eps] and is linear on [-eps, 0] and
+    [0, eps], so its energy is evaluated at the Gauss points of those two
+    panels.  Its magnetic or elastic energy is not part of the certificate:
+    phi = -psi'/xi1 jumps at 0 and +-eps, so the field is not in H^1.
     """
     geo = profile.geometry
     if not 0.0 < epsilon < min(geo.h_plus, -geo.h_minus):
@@ -294,57 +237,37 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
         )
 
     mode = FourierMode(k1=1, k2=0, xi1=1.0 / geo.L1, xi2=0.0)
-    grid = witness_grid(-eps_used, eps_used, kinks=(-eps_used, eps_used), n=TENT_POINTS)
-    witness = _tent_witness(mode, grid, eps_used)
-    fld = witness.to_mode_field()
-    coeffs = FormCoefficients(profile, params, grid)
-    witness.energy_value = gravity_form(fld, coeffs, mode) - compressibility_form(fld, coeffs, mode)
-    witness.closed_form_value = -2.0 * profile.g * lhs_used
-    witness.diagnostics = {
-        "eps_used": eps_used,
-        "jump_integral": lhs_used,
-        "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
-                                + profile.density_jump),
-        "agreement": abs(witness.energy_value - witness.closed_form_value),
-        "full_energy": energy_form(fld, coeffs, mode),
-        **_grid_diagnostics(grid),
-    }
-    return witness
+    coeffs, psi, dpsi = _tent(profile, params, eps_used)
+    zero = np.zeros_like(psi)
+    f = np.stack([-dpsi / mode.xi1, zero, psi, zero, zero, dpsi], axis=-1)
+    energy_value = form_value(coeffs, mode, {"gravity": 1.0, "compress": -1.0}, f,
+                              psi_interface=1.0)
+    closed = -2.0 * profile.g * lhs_used
+    return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
+                        diagnostics={
+                            "eps_used": eps_used,
+                            "jump_integral": lhs_used,
+                            "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
+                                                    + profile.density_jump),
+                            "agreement": abs(energy_value - closed),
+                            "quadrature_points": int(coeffs.qp_y.size),
+                        })
 
 
-def _tent_witness(mode: FourierMode, grid: np.ndarray, eps: float) -> WitnessField:
-    """Tent psi = max(0, 1 - |y|/eps) with phi = -psi'/xi1 and theta = 0 on grid."""
-    psi = np.maximum(0.0, 1.0 - np.abs(grid) / eps)
-    dpsi = np.where(np.abs(grid) < eps, -np.sign(grid) / eps, 0.0)
-    dpsi[grid == 0.0] = 0.0  # midpoint of the kink; phi value there is arbitrary
-    phi = -dpsi / mode.xi1
-    return WitnessField(mode=mode, grid=grid, phi=phi, theta=np.zeros_like(psi), psi=psi,
-                        energy_value=0.0, closed_form_value=0.0)
-
-
-def _tent_panels(profile: EquilibriumProfile, eps: float, quad_points: int = 32):
-    """Gauss panels on [-eps, 0] and [0, eps] with the layer's evaluate_layer tuple."""
-    x, w = _leggauss(quad_points)
-    for a, b, side in ((-eps, 0.0, "-"), (0.0, eps, "+")):
-        y = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wy = 0.5 * (b - a) * w
-        yield y, wy, profile.evaluate_layer(y, side)
+def _tent(profile: EquilibriumProfile, params: PhysicalParams, eps: float):
+    """Panel coefficients on [-eps, 0] and [0, eps], with the tent
+    psi = 1 - |y|/eps and its slope at their Gauss points."""
+    coeffs = _panels(profile, params, -eps, eps)
+    return coeffs, 1.0 - np.abs(coeffs.qp_y) / eps, -np.sign(coeffs.qp_y) / eps
 
 
 def _jump_integral(profile: EquilibriumProfile, eps: float) -> float:
     """int(rho * psi_eps * psi_eps') over both layers (analytic tent)."""
-    total = 0.0
-    for y, wy, (rho, _, _) in _tent_panels(profile, eps):
-        psi = 1.0 - np.abs(y) / eps
-        dpsi = -np.sign(y) / eps
-        total += float(np.sum(wy * rho * psi * dpsi))
-    return total
+    coeffs, psi, dpsi = _tent(profile, PhysicalParams(), eps)
+    return float(np.sum(coeffs.qp_w * coeffs.rho * psi * dpsi))
 
 
 def _stratification_integral(profile: EquilibriumProfile, eps: float) -> float:
     """int(rho' * psi_eps^2) over both layers (analytic tent)."""
-    total = 0.0
-    for y, wy, (_, rho_p, _) in _tent_panels(profile, eps):
-        psi = 1.0 - np.abs(y) / eps
-        total += float(np.sum(wy * rho_p * psi * psi))
-    return total
+    coeffs, psi, _ = _tent(profile, PhysicalParams(), eps)
+    return float(np.sum(coeffs.qp_w * coeffs.rho_prime * psi * psi))

@@ -13,8 +13,13 @@ Per-mode operators:
     m_xi(w) = i*(M . xi_h) * w + M3 * w'            (field-directional derivative)
     G(w)    = per-mode gradient, rows (i*xi1, i*xi2, d/dy3) applied to w.
 
-Fields are piecewise linear between grid nodes; integrals use per-element
-Gauss-Legendre quadrature that never straddles the interface node at 0.
+:func:`form_table` is the one definition of the forms: Hermitian 6x6
+matrices over a field and its derivative, each times one scalar coefficient
+per quadrature point of a :class:`FormCoefficients`.  The P1 assembly
+contracts it with shape-function moments; :func:`form_value` evaluates it
+on any field given at the quadrature points: the analytic witness fields
+and the P1 eigenvectors whose Rayleigh quotient is alpha(s).  Quadrature
+is per-element Gauss-Legendre and never straddles the interface node at 0.
 """
 
 from __future__ import annotations
@@ -49,41 +54,6 @@ class FourierMode:
 
     def is_zero(self) -> bool:
         return self.k1 == 0 and self.k2 == 0
-
-
-class ModeField:
-    """Complex vector profile (phi, theta, psi) on a 1D grid.
-
-    The grid spans [h_minus, h_plus] with a node exactly at 0; values are
-    complex triples per node, zero on the first and last node (Dirichlet),
-    single-valued at the interface (continuity).
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
-            raise InputError("grid must be strictly increasing with at least 3 nodes")
-        if not np.any(grid == 0.0):
-            raise InputError("grid must contain a node exactly at 0")
-        if values.shape != (grid.size, 3):
-            raise InputError(f"values must have shape ({grid.size}, 3)")
-        if np.any(values[0] != 0) or np.any(values[-1] != 0):
-            raise InputError("Dirichlet ends: values must vanish at the first and last node")
-        self.grid = grid
-        self.values = values
-
-    @property
-    def interface_index(self) -> int:
-        return int(np.nonzero(self.grid == 0.0)[0][0])
-
-    def interface_psi(self) -> complex:
-        return complex(self.values[self.interface_index, 2])
-
-    def scaled(self, c: complex) -> "ModeField":
-        return ModeField(self.grid, c * self.values)
 
 
 # -- quadrature machinery ----------------------------------------------------
@@ -147,112 +117,79 @@ class FormCoefficients:
         self.kappa = np.where(upper, params.kappa_plus, params.kappa_minus)[:, None] * np.ones((1, q))
 
 
-def _check_grid(field: ModeField, coeffs: FormCoefficients) -> None:
-    if field.grid.shape != coeffs.grid.shape or not np.array_equal(field.grid, coeffs.grid):
-        raise InputError("field and coefficients live on different grids")
+def _gram(*rows) -> np.ndarray:
+    """sum of conj(r) r^T: the Hermitian 6x6 matrix of sum |r . f|^2 over f = (w, w')."""
+    return sum(np.outer(np.conj(r), r) for r in rows)
 
 
-def _at_quadrature(field: ModeField, coeffs: FormCoefficients):
-    """Values and derivatives of (phi, theta, psi) at all quadrature points."""
-    v = field.values
-    v0, v1 = v[:-1], v[1:]                                 # (ne, 3)
-    N = coeffs.shape                                       # (2, q)
-    vals = v0[:, None, :] * N[0][None, :, None] + v1[:, None, :] * N[1][None, :, None]
-    slopes = (v1 - v0) / coeffs.element_h[:, None]
-    ders = np.broadcast_to(slopes[:, None, :], vals.shape)
-    return vals, ders
+def form_table(coeffs: FormCoefficients, mode: FourierMode):
+    """The per-mode forms as (label, coefficient, {form name: C}) triples.
 
-
-def _integrate(coeffs: FormCoefficients, density: np.ndarray) -> float:
-    return float(np.sum(coeffs.qp_w * density))
-
-
-def mass_form(field: ModeField, coeffs: FormCoefficients) -> float:
-    """Weighted L2 mass: integral of rho * |w|^2."""
-    _check_grid(field, coeffs)
-    vals, _ = _at_quadrature(field, coeffs)
-    return _integrate(coeffs, coeffs.rho * np.sum(np.abs(vals) ** 2, axis=2))
-
-
-def _d_xi(vals, ders, mode: FourierMode):
-    return 1j * (mode.xi1 * vals[..., 0] + mode.xi2 * vals[..., 1]) + ders[..., 2]
-
-
-def gravity_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Interface jump term plus stratification and divergence coupling.
-
-    g*[[rho]]*|psi(0)|^2 + int( g*rho'*|psi|^2 + 2*g*rho*Re(d_xi(w)*conj(psi)) ).
+    Form ``name`` of a field is the sum, over the triples that hold it, of the
+    integral of coefficient * conj(f)^T C f, where f = (pt, tt, st, pt', tt', st')
+    is the field and its derivative in the tilde basis
+    (phi, theta, psi) = (-i*pt, -i*tt, st), in which a real f is the real
+    ansatz.  The gravity form adds the interface jump g*[[rho]]*|st(0)|^2.
+    ``coefficient`` is one of the (ne, q) tables of ``coeffs`` or 1.0, and
+    ``label`` names it.  The forms are those of :class:`~.assembly.ModeMatrices`.
     """
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    psi = vals[..., 2]
-    d = _d_xi(vals, ders, mode)
-    density = coeffs.g * (
-        coeffs.rho_prime * np.abs(psi) ** 2
-        + 2.0 * coeffs.rho * np.real(d * np.conj(psi))
+    xi1, xi2 = mode.xi1, mode.xi2
+    M1, M2, M3 = coeffs.M
+    mdotxi = M1 * xi1 + M2 * xi2
+    v, dv = np.eye(6)[:3], np.eye(6)[3:]            # value and derivative of each component
+    div = xi1 * v[0] + xi2 * v[1] + dv[2]           # per-mode divergence (tilde)
+    C_div = _gram(div)
+    # |G + G^T|_F^2 / 2, shared by dissipation and elasticity
+    C_sym = 2.0 * _gram(xi1 * v[0], xi2 * v[1], dv[2]) + _gram(
+        xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
+    # magnetic rows d*M - m and field-directional rows m = (M.xi) w - i M3 w' (tilde)
+    C_mag = coeffs.lam * _gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
+                               M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
+                               M3 * (div - dv[2]) - 1j * mdotxi * v[2])
+    C_dir = _gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
+                  M3 * dv[2] + 1j * mdotxi * v[2])
+    C_val = _gram(*v)
+    return (
+        ("density", coeffs.rho,
+         {"mass": C_val, "gravity": coeffs.g * (np.outer(div, v[2]) + np.outer(v[2], div))}),
+        ("density slope", coeffs.rho_prime, {"gravity": coeffs.g * np.outer(v[2], v[2])}),
+        ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
+        ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
+        ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
+        ("bulk", coeffs.bulk, {"dissipation": C_div}),
+        ("kappa", coeffs.kappa, {"elastic": C_sym - C_div}),
     )
-    jump = coeffs.g * coeffs.rho_jump * abs(field.interface_psi()) ** 2
-    return jump + _integrate(coeffs, density)
 
 
-def compressibility_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Pressure stabilizer: integral of P'(rho)*rho*|d_xi(w)|^2."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    d = _d_xi(vals, ders, mode)
-    return _integrate(coeffs, coeffs.p_prime_rho * np.abs(d) ** 2)
+def energy_signs(params: PhysicalParams) -> dict:
+    """{form name: sign} of the spectral energy: gravity minus compressibility
+    and the stabilizing form of ``params.medium`` (magnetic tension or elasticity)."""
+    return {"gravity": 1.0, "compress": -1.0,
+            "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
-def magnetic_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Field-line tension: lam * integral of |d_xi(w)*M - m_xi(w)|^2."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    d = _d_xi(vals, ders, mode)
-    mdotxi = coeffs.M[0] * mode.xi1 + coeffs.M[1] * mode.xi2
-    density = np.zeros(d.shape)
-    for c in range(3):
-        m_c = 1j * mdotxi * vals[..., c] + coeffs.M[2] * ders[..., c]
-        density += np.abs(d * coeffs.M[c] - m_c) ** 2
-    return coeffs.lam * _integrate(coeffs, density)
+def form_value(coeffs: FormCoefficients, mode: FourierMode, weights: dict, f: np.ndarray,
+               psi_interface: complex = 0.0) -> float:
+    """sum of weights[name] * form ``name`` of :func:`form_table`, for a field
+    given at the quadrature points.
 
-
-def _sym_gradient_frobenius2(vals, ders, mode: FourierMode):
-    """|G + G^T|_F^2 with G the per-mode gradient (plain transpose)."""
-    ix1, ix2 = 1j * mode.xi1, 1j * mode.xi2
-    phi, theta, psi = vals[..., 0], vals[..., 1], vals[..., 2]
-    dphi, dtheta, dpsi = ders[..., 0], ders[..., 1], ders[..., 2]
-    out = 4.0 * (np.abs(ix1 * phi) ** 2 + np.abs(ix2 * theta) ** 2 + np.abs(dpsi) ** 2)
-    out += 2.0 * np.abs(ix1 * theta + ix2 * phi) ** 2
-    out += 2.0 * np.abs(ix1 * psi + dphi) ** 2
-    out += 2.0 * np.abs(ix2 * psi + dtheta) ** 2
-    return out
-
-
-def elastic_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Elastic stabilizer: integral of kappa*(|G+G^T|_F^2/2 - |d_xi(w)|^2)."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    d = _d_xi(vals, ders, mode)
-    density = coeffs.kappa * (
-        0.5 * _sym_gradient_frobenius2(vals, ders, mode) - np.abs(d) ** 2
-    )
-    return _integrate(coeffs, density)
-
-
-def dissipation_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Viscous dissipation: (bulk - 2mu/3)*|d_xi|^2 + (mu/2)*|G+G^T|_F^2."""
-    _check_grid(field, coeffs)
-    vals, ders = _at_quadrature(field, coeffs)
-    d = _d_xi(vals, ders, mode)
-    density = (coeffs.bulk - 2.0 * coeffs.mu / 3.0) * np.abs(d) ** 2
-    density += 0.5 * coeffs.mu * _sym_gradient_frobenius2(vals, ders, mode)
-    return _integrate(coeffs, density)
-
-
-def energy_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) -> float:
-    """Spectral energy: gravity minus the stabilizing forms of ``coeffs.params.medium``."""
-    if coeffs.params.medium == MHD:
-        stabilizer = compressibility_form(field, coeffs, mode) + magnetic_form(field, coeffs, mode)
-    else:
-        stabilizer = compressibility_form(field, coeffs, mode) + elastic_form(field, coeffs, mode)
-    return gravity_form(field, coeffs, mode) - stabilizer
+    ``f`` holds (pt, tt, st, pt', tt', st') at every quadrature point of
+    ``coeffs``, shape (ne, q, 6); ``psi_interface`` is st at 0, read only by
+    the gravity form's interface jump.  Each value and slope enters as it
+    is, so nothing cancels at the scale of the assembled matrices' 1/h
+    entries.
+    """
+    table = form_table(coeffs, mode)
+    unknown = set(weights).difference(*(forms for _, _, forms in table))
+    if unknown:
+        raise InputError(f"unknown forms {sorted(unknown)}")
+    total = weights.get("gravity", 0.0) * coeffs.g * coeffs.rho_jump * abs(psi_interface) ** 2
+    f6 = f.reshape(-1, 6)
+    for _, coefficient, forms in table:
+        names = [name for name in weights if name in forms]
+        if names:
+            C = sum(weights[name] * forms[name] for name in names)
+            # G[i, j] = sum over points of weight * coefficient * conj(f_i) * f_j
+            G = np.conj(f6 * (coeffs.qp_w * coefficient).reshape(-1, 1)).T @ f6
+            total += np.real(np.sum(C * G))
+    return float(total)

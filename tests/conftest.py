@@ -5,7 +5,8 @@ import pytest
 
 from rtspectra import assembly
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
-from rtspectra.modereduce import FormCoefficients, FourierMode, ModeField
+from form_oracles import ModeField
+from rtspectra.modereduce import FormCoefficients, FourierMode
 from rtspectra.params import PhysicalParams
 
 

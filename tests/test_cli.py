@@ -90,6 +90,8 @@ INADMISSIBLE = {
     "quadrature_order=0": ("scan", {"k_max = 1": "k_max = 1\nquadrature_order = 0"},
                            "quadrature order"),
     "h_plus=1e-300": ("xi", {"h_plus = 1.0": "h_plus = 1e-300"}, "smallest element"),
+    # lower densities up to 1.4e217: the coefficient, not the element, overflows
+    "h_minus=-1000": ("xi", {"h_minus = -1.0": "h_minus = -1000"}, "density"),
     "witness_k1=0": ("witness", {"m3 = 0.0": "m1 = 1.0", "k1 = 1": "k1 = 0", "k2 = 0": "k2 = 1"},
                      "xi1 != 0"),
 }
@@ -344,7 +346,7 @@ def test_witness_small_field(tmp_path, capsys):
     # recorded on a whole-domain grid of 131,323 nodes
     assert doc["energy_value"] == pytest.approx(0.8002481240161288, rel=1e-13)
     printed = capsys.readouterr().out
-    assert "agreement=" in printed and "grid_nodes=" in printed
+    assert "agreement=" in printed and "quadrature_points=" in printed
 
 
 def test_evolve_artifacts(tmp_path, capsys):

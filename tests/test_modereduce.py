@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import make_mode, random_field
-from form_oracles import (elastic_form_expanded, field_directional_form, gradient_form,
-                          theta_numerator_form)
+from form_oracles import (ModeField, _at_quadrature, _d_xi, compressibility_form,
+                          dissipation_form, elastic_form, elastic_form_expanded, energy_form,
+                          field_directional_form, gradient_form, gravity_form, magnetic_form,
+                          mass_form, theta_numerator_form, tilde_at_quadrature)
 from oracles import GAUSS12, oracle_integrate, p1_eval, p1_slope, sample_coefficient
 from rtspectra import modereduce as mr
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
@@ -21,11 +23,11 @@ from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
 
 def test_zero_field_gives_zero(coeffs60, mesh60, geometry):
     grid = mesh60.nodes
-    zero = mr.ModeField(grid, np.zeros((grid.size, 3), dtype=complex))
+    zero = ModeField(grid, np.zeros((grid.size, 3), dtype=complex))
     mode = make_mode(1, 1, geometry)
-    assert mr.mass_form(zero, coeffs60) == 0.0
-    assert mr.dissipation_form(zero, coeffs60, mode) == 0.0
-    assert mr.elastic_form(zero, coeffs60, mode) == 0.0
+    assert mass_form(zero, coeffs60) == 0.0
+    assert dissipation_form(zero, coeffs60, mode) == 0.0
+    assert elastic_form(zero, coeffs60, mode) == 0.0
 
 
 def test_forms_homogeneous_and_phase_invariant(coeffs60, mesh60, geometry, rng):
@@ -34,12 +36,12 @@ def test_forms_homogeneous_and_phase_invariant(coeffs60, mesh60, geometry, rng):
     c = 1.7 - 0.6j
     alpha = 0.7
     forms = [
-        lambda g: mr.mass_form(g, coeffs60),
-        lambda g: mr.gravity_form(g, coeffs60, mode),
-        lambda g: mr.compressibility_form(g, coeffs60, mode),
-        lambda g: mr.magnetic_form(g, coeffs60, mode),
-        lambda g: mr.elastic_form(g, coeffs60, mode),
-        lambda g: mr.dissipation_form(g, coeffs60, mode),
+        lambda g: mass_form(g, coeffs60),
+        lambda g: gravity_form(g, coeffs60, mode),
+        lambda g: compressibility_form(g, coeffs60, mode),
+        lambda g: magnetic_form(g, coeffs60, mode),
+        lambda g: elastic_form(g, coeffs60, mode),
+        lambda g: dissipation_form(g, coeffs60, mode),
     ]
     for form in forms:
         base = form(f)
@@ -51,23 +53,23 @@ def test_positivity(coeffs60, mesh60, geometry, rng):
     mode = make_mode(1, 2, geometry)
     for _ in range(20):
         f = random_field(mesh60.nodes, rng)
-        assert mr.mass_form(f, coeffs60) > 0
-        assert mr.compressibility_form(f, coeffs60, mode) >= 0
-        assert mr.magnetic_form(f, coeffs60, mode) >= 0
-        assert mr.dissipation_form(f, coeffs60, mode) > 0
+        assert mass_form(f, coeffs60) > 0
+        assert compressibility_form(f, coeffs60, mode) >= 0
+        assert magnetic_form(f, coeffs60, mode) >= 0
+        assert dissipation_form(f, coeffs60, mode) > 0
 
 
 def test_grid_mismatch(coeffs60, geometry, rng):
     other = np.unique(np.concatenate([np.linspace(-1, 1, 31), [0.0]]))
     f = random_field(other, rng)
     with pytest.raises(InputError, match="different grids"):
-        mr.mass_form(f, coeffs60)
+        mass_form(f, coeffs60)
 
 
 def test_dirichlet_enforced(mesh60):
     values = np.ones((mesh60.nodes.size, 3), dtype=complex)
     with pytest.raises(InputError, match="Dirichlet ends"):
-        mr.ModeField(mesh60.nodes, values)
+        ModeField(mesh60.nodes, values)
 
 
 # -- oracle comparisons --------------------------------------------------------
@@ -79,9 +81,9 @@ def test_mass_form_oracle(canonical_profile, mesh60):
     values = np.zeros((grid.size, 3), dtype=complex)
     values[:, 2] = psi
     values[0] = values[-1] = 0.0
-    f = mr.ModeField(grid, values)
+    f = ModeField(grid, values)
     co = mr.FormCoefficients(canonical_profile, PhysicalParams(), grid)
-    got = mr.mass_form(f, co)
+    got = mass_form(f, co)
 
     def integrand(y):
         return sample_coefficient(canonical_profile, y, "rho") * p1_eval(grid, values[:, 2].real, y) ** 2
@@ -104,7 +106,7 @@ def test_gravity_zero_when_g_zero(geometry, mesh60, rng):
     mode = make_mode(1, 1, geometry)
     for _ in range(5):
         f = random_field(mesh60.nodes, rng)
-        assert mr.gravity_form(f, co, mode) == pytest.approx(0.0, abs=1e-14)
+        assert gravity_form(f, co, mode) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gravity_divergence_free_reduces_to_jump_terms(canonical_profile, coeffs60,
@@ -116,16 +118,16 @@ def test_gravity_divergence_free_reduces_to_jump_terms(canonical_profile, coeffs
     values[:, 0] = np.sin(np.pi * (grid + 1))
     values[:, 1] = -mode.xi1 / mode.xi2 * values[:, 0]
     values[0] = values[-1] = 0.0
-    f = mr.ModeField(grid, values)
-    assert mr.compressibility_form(f, coeffs60, mode) == pytest.approx(0.0, abs=1e-20)
-    assert mr.gravity_form(f, coeffs60, mode) == pytest.approx(0.0, abs=1e-14)
+    f = ModeField(grid, values)
+    assert compressibility_form(f, coeffs60, mode) == pytest.approx(0.0, abs=1e-20)
+    assert gravity_form(f, coeffs60, mode) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gravity_equals_theta_numerator(coeffs60, mesh60, geometry, rng):
     mode = make_mode(1, -2, geometry)
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
-        g = mr.gravity_form(f, coeffs60, mode)
+        g = gravity_form(f, coeffs60, mode)
         t = theta_numerator_form(f, coeffs60, mode)
         assert abs(g - t) <= 1e-8 * max(1.0, abs(t))
 
@@ -146,7 +148,7 @@ def test_theta_numerator_real_ansatz(canonical_profile, mesh60, geometry):
     psi = np.sin(0.5 * np.pi * (grid + 1))
     values = np.stack([-1j * phi, -1j * theta, psi + 0j], axis=1)
     values[0] = values[-1] = 0
-    f = mr.ModeField(grid, values)
+    f = ModeField(grid, values)
     co = mr.FormCoefficients(canonical_profile, PhysicalParams(), grid)
     got = theta_numerator_form(f, co, mode)
 
@@ -174,8 +176,8 @@ def test_magnetic_vertical_field_reduces_to_derivative(canonical_profile, mesh60
     values = np.zeros((grid.size, 3), dtype=complex)
     values[:, 0] = phi
     values[0] = values[-1] = 0
-    f = mr.ModeField(grid, values)
-    got = mr.magnetic_form(f, co, mode)
+    f = ModeField(grid, values)
+    got = magnetic_form(f, co, mode)
     slopes = np.diff(phi.real) / np.diff(grid)
     want = lam * M3 ** 2 * float(np.sum(slopes ** 2 * np.diff(grid)))
     assert got == pytest.approx(want, rel=1e-12)
@@ -185,14 +187,14 @@ def test_magnetic_zero_field(coeffs60, mesh60, geometry, canonical_profile, rng)
     params = PhysicalParams(M=(0.0, 0.0, 0.0))
     co = mr.FormCoefficients(canonical_profile, params, mesh60.nodes)
     f = random_field(mesh60.nodes, rng)
-    assert mr.magnetic_form(f, co, make_mode(1, 1, geometry)) == 0.0
+    assert magnetic_form(f, co, make_mode(1, 1, geometry)) == 0.0
 
 
 def test_elastic_definition_vs_expansion(coeffs60, mesh60, geometry, rng):
     mode = make_mode(2, -3, geometry)
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
-        a = mr.elastic_form(f, coeffs60, mode)
+        a = elastic_form(f, coeffs60, mode)
         b = elastic_form_expanded(f, coeffs60, mode)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
@@ -202,7 +204,7 @@ def test_elastic_dominates_gradient(coeffs60, mesh60, geometry, rng):
     kmin = min(coeffs60.params.kappa_plus, coeffs60.params.kappa_minus)
     for _ in range(50):
         f = random_field(mesh60.nodes, rng)
-        el = mr.elastic_form(f, coeffs60, mode)
+        el = elastic_form(f, coeffs60, mode)
         grad = gradient_form(f, coeffs60, mode)
         assert el >= kmin * grad - 1e-12 * max(1.0, abs(el))
 
@@ -210,7 +212,7 @@ def test_elastic_dominates_gradient(coeffs60, mesh60, geometry, rng):
 def test_elastic_zero_kappa(canonical_profile, mesh60, geometry, rng):
     co = mr.FormCoefficients(canonical_profile, PhysicalParams(), mesh60.nodes)
     f = random_field(mesh60.nodes, rng)
-    assert mr.elastic_form(f, co, make_mode(1, 1, geometry)) == 0.0
+    assert elastic_form(f, co, make_mode(1, 1, geometry)) == 0.0
 
 
 def test_dissipation_bulk_edge(canonical_profile, mesh60, geometry, rng):
@@ -220,7 +222,7 @@ def test_dissipation_bulk_edge(canonical_profile, mesh60, geometry, rng):
     assert np.allclose(co.bulk - 2 * co.mu / 3, 0.0)
     for _ in range(10):
         f = random_field(mesh60.nodes, rng)
-        assert mr.dissipation_form(f, co, make_mode(1, 0, geometry)) > 0
+        assert dissipation_form(f, co, make_mode(1, 0, geometry)) > 0
 
 
 def test_dissipation_3d_quadrature_oracle(canonical_profile, rng):
@@ -238,8 +240,8 @@ def test_dissipation_3d_quadrature_oracle(canonical_profile, rng):
     for arr in (pt, tt, st):
         arr[0] = arr[-1] = 0.0
     values = np.stack([-1j * pt, -1j * tt, st + 0j], axis=1)
-    f = mr.ModeField(grid, values)
-    got = mr.dissipation_form(f, co, mode)
+    f = ModeField(grid, values)
+    got = dissipation_form(f, co, mode)
 
     # 3D field: w = (pt*sin(xi.yh), tt*sin(xi.yh), st*cos(xi.yh))
     N1, N2 = 16, 16
@@ -294,8 +296,8 @@ def test_energy_form_etilde_oracle(canonical_profile, rng):
             for arr in (pt, tt, st):
                 arr[0] = arr[-1] = 0.0
             values = np.stack([-1j * pt, -1j * tt, st + 0j], axis=1)
-            f = mr.ModeField(grid, values)
-            got = mr.energy_form(f, co, mode)
+            f = ModeField(grid, values)
+            got = energy_form(f, co, mode)
 
             def integrand(y):
                 rho = sample_coefficient(canonical_profile, y, "rho")
@@ -323,12 +325,12 @@ def test_energy_medium_dispatch(coeffs60, mesh60, geometry, rng):
     assert coeffs60.params.medium == MHD
     ve_params = dataclasses.replace(coeffs60.params, medium=VISCOELASTIC)
     coeffs_ve = mr.FormCoefficients(coeffs60.profile, ve_params, mesh60.nodes)
-    e_mhd = mr.energy_form(f, coeffs60, mode)
-    e_ve = mr.energy_form(f, coeffs_ve, mode)
-    g = mr.gravity_form(f, coeffs60, mode)
-    c = mr.compressibility_form(f, coeffs60, mode)
-    assert e_mhd == pytest.approx(g - c - mr.magnetic_form(f, coeffs60, mode), rel=1e-13)
-    assert e_ve == pytest.approx(g - c - mr.elastic_form(f, coeffs60, mode), rel=1e-13)
+    e_mhd = energy_form(f, coeffs60, mode)
+    e_ve = energy_form(f, coeffs_ve, mode)
+    g = gravity_form(f, coeffs60, mode)
+    c = compressibility_form(f, coeffs60, mode)
+    assert e_mhd == pytest.approx(g - c - magnetic_form(f, coeffs60, mode), rel=1e-13)
+    assert e_ve == pytest.approx(g - c - elastic_form(f, coeffs60, mode), rel=1e-13)
     with pytest.raises(InputError, match="medium must be"):
         dataclasses.replace(coeffs60.params, medium="plasma")
 
@@ -339,9 +341,9 @@ def test_energy_no_stabilizers_nonpositive(geometry, mesh60, rng):
     mode = make_mode(1, 1, geometry)
     for _ in range(10):
         f = random_field(mesh60.nodes, rng)
-        e = mr.energy_form(f, co, mode)
+        e = energy_form(f, co, mode)
         assert e <= 1e-14
-        assert e == pytest.approx(-mr.compressibility_form(f, co, mode), rel=1e-12)
+        assert e == pytest.approx(-compressibility_form(f, co, mode), rel=1e-12)
 
 
 def test_stabilizing_split_inequality(canonical_profile, mesh60, geometry, rng):
@@ -358,9 +360,43 @@ def test_stabilizing_split_inequality(canonical_profile, mesh60, geometry, rng):
     assert coef_d > 0
     for _ in range(50):
         f = random_field(mesh60.nodes, rng)
-        lhs = mr.compressibility_form(f, co, mode) + mr.magnetic_form(f, co, mode)
-        vals, ders = mr._at_quadrature(f, co)
-        d2 = float(np.sum(co.qp_w * np.abs(mr._d_xi(vals, ders, mode)) ** 2))
+        lhs = compressibility_form(f, co, mode) + magnetic_form(f, co, mode)
+        vals, ders = _at_quadrature(f, co)
+        d2 = float(np.sum(co.qp_w * np.abs(_d_xi(vals, ders, mode)) ** 2))
         m_dir = field_directional_form(f, co, mode)
         rhs = coef_d * d2 + (eps - 1.0) / eps * params.lam * m_dir
         assert lhs >= rhs - 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("medium", [MHD, VISCOELASTIC])
+def test_form_value_matches_hand_written_forms(canonical_profile, mixed_params, mesh60,
+                                               geometry, rng, medium):
+    """form_value on random P1 fields (values and slopes at the quadrature points)
+    equals each hand-written oracle form; the mixed field M = (0.3, -0.2, 0.7)
+    gives the magnetic matrix its complex skew part."""
+    params = dataclasses.replace(mixed_params, medium=medium)
+    co = mr.FormCoefficients(canonical_profile, params, mesh60.nodes)
+    mode = make_mode(2, -1, geometry)
+    stabilizer = "magnetic" if medium == MHD else "elastic"
+    assert any(np.any(np.imag(forms["magnetic"]))
+               for _, _, forms in mr.form_table(co, mode) if "magnetic" in forms)
+    for _ in range(20):
+        fld = random_field(mesh60.nodes, rng)
+        f = tilde_at_quadrature(fld, co)
+
+        def value(name):
+            return mr.form_value(co, mode, {name: 1.0}, f, fld.interface_psi())
+
+        for name, want in (("mass", mass_form(fld, co)),
+                           ("gravity", gravity_form(fld, co, mode)),
+                           ("compress", compressibility_form(fld, co, mode)),
+                           ("magnetic", magnetic_form(fld, co, mode)),
+                           ("elastic", elastic_form(fld, co, mode)),
+                           ("dissipation", dissipation_form(fld, co, mode))):
+            assert value(name) == pytest.approx(want, rel=1e-12), name
+        energy = mr.form_value(co, mode, mr.energy_signs(params), f, fld.interface_psi())
+        assert energy == pytest.approx(energy_form(fld, co, mode), rel=1e-12)
+        assert mr.energy_signs(params)[stabilizer] == -1.0
+    with pytest.raises(InputError, match="unknown forms"):
+        mr.form_value(co, mode, {"energy": 1.0}, f)
+

@@ -324,7 +324,7 @@ def test_no_solver_takes_a_medium():
             elif inspect.isclass(obj):
                 checked += [fn for attr, fn in vars(obj).items() if inspect.isfunction(fn)
                             and (attr == "__init__" or not attr.startswith("_"))]
-    assert spectral.alpha in checked and assembly.ModeMatrices.tilde_vector in checked
+    assert spectral.alpha in checked and modereduce.FormCoefficients.__init__ in checked
     for fn in checked:
         assert "medium" not in inspect.signature(fn).parameters, fn.__qualname__
 
