@@ -35,23 +35,18 @@ from .params import MHD, PhysicalParams
 DEFAULT_N_PER_LAYER = 200
 # Largest over smallest element of the default mesh family, the same at every n.
 DEFAULT_SIZE_RATIO = 10.0
-# Smallest admissible element, relative to the layer height: the floor of the
-# equilibrium sample table.  Far below it (5.6e-19 at n=800, grading 1.05)
-# the mass and dissipation matrices stop being numerically definite.
+# Smallest admissible element, relative to the layer height.  Far below it
+# (5.6e-19 at n=800, grading 1.05) the mass and dissipation matrices stop
+# being numerically definite.
 MIN_ELEMENT_FRACTION = 1e-9
 
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Conforming mesh on [h_minus, h_plus] with a node exactly at 0.
-
-    ``grading`` is the per-element size ratio the mesh was built with;
-    :func:`refine_mesh` keeps it to name the family, not its own elements.
-    """
+    """Conforming mesh on [h_minus, h_plus] with a node exactly at 0."""
 
     nodes: np.ndarray
     n_per_layer: int
-    grading: float
 
     @property
     def n_interior(self) -> int:
@@ -101,7 +96,7 @@ def build_mesh(geometry: Geometry, n_per_layer: int = DEFAULT_N_PER_LAYER,
     upper = _layer_nodes(geometry.h_plus, n_per_layer, grading)
     lower = -_layer_nodes(-geometry.h_minus, n_per_layer, grading)[::-1]
     nodes = np.concatenate([lower[:-1], upper])
-    return Mesh1D(nodes=nodes, n_per_layer=int(n_per_layer), grading=float(grading))
+    return Mesh1D(nodes=nodes, n_per_layer=int(n_per_layer))
 
 
 def refine_mesh(mesh: Mesh1D) -> Mesh1D:
@@ -114,7 +109,7 @@ def refine_mesh(mesh: Mesh1D) -> Mesh1D:
     """
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     nodes = np.sort(np.concatenate([mesh.nodes, mids]))
-    return Mesh1D(nodes=nodes, n_per_layer=2 * mesh.n_per_layer, grading=mesh.grading)
+    return Mesh1D(nodes=nodes, n_per_layer=2 * mesh.n_per_layer)
 
 
 @dataclass
@@ -128,6 +123,10 @@ class ModeMatrices:
     Matrices are real symmetric except when the base field mixes vertical
     and in-plane components, which adds an imaginary skew part.
 
+    ``table`` is :func:`~.modereduce.form_table` of ``coeffs`` and ``mode``,
+    built once by :func:`assemble` and read again by every
+    :func:`~.modereduce.form_value` on this mode.
+
     The medium is read from ``coeffs.params.medium`` only; :attr:`operator`
     (through :func:`~.modereduce.energy_signs`) and :attr:`discriminant_pencil`
     are the one place that maps it to the stabilizing form (magnetic tension
@@ -137,6 +136,7 @@ class ModeMatrices:
     mode: FourierMode
     mesh: Mesh1D
     coeffs: FormCoefficients
+    table: tuple
     mass: np.ndarray
     gravity: np.ndarray
     compress: np.ndarray
@@ -244,7 +244,7 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
             raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
                              f"{np.diff(mesh.nodes).min():.3e}, largest coefficient "
                              f"{label} = {largest:.3e}")
-    mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, **out)
+    mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, table=table, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:
             raise SolverError(f"{name} matrix is not positive definite")

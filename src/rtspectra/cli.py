@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from . import assembly, criteria, evolution, spectral
 from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
 from .errors import InputError, RTSpectraError
-from .modereduce import FourierMode
+from .modereduce import DEFAULT_QUADRATURE_ORDER, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
 SCHEMA_VERSION = 1
@@ -47,7 +47,7 @@ class RunConfig:
     params: PhysicalParams
     n_per_layer: int = assembly.DEFAULT_N_PER_LAYER
     grading: Optional[float] = None       # None: the default mesh family
-    quadrature_order: int = 6
+    quadrature_order: int = DEFAULT_QUADRATURE_ORDER
     k_max: int = 4
     fixed_point_tol: float = 1e-8
     k1: int = 1
@@ -178,7 +178,8 @@ def parse_config(path: str) -> RunConfig:
         rho_plus_interface=rho_anchor, params=params,
         n_per_layer=_get(num_s, "numerics", "n_per_layer", int, assembly.DEFAULT_N_PER_LAYER),
         grading=_get(num_s, "numerics", "grading", float, None),
-        quadrature_order=_get(num_s, "numerics", "quadrature_order", int, 6),
+        quadrature_order=_get(num_s, "numerics", "quadrature_order", int,
+                              DEFAULT_QUADRATURE_ORDER),
         k_max=_get(num_s, "numerics", "k_max", int, 4),
         fixed_point_tol=_positive("fixed_point_tol",
                                   _get(num_s, "numerics", "fixed_point_tol", float, 1e-8)),

@@ -136,9 +136,10 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     coeffs = _panels(profile, params, geo.h_minus, geo.h_plus)
     xi1, xi2 = mode.xi1, mode.xi2
     energy = energy_signs(params)
+    table = form_table(coeffs, mode)
     # with M3 = 0 no energy matrix reads the horizontal slopes pt', tt' (f[3:5]),
     # so the slope of phi, which carries the equilibrium coefficients, is not needed
-    for _, _, forms in form_table(coeffs, mode):
+    for _, _, forms in table:
         for name in energy:
             if name in forms and (np.any(forms[name][3:5]) or np.any(forms[name][:, 3:5])):
                 raise SolverError(f"the {name} form reads the horizontal slopes")
@@ -149,7 +150,7 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     zero = np.zeros_like(psi)
     f = np.stack([phi, theta, psi, zero, zero, dpsi], axis=-1)
     psi_interface = _bump(np.array([0.0]), geo)[0][0]
-    energy_value = form_value(coeffs, mode, energy, f, psi_interface)
+    energy_value = form_value(coeffs, table, energy, f, psi_interface)
     closed = closed_form_horizontal(profile, params, mode)
     return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
                         diagnostics={"agreement": abs(energy_value - closed),
@@ -215,9 +216,12 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     numerator.
 
     The field vanishes outside [-eps, eps] and is linear on [-eps, 0] and
-    [0, eps], so its energy is evaluated at the Gauss points of those two
-    panels.  Its magnetic or elastic energy is not part of the certificate:
-    phi = -psi'/xi1 jumps at 0 and +-eps, so the field is not in H^1.
+    [0, eps], so everything is evaluated at the Gauss points of those two
+    panels, built once per width tried (:func:`_tent`): the jump integral
+    that picks the width, then the energy and the int(rho'*psi^2) of the
+    ``identity_rhs`` diagnostic on the panels of the width used.  Its
+    magnetic or elastic energy is not part of the certificate: phi =
+    -psi'/xi1 jumps at 0 and +-eps, so the field is not in H^1.
     """
     geo = profile.geometry
     if not 0.0 < epsilon < min(geo.h_plus, -geo.h_minus):
@@ -227,7 +231,8 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
 
     for j in range(TENT_WIDTHS):
         eps_used = epsilon * 0.5 ** j
-        lhs_used = _jump_integral(profile, eps_used)
+        coeffs, psi, dpsi = _tent(profile, params, eps_used)
+        lhs_used = float(np.sum(coeffs.qp_w * coeffs.rho * psi * dpsi))
         if profile.g * lhs_used < 0.0:
             break
     else:
@@ -237,18 +242,17 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
         )
 
     mode = FourierMode(k1=1, k2=0, xi1=1.0 / geo.L1, xi2=0.0)
-    coeffs, psi, dpsi = _tent(profile, params, eps_used)
     zero = np.zeros_like(psi)
     f = np.stack([-dpsi / mode.xi1, zero, psi, zero, zero, dpsi], axis=-1)
-    energy_value = form_value(coeffs, mode, {"gravity": 1.0, "compress": -1.0}, f,
-                              psi_interface=1.0)
+    energy_value = form_value(coeffs, form_table(coeffs, mode),
+                              {"gravity": 1.0, "compress": -1.0}, f, psi_interface=1.0)
+    stratification = float(np.sum(coeffs.qp_w * coeffs.rho_prime * psi * psi))
     closed = -2.0 * profile.g * lhs_used
     return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
                         diagnostics={
                             "eps_used": eps_used,
                             "jump_integral": lhs_used,
-                            "identity_rhs": -0.5 * (_stratification_integral(profile, eps_used)
-                                                    + profile.density_jump),
+                            "identity_rhs": -0.5 * (stratification + profile.density_jump),
                             "agreement": abs(energy_value - closed),
                             "quadrature_points": int(coeffs.qp_y.size),
                         })
@@ -259,15 +263,3 @@ def _tent(profile: EquilibriumProfile, params: PhysicalParams, eps: float):
     psi = 1 - |y|/eps and its slope at their Gauss points."""
     coeffs = _panels(profile, params, -eps, eps)
     return coeffs, 1.0 - np.abs(coeffs.qp_y) / eps, -np.sign(coeffs.qp_y) / eps
-
-
-def _jump_integral(profile: EquilibriumProfile, eps: float) -> float:
-    """int(rho * psi_eps * psi_eps') over both layers (analytic tent)."""
-    coeffs, psi, dpsi = _tent(profile, PhysicalParams(), eps)
-    return float(np.sum(coeffs.qp_w * coeffs.rho * psi * dpsi))
-
-
-def _stratification_integral(profile: EquilibriumProfile, eps: float) -> float:
-    """int(rho' * psi_eps^2) over both layers (analytic tent)."""
-    coeffs, psi, _ = _tent(profile, PhysicalParams(), eps)
-    return float(np.sum(coeffs.qp_w * coeffs.rho_prime * psi * psi))

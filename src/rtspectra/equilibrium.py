@@ -13,22 +13,26 @@ scale height H = P'(anchor) / g,
 
 that is rho**(gamma-1) = anchor**(gamma-1) - (gamma-1)*g*y3/(K*gamma).
 Density decreases strictly with height in each layer, so the non-vacuum
-check at the layer's top end is exact.
+check at the layer's top end is exact.  :class:`PressureLaw` owns these
+closed forms; a profile stores only the laws, anchors and g, and evaluates
+any height on demand.  P'(rho)*rho rises with rho for both laws, so the
+extrema that the vertical-field criterion reads (sup rho, inf P'(rho)*rho)
+sit at layer endpoints and are evaluated there; no sample table is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
 
-#: points per layer in the exported sample table
+#: points per layer in the exported CSV table
 TABLE_POINTS = 1024
-#: geometric clustering ratio of the sample table toward the interface
+#: geometric clustering ratio of the CSV table toward the interface
 TABLE_RATIO = 1.05
 #: non-vacuum floor, relative to the interface anchor of the layer
 VACUUM_FLOOR = 1e-8
@@ -39,7 +43,9 @@ class PressureLaw:
     """Barotropic pressure law, smooth and strictly increasing on (0, inf).
 
     Supported kinds: ``linear`` with P(tau) = c2 * tau, and ``polytropic``
-    with P(tau) = K * tau**gamma (gamma > 1).
+    with P(tau) = K * tau**gamma (gamma > 1); construction raises InputError
+    for any other kind or parameters.  The law also owns the closed-form
+    hydrostatic layer of the module docstring (:meth:`density`).
     """
 
     kind: str
@@ -49,17 +55,13 @@ class PressureLaw:
 
     @staticmethod
     def linear(c2: float) -> "PressureLaw":
-        law = PressureLaw(kind="linear", c2=float(c2))
-        law.validate()
-        return law
+        return PressureLaw(kind="linear", c2=float(c2))
 
     @staticmethod
     def polytropic(K: float, gamma: float) -> "PressureLaw":
-        law = PressureLaw(kind="polytropic", K=float(K), gamma=float(gamma))
-        law.validate()
-        return law
+        return PressureLaw(kind="polytropic", K=float(K), gamma=float(gamma))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind == "linear":
             if not 0.0 < self.c2 < math.inf:
                 raise InputError(f"linear law needs finite c2 > 0, got {self.c2}")
@@ -87,6 +89,27 @@ class PressureLaw:
         if self.kind == "linear":
             return p / self.c2
         return (p / self.K) ** (1.0 / self.gamma)
+
+    def density(self, anchor: float, g: float, y3) -> np.ndarray:
+        """Closed-form hydrostatic density at heights y3 of a layer whose
+        interface density is ``anchor``."""
+        y3 = np.atleast_1d(np.asarray(y3, dtype=float))
+        if g == 0.0:
+            return np.full_like(y3, anchor)
+        scaled = y3 * (g / float(self.derivative(anchor)))     # y3 / H
+        if self.kind == "linear":
+            return anchor * np.exp(-scaled)
+        e = self.gamma - 1.0
+        # clipped at the vacuum height, where the base reaches 0
+        return anchor * np.maximum(1.0 - e * scaled, 0.0) ** (1.0 / e)
+
+    def floor_height(self, anchor: float, g: float, floor: float) -> float:
+        """Height where the density falls from ``anchor`` to ``floor`` (< anchor, g > 0)."""
+        H = float(self.derivative(anchor)) / g
+        if self.kind == "linear":
+            return H * math.log(anchor / floor)
+        e = self.gamma - 1.0
+        return H * (1.0 - (floor / anchor) ** e) / e
 
     def describe(self) -> str:
         if self.kind == "linear":
@@ -142,36 +165,6 @@ def _clustered_grid(h_from0: float, n: int = TABLE_POINTS, ratio: float = TABLE_
 
 
 @dataclass
-class _Layer:
-    """One hydrostatic layer: closed-form density plus the sample table."""
-
-    law: PressureLaw
-    anchor: float                  # density at the interface side
-    g: float
-    y: np.ndarray                  # sample grid from 0 to h (monotone in y3)
-    rho: np.ndarray = field(init=False)    # densities at the samples
-
-    def density(self, y3: np.ndarray) -> np.ndarray:
-        y3 = np.atleast_1d(np.asarray(y3, dtype=float))
-        if self.g == 0.0:
-            return np.full_like(y3, self.anchor)
-        scaled = y3 * (self.g / float(self.law.derivative(self.anchor)))     # y3 / H
-        if self.law.kind == "linear":
-            return self.anchor * np.exp(-scaled)
-        e = self.law.gamma - 1.0
-        # clipped at the vacuum height, where the base reaches 0
-        return self.anchor * np.maximum(1.0 - e * scaled, 0.0) ** (1.0 / e)
-
-    def floor_height(self, floor: float) -> float:
-        """Height where the density falls to ``floor`` (< anchor, g > 0)."""
-        H = float(self.law.derivative(self.anchor)) / self.g
-        if self.law.kind == "linear":
-            return H * math.log(self.anchor / floor)
-        e = self.law.gamma - 1.0
-        return H * (1.0 - (floor / self.anchor) ** e) / e
-
-
-@dataclass
 class EquilibriumProfile:
     """Immutable two-layer hydrostatic equilibrium.
 
@@ -185,11 +178,6 @@ class EquilibriumProfile:
     g: float
     rho_interface_plus: float
     rho_interface_minus: float
-    layer_plus: _Layer = field(repr=False)
-    layer_minus: _Layer = field(repr=False)
-
-    def _layer(self, side: str) -> _Layer:
-        return self.layer_plus if side == "+" else self.layer_minus
 
     def evaluate(self, y3: float, side: Optional[str] = None):
         """Return (rho, rho', P'(rho)*rho) at height y3.
@@ -209,9 +197,12 @@ class EquilibriumProfile:
 
     def evaluate_layer(self, y3: np.ndarray, side: str):
         """Vectorized evaluation with all points attributed to one layer."""
-        layer = self._layer(side)
-        rho = layer.density(np.asarray(y3, dtype=float))
-        dP = layer.law.derivative(rho)
+        if side == "+":
+            law, anchor = self.law_plus, self.rho_interface_plus
+        else:
+            law, anchor = self.law_minus, self.rho_interface_minus
+        rho = law.density(anchor, self.g, y3)
+        dP = law.derivative(rho)
         rho_prime = -rho * self.g / dP
         return rho, rho_prime, dP * rho
 
@@ -221,10 +212,13 @@ class EquilibriumProfile:
         return self.rho_interface_plus - self.rho_interface_minus
 
     def sup_density(self) -> float:
-        return max(float(self.layer_plus.rho.max()), float(self.layer_minus.rho.max()))
+        """max rho: density falls with y3, so the upper anchor or rho(h_minus)."""
+        rho_bottom = self.evaluate_layer(self.geometry.h_minus, "-")[0][0]
+        return max(self.rho_interface_plus, float(rho_bottom))
 
     def to_csv(self, path) -> None:
-        """Export both layer tables: columns y3, rho, rho_prime, p_prime_rho."""
+        """Export TABLE_POINTS heights per layer, clustered toward the interface:
+        columns y3, rho, rho_prime, p_prime_rho, layer."""
         lines = [
             "# upper: %s; lower: %s; g=%s; rho(0+)=%s; rho(0-)=%s"
             % (
@@ -236,11 +230,11 @@ class EquilibriumProfile:
             ),
             "y3,rho,rho_prime,p_prime_rho,layer",
         ]
-        for side, name in (("-", "lower"), ("+", "upper")):
-            layer = self._layer(side)
-            order = np.argsort(layer.y)
-            rho, rho_p, pp = self.evaluate_layer(layer.y[order], side)
-            for yv, r, rp, ppr in zip(layer.y[order], rho, rho_p, pp):
+        for side, name, h in (("-", "lower", self.geometry.h_minus),
+                              ("+", "upper", self.geometry.h_plus)):
+            y = np.sort(_clustered_grid(h))
+            rho, rho_p, pp = self.evaluate_layer(y, side)
+            for yv, r, rp, ppr in zip(y, rho, rho_p, pp):
                 lines.append(
                     ",".join(format(v, ".17g") for v in (yv, r, rp, ppr)) + "," + name
                 )
@@ -248,22 +242,20 @@ class EquilibriumProfile:
             fh.write("\n".join(lines) + "\n")
 
 
-def _hydrostatic_layer(law: PressureLaw, anchor: float, h: float, g: float) -> _Layer:
-    """Closed-form layer from the interface to y3 = h, with its sample table."""
-    layer = _Layer(law=law, anchor=anchor, g=g, y=_clustered_grid(h))
+def _check_layer(law: PressureLaw, anchor: float, h: float, g: float) -> None:
+    """InputError unless the layer from the interface to y3 = h stays above the
+    non-vacuum floor and below the float range."""
     floor = VACUUM_FLOOR * anchor
-    # density is monotone in the layer, so its far end bounds every sample
+    # density is monotone in the layer, so its far end bounds every height
     with np.errstate(over="ignore"):
-        rho_h = float(layer.density(h)[0])
+        rho_h = float(law.density(anchor, g, h)[0])
     if rho_h < floor:
         raise InputError(
-            f"density reached the non-vacuum floor at y3={layer.floor_height(floor):.6g} "
+            f"density reached the non-vacuum floor at y3={law.floor_height(anchor, g, floor):.6g} "
             f"before {h:.6g}"
         )
     if rho_h == math.inf:
         raise InputError(f"density overflows before the layer end y3={h:.6g}")
-    layer.rho = layer.density(layer.y)
-    return layer
 
 
 def build_profile(
@@ -278,8 +270,6 @@ def build_profile(
     The lower-layer anchor solves P_minus(tau) = P_plus(rho_plus_at_interface),
     which exists and is unique by strict monotonicity.
     """
-    law_plus.validate()
-    law_minus.validate()
     if not 0.0 <= g < math.inf:
         raise InputError(f"g must be nonnegative and finite, got {g}")
     if not 0.0 < rho_plus_at_interface < math.inf:
@@ -288,8 +278,8 @@ def build_profile(
     p_match = float(law_plus.value(rho_plus_at_interface))
     rho_minus = law_minus.inverse(p_match)
 
-    layer_plus = _hydrostatic_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g)
-    layer_minus = _hydrostatic_layer(law_minus, rho_minus, geometry.h_minus, g)
+    _check_layer(law_plus, rho_plus_at_interface, geometry.h_plus, g)
+    _check_layer(law_minus, rho_minus, geometry.h_minus, g)
 
     return EquilibriumProfile(
         geometry=geometry,
@@ -298,8 +288,6 @@ def build_profile(
         g=g,
         rho_interface_plus=float(rho_plus_at_interface),
         rho_interface_minus=float(rho_minus),
-        layer_plus=layer_plus,
-        layer_minus=layer_minus,
     )
 
 
@@ -312,12 +300,9 @@ def check_rt_condition(profile: EquilibriumProfile):
 def infimum_p_prime_rho(profile: EquilibriumProfile) -> float:
     """Infimum of P'(rho)*rho over both layers.
 
-    P'(rho)*rho is monotone in rho per layer and rho is monotone in y3, so
-    the infimum sits at a layer endpoint; the table minimum is exact there.
+    P'(rho)*rho rises with rho and rho falls with y3, so the infimum is at
+    the top of a layer: y3 = h_plus above the interface, 0 below it.
     """
-    values = []
-    for side in ("+", "-"):
-        layer = profile._layer(side)
-        _, _, pp = profile.evaluate_layer(layer.y, side)
-        values.append(pp.min())
-    return float(min(values))
+    top_plus = profile.evaluate_layer(profile.geometry.h_plus, "+")[2][0]
+    top_minus = profile.evaluate_layer(0.0, "-")[2][0]
+    return float(min(top_plus, top_minus))

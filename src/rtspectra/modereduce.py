@@ -15,9 +15,10 @@ Per-mode operators:
 
 :func:`form_table` is the one definition of the forms: Hermitian 6x6
 matrices over a field and its derivative, each times one scalar coefficient
-per quadrature point of a :class:`FormCoefficients`.  The P1 assembly
-contracts it with shape-function moments; :func:`form_value` evaluates it
-on any field given at the quadrature points: the analytic witness fields
+per quadrature point of a :class:`FormCoefficients`.  It is built once
+per mode: the P1 assembly contracts it with shape-function moments and
+keeps it on the mode's matrices, and :func:`form_value` evaluates a given
+table on any field at the quadrature points: the analytic witness fields
 and the P1 eigenvectors whose Rayleigh quotient is alpha(s).  Quadrature
 is per-element Gauss-Legendre and never straddles the interface node at 0.
 """
@@ -168,18 +169,18 @@ def energy_signs(params: PhysicalParams) -> dict:
             "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
-def form_value(coeffs: FormCoefficients, mode: FourierMode, weights: dict, f: np.ndarray,
+def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray,
                psi_interface: complex = 0.0) -> float:
-    """sum of weights[name] * form ``name`` of :func:`form_table`, for a field
-    given at the quadrature points.
+    """sum of weights[name] * form ``name`` of ``table``, for a field given at
+    the quadrature points.
 
-    ``f`` holds (pt, tt, st, pt', tt', st') at every quadrature point of
-    ``coeffs``, shape (ne, q, 6); ``psi_interface`` is st at 0, read only by
-    the gravity form's interface jump.  Each value and slope enters as it
-    is, so nothing cancels at the scale of the assembled matrices' 1/h
-    entries.
+    ``table`` is ``form_table(coeffs, mode)``, built once by the caller for
+    its mode (:attr:`~.assembly.ModeMatrices.table` after assembly).  ``f``
+    holds (pt, tt, st, pt', tt', st') at every quadrature point of ``coeffs``,
+    shape (ne, q, 6); ``psi_interface`` is st at 0, read only by the gravity
+    form's interface jump.  Each value and slope enters as it is, so nothing
+    cancels at the scale of the assembled matrices' 1/h entries.
     """
-    table = form_table(coeffs, mode)
     unknown = set(weights).difference(*(forms for _, _, forms in table))
     if unknown:
         raise InputError(f"unknown forms {sorted(unknown)}")

@@ -28,7 +28,8 @@ from . import band
 from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .equilibrium import EquilibriumProfile
 from .errors import InputError, RTSpectraError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_value
+from .modereduce import (DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode, energy_signs,
+                         form_value)
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
 EIGVEC_RESIDUAL_TOL = 1e-8
@@ -121,9 +122,9 @@ def _element_quotient(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
     reference by up to 1.6e-7, this one by 1e-13.
     """
     f, psi0 = matrices.at_quadrature(v)
-    co, mode = matrices.coeffs, matrices.mode
-    return (form_value(co, mode, {**energy_signs(co.params), "dissipation": -s}, f, psi0)
-            / form_value(co, mode, {"mass": 1.0}, f))
+    co, table = matrices.coeffs, matrices.table
+    return (form_value(co, table, {**energy_signs(co.params), "dissipation": -s}, f, psi0)
+            / form_value(co, table, {"mass": 1.0}, f))
 
 
 def alpha(s: float, matrices: ModeMatrices):
@@ -308,7 +309,7 @@ def analyze_mode(matrices: ModeMatrices, tol: float = 1e-8) -> ModeVerdict:
 
 def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1D,
                 k_max: int, tol: float = 1e-8,
-                quadrature_order: int = 6) -> StabilityVerdict:
+                quadrature_order: int = DEFAULT_QUADRATURE_ORDER) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
     With a viscoelastic ``params.medium``, or an mhd field with M1 = M2 = 0,

@@ -16,7 +16,7 @@ from form_oracles import (ModeField, elastic_form, elastic_form_expanded, energy
 from oracles import etilde_value
 from rtspectra import assembly, band, criteria, evolution, modereduce as mr, spectral
 from rtspectra.cli import run as cli_run
-from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
+from rtspectra.equilibrium import Geometry, PressureLaw, _clustered_grid, build_profile
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 VISC = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
@@ -43,12 +43,13 @@ def profile(geo):
 def test_criterion_01_equilibrium_exactness(geo):
     start = time.monotonic()
     prof = build_profile(geo, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, 2.0)
-    for side, c2, anchor in (("+", 1.0, 2.0), ("-", 2.0, 1.0)):
-        layer = prof._layer(side)
-        exact = anchor * np.exp(-prof.g * layer.y / c2)
-        assert np.max(np.abs(layer.rho - exact)) <= 1e-10 * anchor
-        rho, rho_p, _ = prof.evaluate_layer(layer.y, side)
-        residual = layer.law.derivative(rho) * rho_p + rho * prof.g
+    for side, c2, anchor, h, law in (("+", 1.0, 2.0, geo.h_plus, prof.law_plus),
+                                     ("-", 2.0, 1.0, geo.h_minus, prof.law_minus)):
+        y = _clustered_grid(h)
+        rho, rho_p, _ = prof.evaluate_layer(y, side)
+        exact = anchor * np.exp(-prof.g * y / c2)
+        assert np.max(np.abs(rho - exact)) <= 1e-10 * anchor
+        residual = law.derivative(rho) * rho_p + rho * prof.g
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(rho * prof.g)
     p_plus = prof.law_plus.value(prof.rho_interface_plus)
     p_minus = prof.law_minus.value(prof.rho_interface_minus)

@@ -174,7 +174,8 @@ def test_small_field_identity_sign_analysis(geometry):
     """With zero jump and rho' < 0 the integral is positive for every width."""
     prof = build_profile(geometry, PressureLaw.linear(1.5), PressureLaw.linear(1.5), 1.0, 2.0)
     for eps in (0.4, 0.2, 0.1, 0.05):
-        assert criteria._jump_integral(prof, eps) > 0
+        coeffs, psi, dpsi = criteria._tent(prof, PhysicalParams(), eps)
+        assert np.sum(coeffs.qp_w * coeffs.rho * psi * dpsi) > 0
 
 
 def test_poincare_sharp_constant(geometry):

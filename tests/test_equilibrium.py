@@ -9,6 +9,7 @@ from oracles import dop853_density
 from rtspectra.equilibrium import (
     Geometry,
     PressureLaw,
+    _clustered_grid,
     build_profile,
     check_rt_condition,
     infimum_p_prime_rho,
@@ -16,12 +17,19 @@ from rtspectra.equilibrium import (
 from rtspectra.errors import InputError
 
 
+def _layer_grid(prof, side):
+    """The heights of the exported CSV table of one layer."""
+    geo = prof.geometry
+    return _clustered_grid(geo.h_plus if side == "+" else geo.h_minus)
+
+
 def test_linear_laws_match_exponential(canonical_profile):
     prof = canonical_profile
     for side, c2, anchor in (("+", 1.0, 2.0), ("-", 2.0, 1.0)):
-        layer = prof._layer(side)
-        exact = anchor * np.exp(-prof.g * layer.y / c2)
-        assert np.max(np.abs(layer.rho - exact)) <= 1e-10 * anchor
+        y = _layer_grid(prof, side)
+        rho, _, _ = prof.evaluate_layer(y, side)
+        exact = anchor * np.exp(-prof.g * y / c2)
+        assert np.max(np.abs(rho - exact)) <= 1e-10 * anchor
 
 
 def test_lower_anchor_from_pressure_matching(canonical_profile):
@@ -34,18 +42,17 @@ def test_lower_anchor_from_pressure_matching(canonical_profile):
 
 def test_ode_residual_identity(canonical_profile):
     prof = canonical_profile
-    for side in ("+", "-"):
-        layer = prof._layer(side)
-        rho, rho_p, _ = prof.evaluate_layer(layer.y, side)
-        residual = layer.law.derivative(rho) * rho_p + rho * prof.g
+    for side, law in (("+", prof.law_plus), ("-", prof.law_minus)):
+        rho, rho_p, _ = prof.evaluate_layer(_layer_grid(prof, side), side)
+        residual = law.derivative(rho) * rho_p + rho * prof.g
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(rho * prof.g)
 
 
 def test_density_strictly_decreasing(canonical_profile):
     for side in ("+", "-"):
-        layer = canonical_profile._layer(side)
-        order = np.argsort(layer.y)
-        assert np.all(np.diff(layer.rho[order]) < 0.0)
+        y = np.sort(_layer_grid(canonical_profile, side))
+        rho, _, _ = canonical_profile.evaluate_layer(y, side)
+        assert np.all(np.diff(rho) < 0.0)
 
 
 def test_rt_condition_canonical(canonical_profile):
@@ -89,9 +96,10 @@ def test_polytropic_linear_profile(geometry):
     # K=1, gamma=2: 2*K*rho*rho' = -rho*g  =>  rho' = -1/2
     prof = build_profile(geometry, PressureLaw.polytropic(1.0, 2.0),
                          PressureLaw.polytropic(1.0, 2.0), 1.0, 2.0)
-    layer = prof.layer_plus
-    exact = 2.0 - layer.y / 2.0
-    assert np.max(np.abs(layer.rho - exact)) <= 1e-10
+    y = _layer_grid(prof, "+")
+    rho, _, _ = prof.evaluate_layer(y, "+")
+    exact = 2.0 - y / 2.0
+    assert np.max(np.abs(rho - exact)) <= 1e-10
     # infimum of P'(rho)*rho = 2*K*rho^2 at the smallest-density endpoint
     assert infimum_p_prime_rho(prof) == pytest.approx(2.0 * 1.5 ** 2, rel=1e-10)
 
@@ -115,12 +123,28 @@ def test_closed_forms_match_dop853(geometry, index, g):
     # each law once above the interface and once below it
     law_plus, law_minus = LAWS[index], LAWS[(index + 1) % len(LAWS)]
     prof = build_profile(geometry, law_plus, law_minus, g, 2.0)
-    for side, h in (("+", geometry.h_plus), ("-", geometry.h_minus)):
-        layer = prof._layer(side)
+    for side, h, law, anchor in (("+", geometry.h_plus, prof.law_plus, prof.rho_interface_plus),
+                                 ("-", geometry.h_minus, prof.law_minus, prof.rho_interface_minus)):
         y = np.linspace(0.0, h, 1000)
-        want = dop853_density(layer.law, layer.anchor, h, g)(y)
+        want = dop853_density(law, anchor, h, g)(y)
         got, _, _ = prof.evaluate_layer(y, side)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("index", range(len(LAWS)), ids=[law.describe() for law in LAWS])
+def test_extrema_at_layer_endpoints(geometry, index, g):
+    """sup rho and inf P'(rho)*rho are the closed forms at the layer endpoints,
+    and no height of the exported CSV table goes past them."""
+    prof = build_profile(geometry, LAWS[index], LAWS[(index + 1) % len(LAWS)], g, 2.0)
+    rho_bottom = prof.evaluate_layer(geometry.h_minus, "-")[0][0]
+    pp_top_plus = prof.evaluate_layer(geometry.h_plus, "+")[2][0]
+    pp_top_minus = prof.evaluate_layer(0.0, "-")[2][0]
+    assert prof.sup_density() == max(prof.evaluate_layer(0.0, "+")[0][0], rho_bottom)
+    assert infimum_p_prime_rho(prof) == min(pp_top_plus, pp_top_minus)
+    tables = [prof.evaluate_layer(_layer_grid(prof, side), side) for side in ("+", "-")]
+    assert prof.sup_density() == max(rho.max() for rho, _, _ in tables)
+    assert infimum_p_prime_rho(prof) == min(pp.min() for _, _, pp in tables)
 
 
 def _floor_height(exc_info):
@@ -162,6 +186,10 @@ def test_invalid_inputs(geometry):
         PressureLaw.polytropic(1.0, 1.0)
     with pytest.raises(InputError, match="linear law"):
         PressureLaw.linear(-1.0)
+    with pytest.raises(InputError, match="linear law"):
+        PressureLaw(kind="linear", c2=-1.0)
+    with pytest.raises(InputError, match="unknown pressure law kind 'isothermal'"):
+        PressureLaw(kind="isothermal")
     with pytest.raises(InputError, match="upper anchor"):
         build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, -2.0)
     with pytest.raises(InputError, match="h_minus < 0 < h_plus"):

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
-from rtspectra import assembly, band, evolution, modereduce, spectral
+from rtspectra import assembly, band, criteria, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import InputError, SolverError
 from rtspectra.modereduce import FormCoefficients
@@ -522,6 +522,25 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
     verdict = spectral.analyze_mode(mm_nofield)
     assert verdict.lambda_value is not None and verdict.lambda_value > 0
     assert calls.count(0.0) == 1
+
+
+def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry, monkeypatch):
+    """The fixed point reads the table its matrices were assembled from, and the
+    horizontal witness builds one table for its slope guard and its energy."""
+    real, calls = modereduce.form_table, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (modereduce, assembly, criteria):      # every module that holds the name
+        monkeypatch.setattr(module, "form_table", counting)
+    lam, _, _ = spectral.growth_rate_detailed(mm_nofield, tol=1e-8)
+    assert lam is not None and lam > 0
+    assert len(calls) == 0
+    criteria.horizontal_field_witness(canonical_profile, PhysicalParams(M=(1.0, 0.0, 0.0)),
+                                      make_mode(1, 1, geometry))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m3", [M3_STABLE, 0.0])
