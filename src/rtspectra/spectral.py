@@ -7,7 +7,8 @@ dissipation-penalized pencil (A - s*D, Mass).
 
 Both are top eigenpairs of banded Hermitian pencils with a definite
 right-hand side, from one solver (_top_pair): inverse iteration in a bracket
-of the top eigenvalue that banded Cholesky factorizations certify.  The
+of the top eigenvalue that banded Cholesky factorizations certify, started
+cold or, along the fixed-point iteration, from the previous eigenpair.  The
 discriminant's singular cases are settled before the solve (xi_per_mode), so
 no dense matrix is built.
 alpha is non-increasing and convex in s (a supremum of affine functions
@@ -35,13 +36,16 @@ from .params import MHD, VISCOELASTIC, PhysicalParams
 EIGVEC_RESIDUAL_TOL = 1e-8
 # alpha must factor as the top of its pencil at this relative margin above it
 TOP_BRANCH_MARGIN = 1e-6
-# shifts 1, 4, 16, ..., 4**40 (about 1e24) are tried above a spectrum
+# shifts 1, 4, 16, ..., 4**40 (about 1e24) are tried above a spectrum, or offsets
+# delta, 4*delta, ... above a guess
 SHIFT_TRIES = 41
 # seeds the start vector of inverse iteration
 START_SEED = 20240811
 # the bracket [lo, sigma] of a top eigenvalue closes at BRACKET_TOL * max(1, |lo|)
 BRACKET_TOL = 1e-12
-BRACKET_STEP = 0.1      # trial shifts lie this fraction of the way from lo to sigma
+BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from lo to sigma
+AIM_FACTOR = 8.0        # aimed trial shifts lie this many last quotient changes above lo
+WARM_OFFSET = 1e-3      # a warm start's first shift lies this relative offset above its guess
 INVERSE_STEPS = 200
 MAX_FIXED_POINT_STEPS = 100
 
@@ -69,29 +73,50 @@ class StabilityVerdict:
     errors: Dict[Tuple[int, int], str] = field(default_factory=dict)
 
 
-def _top_pair(hb: np.ndarray, mb: np.ndarray):
+def _top_pair(hb: np.ndarray, mb: np.ndarray,
+              guess: Optional[Tuple[float, np.ndarray]] = None):
     """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
     and its eigenvector normalized to v* M v = 1; H and M in upper band
     storage of one shape.
 
-    sigma = 1, 4, 16, ... grows until sigma*M - H has a banded Cholesky
-    factor, which certifies that sigma lies above the whole spectrum.
-    Inverse iteration then closes a bracket [lo, sigma] of the top: each
-    Rayleigh quotient rho (never above it) raises lo, and the shift
-    lo + BRACKET_STEP*(sigma - lo) becomes sigma if it factors, else lo.
-    A seeded start vector makes a repeated call return the same bits.
+    A shift sigma whose sigma*M - H has a banded Cholesky factor lies above
+    the whole spectrum; one that does not factor lies below the top and
+    raises lo.  Cold (no ``guess``), sigma = 1, 4, 16, ... and inverse
+    iteration starts from a seeded vector, so a repeated call returns the
+    same bits.  With ``guess = (value, vector)``, the top and eigenvector of
+    a nearby pencil, sigma = value + delta with delta = WARM_OFFSET *
+    max(1, |value|), the offset grows 4x per shift that does not factor, and
+    inverse iteration starts from the guessed vector.
+
+    Inverse iteration then closes a bracket [lo, sigma] of the top.  Each
+    Rayleigh quotient rho (never above the top, so above sigma only by
+    rounding) raises lo up to sigma, and a trial shift lo + step becomes
+    sigma if it factors, else lo.  The step is BRACKET_STEP*(sigma - lo),
+    or, after a trial that factored, the smaller AIM_FACTOR*|rho - rho_prev|
+    (at least half the closing tolerance): the quotient's last change
+    bounds how far below the top it still is.  Once sigma - lo <=
+    BRACKET_TOL*max(1, |lo|) it returns lo, inside the bracket, with the
+    last iterate, which came from the shift nearest the top.  lo is that
+    iterate's quotient, or the same within band-product rounding (about
+    eps*||H||): an earlier quotient or a shift that did not factor.
     """
-    sigma = 1.0
+    if guess is None:
+        base, offset = 0.0, 1.0
+        v = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
+    else:
+        base, v = guess
+        offset = WARM_OFFSET * max(1.0, abs(base))
+    lo = -math.inf
     for _ in range(SHIFT_TRIES):
+        sigma = base + offset
         factor = band.cholesky(sigma * mb - hb)
         if factor is not None:
             break
-        sigma *= 4.0
+        lo, offset = sigma, 4.0 * offset
     else:
-        raise SolverError(f"no shift up to {sigma / 4.0:.1e} lies above the pencil's spectrum")
+        raise SolverError(f"no shift up to {sigma:.1e} lies above the pencil's spectrum")
 
-    v = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
-    mv, lo = band.matvec(mb, v), -math.inf
+    mv, rho_prev = band.matvec(mb, v), None     # rho_prev: set after a trial that factored
     for _ in range(INVERSE_STEPS):
         v = sla.cho_solve_banded((factor, False), mv, check_finite=False)
         mv = band.matvec(mb, v)
@@ -100,15 +125,20 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray):
         if not (norm2 > 0.0 and math.isfinite(rho)):
             raise SolverError(f"inverse iteration at shift {sigma:.6g} gave the quotient {rho}")
         v, mv = v / math.sqrt(norm2), mv / math.sqrt(norm2)
-        lo = max(lo, rho)
-        if sigma - lo <= BRACKET_TOL * max(1.0, abs(lo)):
-            return rho, v
-        shift = lo + BRACKET_STEP * (sigma - lo)
+        lo = max(lo, min(rho, sigma))
+        tol = BRACKET_TOL * max(1.0, abs(lo))
+        if sigma - lo <= tol:
+            return lo, v
+        step = BRACKET_STEP * (sigma - lo)
+        if rho_prev is not None:
+            step = min(step, max(0.5 * tol, AIM_FACTOR * abs(rho - rho_prev)))
+        shift = lo + step
         trial = band.cholesky(shift * mb - hb)
         if trial is None:
             lo = shift
         else:
             sigma, factor = shift, trial
+        rho_prev = None if trial is None else rho
     raise SolverError(f"top eigenvalue bracket [{lo:.17g}, {sigma:.17g}] still open "
                       f"after {INVERSE_STEPS} inverse-iteration steps")
 
@@ -127,20 +157,24 @@ def _element_quotient(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
             / form_value(co, table, {"mass": 1.0}, f))
 
 
-def alpha(s: float, matrices: ModeMatrices):
+def alpha(s: float, matrices: ModeMatrices,
+          guess: Optional[Tuple[float, np.ndarray]] = None):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
     The value is the element-level Rayleigh quotient of the banded
     solver's eigenvector (v* Mass v = 1), which graded meshes do not spoil
-    by cancellation.  SolverError when the eigen-residual is too large, or
-    when the pencil does not factor a relative TOP_BRANCH_MARGIN above the
-    value (the vector is then not on the top branch).
+    by cancellation.  ``guess``, the (value, eigenvector) of alpha at a
+    nearby s, warm-starts the banded solver (_top_pair); without it the
+    solve starts cold from a seeded vector.  SolverError when the
+    eigen-residual is too large, or when the pencil does not factor a
+    relative TOP_BRANCH_MARGIN above the value (the vector is then not on
+    the top branch).
     """
     if s < 0:
         raise InputError(f"s must be nonnegative, got {s}")
     A, D, M = matrices.operator, matrices.dissipation, matrices.mass
     H = A - s * D
-    _, v = _top_pair(H, M)
+    _, v = _top_pair(H, M, guess)
     rho = _element_quotient(matrices, s, v)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
     scale = (band.frobenius(A) + abs(s) * band.frobenius(D)) * np.linalg.norm(v)
@@ -162,7 +196,10 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
     """growth_rate plus the principal eigenvector and fixed-point residual.
 
     ``alpha0`` is the result of alpha(0.0, matrices) when the caller
-    has it already; it is solved here otherwise.
+    has it already; it is solved here otherwise, cold.  Every later
+    alpha(s) is warm-started from the previous (alpha, eigenvector), so a
+    caller that passes a cold alpha(0.0) gets the bits of one that passes
+    none.
 
     Newton iteration on f(s) = alpha(s) - s^2 from s = 0, with the
     Hellmann-Feynman slope f'(s) = -v* D v - 2s of the mass-normalized top
@@ -184,7 +221,7 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
                 break
-        a, vec = alpha(s, matrices)
+        a, vec = alpha(s, matrices, guess=(a, vec))
         f = a - s * s
         if abs(f) <= tol * max(1.0, s * s):
             return s, vec, abs(f)

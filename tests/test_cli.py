@@ -361,6 +361,22 @@ def test_evolve_artifacts(tmp_path, capsys):
     assert "fitted_rate" in rate
 
 
+def test_one_growth_path(tmp_path):
+    """growth, the scan row of its mode and evolve's rate.json report the same
+    lambda bits for an unstable mode of a mixed field (complex pencils)."""
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m1 = 0.04\nm2 = -0.03\nm3 = 0.02"})
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
+    growth, scan, traj = tmp_path / "growth.json", tmp_path / "scan.csv", tmp_path / "traj.csv"
+    assert cli.run(str(cfgp), "growth", out=str(growth)) == 0
+    assert cli.run(str(cfgp), "scan", out=str(scan)) == 0
+    assert cli.run(str(cfgp), "evolve", out=str(traj)) == 0
+    lam = json.loads(growth.read_text())["lambda"]
+    rows = [line.split(",") for line in scan.read_text().splitlines()[1:]]
+    scanned = [float(r[6]) for r in rows if (r[0], r[1]) == ("1", "0")]
+    evolved = json.loads((tmp_path / "traj.csv.rate.json").read_text())["lambda"]
+    assert lam > 0 and scanned == [lam] and evolved == lam
+
+
 @pytest.mark.parametrize("subcommand", ["xi", "scan", "evolve", "equilibrium"])
 def test_unwritable_artifact_exit_code(tmp_path, capsys, subcommand):
     """An artifact path in a missing directory: exit 2 and one error line naming

@@ -142,6 +142,86 @@ def test_top_pair_banded_pencils(rng):
                     spectral._top_pair(*nan_pencil)
 
 
+def test_top_pair_warm_start(rng):
+    """A warm start (value, vector) reaches the dense top in three cases: the
+    guessed value above the top, below it (the shift climbs from the guess),
+    and a start vector M-orthogonal to the top eigenvector, as when the top
+    branch changes along the Newton path.  A repeated warm call returns the
+    same bits."""
+    n = 120
+    for p in (1, 5):
+        for complex_valued in (False, True):
+            hb = _random_band(rng, n, p, complex_valued)
+            mb = _random_band(rng, n, p, complex_valued)
+            mb[p] += 8.0 * (2 * p + 1)
+            H, M = band.to_dense(hb), band.to_dense(mb)
+            w, V = sla.eigh(H, M)
+            spread = w[-1] - w[0]
+            guesses = {"above": (w[-1] + 0.05 * spread, V[:, -1] + 0.01 * V[:, -2]),
+                       "below": (w[-1] - 0.3 * spread, V[:, -1] + 0.01 * V[:, 0]),
+                       "orthogonal": (w[-2], V[:, -2])}
+            assert abs(np.vdot(V[:, -1], M @ V[:, -2])) <= 1e-14
+            for name, guess in guesses.items():
+                top, v = spectral._top_pair(hb, mb, guess)
+                assert top == pytest.approx(w[-1], rel=1e-10), name
+                assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
+                residual = np.linalg.norm(H @ v - top * (M @ v))
+                assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v), name
+                top2, v2 = spectral._top_pair(hb, mb, guess)
+                assert top2 == top and np.array_equal(v2, v)
+
+
+def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
+    """Every top value of a growth scan (complex pencils) lies in its closed
+    bracket [lo, sigma]: not below any quotient of the iteration or shift that
+    did not factor, not above the lowest shift that did, and within
+    BRACKET_TOL of it.  Shifts are read back from the factorized bands."""
+    params = dataclasses.replace(baseline_params, M=(0.03, -0.05, -0.02))
+    mesh = assembly.build_mesh(geometry, n_per_layer=100)
+    real_top, real_cholesky, real_solve = spectral._top_pair, band.cholesky, sla.cho_solve_banded
+    events, checked = [], []
+
+    def cholesky(ab):
+        factor = real_cholesky(ab)
+        events.append(("shift", ab, factor is not None))
+        return factor
+
+    def solve(*args, **kwargs):
+        x = real_solve(*args, **kwargs)
+        events.append(("iterate", x, None))
+        return x
+
+    def recording(hb, mb, guess=None):
+        events.clear()
+        top, v = real_top(hb, mb, guess)
+        j = int(np.argmin(np.abs(hb[-1]) / mb[-1].real))    # least cancellation in the read-back
+        quotient = failed = -math.inf
+        sigma = math.inf
+        for kind, x, factored in events:
+            if kind == "iterate":
+                mx = band.matvec(mb, x)
+                quotient = max(quotient, float(np.real(np.vdot(x, band.matvec(hb, x))))
+                               / float(np.real(np.vdot(x, mx))))
+            elif factored:
+                sigma = min(sigma, float((x[-1, j].real + hb[-1, j].real) / mb[-1, j].real))
+            else:
+                failed = max(failed, float((x[-1, j].real + hb[-1, j].real) / mb[-1, j].real))
+        slack = 4e-16 * (abs(top) + abs(hb[-1, j]) / mb[-1, j].real)     # read-back rounding
+        # a quotient above a shift that factored is rounding, and raises lo only to sigma
+        lo = max(failed, min(quotient, sigma))
+        assert lo - slack <= top <= sigma + slack, (lo, top, sigma)
+        assert sigma - top <= spectral.BRACKET_TOL * max(1.0, abs(top)) + slack
+        checked.append(top)
+        return top, v
+
+    monkeypatch.setattr(band, "cholesky", cholesky)
+    monkeypatch.setattr(spectral.sla, "cho_solve_banded", solve)
+    monkeypatch.setattr(spectral, "_top_pair", recording)
+    verdict = spectral.global_scan(canonical_profile, params, mesh, k_max=1)
+    assert not verdict.errors and verdict.global_lambda > 0
+    assert len(checked) >= 20
+
+
 def _restricted_dense_xi(mm):
     """Top of (P^T N P, P^T B P), P the per-node (longitudinal, psi) basis:
     the mhd discriminant with the transverse horizontal component removed."""
@@ -522,6 +602,29 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
     verdict = spectral.analyze_mode(mm_nofield)
     assert verdict.lambda_value is not None and verdict.lambda_value > 0
     assert calls.count(0.0) == 1
+
+
+def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
+    """Warm-started alpha along the Newton path and aimed trial shifts: one
+    fixed point and one stable verdict stay under a ceiling of banded Cholesky
+    factorizations (measured 44 and 22; 114 and 33 with cold starts and
+    fixed 10 % steps), and the count repeats exactly."""
+    real, calls, counts = band.cholesky, [], []
+
+    def counting(ab):
+        calls.append(ab.shape)
+        return real(ab)
+
+    monkeypatch.setattr(band, "cholesky", counting)
+    for _ in range(2):
+        start = len(calls)
+        lam, _, _ = spectral.growth_rate_detailed(mm_nofield)
+        assert lam is not None and lam > 0
+        middle = len(calls)
+        assert spectral.analyze_mode(mm_vertical).lambda_value is None
+        counts.append((middle - start, len(calls) - middle))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 48 and counts[0][1] <= 24, counts
 
 
 def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry, monkeypatch):
