@@ -49,10 +49,6 @@ class Mesh1D:
     n_per_layer: int
 
     @property
-    def n_interior(self) -> int:
-        return self.nodes.size - 2
-
-    @property
     def interface_index(self) -> int:
         return int(np.nonzero(self.nodes == 0.0)[0][0])
 
@@ -119,7 +115,7 @@ class ModeMatrices:
     mass/gravity/compress/magnetic/elastic/dissipation carry the per-mode
     quadratic forms; coercivity_metric carries |w|^2 + |M.grad w|^2 + |div w|^2
     for the stability-certificate pencil.  Each is an array of shape
-    (6, n_dof) in the layout of band.py; band.to_dense gives the matrix.
+    (6, n_dof) in the layout of band.py; band.to_csr gives the matrix.
     Matrices are real symmetric except when the base field mixes vertical
     and in-plane components, which adds an imaginary skew part.
 
@@ -265,26 +261,3 @@ def assemble_scalar_gravity_kernel(coeffs: FormCoefficients):
     interface = int(np.nonzero(coeffs.grid == 0.0)[0][0])
     Q[-1, interface - 1] += coeffs.g * coeffs.rho_jump
     return Q, Mp
-
-
-def export_matrices(mm: ModeMatrices, path: str, fmt: str = "npz") -> None:
-    """Write the six matrices for debugging.
-
-    ``npz``: dense binary with keys mass/gravity/compress/magnetic/elastic/
-    dissipation plus mode indices and mesh nodes.  ``txt``: one coordinate
-    block per matrix ("name i j value", 0-based, upper triangle).
-    """
-    arrays = {name: band.to_dense(getattr(mm, name)) for name in
-              ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
-    if fmt == "npz":
-        np.savez(path, k1=mm.mode.k1, k2=mm.mode.k2, nodes=mm.mesh.nodes, **arrays)
-    elif fmt == "txt":
-        with open(path, "w") as fh:
-            fh.write("# per-mode matrices, coordinate format: name i j value\n")
-            fh.write(f"# mode k=({mm.mode.k1},{mm.mode.k2}), n_dof={mm.n_dof}\n")
-            for name, X in arrays.items():
-                ii, jj = np.nonzero(np.triu(X))
-                for i, j in zip(ii, jj):
-                    fh.write(f"{name} {i} {j} {format(X[i, j], '.17g')}\n")
-    else:
-        raise InputError(f"unknown export format {fmt!r}")

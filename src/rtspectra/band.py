@@ -69,28 +69,11 @@ def frobenius(ab: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.abs(ab[p]) ** 2) + 2.0 * np.sum(np.abs(ab[:p]) ** 2)))
 
 
-def _diagonals(ab: np.ndarray):
-    """Offsets and diagonals of X, from -p to p."""
-    p = ab.shape[0] - 1
-    upper = [ab[p - k, k:] for k in range(1, p + 1)]
-    return (list(range(-p, p + 1)),
-            [u.conj() for u in upper[::-1]] + [ab[p].real.astype(ab.dtype)] + upper)
-
-
 def to_csr(ab: np.ndarray) -> csr_matrix:
     """X as a CSR matrix without stored zeros."""
-    n = ab.shape[1]
-    offsets, data = _diagonals(ab)
-    X = diags(data, offsets, shape=(n, n), format="csr", dtype=ab.dtype)
+    p, n = ab.shape[0] - 1, ab.shape[1]
+    upper = [ab[p - k, k:] for k in range(1, p + 1)]
+    X = diags([u.conj() for u in upper[::-1]] + [ab[p].real.astype(ab.dtype)] + upper,
+              range(-p, p + 1), shape=(n, n), format="csr", dtype=ab.dtype)
     X.eliminate_zeros()
-    return X
-
-
-def to_dense(ab: np.ndarray) -> np.ndarray:
-    """X as a dense n x n array, for export_matrices and tests; no solve uses it."""
-    n = ab.shape[1]
-    X = np.zeros((n, n), dtype=ab.dtype)
-    for k, diag in zip(*_diagonals(ab)):
-        i = np.arange(n - abs(k))
-        X[i + max(-k, 0), i + max(k, 0)] = diag
     return X

@@ -45,7 +45,3 @@ class PhysicalParams:
             raise InputError(f"base field M must be finite, got {self.M}")
         if self.medium not in (MHD, VISCOELASTIC):
             raise InputError(f"medium must be '{MHD}' or '{VISCOELASTIC}'")
-
-    @property
-    def kappa_min(self) -> float:
-        return min(self.kappa_plus, self.kappa_minus)

@@ -186,14 +186,10 @@ def alpha(s: float, matrices: ModeMatrices,
     return rho, v
 
 
-def growth_rate(matrices: ModeMatrices, tol: float = 1e-8):
-    """Fixed point Lambda of Lambda^2 = alpha(Lambda), or None when stable."""
-    return growth_rate_detailed(matrices, tol)[0]
-
-
 def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
                          alpha0: Optional[Tuple[float, np.ndarray]] = None):
-    """growth_rate plus the principal eigenvector and fixed-point residual.
+    """Fixed point Lambda of Lambda^2 = alpha(Lambda), with the principal
+    eigenvector and the fixed-point residual; (None, None, None) when stable.
 
     ``alpha0`` is the result of alpha(0.0, matrices) when the caller
     has it already; it is solved here otherwise, cold.  Every later

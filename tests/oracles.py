@@ -4,12 +4,14 @@ Everything here avoids the library's form/assembly machinery: piecewise
 linear evaluation, per-element Gauss panels, and the 1D frequency
 functional are re-coded directly from their definitions.  The hydrostatic
 layers are integrated numerically (DOP853), independent of the closed
-forms the library evaluates.
+forms the library evaluates.  ``dense`` only views a band matrix as a
+dense array, through the library's own CSR view.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from rtspectra import band
 from rtspectra.equilibrium import VACUUM_FLOOR
 from rtspectra.errors import InputError
 
@@ -23,6 +25,11 @@ def oracle_integrate(grid, integrand):
     h = y1 - y0
     y = y0[:, None] + np.outer(h, (x + 1.0) / 2.0)
     return float(np.sum(np.outer(h, w / 2.0) * integrand(y)))
+
+
+def dense(ab):
+    """The Hermitian band matrix ab (LAPACK upper storage) as a dense array."""
+    return band.to_csr(ab).toarray()
 
 
 def p1_eval(grid, nodal, y):

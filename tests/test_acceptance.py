@@ -13,8 +13,8 @@ import pytest
 from conftest import make_mode, random_field
 from form_oracles import (ModeField, elastic_form, elastic_form_expanded, energy_form,
                           gravity_form, poincare_check, theta_numerator_form, trace_check)
-from oracles import etilde_value
-from rtspectra import assembly, band, criteria, evolution, modereduce as mr, spectral
+from oracles import dense, etilde_value
+from rtspectra import assembly, criteria, evolution, modereduce as mr, spectral
 from rtspectra.cli import run as cli_run
 from rtspectra.equilibrium import Geometry, PressureLaw, _clustered_grid, build_profile
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -108,14 +108,14 @@ def test_criterion_04_matrix_invariants(geo, profile):
     for params in configs:
         for km in ((1, 0), (2, 1)):
             mm = assembly.assemble(profile, params, make_mode(*km, geo), mesh)
-            dense = {name: band.to_dense(getattr(mm, name)) for name in
-                     ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
-            for name, X in dense.items():
+            full = {name: dense(getattr(mm, name)) for name in
+                    ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
+            for name, X in full.items():
                 assert np.linalg.norm(X - X.conj().T) <= 1e-12 * max(np.linalg.norm(X), 1e-300), name
-            assert np.linalg.eigvalsh(dense["mass"]).min() > 0
-            assert np.linalg.eigvalsh(dense["dissipation"]).min() > 0
+            assert np.linalg.eigvalsh(full["mass"]).min() > 0
+            assert np.linalg.eigvalsh(full["dissipation"]).min() > 0
             for name in ("compress", "magnetic"):
-                X = dense[name]
+                X = full[name]
                 assert np.linalg.eigvalsh(X).min() >= -1e-12 * np.linalg.norm(X), name
     report(4, "assembled matrices Hermitian, mass/dissipation PD, stabilizers PSD")
 
@@ -152,7 +152,7 @@ def test_criterion_06_growth_rate_vs_evolution(geo, profile):
     params = PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.0))
     mesh = assembly.build_mesh(geo, n_per_layer=200)
     mm = assembly.assemble(profile, params, make_mode(1, 0, geo), mesh)
-    lam = spectral.growth_rate(mm, tol=1e-8)
+    lam = spectral.growth_rate_detailed(mm, tol=1e-8)[0]
     assert lam is not None and lam > 0
     eta0, u0 = evolution.random_initial_data(mm, seed=0)
     result = evolution.integrate_linearized(mm, eta0, u0, dt=1e-3 / lam, T=10.0 / lam)
@@ -323,7 +323,7 @@ def test_criterion_12_mesh_convergence(geo, profile):
             if quantity == "xi":
                 values.append(spectral.xi_per_mode(mm)[0])
             else:
-                values.append(spectral.growth_rate(mm, tol=1e-8))
+                values.append(spectral.growth_rate_detailed(mm, tol=1e-8)[0])
         coarse, fine = abs(values[1] - values[0]), abs(values[2] - values[1])
         gap = fine / abs(values[2])
         assert gap <= 1e-3, (label, values)

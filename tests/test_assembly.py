@@ -9,7 +9,7 @@ from conftest import make_mode, random_field
 from form_oracles import (compressibility_form, dissipation_form, elastic_form,
                           field_directional_form, gradient_form, gravity_form, magnetic_form,
                           mass_form, quadratic)
-from oracles import oracle_integrate, p1_eval, p1_slope
+from oracles import dense, oracle_integrate, p1_eval, p1_slope
 from rtspectra import assembly, band, modereduce as mr
 from rtspectra.errors import InputError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -75,7 +75,7 @@ def assembled(canonical_profile, mixed_params, mesh60, geometry):
 def all_matrices(mm):
     """Dense views of the seven band matrices."""
     return {
-        name: band.to_dense(getattr(mm, attr)) for name, attr in (
+        name: dense(getattr(mm, attr)) for name, attr in (
             ("mass", "mass"), ("gravity", "gravity"), ("compress", "compress"),
             ("magnetic", "magnetic"), ("elastic", "elastic"),
             ("dissipation", "dissipation"), ("metric", "coercivity_metric"))
@@ -101,7 +101,7 @@ def test_definiteness(assembled):
 
 
 def test_elastic_dominates_discrete_gradient(assembled, mixed_params, mesh60, geometry, rng):
-    kmin = mixed_params.kappa_min
+    kmin = min(mixed_params.kappa_plus, mixed_params.kappa_minus)
     co = assembled.coeffs
     mode = assembled.mode
     for _ in range(30):
@@ -182,18 +182,6 @@ def test_vertical_field_matrices_real(canonical_profile, mesh60, geometry):
     assert not np.iscomplexobj(mm.magnetic)
 
 
-def test_export(tmp_path, assembled):
-    npz = tmp_path / "mode.npz"
-    assembly.export_matrices(assembled, str(npz), fmt="npz")
-    data = np.load(npz)
-    assert data["k1"] == assembled.mode.k1
-    assert data["mass"].shape == (assembled.n_dof, assembled.n_dof)
-    txt = tmp_path / "mode.txt"
-    assembly.export_matrices(assembled, str(txt), fmt="txt")
-    head = txt.read_text().splitlines()[:2]
-    assert head[0].startswith("#") and "mode" in head[1]
-
-
 def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     """Generalized top eigenvalue settles at second order under refinement."""
     import scipy.linalg as sla
@@ -204,9 +192,9 @@ def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     for n in (20, 40, 80):
         mesh = assembly.build_mesh(geometry, n_per_layer=n)
         mm = assembly.assemble(canonical_profile, params, mode, mesh)
-        B = band.to_dense(mm.compress + mm.magnetic)
+        B = dense(mm.compress + mm.magnetic)
         L = np.linalg.cholesky(B)
-        Y = sla.solve_triangular(L, band.to_dense(mm.gravity), lower=True)
+        Y = sla.solve_triangular(L, dense(mm.gravity), lower=True)
         At = sla.solve_triangular(L, Y.conj().T, lower=True)
         values.append(sla.eigh(0.5 * (At + At.conj().T), eigvals_only=True,
                                subset_by_index=[B.shape[0] - 1] * 2)[0])

@@ -94,6 +94,10 @@ INADMISSIBLE = {
     "h_minus=-1000": ("xi", {"h_minus = -1.0": "h_minus = -1000"}, "density"),
     "witness_k1=0": ("witness", {"m3 = 0.0": "m1 = 1.0", "k1 = 1": "k1 = 0", "k2 = 0": "k2 = 1"},
                      "xi1 != 0"),
+    # a misspelled key or section is refused, never replaced by the defaults
+    "n_per_layr": ("scan", {"n_per_layer = 30": "n_per_layr = 30"},
+                   "unknown key 'n_per_layr' in section [numerics]"),
+    "[numerix]": ("scan", {"[numerics]": "[numerix]"}, "unknown section [numerix]"),
 }
 
 
@@ -239,6 +243,42 @@ def test_scan_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.csv.summary.json").read_bytes() \
         == (tmp_path / "b.csv.summary.json").read_bytes()
+
+
+# (subcommand, --format): {artifact: its top-level JSON keys, or None for a CSV}
+ARTIFACTS = {
+    ("equilibrium", None): {"out": None},
+    ("xi", None): {"out": {"schema_version", "k1", "k2", "xi_value", "medium"}},
+    ("growth", None): {"out": {"schema_version", "k1", "k2", "alpha0", "lambda", "residual",
+                               "medium"}},
+    ("scan", None): {"out": None, "out.summary.json": {"schema_version", "summary"}},
+    ("scan", "json"): {"out": {"schema_version", "records", "summary"}},
+    ("witness", None): {"out": {"schema_version", "kind", "k1", "k2", "energy_value",
+                                "closed_form_value", "positive"}},
+    ("thresholds", None): {"out": {"schema_version", "reports"}},
+    ("evolve", None): {"out": None,
+                       "out.rate.json": {"schema_version", "lambda", "fitted_rate", "relative_gap",
+                                         "energy_balance_residual", "dt", "T", "seed"}},
+}
+
+
+@pytest.mark.parametrize("subcommand, fmt", sorted(ARTIFACTS, key=str))
+def test_subcommand_determinism(tmp_path, capfd, subcommand, fmt):
+    """Criterion 13 for every subcommand: a second run writes the same artifacts
+    and prints the same lines, and each JSON artifact keeps its top-level keys."""
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
+    expected = ARTIFACTS[subcommand, fmt]
+    runs = []
+    for _ in range(2):
+        assert cli.run(str(cfgp), subcommand, out=str(tmp_path / "out"), fmt=fmt) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {cfgp.name, *expected}
+        runs.append(({name: (tmp_path / name).read_bytes() for name in expected},
+                     capfd.readouterr()))
+    assert runs[0] == runs[1]
+    for name, keys in expected.items():
+        if keys is not None:
+            assert set(json.loads(runs[0][0][name])) == keys
 
 
 # (mhd block edit, failing modes, expected failed modes): a mixed field solves

@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
-from rtspectra import assembly, band, evolution, spectral
+from oracles import dense
+from rtspectra import assembly, evolution, spectral
 from rtspectra.errors import InputError, SolverError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
@@ -168,7 +169,7 @@ def test_trajectory_export_bytes(tmp_path, mm_unstable):
 def test_matches_dense_reference(request, fixture):
     """50 steps of the banded integrator against a dense implicit-midpoint loop."""
     mm = request.getfixturevalue(fixture)
-    A, M, D = (band.to_dense(X) for X in (mm.operator, mm.mass, mm.dissipation))
+    A, M, D = (dense(X) for X in (mm.operator, mm.mass, mm.dissipation))
     eta, u = evolution.random_initial_data(mm, seed=8)
     dt, n_steps = 1e-2, 50
     result = evolution.integrate_linearized(mm, eta, u, dt, n_steps * dt)
@@ -184,7 +185,7 @@ def test_matches_dense_reference(request, fixture):
 
 def test_step_beyond_stability_bound(mm_unstable):
     """dt * Lambda >= 2 leaves the implicit-midpoint matrix indefinite."""
-    lam = spectral.growth_rate(mm_unstable)
+    lam = spectral.growth_rate_detailed(mm_unstable)[0]
     eta0, u0 = evolution.random_initial_data(mm_unstable, seed=9)
     dt = 2.5 / lam
     with pytest.raises(SolverError, match="dt < 2/Lambda"):

