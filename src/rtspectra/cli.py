@@ -185,7 +185,7 @@ def parse_config(path: str) -> RunConfig:
         params = PhysicalParams(**physics, **_section(sections, VISCOELASTIC),
                                 medium=VISCOELASTIC)
     # Checked here because an all-stable scan never calls growth_rate_detailed,
-    # the only solver that reads it.  dt and T are checked by integrate_linearized.
+    # the only solver that reads it.  dt and T are checked by evolution.check_horizon.
     if not 0.0 < num["fixed_point_tol"] < math.inf:     # also refuses NaN
         raise InputError(f"fixed_point_tol must be positive and finite, "
                          f"got {num['fixed_point_tol']}")
@@ -378,6 +378,8 @@ def cmd_thresholds(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
+    if cfg.dt is not None and cfg.T is not None:
+        evolution.check_horizon(cfg.dt, cfg.T)     # before the solves; else once Lambda is known
     mm = _single_mode(cfg)
     lam, _, _ = spectral.growth_rate_detailed(mm, cfg.fixed_point_tol)
     dt = cfg.dt if cfg.dt is not None else (1e-3 / lam if lam else 1e-2)

@@ -19,6 +19,16 @@ positive definite exactly when alpha(sigma) < sigma^2.  As alpha(s) - s^2
 is strictly decreasing, that holds for every dt on a stable mode and for
 dt * Lambda < 2 on an unstable one; beyond that bound implicit midpoint
 flips the sign of the unstable mode on every step.
+
+The state lives in one buffer x = [u; eta; s], where s = 2 u_mid is the
+last solve.  One CSR product with the block matrix
+
+    B = [[2 Mass, 0, 0], [0, A, 0], [0, Mass, 0], [0, 0, Diss]]
+
+gives 2 Mass u, A eta, Mass eta and Diss s: the new state's norms and
+energy, the dissipation of the step that led to it, and the next
+right-hand side.  A step is then that product, one pbtrs solve in place
+and a few in-place vector operations.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse import bmat
 
 from . import band
 from .assembly import ModeMatrices
@@ -64,6 +75,14 @@ def random_initial_data(matrices: ModeMatrices, seed: int = 0):
     return out[0], out[1]
 
 
+def check_horizon(dt: float, T: float) -> None:
+    """InputError unless dt is positive and finite and T is finite and covers 10 steps."""
+    if not 0.0 < dt < math.inf:
+        raise InputError(f"dt must be positive and finite, got {dt}")
+    if not 10 * dt <= T < math.inf:
+        raise InputError(f"T={T:.6g} must be finite and cover at least 10 steps of dt={dt:.6g}")
+
+
 def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarray,
                          dt: float, T: float) -> EvolutionResult:
     """Implicit-midpoint trajectory of (eta, u) with per-step mass norms.
@@ -71,12 +90,9 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
     The exponential rate is fitted on log(u_norm) over the second half of
     [0, T].
     """
-    if not 0.0 < dt < math.inf:
-        raise InputError(f"dt must be positive and finite, got {dt}")
-    if not 10 * dt <= T < math.inf:
-        raise InputError(f"T={T:.6g} must be finite and cover at least 10 steps of dt={dt:.6g}")
+    check_horizon(dt, T)
     A, M, D = matrices.operator, matrices.mass, matrices.dissipation
-    n_steps = int(round(T / dt))
+    n, n_steps = matrices.n_dof, int(round(T / dt))
 
     factor = band.cholesky(M - (dt * dt / 4.0) * A + (dt / 2.0) * D)
     if factor is None:
@@ -85,10 +101,15 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
     solve = sla.get_lapack_funcs("pbtrs", (factor,))
-    A_s, M_s, D_s = band.to_csr(A), band.to_csr(M), band.to_csr(D)
+    # B x = [2 M u; A eta; M eta; D s] for the state x = [u; eta; s]
+    M_s = band.to_csr(M)
+    B = bmat([[2.0 * M_s, None, None], [None, band.to_csr(A), None], [None, M_s, None],
+              [None, None, band.to_csr(D)]], format="csr")
 
-    eta = np.array(eta0, dtype=complex if np.iscomplexobj(A) else float)
-    u = np.array(u0, dtype=eta.dtype)
+    x = np.zeros(3 * n, dtype=np.result_type(A, M, D))
+    u, eta, s = x[:n], x[n:2 * n], x[2 * n:]
+    u[:], eta[:] = u0, eta0
+    half_dt_s = np.empty_like(s)
 
     times = dt * np.arange(n_steps + 1)
     eta_norm = np.empty(n_steps + 1)
@@ -99,18 +120,23 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
     def quad(v, Xv):
         return np.vdot(v, Xv).real
 
-    # M u and A eta of the current state serve its norms, its energy and the next step
-    Mu, A_eta = M_s @ u, A_s @ eta
-    uMu, etaMeta, etaAeta = quad(u, Mu), quad(eta, M_s @ eta), quad(eta, A_eta)
+    # Scaling by 2, 1/2 or 1/4 rounds nothing, so 0.5 * u*(2 M u), (dt/2) s and
+    # s* D s / 4 equal u* M u, dt u_mid and u_mid* D u_mid to the bit.  Each
+    # step's energy comes from the new state's own products, never from a recurrence.
+    two_Mu, A_eta, M_eta, _ = (B @ x).reshape(4, n)
+    uMu, etaMeta, etaAeta = 0.5 * quad(u, two_Mu), quad(eta, M_eta), quad(eta, A_eta)
     eta_norm[0], u_norm[0] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
     energy[0] = 0.5 * (uMu - etaAeta)
     for k in range(1, n_steps + 1):
-        s, _ = solve(factor, 2.0 * Mu + dt * A_eta, overwrite_b=True)
-        u_mid = 0.5 * s
-        eta = eta + dt * u_mid
-        u = s - u
-        Mu, A_eta = M_s @ u, A_s @ eta
-        uMu, etaMeta, etaAeta = quad(u, Mu), quad(eta, M_s @ eta), quad(eta, A_eta)
+        # K s = 2 M u + dt A eta, solved in place: s = 2 u_mid
+        np.multiply(A_eta, dt, out=s)
+        np.add(two_Mu, s, out=s)
+        solve(factor, s, overwrite_b=True)
+        np.multiply(s, 0.5 * dt, out=half_dt_s)
+        np.add(eta, half_dt_s, out=eta)
+        np.subtract(s, u, out=u)
+        two_Mu, A_eta, M_eta, D_s = (B @ x).reshape(4, n)
+        uMu, etaMeta, etaAeta = 0.5 * quad(u, two_Mu), quad(eta, M_eta), quad(eta, A_eta)
         eta_norm[k], u_norm[k] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
         if u_norm[k] > NORM_OVERFLOW or eta_norm[k] > NORM_OVERFLOW:
             raise SolverError(f"norms exceeded {NORM_OVERFLOW:.1e} at t={k * dt:.6g}; shorten T")
@@ -118,7 +144,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
         if not math.isfinite(uMu + etaMeta + etaAeta):
             raise SolverError(f"implicit step produced non-finite values at t={k * dt:.6g}")
         energy[k] = 0.5 * (uMu - etaAeta)
-        dissipated = dt * quad(u_mid, D_s @ u_mid)
+        dissipated = dt * (0.25 * quad(s, D_s))      # dt * u_mid* D u_mid
         drift = max(drift, abs(energy[k] - energy[k - 1] + dissipated))
 
     scale = max(1.0, float(np.max(np.abs(energy))))

@@ -8,12 +8,16 @@ forms the library evaluates.  ``dense`` only views a band matrix as a
 dense array, through the library's own CSR view.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from rtspectra import band
 from rtspectra.equilibrium import VACUUM_FLOOR
-from rtspectra.errors import InputError
+from rtspectra.errors import InputError, SolverError
+from rtspectra.evolution import NORM_OVERFLOW, EvolutionResult, fit_rate
 
 GAUSS12 = np.polynomial.legendre.leggauss(12)
 
@@ -116,3 +120,70 @@ def dop853_density(law, anchor, h, g):
             f"density reached the non-vacuum floor at y3={sol.t[-1]:.6g} before {h:.6g}"
         )
     return lambda y: sol.sol(np.asarray(y))[0]
+
+
+def reference_integrate_linearized(matrices, eta0, u0, dt, T):
+    """The implicit-midpoint loop of ``evolution.integrate_linearized`` as it was
+    before the step became one block product: four CSR products and a fresh
+    vector per operation.  Its results must agree with the library's bit for bit.
+    """
+    if not 0.0 < dt < math.inf:
+        raise InputError(f"dt must be positive and finite, got {dt}")
+    if not 10 * dt <= T < math.inf:
+        raise InputError(f"T={T:.6g} must be finite and cover at least 10 steps of dt={dt:.6g}")
+    A, M, D = matrices.operator, matrices.mass, matrices.dissipation
+    n_steps = int(round(T / dt))
+
+    factor = band.cholesky(M - (dt * dt / 4.0) * A + (dt / 2.0) * D)
+    if factor is None:
+        raise SolverError(
+            f"implicit-midpoint matrix at dt={dt:.6g} is not positive definite: the mode grows "
+            "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
+            "take dt < 2/Lambda")
+    solve = sla.get_lapack_funcs("pbtrs", (factor,))
+    A_s, M_s, D_s = band.to_csr(A), band.to_csr(M), band.to_csr(D)
+
+    eta = np.array(eta0, dtype=complex if np.iscomplexobj(A) else float)
+    u = np.array(u0, dtype=eta.dtype)
+
+    times = dt * np.arange(n_steps + 1)
+    eta_norm = np.empty(n_steps + 1)
+    u_norm = np.empty(n_steps + 1)
+    energy = np.empty(n_steps + 1)
+    drift = 0.0
+
+    def quad(v, Xv):
+        return np.vdot(v, Xv).real
+
+    # M u and A eta of the current state serve its norms, its energy and the next step
+    Mu, A_eta = M_s @ u, A_s @ eta
+    uMu, etaMeta, etaAeta = quad(u, Mu), quad(eta, M_s @ eta), quad(eta, A_eta)
+    eta_norm[0], u_norm[0] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
+    energy[0] = 0.5 * (uMu - etaAeta)
+    for k in range(1, n_steps + 1):
+        s, _ = solve(factor, 2.0 * Mu + dt * A_eta, overwrite_b=True)
+        u_mid = 0.5 * s
+        eta = eta + dt * u_mid
+        u = s - u
+        Mu, A_eta = M_s @ u, A_s @ eta
+        uMu, etaMeta, etaAeta = quad(u, Mu), quad(eta, M_s @ eta), quad(eta, A_eta)
+        eta_norm[k], u_norm[k] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
+        if u_norm[k] > NORM_OVERFLOW or eta_norm[k] > NORM_OVERFLOW:
+            raise SolverError(f"norms exceeded {NORM_OVERFLOW:.1e} at t={k * dt:.6g}; shorten T")
+        # a non-finite entry of the step reaches these quadratic forms
+        if not math.isfinite(uMu + etaMeta + etaAeta):
+            raise SolverError(f"implicit step produced non-finite values at t={k * dt:.6g}")
+        energy[k] = 0.5 * (uMu - etaAeta)
+        dissipated = dt * quad(u_mid, D_s @ u_mid)
+        drift = max(drift, abs(energy[k] - energy[k - 1] + dissipated))
+
+    scale = max(1.0, float(np.max(np.abs(energy))))
+    rate = fit_rate(times, u_norm, (T / 2.0, T))
+    return EvolutionResult(
+        times=times,
+        eta_norm=eta_norm,
+        u_norm=u_norm,
+        fitted_rate=rate,
+        energy_balance_residual=drift / scale,
+        diagnostics={"energy": energy},
+    )

@@ -435,12 +435,17 @@ def test_main_entry(tmp_path):
     assert code == 0
 
 
-def test_validation_evolve_horizon(tmp_path, capsys):
-    """T must cover 10 steps: checked in the config, and by the integrator once dt or T
-    comes from Lambda."""
+def test_validation_evolve_horizon(tmp_path, monkeypatch, capsys):
+    """T must cover 10 steps: an explicit dt/T pair is checked before the mode is
+    assembled, and the integrator checks the pair once dt or T comes from Lambda."""
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the mode was assembled before the horizon check")
+
     cfgp = write_config(tmp_path)
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.5\nt = 4.0\n")
-    assert cli.run(str(cfgp), "evolve") == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.assembly, "assemble", no_assembly)
+        assert cli.run(str(cfgp), "evolve") == 2
     assert "10 steps" in capsys.readouterr().err
     # T defaults to 10/Lambda, less than 10 steps of this dt (and dt*Lambda < 2)
     cfgp = write_config(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode
-from oracles import dense
+from oracles import dense, reference_integrate_linearized
 from rtspectra import assembly, evolution, spectral
 from rtspectra.errors import InputError, SolverError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -24,6 +24,23 @@ def mm_stable(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, 2.5))
     return assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+
+
+@pytest.fixture(scope="module")
+def mm_mixed(canonical_profile, mesh60, geometry):
+    """A mixed field: complex operator and complex state."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            lam=1.0, M=(0.3, -0.2, 0.7))
+    return assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+
+
+@pytest.fixture(scope="module")
+def mm_viscoelastic(canonical_profile, mesh60, geometry):
+    """A viscoelastic mode under a mixed field: a complex magnetic form but a real operator."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
+                            M=(0.3, -0.2, 0.7), kappa_plus=0.8, kappa_minus=0.8,
+                            medium=VISCOELASTIC)
+    return assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
 
 
 def test_fit_rate_exact_exponential():
@@ -118,13 +135,10 @@ def test_parameter_validation(mm_stable):
         evolution.random_initial_data(mm_stable, seed=-1)
 
 
-def test_initial_data_follows_the_operator(canonical_profile, mesh60, geometry):
+def test_initial_data_follows_the_operator(mm_viscoelastic):
     """A viscoelastic mode under a mixed field has a complex magnetic form but
     a real operator: its initial data is real and keeps unit mass."""
-    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
-                            M=(0.3, -0.2, 0.7), kappa_plus=0.8, kappa_minus=0.8,
-                            medium=VISCOELASTIC)
-    mm = assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+    mm = mm_viscoelastic
     assert np.iscomplexobj(mm.magnetic) and not np.iscomplexobj(mm.operator)
     eta0, u0 = evolution.random_initial_data(mm, seed=0)
     assert not np.iscomplexobj(eta0) and not np.iscomplexobj(u0)
@@ -191,3 +205,58 @@ def test_step_beyond_stability_bound(mm_unstable):
     with pytest.raises(SolverError, match="dt < 2/Lambda"):
         evolution.integrate_linearized(mm_unstable, eta0, u0, dt, 20 * dt)
     evolution.integrate_linearized(mm_unstable, eta0, u0, 1.9 / lam, 20 * 1.9 / lam)
+
+
+@pytest.mark.parametrize("fixture", ["mm_unstable", "mm_stable", "mm_mixed", "mm_viscoelastic"])
+def test_bit_identical_to_reference_loop(request, fixture):
+    """The one-product step reproduces the four-product loop bit for bit."""
+    mm = request.getfixturevalue(fixture)
+    eta0, u0 = evolution.random_initial_data(mm, seed=10)
+    assert np.iscomplexobj(eta0) == (fixture == "mm_mixed")
+    got = evolution.integrate_linearized(mm, eta0, u0, 5e-3, 5.0)
+    want = reference_integrate_linearized(mm, eta0, u0, 5e-3, 5.0)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.u_norm, want.u_norm)
+    assert np.array_equal(got.eta_norm, want.eta_norm)
+    assert np.array_equal(got.diagnostics["energy"], want.diagnostics["energy"])
+    assert got.energy_balance_residual == want.energy_balance_residual
+    assert got.fitted_rate == want.fitted_rate
+
+
+def test_residual_sees_a_perturbed_solve(monkeypatch, mm_stable):
+    """Scaling each solve's s by 1 + 1e-9 must show in the energy-balance residual,
+    which therefore checks the computed state rather than holding by construction."""
+    eta0, u0 = evolution.random_initial_data(mm_stable, seed=11)
+    clean = evolution.integrate_linearized(mm_stable, eta0, u0, 1e-2, 2.0)
+    get_lapack_funcs = sla.get_lapack_funcs
+
+    def perturbed_pbtrs(*args, **kwargs):
+        pbtrs = get_lapack_funcs(*args, **kwargs)
+
+        def solve(factor, b, **options):
+            x, info = pbtrs(factor, b, **options)
+            x *= 1.0 + 1e-9
+            return x, info
+        return solve
+
+    monkeypatch.setattr(evolution.sla, "get_lapack_funcs", perturbed_pbtrs)
+    perturbed = evolution.integrate_linearized(mm_stable, eta0, u0, 1e-2, 2.0)
+    # measured: 1.0e-16 unperturbed, 8.2e-10 perturbed
+    assert clean.energy_balance_residual <= 1e-14
+    assert perturbed.energy_balance_residual >= 1e-10
+
+
+def test_guards_fire_at_the_reference_step(mm_unstable):
+    """The overflow and non-finite guards raise the reference loop's message at its step."""
+    lam = spectral.growth_rate_detailed(mm_unstable, 1e-6)[0]
+    eta0, u0 = evolution.random_initial_data(mm_unstable, seed=5)
+    nan_eta0 = eta0.copy()
+    nan_eta0[7] = np.nan
+    for eta, dt, T in ((eta0, 0.5, 1600.0 / lam), (nan_eta0, 1e-2, 1.0)):
+        messages = []
+        for integrate in (evolution.integrate_linearized, reference_integrate_linearized):
+            with pytest.raises(SolverError) as info:
+                integrate(mm_unstable, eta, u0, dt, T)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert ("norms exceeded" if eta is eta0 else "non-finite values at t=0.01") in messages[0]
