@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from . import assembly, criteria, evolution, spectral
 from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
-from .errors import InputError, RTSpectraError
+from .errors import InputError, RTSpectraError, open_artifact
 from .modereduce import DEFAULT_QUADRATURE_ORDER, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
@@ -218,7 +218,7 @@ def _json_value(x):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open_artifact(path) as fh:
         json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -322,7 +322,7 @@ def cmd_scan(cfg: RunConfig, out: str) -> int:
         lines = [",".join(SCAN_COLUMNS)]
         for rec in _scan_records(verdict):
             lines.append(",".join(_csv_cell(x) for x in rec.values()))
-        with open(out, "w") as fh:
+        with open_artifact(out) as fh:
             fh.write("\n".join(lines) + "\n")
         _write_json(out + ".summary.json", {"summary": _summary_dict(verdict)})
     print(_summary_line(verdict))

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, open_artifact
 
 #: points per layer in the exported CSV table
 TABLE_POINTS = 1024
@@ -238,7 +238,7 @@ class EquilibriumProfile:
                 lines.append(
                     ",".join(format(v, ".17g") for v in (yv, r, rp, ppr)) + "," + name
                 )
-        with open(path, "w") as fh:
+        with open_artifact(path) as fh:
             fh.write("\n".join(lines) + "\n")
 
 

@@ -12,8 +12,13 @@ The class alone says whose fault a failure is:
   solving.
 
 Each input is checked once, by the type or function that owns it, before
-any solve.
+any solve.  An artifact that cannot be written raises ``OSError``, which
+the CLI also maps to exit 2; every artifact is opened by
+:func:`open_artifact`, so that error names the file.
 """
+
+import contextlib
+import os
 
 
 class RTSpectraError(Exception):
@@ -26,3 +31,16 @@ class InputError(RTSpectraError, ValueError):
 
 class SolverError(RTSpectraError):
     """The method could not produce an answer for admissible input."""
+
+
+@contextlib.contextmanager
+def open_artifact(path):
+    """Open `path` for writing text.  An OSError raised while opening,
+    writing or closing it carries `path` as its filename."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise

@@ -43,9 +43,10 @@ from scipy.sparse import bmat
 
 from . import band
 from .assembly import ModeMatrices
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, open_artifact
 
 NORM_OVERFLOW = 1e150
+EXPORT_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -175,8 +176,14 @@ def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float,
 
 
 def export_trajectory(result: EvolutionResult, path) -> None:
-    """CSV trajectory: t, eta_norm, u_norm."""
-    rows = zip(result.times.tolist(), result.eta_norm.tolist(), result.u_norm.tolist())
-    text = "".join(["%.17g,%.17g,%.17g\n" % row for row in rows])
-    with open(path, "w") as fh:
-        fh.write("t,eta_norm,u_norm\n" + text)
+    """CSV trajectory: t, eta_norm, u_norm.
+
+    Rows are formatted and written EXPORT_BLOCK_ROWS at a time, so the
+    memory the export takes does not grow with the step count.
+    """
+    columns = (result.times, result.eta_norm, result.u_norm)
+    with open_artifact(path) as fh:
+        fh.write("t,eta_norm,u_norm\n")
+        for start in range(0, result.times.size, EXPORT_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + EXPORT_BLOCK_ROWS] for c in columns])
+            fh.write("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))

@@ -429,6 +429,21 @@ def test_unwritable_artifact_exit_code(tmp_path, capsys, subcommand):
     assert err.startswith("error: ") and str(out) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("subcommand", ["xi", "scan", "evolve", "equilibrium"])
+def test_failed_write_names_the_artifact(tmp_path, capsys, subcommand):
+    """The open succeeds but the write fails (/dev/full: no space left on
+    device): exit 2 and one error line naming the artifact.  The evolve
+    trajectory of 4,001 rows fails in its first row block, the other
+    artifacts when their buffer is flushed on close.  Each command writes
+    `out` first, so no other file is made."""
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.002\nt = 8.0\n")
+    assert cli.run(str(cfgp), subcommand, out="/dev/full") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'/dev/full'" in err and len(err.splitlines()) == 1
+
+
 def test_main_entry(tmp_path):
     cfgp = write_config(tmp_path, medium=VE_BLOCK)
     code = cli.main(["thresholds", "--config", str(cfgp), "--out", str(tmp_path / "x.json")])
