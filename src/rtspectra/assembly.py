@@ -26,11 +26,10 @@ from typing import Optional
 import numpy as np
 
 from . import band
-from .equilibrium import EquilibriumProfile, Geometry
+from .equilibrium import Geometry
 from .errors import InputError, SolverError
-from .modereduce import (DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode, energy_signs,
-                         form_table)
-from .params import MHD, PhysicalParams
+from .modereduce import FormCoefficients, FourierMode, energy_signs, form_table
+from .params import MHD
 
 DEFAULT_N_PER_LAYER = 200
 # Largest over smallest element of the default mesh family, the same at every n.
@@ -47,10 +46,6 @@ class Mesh1D:
 
     nodes: np.ndarray
     n_per_layer: int
-
-    @property
-    def interface_index(self) -> int:
-        return int(np.nonzero(self.nodes == 0.0)[0][0])
 
 
 def _layer_nodes(height: float, n: int, grading: float) -> np.ndarray:
@@ -117,7 +112,8 @@ class ModeMatrices:
     for the stability-certificate pencil.  Each is an array of shape
     (6, n_dof) in the layout of band.py; band.to_csr gives the matrix.
     Matrices are real symmetric except when the base field mixes vertical
-    and in-plane components, which adds an imaginary skew part.
+    and in-plane components, which adds an imaginary skew part.  The grid
+    is ``coeffs.grid``.
 
     ``table`` is :func:`~.modereduce.form_table` of ``coeffs`` and ``mode``,
     built once by :func:`assemble` and read again by every
@@ -130,7 +126,6 @@ class ModeMatrices:
     """
 
     mode: FourierMode
-    mesh: Mesh1D
     coeffs: FormCoefficients
     table: tuple
     mass: np.ndarray
@@ -162,18 +157,17 @@ class ModeMatrices:
             return self.gravity, self.compress + self.magnetic
         return self.gravity - self.compress, self.elastic
 
-    def at_quadrature(self, vec: np.ndarray):
-        """(f, psi(0)) of a dof vector: f = (pt, tt, st, pt', tt', st') of its P1
-        field at the quadrature points of ``coeffs``, shape (ne, q, 6), the input
-        of :func:`~.modereduce.form_value`."""
-        nodal = np.zeros((self.mesh.nodes.size, 3), dtype=vec.dtype)
+    def at_quadrature(self, vec: np.ndarray) -> np.ndarray:
+        """f = (pt, tt, st, pt', tt', st') of a dof vector's P1 field at the
+        quadrature points of ``coeffs``, shape (ne, q, 6), the input of
+        :func:`~.modereduce.form_value`."""
+        nodal = np.zeros((self.coeffs.grid.size, 3), dtype=vec.dtype)
         nodal[1:-1] = vec.reshape(-1, 3)
         v0, v1 = nodal[:-1, None, :], nodal[1:, None, :]
         N = self.coeffs.shape[:, None, :, None]
         slopes = (v1 - v0) / self.coeffs.element_h[:, None, None]
         vals = v0 * N[0] + v1 * N[1]
-        f = np.concatenate([vals, np.broadcast_to(slopes, vals.shape)], axis=-1)
-        return f, nodal[self.mesh.interface_index, 2]
+        return np.concatenate([vals, np.broadcast_to(slopes, vals.shape)], axis=-1)
 
 
 def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
@@ -203,23 +197,15 @@ def _element_blocks(m: np.ndarray, C: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 6, 6)
 
 
-def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierMode,
-             mesh: Mesh1D, quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
-             coeffs: Optional[FormCoefficients] = None) -> ModeMatrices:
-    """Assemble all per-mode matrices on the given mesh.
+def assemble(coeffs: FormCoefficients, mode: FourierMode) -> ModeMatrices:
+    """Assemble all per-mode matrices on the grid of ``coeffs``.
 
-    Piecewise-linear conforming elements per component, Gauss-Legendre
-    quadrature of the given order per element; the interface jump enters
-    the gravity matrix as a rank-one nodal term.  Every form is the sum of
-    its Hermitian 6x6 matrices C from :func:`~.modereduce.form_table`, each
-    times one scalar coefficient per quadrature point, contracted with the
-    P1 shape-function moments.
+    Piecewise-linear conforming elements per component, with the
+    Gauss-Legendre points of ``coeffs`` in every element.  Every form is the
+    sum of its Hermitian 6x6 matrices C from :func:`~.modereduce.form_table`,
+    each times one scalar coefficient per quadrature point, contracted with
+    the P1 shape-function moments.
     """
-    if coeffs is None:
-        coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
-    elif not np.array_equal(coeffs.grid, mesh.nodes):
-        raise InputError("coefficient table grid does not match the mesh")
-
     table = form_table(coeffs, mode)
     blocks = {}
     for _, coefficient, forms in table:
@@ -229,18 +215,14 @@ def assemble(profile: EquilibriumProfile, params: PhysicalParams, mode: FourierM
 
     # scatter the upper triangle of each element block into interior band storage
     out = {name: band.from_element_blocks(b, 3) for name, b in blocks.items()}
-
-    # interface rank-one jump on psi's diagonal entry (dof 3*(i-1) + 2, last band row)
-    out["gravity"][-1, 3 * mesh.interface_index - 1] += coeffs.g * coeffs.rho_jump
-
     for name, matrix in out.items():
         if not np.isfinite(band.frobenius(matrix)):
             largest, label = max((np.max(np.abs(coefficient)), label)
                                  for label, coefficient, forms in table if name in forms)
             raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
-                             f"{np.diff(mesh.nodes).min():.3e}, largest coefficient "
+                             f"{coeffs.element_h.min():.3e}, largest coefficient "
                              f"{label} = {largest:.3e}")
-    mm = ModeMatrices(mode=mode, mesh=mesh, coeffs=coeffs, table=table, **out)
+    mm = ModeMatrices(mode=mode, coeffs=coeffs, table=table, **out)
     for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
         if band.cholesky(matrix) is None:
             raise SolverError(f"{name} matrix is not positive definite")
@@ -252,12 +234,11 @@ def assemble_scalar_gravity_kernel(coeffs: FormCoefficients):
 
     Returns (Q, Mpsi) over the interior psi dofs of the coefficient table's
     grid, in upper band storage with half-bandwidth 1: Q carries
-    g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2), Mpsi the rho-weighted mass.
-    These are the numerator and normalization seen by fields whose per-mode
-    divergence vanishes identically.
+    -g*int(rho*(psi*psi' + psi'*psi)), which equals
+    g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2) for psi = 0 at the walls, and Mpsi
+    the rho-weighted mass.  These are the numerator and normalization seen by
+    fields whose per-mode divergence vanishes identically.
     """
-    Q, Mp = (band.from_element_blocks(_moments(coeffs, coefficient)[:, 0, :, 0, :], 1)
-             for coefficient in (coeffs.g * coeffs.rho_prime, coeffs.rho))
-    interface = int(np.nonzero(coeffs.grid == 0.0)[0][0])
-    Q[-1, interface - 1] += coeffs.g * coeffs.rho_jump
-    return Q, Mp
+    m = _moments(coeffs, coeffs.rho)
+    Q = band.from_element_blocks(-coeffs.g * (m[:, 0, :, 1, :] + m[:, 1, :, 0, :]), 1)
+    return Q, band.from_element_blocks(m[:, 0, :, 0, :], 1)

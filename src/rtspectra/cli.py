@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from . import assembly, criteria, evolution, spectral
 from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
 from .errors import InputError, RTSpectraError, open_artifact
-from .modereduce import DEFAULT_QUADRATURE_ORDER, FourierMode
+from .modereduce import DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
 
 SCHEMA_VERSION = 1
@@ -263,15 +263,15 @@ def _profile(cfg: RunConfig):
                          cfg.rho_plus_interface)
 
 
-def _mesh(cfg: RunConfig):
-    return assembly.build_mesh(cfg.geometry, cfg.n_per_layer, cfg.grading)
+def _coeffs(cfg: RunConfig) -> FormCoefficients:
+    """The discretization of a run: profile and medium on the configured mesh."""
+    mesh = assembly.build_mesh(cfg.geometry, cfg.n_per_layer, cfg.grading)
+    return FormCoefficients(_profile(cfg), cfg.params, mesh.nodes, cfg.quadrature_order)
 
 
 def _single_mode(cfg: RunConfig):
     """The matrices of mode (k1, k2)."""
-    profile, mesh = _profile(cfg), _mesh(cfg)
-    mode = FourierMode.from_indices(cfg.k1, cfg.k2, cfg.geometry)
-    return assembly.assemble(profile, cfg.params, mode, mesh, cfg.quadrature_order)
+    return assembly.assemble(_coeffs(cfg), FourierMode.from_indices(cfg.k1, cfg.k2, cfg.geometry))
 
 
 def cmd_equilibrium(cfg: RunConfig, out: str) -> int:
@@ -309,8 +309,7 @@ def cmd_growth(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out: str) -> int:
-    verdict = spectral.global_scan(_profile(cfg), cfg.params, _mesh(cfg), cfg.k_max,
-                                   cfg.fixed_point_tol, cfg.quadrature_order)
+    verdict = spectral.global_scan(_coeffs(cfg), cfg.k_max, cfg.fixed_point_tol)
     if cfg.out_format == "json":
         _write_json(out, {
             "records": [

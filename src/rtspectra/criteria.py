@@ -149,8 +149,7 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     phi = (profile.g * coeffs.rho * psi / coeffs.p_prime_rho - dpsi - xi2 * theta) / xi1
     zero = np.zeros_like(psi)
     f = np.stack([phi, theta, psi, zero, zero, dpsi], axis=-1)
-    psi_interface = _bump(np.array([0.0]), geo)[0][0]
-    energy_value = form_value(coeffs, table, energy, f, psi_interface)
+    energy_value = form_value(coeffs, table, energy, f)
     closed = closed_form_horizontal(profile, params, mode)
     return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
                         diagnostics={"agreement": abs(energy_value - closed),
@@ -245,7 +244,7 @@ def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,
     zero = np.zeros_like(psi)
     f = np.stack([-dpsi / mode.xi1, zero, psi, zero, zero, dpsi], axis=-1)
     energy_value = form_value(coeffs, form_table(coeffs, mode),
-                              {"gravity": 1.0, "compress": -1.0}, f, psi_interface=1.0)
+                              {"gravity": 1.0, "compress": -1.0}, f)
     stratification = float(np.sum(coeffs.qp_w * coeffs.rho_prime * psi * psi))
     closed = -2.0 * profile.g * lhs_used
     return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -179,24 +178,13 @@ class EquilibriumProfile:
     rho_interface_plus: float
     rho_interface_minus: float
 
-    def evaluate(self, y3: float, side: Optional[str] = None):
-        """Return (rho, rho', P'(rho)*rho) at height y3.
+    def evaluate_layer(self, y3: np.ndarray, side: str):
+        """(rho, rho', P'(rho)*rho) at heights y3, all attributed to layer
+        ``side`` ('+' or '-').
 
         rho' is recovered from the hydrostatic identity rho' = -rho*g/P'(rho),
-        never by numerical differentiation.  y3 = 0 requires side '+' or '-'.
+        never by numerical differentiation.
         """
-        if not self.geometry.h_minus <= y3 <= self.geometry.h_plus:
-            raise InputError(f"y3={y3} outside [{self.geometry.h_minus}, {self.geometry.h_plus}]")
-        if y3 == 0.0:
-            if side not in ("+", "-"):
-                raise InputError("y3=0 requires side '+' or '-'")
-        else:
-            side = "+" if y3 > 0.0 else "-"
-        rho, rho_p, pp_rho = self.evaluate_layer(np.array([y3]), side)
-        return float(rho[0]), float(rho_p[0]), float(pp_rho[0])
-
-    def evaluate_layer(self, y3: np.ndarray, side: str):
-        """Vectorized evaluation with all points attributed to one layer."""
         if side == "+":
             law, anchor = self.law_plus, self.rho_interface_plus
         else:

@@ -89,7 +89,6 @@ class FormCoefficients:
         self.g = profile.g
         self.lam = params.lam
         self.M = np.asarray(params.M, dtype=float)
-        self.rho_jump = profile.density_jump
 
         x, w = _leggauss(self.quadrature_order)
         t, w = (x + 1.0) / 2.0, w / 2.0                   # mapped to [0, 1]
@@ -130,15 +129,19 @@ def form_table(coeffs: FormCoefficients, mode: FourierMode):
     integral of coefficient * conj(f)^T C f, where f = (pt, tt, st, pt', tt', st')
     is the field and its derivative in the tilde basis
     (phi, theta, psi) = (-i*pt, -i*tt, st), in which a real f is the real
-    ansatz.  The gravity form adds the interface jump g*[[rho]]*|st(0)|^2.
-    ``coefficient`` is one of the (ne, q) tables of ``coeffs`` or 1.0, and
-    ``label`` names it.  The forms are those of :class:`~.assembly.ModeMatrices`.
+    ansatz.  Gravity is the Theta numerator 2*g*int(rho*Re(conj(psi)*i*xi.w_h)),
+    a volume integral with no interface term: with psi = 0 at the walls,
+    integrating int(g*rho'*|psi|^2) by parts in each layer cancels the jump
+    g*[[rho]]*|psi(0)|^2 of the paper's energy.  ``coefficient`` is one of
+    the (ne, q) tables of ``coeffs`` or 1.0, and ``label`` names it.  The
+    forms are those of :class:`~.assembly.ModeMatrices`.
     """
     xi1, xi2 = mode.xi1, mode.xi2
     M1, M2, M3 = coeffs.M
     mdotxi = M1 * xi1 + M2 * xi2
     v, dv = np.eye(6)[:3], np.eye(6)[3:]            # value and derivative of each component
-    div = xi1 * v[0] + xi2 * v[1] + dv[2]           # per-mode divergence (tilde)
+    wh = xi1 * v[0] + xi2 * v[1]                    # xi . w_h (tilde)
+    div = wh + dv[2]                                # per-mode divergence (tilde)
     C_div = _gram(div)
     # |G + G^T|_F^2 / 2, shared by dissipation and elasticity
     C_sym = 2.0 * _gram(xi1 * v[0], xi2 * v[1], dv[2]) + _gram(
@@ -152,8 +155,7 @@ def form_table(coeffs: FormCoefficients, mode: FourierMode):
     C_val = _gram(*v)
     return (
         ("density", coeffs.rho,
-         {"mass": C_val, "gravity": coeffs.g * (np.outer(div, v[2]) + np.outer(v[2], div))}),
-        ("density slope", coeffs.rho_prime, {"gravity": coeffs.g * np.outer(v[2], v[2])}),
+         {"mass": C_val, "gravity": coeffs.g * (np.outer(wh, v[2]) + np.outer(v[2], wh))}),
         ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
         ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
         ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
@@ -169,22 +171,20 @@ def energy_signs(params: PhysicalParams) -> dict:
             "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
-def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray,
-               psi_interface: complex = 0.0) -> float:
+def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:
     """sum of weights[name] * form ``name`` of ``table``, for a field given at
     the quadrature points.
 
     ``table`` is ``form_table(coeffs, mode)``, built once by the caller for
     its mode (:attr:`~.assembly.ModeMatrices.table` after assembly).  ``f``
     holds (pt, tt, st, pt', tt', st') at every quadrature point of ``coeffs``,
-    shape (ne, q, 6); ``psi_interface`` is st at 0, read only by the gravity
-    form's interface jump.  Each value and slope enters as it is, so nothing
+    shape (ne, q, 6).  Each value and slope enters as it is, so nothing
     cancels at the scale of the assembled matrices' 1/h entries.
     """
     unknown = set(weights).difference(*(forms for _, _, forms in table))
     if unknown:
         raise InputError(f"unknown forms {sorted(unknown)}")
-    total = weights.get("gravity", 0.0) * coeffs.g * coeffs.rho_jump * abs(psi_interface) ** 2
+    total = 0.0
     f6 = f.reshape(-1, 6)
     for _, coefficient, forms in table:
         names = [name for name in weights if name in forms]

@@ -26,15 +26,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import band
-from .assembly import Mesh1D, ModeMatrices, assemble, assemble_scalar_gravity_kernel
-from .equilibrium import EquilibriumProfile
+from .assembly import ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .errors import InputError, RTSpectraError, SolverError
-from .modereduce import (DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode, energy_signs,
-                         form_value)
-from .params import MHD, VISCOELASTIC, PhysicalParams
+from .modereduce import FormCoefficients, FourierMode, energy_signs, form_value
+from .params import MHD, VISCOELASTIC
 
 EIGVEC_RESIDUAL_TOL = 1e-8
-# alpha must factor as the top of its pencil at this relative margin above it
+# alpha must lie within this relative margin below the top of its pencil
 TOP_BRANCH_MARGIN = 1e-6
 # shifts 1, 4, 16, ..., 4**40 (about 1e24) are tried above a spectrum, or offsets
 # delta, 4*delta, ... above a guess
@@ -151,9 +149,9 @@ def _element_quotient(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
     element 2.9e-9 of a layer) _top_pair's own quotient is off a dense
     reference by up to 1.6e-7, this one by 1e-13.
     """
-    f, psi0 = matrices.at_quadrature(v)
+    f = matrices.at_quadrature(v)
     co, table = matrices.coeffs, matrices.table
-    return (form_value(co, table, {**energy_signs(co.params), "dissipation": -s}, f, psi0)
+    return (form_value(co, table, {**energy_signs(co.params), "dissipation": -s}, f)
             / form_value(co, table, {"mass": 1.0}, f))
 
 
@@ -166,22 +164,25 @@ def alpha(s: float, matrices: ModeMatrices,
     by cancellation.  ``guess``, the (value, eigenvector) of alpha at a
     nearby s, warm-starts the banded solver (_top_pair); without it the
     solve starts cold from a seeded vector.  SolverError when the
-    eigen-residual is too large, or when the pencil does not factor a
-    relative TOP_BRANCH_MARGIN above the value (the vector is then not on
-    the top branch).
+    eigen-residual is too large, or when the value lifted by a relative
+    TOP_BRANCH_MARGIN stays below the closing shift bound of the solver's
+    bracket, top + BRACKET_TOL*max(1, |top|) (the vector is then not on the
+    top branch).  The bracket's closing shift, at most that bound, factored,
+    and a larger shift adds a positive multiple of Mass, so the pencil
+    factors at the lifted value as well.
     """
     if s < 0:
         raise InputError(f"s must be nonnegative, got {s}")
     A, D, M = matrices.operator, matrices.dissipation, matrices.mass
     H = A - s * D
-    _, v = _top_pair(H, M, guess)
+    top, v = _top_pair(H, M, guess)
     rho = _element_quotient(matrices, s, v)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
     scale = (band.frobenius(A) + abs(s) * band.frobenius(D)) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
-    if band.cholesky((rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho))) * M - H) is None:
+    if rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho)) < top + BRACKET_TOL * max(1.0, abs(top)):
         raise SolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
     return rho, v
 
@@ -243,7 +244,8 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices):
 
     On a transverse kernel the denominator vanishes on divergence-free
     fields; with xi != 0 the horizontal components absorb any psi', and that
-    kernel carries the scalar numerator g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
+    kernel carries the scalar numerator -2*g*int(rho*psi*psi'), which is
+    g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
     A positive supremum of that form certifies an infinite discriminant.
     """
     mode, co = matrices.mode, matrices.coeffs
@@ -255,8 +257,8 @@ def _divfree_kernel_unbounded(matrices: ModeMatrices):
         return None
     # embed the certificate as a near-divergence-free nodal field
     psi_full = np.concatenate(([0.0], psi, [0.0]))
-    slope = np.gradient(psi_full, matrices.mesh.nodes)
-    vec = np.zeros((matrices.mesh.nodes.size, 3))
+    slope = np.gradient(psi_full, co.grid)
+    vec = np.zeros((co.grid.size, 3))
     vec[:, 0] = -mode.xi1 / mode.norm2 * slope
     vec[:, 1] = -mode.xi2 / mode.norm2 * slope
     vec[:, 2] = psi_full
@@ -268,9 +270,8 @@ def xi_per_mode(matrices: ModeMatrices):
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
     Returns (value, eigvec) with value possibly math.inf.  Explicit cases:
-    - xi = 0 or g = 0: the gravity form vanishes identically (at xi = 0 it
-      is g*[[rho]]*|psi(0)|^2 + int((g*rho*|psi|^2)') = 0): exactly 0.0,
-      eigvec None;
+    - xi = 0 or g = 0: the gravity form 2*g*int(rho*Re(conj(psi)*i*xi.w_h))
+      and its matrix vanish identically: exactly 0.0, eigvec None;
     - an identically zero denominator (viscoelastic, kappa = 0 in both
       layers): inf when the numerator has a positive direction, else 0.0;
     - a transverse kernel: the div-free certificate, or else t t^T with
@@ -340,11 +341,11 @@ def analyze_mode(matrices: ModeMatrices, tol: float = 1e-8) -> ModeVerdict:
                        residual=res)
 
 
-def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1D,
-                k_max: int, tol: float = 1e-8,
-                quadrature_order: int = DEFAULT_QUADRATURE_ORDER) -> StabilityVerdict:
+def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> StabilityVerdict:
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
+    Every mode is assembled on ``coeffs``, whose profile gives the geometry
+    and whose params the medium.
     With a viscoelastic ``params.medium``, or an mhd field with M1 = M2 = 0,
     every per-mode form is invariant under a rotation of the horizontal
     components, so modes of equal |xi|^2 have orthogonally equivalent
@@ -361,16 +362,16 @@ def global_scan(profile: EquilibriumProfile, params: PhysicalParams, mesh: Mesh1
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    coeffs = FormCoefficients(profile, params, mesh.nodes, quadrature_order)
+    params, geometry = coeffs.params, coeffs.profile.geometry
     isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}
     solved = {}     # class key -> ModeVerdict or error message
     for k1, k2 in mode_lattice(k_max):
-        mode = FourierMode.from_indices(k1, k2, profile.geometry)
+        mode = FourierMode.from_indices(k1, k2, geometry)
         key = mode.norm2 if isotropic else (k1, k2)
         if key not in solved:
             try:
-                mm = assemble(profile, params, mode, mesh, quadrature_order, coeffs=coeffs)
+                mm = assemble(coeffs, mode)
                 solved[key] = analyze_mode(mm, tol)
             except RTSpectraError as exc:
                 solved[key] = f"{type(exc).__name__}: {exc}"

@@ -101,7 +101,7 @@ def gravity_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) 
         coeffs.rho_prime * np.abs(psi) ** 2
         + 2.0 * coeffs.rho * np.real(d * np.conj(psi))
     )
-    jump = coeffs.g * coeffs.rho_jump * abs(field.interface_psi()) ** 2
+    jump = coeffs.g * coeffs.profile.density_jump * abs(field.interface_psi()) ** 2
     return jump + _integrate(coeffs, density)
 
 

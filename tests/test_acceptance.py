@@ -107,7 +107,8 @@ def test_criterion_04_matrix_invariants(geo, profile):
     )
     for params in configs:
         for km in ((1, 0), (2, 1)):
-            mm = assembly.assemble(profile, params, make_mode(*km, geo), mesh)
+            mm = assembly.assemble(mr.FormCoefficients(profile, params, mesh.nodes),
+                                   make_mode(*km, geo))
             full = {name: dense(getattr(mm, name)) for name in
                     ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation")}
             for name, X in full.items():
@@ -133,7 +134,7 @@ def test_criterion_05_alpha_monotone_and_fixed_point(geo, profile):
     mode = make_mode(1, 0, geo)
     returned = 0
     for params in configs:
-        mm = assembly.assemble(profile, params, mode, mesh)
+        mm = assembly.assemble(mr.FormCoefficients(profile, params, mesh.nodes), mode)
         svals = np.linspace(0.0, 2.0, 20)
         avals = [spectral.alpha(float(s), mm)[0] for s in svals]
         assert np.all(np.diff(avals) <= 1e-10), "alpha must be non-increasing"
@@ -151,7 +152,7 @@ def test_criterion_06_growth_rate_vs_evolution(geo, profile):
     start = time.monotonic()
     params = PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.0))
     mesh = assembly.build_mesh(geo, n_per_layer=200)
-    mm = assembly.assemble(profile, params, make_mode(1, 0, geo), mesh)
+    mm = assembly.assemble(mr.FormCoefficients(profile, params, mesh.nodes), make_mode(1, 0, geo))
     lam = spectral.growth_rate_detailed(mm, tol=1e-8)[0]
     assert lam is not None and lam > 0
     eta0, u0 = evolution.random_initial_data(mm, seed=0)
@@ -176,7 +177,7 @@ def test_criterion_07_vertical_field_sufficiency(geo, profile):
     worst_coercivity = math.inf
     shell_unstable = False
     for (k1, k2) in spectral.mode_lattice(k_max):
-        mm = assembly.assemble(profile, params, make_mode(k1, k2, geo), mesh, coeffs=coeffs)
+        mm = assembly.assemble(coeffs, make_mode(k1, k2, geo))
         xi, _ = spectral.xi_per_mode(mm)
         c = spectral.coercivity_constant(mm)
         worst_xi = max(worst_xi, xi)
@@ -195,7 +196,7 @@ def test_criterion_07_vertical_field_sufficiency(geo, profile):
 def test_criterion_08_small_field_instability(geo, profile):
     params = PhysicalParams(**VISC, lam=1.0, M=(0.0, 0.0, 0.02))
     mesh = assembly.build_mesh(geo, n_per_layer=100)
-    verdict = spectral.global_scan(profile, params, mesh, k_max=1)
+    verdict = spectral.global_scan(mr.FormCoefficients(profile, params, mesh.nodes), k_max=1)
     unstable = [v for v in verdict.verdicts
                 if v.xi_value > 1.0 and (v.lambda_value or 0.0) > 0.0]
     assert unstable, "expected an unstable mode for a weak vertical field"
@@ -227,7 +228,8 @@ def test_criterion_09_horizontal_field_large_period(profile):
     assert narrow.closed_form_value < 0.0
 
     mesh = assembly.build_mesh(geo_wide, n_per_layer=100)
-    verdict = spectral.global_scan(prof_wide, base_params, mesh, k_max=2)
+    verdict = spectral.global_scan(mr.FormCoefficients(prof_wide, base_params, mesh.nodes),
+                                   k_max=2)
     assert verdict.global_xi > 1.0
     at_witness = [v for v in verdict.verdicts if (v.mode.k1, v.mode.k2) == (1, 1)][0]
     assert at_witness.xi_value > 1.0  # solver agrees with the positive witness
@@ -254,11 +256,11 @@ def test_criterion_10_viscoelastic_identity_and_thresholds(geo, profile):
 
     stiff = PhysicalParams(**VISC, kappa_plus=1.1 * threshold, kappa_minus=1.1 * threshold,
                            medium=VISCOELASTIC)
-    stable = spectral.global_scan(profile, stiff, mesh, k_max=4)
+    stable = spectral.global_scan(mr.FormCoefficients(profile, stiff, mesh.nodes), k_max=4)
     assert stable.global_xi < 1.0
 
     soft = PhysicalParams(**VISC, kappa_plus=0.01, kappa_minus=0.01, medium=VISCOELASTIC)
-    unstable = spectral.global_scan(profile, soft, mesh, k_max=1)
+    unstable = spectral.global_scan(mr.FormCoefficients(profile, soft, mesh.nodes), k_max=1)
     assert unstable.global_xi > 1.0
     assert unstable.global_lambda > 0.0
     report(10, f"elastic identity to 1e-12 on 100 fields; kappa=0.55 stable "
@@ -319,7 +321,7 @@ def test_criterion_12_mesh_convergence(geo, profile):
     ):
         values = []
         for mesh in meshes:
-            mm = assembly.assemble(profile, params, mode, mesh)
+            mm = assembly.assemble(mr.FormCoefficients(profile, params, mesh.nodes), mode)
             if quantity == "xi":
                 values.append(spectral.xi_per_mode(mm)[0])
             else:

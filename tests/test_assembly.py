@@ -11,6 +11,7 @@ from form_oracles import (compressibility_form, dissipation_form, elastic_form,
                           mass_form, quadratic)
 from oracles import dense, oracle_integrate, p1_eval, p1_slope
 from rtspectra import assembly, band, modereduce as mr
+from rtspectra.equilibrium import PressureLaw, build_profile
 from rtspectra.errors import InputError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
@@ -25,7 +26,7 @@ def test_uniform_mesh_nodes(geometry):
 def test_graded_mesh_ratio(geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=8, grading=2.0)
     sizes = np.diff(mesh.nodes)
-    i0 = mesh.interface_index
+    i0 = int(np.flatnonzero(mesh.nodes == 0.0)[0])
     # element nearest the interface is half its outward neighbor, both layers
     assert sizes[i0] / sizes[i0 + 1] == pytest.approx(0.5, rel=1e-12)
     assert sizes[i0 - 1] / sizes[i0 - 2] == pytest.approx(0.5, rel=1e-12)
@@ -35,7 +36,8 @@ def test_graded_mesh_ratio(geometry):
 def test_interior_unknown_count(geometry, canonical_profile, baseline_params):
     n = 12
     mesh = assembly.build_mesh(geometry, n_per_layer=n)
-    mm = assembly.assemble(canonical_profile, baseline_params, make_mode(1, 0, geometry), mesh)
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, baseline_params, mesh.nodes),
+                           make_mode(1, 0, geometry))
     assert mm.n_dof == 3 * (2 * n - 1)
 
 
@@ -69,7 +71,8 @@ def test_degenerate_mesh_rejected(geometry):
 @pytest.fixture(scope="module")
 def assembled(canonical_profile, mixed_params, mesh60, geometry):
     mode = make_mode(2, -1, geometry)
-    return assembly.assemble(canonical_profile, mixed_params, mode, mesh60)
+    return assembly.assemble(mr.FormCoefficients(canonical_profile, mixed_params, mesh60.nodes),
+                             mode)
 
 
 def all_matrices(mm):
@@ -132,7 +135,8 @@ def _metric_oracle(f, co, mode):
 ], ids=["mixed", "vertical", "horizontal_perp", "skew_perp", "viscoelastic"])
 def test_galerkin_consistency(field, k, canonical_profile, mixed_params, mesh60, geometry, rng):
     params = dataclasses.replace(mixed_params, **field)
-    mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh60)
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh60.nodes),
+                           make_mode(*k, geometry))
     co, mode = mm.coeffs, mm.mode
     for _ in range(100):
         f = random_field(mesh60.nodes, rng)
@@ -157,7 +161,7 @@ def test_scalar_gravity_kernel(canonical_profile, mesh60, rng):
         psi = rng.standard_normal(mesh60.nodes.size) + 1j * rng.standard_normal(mesh60.nodes.size)
         psi[0] = psi[-1] = 0.0
         at_q = np.abs(psi[:-1, None] * co.shape[0] + psi[1:, None] * co.shape[1]) ** 2
-        jump = co.g * co.rho_jump * abs(psi[mesh60.interface_index]) ** 2
+        jump = co.g * co.profile.density_jump * abs(psi[mesh60.nodes == 0.0][0]) ** 2
         z = psi[1:-1]
         for X, value in ((Q, jump + np.sum(co.qp_w * co.g * co.rho_prime * at_q)),
                          (Mpsi, np.sum(co.qp_w * co.rho * at_q))):
@@ -165,8 +169,18 @@ def test_scalar_gravity_kernel(canonical_profile, mesh60, rng):
             assert got == pytest.approx(value, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("g, k", [(1.0, (0, 0)), (0.0, (2, -1))], ids=["xi0", "g0"])
+def test_gravity_matrix_zero_without_drive(g, k, geometry, mixed_params, mesh60):
+    """At xi = 0 or g = 0 the gravity form vanishes identically, and so does every entry."""
+    profile = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), g, 2.0)
+    mm = assembly.assemble(mr.FormCoefficients(profile, mixed_params, mesh60.nodes),
+                           make_mode(*k, geometry))
+    assert not np.any(mm.gravity)
+
+
 def test_magnetic_zero_matrix_without_field(canonical_profile, baseline_params, mesh60, geometry):
-    mm = assembly.assemble(canonical_profile, baseline_params, make_mode(1, 1, geometry), mesh60)
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
+                           make_mode(1, 1, geometry))
     assert np.all(mm.magnetic == 0.0)
 
 
@@ -178,7 +192,8 @@ def test_mixed_field_matrices_complex(assembled):
 
 def test_vertical_field_matrices_real(canonical_profile, mesh60, geometry):
     params = PhysicalParams(M=(0.0, 0.0, 1.5))
-    mm = assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh60.nodes),
+                           make_mode(1, 1, geometry))
     assert not np.iscomplexobj(mm.magnetic)
 
 
@@ -191,7 +206,7 @@ def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     values = []
     for n in (20, 40, 80):
         mesh = assembly.build_mesh(geometry, n_per_layer=n)
-        mm = assembly.assemble(canonical_profile, params, mode, mesh)
+        mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh.nodes), mode)
         B = dense(mm.compress + mm.magnetic)
         L = np.linalg.cholesky(B)
         Y = sla.solve_triangular(L, dense(mm.gravity), lower=True)

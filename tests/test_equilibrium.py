@@ -73,20 +73,16 @@ def test_rt_condition_swapped_sound_speeds(geometry):
 
 
 def test_evaluate_interface_sides(canonical_profile):
-    rho, rho_p, pp = canonical_profile.evaluate(0.0, "+")
-    assert (rho, rho_p, pp) == pytest.approx((2.0, -2.0, 2.0), rel=1e-12)
-    rho, rho_p, pp = canonical_profile.evaluate(0.0, "-")
-    assert (rho, rho_p, pp) == pytest.approx((1.0, -0.5, 2.0), rel=1e-12)
-    with pytest.raises(InputError, match="requires side"):
-        canonical_profile.evaluate(0.0)
-    with pytest.raises(InputError, match="outside"):
-        canonical_profile.evaluate(1.5)
+    rho, rho_p, pp = canonical_profile.evaluate_layer(np.array([0.0]), "+")
+    assert (rho[0], rho_p[0], pp[0]) == pytest.approx((2.0, -2.0, 2.0), rel=1e-12)
+    rho, rho_p, pp = canonical_profile.evaluate_layer(np.array([0.0]), "-")
+    assert (rho[0], rho_p[0], pp[0]) == pytest.approx((1.0, -0.5, 2.0), rel=1e-12)
 
 
 def test_zero_gravity_constant_layers(geometry):
     prof = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
     for y in (-0.7, 0.3, 0.9):
-        rho, rho_p, _ = prof.evaluate(y)
+        (rho,), (rho_p,), _ = prof.evaluate_layer(np.array([y]), "+" if y > 0 else "-")
         assert rho == pytest.approx(2.0 if y > 0 else 1.0, rel=1e-14)
         assert rho_p == 0.0
     assert infimum_p_prime_rho(prof) == pytest.approx(min(1.0 * 2.0, 2.0 * 1.0), rel=1e-14)

@@ -11,20 +11,22 @@ from conftest import make_mode
 from oracles import dense, reference_integrate_linearized
 from rtspectra import assembly, evolution, spectral
 from rtspectra.errors import InputError, SolverError
+from rtspectra.modereduce import FormCoefficients
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 
 @pytest.fixture(scope="module")
 def mm_unstable(canonical_profile, baseline_params, mesh60, geometry):
-    return assembly.assemble(canonical_profile, baseline_params,
-                             make_mode(1, 0, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
+                             make_mode(1, 0, geometry))
 
 
 @pytest.fixture(scope="module")
 def mm_stable(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, 2.5))
-    return assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                             make_mode(1, 0, geometry))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,8 @@ def mm_mixed(canonical_profile, mesh60, geometry):
     """A mixed field: complex operator and complex state."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.3, -0.2, 0.7))
-    return assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                             make_mode(1, 1, geometry))
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,8 @@ def mm_viscoelastic(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             M=(0.3, -0.2, 0.7), kappa_plus=0.8, kappa_minus=0.8,
                             medium=VISCOELASTIC)
-    return assembly.assemble(canonical_profile, params, make_mode(1, 1, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                             make_mode(1, 1, geometry))
 
 
 def test_fit_rate_exact_exponential():

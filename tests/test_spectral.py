@@ -21,22 +21,24 @@ M3_STABLE = 1.05 * 2.2677017880818765   # 1.05x the canonical vertical threshold
 
 @pytest.fixture(scope="module")
 def mm_nofield(canonical_profile, baseline_params, mesh60, geometry):
-    return assembly.assemble(canonical_profile, baseline_params,
-                             make_mode(1, 0, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
+                             make_mode(1, 0, geometry))
 
 
 @pytest.fixture(scope="module")
 def mm_vertical(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, M3_STABLE))
-    return assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                             make_mode(1, 0, geometry))
 
 
 @pytest.fixture(scope="module")
 def mm_viscoelastic_soft(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, kappa_plus=0.01, kappa_minus=0.01,
                             medium=VISCOELASTIC)
-    return assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+    return assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                             make_mode(1, 0, geometry))
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +59,8 @@ def _assert_dichotomy(verdict):
 def test_xi_zero_gravity(geometry, mesh60, M):
     prof0 = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
-    mm = assembly.assemble(prof0, params, make_mode(1, 1, geometry), mesh60)
+    mm = assembly.assemble(FormCoefficients(prof0, params, mesh60.nodes),
+                           make_mode(1, 1, geometry))
     value, _ = spectral.xi_per_mode(mm)
     assert value == 0.0
 
@@ -71,7 +74,8 @@ def test_xi_infinite_without_field(mm_nofield):
 
 
 def test_xi_zero_mode_vanishes(canonical_profile, baseline_params, mesh60, geometry):
-    mm = assembly.assemble(canonical_profile, baseline_params, make_mode(0, 0, geometry), mesh60)
+    mm = assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
+                           make_mode(0, 0, geometry))
     value, _ = spectral.xi_per_mode(mm)
     assert value == 0.0
 
@@ -218,7 +222,8 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
     monkeypatch.setattr(band, "cholesky", cholesky)
     monkeypatch.setattr(spectral.sla, "cho_solve_banded", solve)
     monkeypatch.setattr(spectral, "_top_pair", recording)
-    verdict = spectral.global_scan(canonical_profile, params, mesh, k_max=1)
+    verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes),
+                                   k_max=1)
     assert not verdict.errors and verdict.global_lambda > 0
     assert len(checked) >= 20
 
@@ -240,10 +245,13 @@ def test_xi_restricted_dense_reference(stable_profile, mesh60, geometry):
     certificate exists.  The banded value is the restricted dense one."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(1.0, 0.0, 0.0))
     mode = make_mode(0, 1, geometry)
-    value, _ = spectral.xi_per_mode(assembly.assemble(stable_profile, params, mode, mesh60))
+    mm = assembly.assemble(FormCoefficients(stable_profile, params, mesh60.nodes), mode)
+    value, _ = spectral.xi_per_mode(mm)
     assert abs(value - 0.7380293829795882) <= 1e-9
     for n in (100, 200):
-        mm = assembly.assemble(stable_profile, params, mode, assembly.build_mesh(geometry, n))
+        mm = assembly.assemble(FormCoefficients(stable_profile, params,
+                                                assembly.build_mesh(geometry, n).nodes),
+                               mode)
         value, _ = spectral.xi_per_mode(mm)
         assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
 
@@ -254,9 +262,13 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
     mode = make_mode(2, 3, geometry)
     assert params.M[0] * mode.xi1 + params.M[1] * mode.xi2 != 0.0
     for n in (30, 60):
-        mm = assembly.assemble(canonical_profile, params, mode, assembly.build_mesh(geometry, n))
+        mm = assembly.assemble(FormCoefficients(canonical_profile, params,
+                                                assembly.build_mesh(geometry, n).nodes),
+                               mode)
         assert math.isinf(spectral.xi_per_mode(mm)[0])
-    mm = assembly.assemble(stable_profile, params, mode, assembly.build_mesh(geometry, 100))
+    mm = assembly.assemble(FormCoefficients(stable_profile, params,
+                                            assembly.build_mesh(geometry, 100).nodes),
+                           mode)
     value, _ = spectral.xi_per_mode(mm)
     assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
     assert value == pytest.approx(0.95300952456, abs=1e-10)
@@ -270,7 +282,8 @@ def test_xi_viscoelastic_zero_kappa(canonical_profile, geometry):
     def xi(kappa, k):
         params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, kappa_plus=kappa[0],
                                 kappa_minus=kappa[1], medium=VISCOELASTIC)
-        mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh)
+        mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh.nodes),
+                               make_mode(*k, geometry))
         return spectral.xi_per_mode(mm)[0]
 
     with pytest.raises(SolverError, match="singular denominator"):
@@ -285,8 +298,9 @@ def test_xi_nearly_singular_viscoelastic_denominator(stable_profile, geometry):
     The top is 0 to rounding (transverse fields give a zero numerator)."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             kappa_plus=1e-9, kappa_minus=0.3, medium=VISCOELASTIC)
-    mm = assembly.assemble(stable_profile, params, make_mode(1, 1, geometry),
-                           assembly.build_mesh(geometry, 30))
+    mm = assembly.assemble(FormCoefficients(stable_profile, params,
+                                            assembly.build_mesh(geometry, 30).nodes),
+                           make_mode(1, 1, geometry))
     value, _ = spectral.xi_per_mode(mm)
     assert math.isfinite(value) and value < 1e-6
 
@@ -295,7 +309,8 @@ def test_xi_mode_symmetry(canonical_profile, mesh60, geometry):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 2.5))
     vals = []
     for (k1, k2) in ((2, 1), (-2, -1)):
-        mm = assembly.assemble(canonical_profile, params, make_mode(k1, k2, geometry), mesh60)
+        mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                               make_mode(k1, k2, geometry))
         vals.append(spectral.xi_per_mode(mm)[0])
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
@@ -311,7 +326,8 @@ def test_alpha_negative_semidefinite_case(geometry, mesh60):
     # g = 0, M = 0, kappa = 0: A = -compress is negative semidefinite
     prof0 = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 0.0))
-    mm = assembly.assemble(prof0, params, make_mode(1, 0, geometry), mesh60)
+    mm = assembly.assemble(FormCoefficients(prof0, params, mesh60.nodes),
+                           make_mode(1, 0, geometry))
     a0, _ = spectral.alpha(0.0, mm)
     assert a0 <= 1e-12
 
@@ -355,7 +371,8 @@ def test_growth_rate_decreases_with_dissipation(canonical_profile, mesh60, geome
     lam1 = spectral.growth_rate_detailed(mm_nofield)[0]
     doubled = PhysicalParams(mu_plus=0.2, mu_minus=0.2, bulk_plus=0.2, bulk_minus=0.2,
                              lam=1.0, M=(0.0, 0.0, 0.0))
-    mm2 = assembly.assemble(canonical_profile, doubled, make_mode(1, 0, geometry), mesh60)
+    mm2 = assembly.assemble(FormCoefficients(canonical_profile, doubled, mesh60.nodes),
+                            make_mode(1, 0, geometry))
     lam2 = spectral.growth_rate_detailed(mm2)[0]
     assert lam2 < lam1
 
@@ -383,7 +400,8 @@ def test_stiff_viscoelastic_mode_reads_its_medium(canonical_profile, mesh60, geo
     mhd mode it would be unstable (coercivity fails, the trajectory grows)."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             kappa_plus=0.55, kappa_minus=0.55, medium=VISCOELASTIC)
-    mm = assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh60)
+    mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                           make_mode(1, 0, geometry))
     eta0, u0 = evolution.random_initial_data(mm, seed=1)
     result = evolution.integrate_linearized(mm, eta0, u0, 1e-2, 20.0)
     assert result.fitted_rate < 0.0
@@ -421,7 +439,8 @@ def test_global_scan_stable(canonical_profile, geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=40)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, M3_STABLE))
-    verdict = spectral.global_scan(canonical_profile, params, mesh, k_max=2)
+    verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes),
+                                   k_max=2)
     assert not verdict.errors
     assert verdict.global_xi < 1.0
     assert verdict.global_lambda is None
@@ -433,8 +452,8 @@ def test_global_scan_stable(canonical_profile, geometry):
 
 def test_global_scan_unstable_flags(canonical_profile, baseline_params, geometry):
     mesh = assembly.build_mesh(geometry, n_per_layer=40)
-    verdict = spectral.global_scan(canonical_profile, baseline_params, mesh,
-                                   k_max=1)
+    verdict = spectral.global_scan(FormCoefficients(canonical_profile, baseline_params,
+                                                    mesh.nodes), k_max=1)
     assert math.isinf(verdict.global_xi)
     assert verdict.global_lambda > 0
     assert not verdict.truncation_converged
@@ -447,7 +466,7 @@ def test_global_scan_threads_match(canonical_profile, geometry):
     """A weak mixed field: four of the five modes of k_max=1 are unstable."""
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.05, -0.03, 0.1))
-    verdict = spectral.global_scan(canonical_profile, params, mesh, 1)
+    verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes), 1)
     assert len(verdict.verdicts) == 5 and not verdict.errors
     assert sum(v.lambda_value is not None for v in verdict.verdicts) == 4
     _assert_dichotomy(verdict)
@@ -467,7 +486,8 @@ def test_global_scan_propagates_programming_errors(canonical_profile, baseline_p
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     # the class {(0,1), (1,0)} is solved second; at k_max = 2 four classes follow it
     with pytest.raises(TypeError, match="broken mode solver"):
-        spectral.global_scan(canonical_profile, baseline_params, mesh, k_max)
+        spectral.global_scan(FormCoefficients(canonical_profile, baseline_params, mesh.nodes),
+                             k_max)
 
 
 # (base field, failing modes, expected errors, verdicts): a mixed field solves
@@ -491,7 +511,7 @@ def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeyp
     monkeypatch.setattr(spectral, "analyze_mode", failing)
     mesh = assembly.build_mesh(geometry, n_per_layer=20)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=M)
-    verdict = spectral.global_scan(canonical_profile, params, mesh, 1)
+    verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes), 1)
     assert verdict.errors == {k: "SolverError: no convergence" for k in failed}
     assert len(verdict.verdicts) == n_verdicts
     assert not verdict.truncation_converged
@@ -535,7 +555,7 @@ def test_global_scan_isotropic_classes(monkeypatch, field, L2):
         return real(matrices, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "analyze_mode", counting)
-    verdict = spectral.global_scan(profile, params, mesh, k_max=2)
+    verdict = spectral.global_scan(FormCoefficients(profile, params, mesh.nodes), k_max=2)
     assert len(verdict.verdicts) == 13 and not verdict.errors
     isotropic = field != "mixed"
     assert len(solved) == ({1.0: 6, 1.7: 9}[L2] if isotropic else 13)
@@ -544,7 +564,7 @@ def test_global_scan_isotropic_classes(monkeypatch, field, L2):
     xi_rel, rel = (1e-8, 1e-12) if isotropic else (0.0, 0.0)
     coeffs = FormCoefficients(profile, params, mesh.nodes)
     for v in verdict.verdicts:
-        mm = assembly.assemble(profile, params, v.mode, mesh, coeffs=coeffs)
+        mm = assembly.assemble(coeffs, v.mode)
         ref = real(mm)
         assert _agrees(v.xi_value, ref.xi_value, xi_rel), (v.mode, v.xi_value, ref.xi_value)
         for name in ("alpha0", "lambda_value", "residual"):
@@ -563,8 +583,7 @@ def test_xi_inertia_certificate(canonical_profile, geometry, field):
     coeffs = FormCoefficients(canonical_profile, params, mesh.nodes)
     checked = 0
     for k in spectral.mode_lattice(2):
-        mm = assembly.assemble(canonical_profile, params, make_mode(*k, geometry), mesh,
-                               coeffs=coeffs)
+        mm = assembly.assemble(coeffs, make_mode(*k, geometry))
         N, B = mm.discriminant_pencil
         if band.cholesky(B) is None:
             continue
@@ -580,7 +599,8 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
     a dense Cholesky-reduction solver and element-wise polished quotients."""
     mesh = assembly.build_mesh(geometry, 200, grading=1.09)
     assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
-    mm = assembly.assemble(canonical_profile, baseline_params, make_mode(1, 0, geometry), mesh)
+    mm = assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh.nodes),
+                           make_mode(1, 0, geometry))
     for s, recorded in ((0.0, 0.23525264299814733), (0.4, -0.06240307581947192)):
         value, _ = spectral.alpha(s, mm)
         assert abs(value - recorded) <= 1e-12 * max(1.0, abs(recorded))
@@ -589,6 +609,20 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(InputError, match="tol must be positive"):
         spectral.growth_rate_detailed(mm_vertical, tol=-1.0)[0]
+
+
+def test_alpha_below_its_bracket_is_refused(mm_nofield, monkeypatch):
+    """alpha certifies its top branch from the bracket the solver closed: a value
+    more than TOP_BRANCH_MARGIN below the bracket's top raises."""
+    real = spectral._top_pair
+
+    def raised(*args):
+        top, v = real(*args)
+        return top + 1e-3, v
+
+    monkeypatch.setattr(spectral, "_top_pair", raised)
+    with pytest.raises(SolverError, match="is not the top of its pencil"):
+        spectral.alpha(0.0, mm_nofield)
 
 
 def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
@@ -654,7 +688,8 @@ def test_analyze_mode_fine_mesh(canonical_profile, geometry, m3):
     mesh = assembly.build_mesh(geometry, n_per_layer=2000)
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1,
                             lam=1.0, M=(0.0, 0.0, m3))
-    mm = assembly.assemble(canonical_profile, params, make_mode(1, 0, geometry), mesh)
+    mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh.nodes),
+                           make_mode(1, 0, geometry))
     assert mm.n_dof == 11997
     names = ("mass", "gravity", "compress", "magnetic", "elastic", "dissipation",
              "coercivity_metric")
@@ -684,6 +719,6 @@ def test_scan_builds_no_dense_matrix(canonical_profile, stable_profile, geometry
         (canonical_profile, PhysicalParams(**visc, kappa_plus=0.01, kappa_minus=0.01,
                                            medium=VISCOELASTIC)),
     ):
-        verdict = spectral.global_scan(profile, params, mesh, k_max=2)
+        verdict = spectral.global_scan(FormCoefficients(profile, params, mesh.nodes), k_max=2)
         assert len(verdict.verdicts) == 13 and not verdict.errors
         _assert_dichotomy(verdict)
