@@ -1,8 +1,13 @@
 """P1 finite-element assembly of the per-mode Hermitian forms.
 
-The forms are defined once, as the coefficient-matrix table of
-:func:`modereduce.form_table`; this module contracts that table with the
-moments of the P1 shape functions and their slopes.
+The forms are defined once, as the coefficient-matrix polynomial of
+:func:`modereduce.form_polynomial`: every 6x6 matrix is sum_m xi^m C_m over
+the six monomials 1, xi1, xi2, xi1^2, xi1*xi2, xi2^2 of the horizontal wave
+vector.  The moments of the P1 shape functions and their slopes depend on
+the grid only, so :class:`BandPolynomial` contracts them with every C_m
+once per grid, and each band matrix is then sum_m xi^m B_m.  A mode's
+matrices cost one weighted sum of the nonzero parts of the B_m; a scan
+builds one BandPolynomial for all its modes.
 
 The complex per-mode problem is assembled in a real coordinate basis: with
 the substitution (phi, theta, psi) = (-i*pt, -i*tt, st) every form becomes
@@ -28,7 +33,8 @@ import numpy as np
 from . import band
 from .equilibrium import Geometry
 from .errors import InputError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_table
+from .modereduce import (FormCoefficients, FourierMode, energy_signs, form_polynomial,
+                         table_at, xi_monomials)
 from .params import MHD
 
 DEFAULT_N_PER_LAYER = 200
@@ -115,9 +121,12 @@ class ModeMatrices:
     and in-plane components, which adds an imaginary skew part.  The grid
     is ``coeffs.grid``.
 
-    ``table`` is :func:`~.modereduce.form_table` of ``coeffs`` and ``mode``,
-    built once by :func:`assemble` and read again by every
-    :func:`~.modereduce.form_value` on this mode.
+    ``table`` is the mode's :func:`~.modereduce.form_table`, built once by
+    :func:`assemble` and read again by every :func:`~.modereduce.form_values`
+    on this mode.  ``mass`` does not depend on the mode: it is one read-only
+    array, shared by every mode of a :class:`BandPolynomial`.  The bands are
+    Fortran-ordered, the layout LAPACK and BLAS read, so no call has to
+    transpose them first.
 
     The medium is read from ``coeffs.params.medium`` only; :attr:`operator`
     (through :func:`~.modereduce.energy_signs`) and :attr:`discriminant_pencil`
@@ -160,7 +169,7 @@ class ModeMatrices:
     def at_quadrature(self, vec: np.ndarray) -> np.ndarray:
         """f = (pt, tt, st, pt', tt', st') of a dof vector's P1 field at the
         quadrature points of ``coeffs``, shape (ne, q, 6), the input of
-        :func:`~.modereduce.form_value`."""
+        :func:`~.modereduce.form_values`."""
         nodal = np.zeros((self.coeffs.grid.size, 3), dtype=vec.dtype)
         nodal[1:-1] = vec.reshape(-1, 3)
         v0, v1 = nodal[:-1, None, :], nodal[1:, None, :]
@@ -185,48 +194,183 @@ def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
     return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, 2, 2, 2)
 
 
-def _element_blocks(m: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Element blocks (ne, 6, 6) of sum_q coefficient * conj(f) C f from its moments.
+# the forms that depend on xi, in the order their overflow is reported
+XI_FORMS = ("gravity", "compress", "magnetic", "coercivity_metric", "dissipation", "elastic")
+FORMS = ("mass",) + XI_FORMS
+# A band matrix in Fortran order holds, per interior node, 6 entries for each of
+# its 3 components j: entry (row 5 - d, dof 3*node + j) couples dof 3*node + j with
+# the dof d below it.  Lane 6*j + 5 - d is that entry along all nodes, so a node's
+# 18 lanes are contiguous and the band is the (n_nodes, 18) array of its lanes.
+LANES = 18
 
-    Local dof order [pt1, tt1, st1, pt2, tt2, st2]; C is taken real when its
-    imaginary part vanishes, so forms without a skew part stay real.
+
+def _monomial_matrices(polynomial):
+    """The 6x6 matrices of every (form, monomial) pair that some coefficient has.
+
+    Returns (part, monomial, T): pair r is the real part of FORMS[part[r]] or,
+    for part[r] >= len(FORMS), the imaginary part of FORMS[part[r] - len(FORMS)],
+    at monomial[r]; T[r, c] is coefficient c's matrix of pair r, with axes
+    (k, i, l, j): k, l value or derivative, i, j the component.  A coefficient
+    that is zero everywhere contributes nothing.
     """
-    if not np.any(np.imag(C)):
-        C = np.real(C)
-    blocks = np.tensordot(m, C.reshape(2, 3, 2, 3), axes=([1, 3], [0, 2]))
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 6, 6)
+    part, monomial, T = [], [], []
+    for f, name in enumerate(FORMS):
+        stacks = np.array([forms[name] if name in forms and np.any(coefficient)
+                           else np.zeros((6, 6, 6)) for _, coefficient, forms in polynomial])
+        for offset, values in ((0, stacks.real), (len(FORMS), stacks.imag)):
+            for m in np.flatnonzero(np.any(values, axis=(0, 2, 3))):
+                part.append(f + offset)
+                monomial.append(m)
+                T.append(values[:, m])
+    return np.array(part), np.array(monomial), np.array(T).reshape(len(T), -1, 2, 3, 2, 3)
 
 
-def assemble(coeffs: FormCoefficients, mode: FourierMode) -> ModeMatrices:
+class BandPolynomial:
+    """The band matrices of every Fourier mode on the grid of ``coeffs``, as
+    sum_m xi^m B_m over the monomials of :func:`~.modereduce.xi_monomials`.
+
+    Built once per scan.  The shape-function moments of every coefficient
+    are contracted with the monomial matrices of
+    :func:`~.modereduce.form_polynomial`, one matrix product per pair of
+    components and pair of element nodes, whose element blocks land straight
+    in the band lanes they feed.  Only the nonzero lanes of each (form,
+    monomial) pair are kept, real, with the imaginary part of a form that
+    has a skew part kept apart.  No array of the build is much larger than
+    the lanes kept.  The mass matrix does not depend on xi: it is built,
+    checked for overflow and Cholesky-factored here, once, and shared by
+    every mode.  :meth:`at` then gives a mode's matrices.
+    """
+
+    def __init__(self, coeffs: FormCoefficients):
+        self.coeffs = coeffs
+        self.polynomial = form_polynomial(coeffs)
+        part, monomial, T = _monomial_matrices(self.polynomial)
+        n_pairs, n_c = T.shape[:2]
+        ne = coeffs.element_h.size
+        # mom[s][(c, k, l), e] for the node pairs s = (0, 0), (1, 1), (0, 1) of element e
+        mom = np.empty((3, n_c, 2, 2, ne))
+        for c, (_, coefficient, _) in enumerate(self.polynomial):
+            m = _moments(coeffs, coefficient).transpose(1, 3, 2, 4, 0)   # (k, l, n, n', e)
+            mom[:, c] = m[:, :, 0, 0], m[:, :, 1, 1], m[:, :, 0, 1]
+        mom = mom.reshape(3, 4 * n_c, ne)
+
+        # The lanes of part p go to output row out_of[p] of a mode: the real part
+        # of XI_FORMS[out_of[p]], or from len(XI_FORMS) on the imaginary part of
+        # skew[out_of[p] - len(XI_FORMS)].  The mass (part 0) has its own array.
+        nf = len(FORMS)
+        skew = [k for k in range(1, nf) if np.any(part == nf + k)]
+        self.skew = [FORMS[k] for k in skew]
+        out_of = np.arange(-1, 2 * nf - 1)
+        out_of[[nf + k for k in skew]] = len(XI_FORMS) + np.arange(len(skew))
+        mass = np.zeros((ne - 1, LANES))
+        # the nonzero xi-dependent lanes, in blocks of one lane each; in a block the
+        # rows of one output row are adjacent, as pairs are ordered by form and part
+        blocks, kept_monomial, starts, targets = [], [], [], []
+        n_kept = 0
+        for i in range(3):
+            for j in range(3):
+                # component i of an element's node n with component j of its node n'
+                Tij = T[:, :, :, i, :, j].reshape(n_pairs, 4 * n_c)
+                # neighbouring nodes: element n - 1, except element 0 at the Dirichlet node
+                cross = np.zeros((n_pairs, ne - 1))
+                cross[:, 1:] = (Tij @ mom[2])[:, 1:-1]
+                lanes = [(3 + j - i, cross)]
+                if j >= i:
+                    # one node: the first node of element n plus the second of element n - 1
+                    lanes.append((j - i, (Tij @ mom[0])[:, 1:] + (Tij @ mom[1])[:, :-1]))
+                for d, values in lanes:
+                    lane = 6 * j + 5 - d
+                    rows = np.flatnonzero(np.any(values, axis=1))
+                    if rows.size and part[rows[0]] == 0:
+                        mass[:, lane] = values[rows[0]]
+                        rows = rows[1:]
+                    blocks.append(values[rows])
+                    for k, r in enumerate(rows):
+                        if k == 0 or part[r] != part[rows[k - 1]]:     # the next output row
+                            starts.append(n_kept + k)
+                            targets.append((out_of[part[r]], lane))
+                    kept_monomial += list(monomial[rows])
+                    n_kept += rows.size
+        self.rows, self.monomial = np.concatenate(blocks), np.array(kept_monomial, dtype=int)
+        # rows self.starts[g] up to the next start sum into lane targets[g][1] of output row targets[g][0]
+        self.starts = np.array(starts, dtype=int)
+        self.targets = tuple(np.array(targets, dtype=int).reshape(-1, 2).T)
+
+        # weights of the squared entries in a squared Frobenius norm
+        self.square_weight = np.full((ne - 1, LANES), 2.0)
+        self.square_weight[:, 5::6] = 1.0                 # the diagonal, d = 0
+        self.square_weight = self.square_weight.ravel()
+        self._check_overflow("mass", self._frobenius2(mass))
+        self.mass = mass.reshape(-1, 6).T                 # (6, n_dof), Fortran order
+        if band.cholesky(self.mass) is None:
+            raise SolverError("mass matrix is not positive definite")
+        self.mass.setflags(write=False)
+
+    def _frobenius2(self, lanes: np.ndarray):
+        """Squared Frobenius norm of each band given by its lanes (..., n_nodes,
+        LANES); inf, with no warning, when a square overflows."""
+        with np.errstate(over="ignore"):
+            return (lanes * lanes).reshape(*lanes.shape[:-2], -1) @ self.square_weight
+
+    def _check_overflow(self, name: str, norm2: float):
+        """InputError naming the smallest element and the form's largest
+        coefficient when the squared Frobenius norm of its matrix is not finite."""
+        if not np.isfinite(norm2):
+            largest, label = max((np.max(np.abs(coefficient)), label)
+                                 for label, coefficient, forms in self.polynomial
+                                 if name in forms)
+            raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
+                             f"{self.coeffs.element_h.min():.3e}, largest coefficient "
+                             f"{label} = {largest:.3e}")
+
+    def at(self, mode: FourierMode) -> ModeMatrices:
+        """The matrices of ``mode``: the kept lanes weighted by the mode's
+        monomials and summed into its bands, one overflow check of all forms,
+        and the Cholesky check of the dissipation matrix.
+
+        A form is complex when its 6x6 matrix of this mode has an imaginary
+        part, as in the mode's table (:func:`~.modereduce.table_at`).
+        """
+        table = table_at(self.polynomial, mode)
+        n_out, n_nodes = len(XI_FORMS) + len(self.skew), self.rows.shape[1]
+        weighted = self.rows * xi_monomials(mode)[self.monomial][:, None]
+        lanes = np.zeros((n_out, n_nodes, LANES))
+        lanes.transpose(0, 2, 1)[self.targets] = np.add.reduceat(weighted, self.starts)
+        out = lanes.reshape(n_out, -1, 6).transpose(0, 2, 1)     # (n_out, 6, n_dof) bands
+        norm2 = self._frobenius2(lanes)
+        bands = {}
+        for i, name in enumerate(XI_FORMS):
+            bands[name] = out[i]
+            if name in self.skew:
+                j = len(XI_FORMS) + self.skew.index(name)
+                norm2[i] += norm2[j]
+                if any(np.any(np.imag(forms[name])) for _, _, forms in table if name in forms):
+                    bands[name] = out[i] + 1j * out[j]
+        if self.skew:       # keep no view of the imaginary parts alive
+            bands = {name: ab.copy(order="F") if ab.base is lanes else ab
+                     for name, ab in bands.items()}
+        if not np.all(np.isfinite(norm2[:len(XI_FORMS)])):
+            for name, value in zip(XI_FORMS, norm2):
+                self._check_overflow(name, value)
+        mm = ModeMatrices(mode=mode, coeffs=self.coeffs, table=table, mass=self.mass, **bands)
+        if band.cholesky(mm.dissipation) is None:
+            raise SolverError("dissipation matrix is not positive definite")
+        return mm
+
+
+def assemble(coeffs, mode: FourierMode) -> ModeMatrices:
     """Assemble all per-mode matrices on the grid of ``coeffs``.
 
     Piecewise-linear conforming elements per component, with the
     Gauss-Legendre points of ``coeffs`` in every element.  Every form is the
-    sum of its Hermitian 6x6 matrices C from :func:`~.modereduce.form_table`,
+    sum of its Hermitian 6x6 matrices C from :func:`~.modereduce.form_polynomial`,
     each times one scalar coefficient per quadrature point, contracted with
-    the P1 shape-function moments.
+    the P1 shape-function moments.  ``coeffs`` is a :class:`FormCoefficients`,
+    or the :class:`BandPolynomial` of one, which a scan builds once for all
+    its modes; a :class:`FormCoefficients` gets its own.
     """
-    table = form_table(coeffs, mode)
-    blocks = {}
-    for _, coefficient, forms in table:
-        m = _moments(coeffs, coefficient)
-        for name, C in forms.items():
-            blocks[name] = blocks.get(name, 0.0) + _element_blocks(m, C)
-
-    # scatter the upper triangle of each element block into interior band storage
-    out = {name: band.from_element_blocks(b, 3) for name, b in blocks.items()}
-    for name, matrix in out.items():
-        if not np.isfinite(band.frobenius(matrix)):
-            largest, label = max((np.max(np.abs(coefficient)), label)
-                                 for label, coefficient, forms in table if name in forms)
-            raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
-                             f"{coeffs.element_h.min():.3e}, largest coefficient "
-                             f"{label} = {largest:.3e}")
-    mm = ModeMatrices(mode=mode, coeffs=coeffs, table=table, **out)
-    for name, matrix in (("mass", mm.mass), ("dissipation", mm.dissipation)):
-        if band.cholesky(matrix) is None:
-            raise SolverError(f"{name} matrix is not positive definite")
-    return mm
+    forms = coeffs if isinstance(coeffs, BandPolynomial) else BandPolynomial(coeffs)
+    return forms.at(mode)
 
 
 def assemble_scalar_gravity_kernel(coeffs: FormCoefficients):

@@ -6,6 +6,12 @@ the layout of ``scipy.linalg.cholesky_banded``.  Entries ab[p - k, j] with
 j < k point above the matrix and are kept zero.  The per-mode forms have
 p = 5 (two nodes of three components each), the scalar gravity kernel
 p = 1.
+
+Factorizations, solves and products call LAPACK ``pbtrf``/``pbtrs`` and
+BLAS ``sbmv``/``hbmv`` directly, through handles fetched once per dtype:
+the calls of ``scipy.linalg.cholesky_banded`` and ``cho_solve_banded``
+with ``check_finite=False``, and the same bits, without their per-call
+validation.
 """
 
 from __future__ import annotations
@@ -15,6 +21,18 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 from scipy.sparse import csr_matrix, diags
+
+
+_HANDLES = {}
+
+
+def _handle(name: str, dtype: np.dtype):
+    """The LAPACK or BLAS routine ``name`` for ``dtype``, fetched on first use."""
+    key = (name, dtype)
+    if key not in _HANDLES:
+        get = sla.get_blas_funcs if name in ("sbmv", "hbmv") else sla.get_lapack_funcs
+        _HANDLES[key] = get(name, dtype=dtype)
+    return _HANDLES[key]
 
 
 def from_element_blocks(blocks: np.ndarray, stride: int) -> np.ndarray:
@@ -38,17 +56,25 @@ def from_element_blocks(blocks: np.ndarray, stride: int) -> np.ndarray:
 
 
 def cholesky(ab: np.ndarray) -> Optional[np.ndarray]:
-    """Banded Cholesky factor, or None when the matrix is not positive definite."""
-    try:
-        return sla.cholesky_banded(ab, check_finite=False)
-    except sla.LinAlgError:
-        return None
+    """Banded Cholesky factor (pbtrf), or None when the matrix is not positive definite."""
+    factor, info = _handle("pbtrf", ab.dtype)(ab)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of pbtrf")
+    return factor if info == 0 else None
+
+
+def solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X^-1 b (pbtrs) from the banded Cholesky factor of X."""
+    x, info = _handle("pbtrs", np.result_type(factor, b))(factor, b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of pbtrs")
+    return x
 
 
 def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """X @ x through BLAS sbmv (real) or hbmv (complex)."""
     dtype = np.result_type(ab, x)
-    fn = sla.get_blas_funcs("hbmv" if dtype.kind == "c" else "sbmv", dtype=dtype)
+    fn = _handle("hbmv" if dtype.kind == "c" else "sbmv", dtype)
     return fn(ab.shape[0] - 1, 1.0, ab.astype(dtype, copy=False), x.astype(dtype, copy=False))
 
 

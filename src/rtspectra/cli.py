@@ -50,8 +50,7 @@ KEYS = {
                  "grading": (float, None),        # None: the default mesh family
                  "quadrature_order": (int, DEFAULT_QUADRATURE_ORDER),
                  "k_max": (int, 4), "fixed_point_tol": (float, 1e-8),
-                 "k1": (int, 1), "k2": (int, 0),
-                 "eig_tol": (str, None)},         # retired: accepted and ignored
+                 "k1": (int, 1), "k2": (int, 0)},
     "evolution": {"dt": (float, None), "t": (float, None), "seed": (int, 0)},
     "output": {"path": (str, "report"), "format": (str, "csv")},
 }

@@ -13,14 +13,18 @@ Per-mode operators:
     m_xi(w) = i*(M . xi_h) * w + M3 * w'            (field-directional derivative)
     G(w)    = per-mode gradient, rows (i*xi1, i*xi2, d/dy3) applied to w.
 
-:func:`form_table` is the one definition of the forms: Hermitian 6x6
+:func:`form_polynomial` is the one definition of the forms: Hermitian 6x6
 matrices over a field and its derivative, each times one scalar coefficient
-per quadrature point of a :class:`FormCoefficients`.  It is built once
-per mode: the P1 assembly contracts it with shape-function moments and
-keeps it on the mode's matrices, and :func:`form_value` evaluates a given
-table on any field at the quadrature points: the analytic witness fields
-and the P1 eigenvectors whose Rayleigh quotient is alpha(s).  Quadrature
-is per-element Gauss-Legendre and never straddles the interface node at 0.
+per quadrature point of a :class:`FormCoefficients`.  Every matrix is a
+quadratic polynomial in xi, held as its coefficients over the six
+monomials 1, xi1, xi2, xi1^2, xi1*xi2 and xi2^2, and a mode's table
+(:func:`table_at`, or :func:`form_table`) contracts them with the mode's
+monomials.  The P1 assembly contracts the polynomial once per grid with
+shape-function moments and keeps each mode's table on its matrices, and
+:func:`form_values` evaluates a table on any field at the quadrature
+points: the analytic witness fields and the P1 eigenvectors whose Rayleigh
+quotient is alpha(s).  Quadrature is per-element Gauss-Legendre and never
+straddles the interface node at 0.
 """
 
 from __future__ import annotations
@@ -117,29 +121,54 @@ class FormCoefficients:
         self.kappa = np.where(upper, params.kappa_plus, params.kappa_minus)[:, None] * np.ones((1, q))
 
 
+# A row of a form is affine in xi: r = r[0] + xi1*r[1] + xi2*r[2], an array (3, 6)
+# over f.  conj(r)^T s is then quadratic in xi: the product of the parts a and b of
+# r and s belongs to monomial _MONOMIAL_OF[3*a + b] of (1, xi1, xi2, xi1^2, xi1*xi2, xi2^2).
+_MONOMIAL_OF = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def xi_monomials(mode: FourierMode) -> np.ndarray:
+    """(1, xi1, xi2, xi1^2, xi1*xi2, xi2^2) of ``mode``: the weights of a monomial stack."""
+    xi1, xi2 = mode.xi1, mode.xi2
+    return np.array([1.0, xi1, xi2, xi1 * xi1, xi1 * xi2, xi2 * xi2])
+
+
+def _product(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Monomial stack (6, 6, 6) of the 6x6 matrix conj(r)^T s of two affine rows."""
+    products = (np.conj(r)[:, None, :, None] * s[None, :, None, :]).reshape(9, 6, 6)
+    out = np.zeros((6, 6, 6), dtype=products.dtype)
+    np.add.at(out, _MONOMIAL_OF, products)
+    return out
+
+
 def _gram(*rows) -> np.ndarray:
-    """sum of conj(r) r^T: the Hermitian 6x6 matrix of sum |r . f|^2 over f = (w, w')."""
-    return sum(np.outer(np.conj(r), r) for r in rows)
+    """Monomial stack of sum of conj(r) r^T: the Hermitian 6x6 matrix of
+    sum |r . f|^2 over f = (w, w')."""
+    return sum(_product(r, r) for r in rows)
 
 
-def form_table(coeffs: FormCoefficients, mode: FourierMode):
-    """The per-mode forms as (label, coefficient, {form name: C}) triples.
+def form_polynomial(coeffs: FormCoefficients):
+    """The per-mode forms as (label, coefficient, {form name: stack}) triples,
+    each form's 6x6 matrix C written as sum_m xi^m stack[m] over the monomials
+    of :func:`xi_monomials`.
 
     Form ``name`` of a field is the sum, over the triples that hold it, of the
     integral of coefficient * conj(f)^T C f, where f = (pt, tt, st, pt', tt', st')
     is the field and its derivative in the tilde basis
     (phi, theta, psi) = (-i*pt, -i*tt, st), in which a real f is the real
-    ansatz.  Gravity is the Theta numerator 2*g*int(rho*Re(conj(psi)*i*xi.w_h)),
+    ansatz.  Every C is a Gram sum of rows affine in xi, so each stack comes
+    from the rows' parts, exactly, and it is real unless the form has a
+    skew part.  Gravity is the Theta numerator 2*g*int(rho*Re(conj(psi)*i*xi.w_h)),
     a volume integral with no interface term: with psi = 0 at the walls,
     integrating int(g*rho'*|psi|^2) by parts in each layer cancels the jump
     g*[[rho]]*|psi(0)|^2 of the paper's energy.  ``coefficient`` is one of
     the (ne, q) tables of ``coeffs`` or 1.0, and ``label`` names it.  The
     forms are those of :class:`~.assembly.ModeMatrices`.
     """
-    xi1, xi2 = mode.xi1, mode.xi2
+    one, xi1, xi2 = np.eye(3)[:, :, None]     # affine scalars: times a 6-vector, a row
     M1, M2, M3 = coeffs.M
     mdotxi = M1 * xi1 + M2 * xi2
-    v, dv = np.eye(6)[:3], np.eye(6)[3:]            # value and derivative of each component
+    v, dv = np.eye(6)[:3], one * np.eye(6)[3:, None]   # values; constant derivative rows
     wh = xi1 * v[0] + xi2 * v[1]                    # xi . w_h (tilde)
     div = wh + dv[2]                                # per-mode divergence (tilde)
     C_div = _gram(div)
@@ -152,16 +181,35 @@ def form_table(coeffs: FormCoefficients, mode: FourierMode):
                                M3 * (div - dv[2]) - 1j * mdotxi * v[2])
     C_dir = _gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
                   M3 * dv[2] + 1j * mdotxi * v[2])
-    C_val = _gram(*v)
-    return (
+    C_val = _gram(*(one * v[:, None]))
+    psi = one * v[2]
+    table = (
         ("density", coeffs.rho,
-         {"mass": C_val, "gravity": coeffs.g * (np.outer(wh, v[2]) + np.outer(v[2], wh))}),
+         {"mass": C_val, "gravity": coeffs.g * (_product(wh, psi) + _product(psi, wh))}),
         ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
         ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
         ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
         ("bulk", coeffs.bulk, {"dissipation": C_div}),
         ("kappa", coeffs.kappa, {"elastic": C_sym - C_div}),
     )
+    return tuple((label, coefficient,
+                  {name: C if np.any(np.imag(C)) else np.real(C) for name, C in forms.items()})
+                 for label, coefficient, forms in table)
+
+
+def table_at(polynomial, mode: FourierMode):
+    """The (label, coefficient, {form name: C}) table of ``mode`` from
+    :func:`form_polynomial`: each C is its stack contracted with the mode's
+    :func:`xi_monomials`."""
+    w = xi_monomials(mode)
+    return tuple((label, coefficient, {name: (w @ stack.reshape(6, 36)).reshape(6, 6)
+                                       for name, stack in forms.items()})
+                 for label, coefficient, forms in polynomial)
+
+
+def form_table(coeffs: FormCoefficients, mode: FourierMode):
+    """The forms of ``mode`` on ``coeffs``: :func:`table_at` of :func:`form_polynomial`."""
+    return table_at(form_polynomial(coeffs), mode)
 
 
 def energy_signs(params: PhysicalParams) -> dict:
@@ -171,26 +219,36 @@ def energy_signs(params: PhysicalParams) -> dict:
             "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
-def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:
-    """sum of weights[name] * form ``name`` of ``table``, for a field given at
-    the quadrature points.
+def form_values(coeffs: FormCoefficients, table, weights, f: np.ndarray) -> tuple:
+    """For each dict in ``weights``, the sum of weights[name] * form ``name`` of
+    ``table``, for a field given at the quadrature points.
 
-    ``table`` is ``form_table(coeffs, mode)``, built once by the caller for
-    its mode (:attr:`~.assembly.ModeMatrices.table` after assembly).  ``f``
-    holds (pt, tt, st, pt', tt', st') at every quadrature point of ``coeffs``,
-    shape (ne, q, 6).  Each value and slope enters as it is, so nothing
-    cancels at the scale of the assembled matrices' 1/h entries.
+    ``table`` is :func:`form_table` of ``coeffs`` and the field's mode, built
+    once by the caller for its mode (:attr:`~.assembly.ModeMatrices.table`
+    after assembly).  ``f`` holds (pt, tt, st, pt', tt', st') at every
+    quadrature point of ``coeffs``, shape (ne, q, 6).  One pass over the
+    points serves every dict: for each coefficient that a requested form
+    has, G = sum over points of weight * coefficient * conj(f) f^T, and each
+    value is a sum of sum(C * G).  Each value and slope enters as it is, so
+    nothing cancels at the scale of the assembled matrices' 1/h entries.
     """
-    unknown = set(weights).difference(*(forms for _, _, forms in table))
+    unknown = set().union(*weights).difference(*(forms for _, _, forms in table))
     if unknown:
         raise InputError(f"unknown forms {sorted(unknown)}")
-    total = 0.0
     f6 = f.reshape(-1, 6)
+    totals = [0.0] * len(weights)
     for _, coefficient, forms in table:
-        names = [name for name in weights if name in forms]
-        if names:
-            C = sum(weights[name] * forms[name] for name in names)
-            # G[i, j] = sum over points of weight * coefficient * conj(f_i) * f_j
-            G = np.conj(f6 * (coeffs.qp_w * coefficient).reshape(-1, 1)).T @ f6
-            total += np.real(np.sum(C * G))
-    return float(total)
+        G = None
+        for n, wts in enumerate(weights):
+            names = [name for name in wts if name in forms]
+            if names:
+                if G is None:
+                    G = np.conj(f6 * (coeffs.qp_w * coefficient).reshape(-1, 1)).T @ f6
+                C = sum(wts[name] * forms[name] for name in names)
+                totals[n] += np.real(np.sum(C * G))
+    return tuple(float(total) for total in totals)
+
+
+def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:
+    """:func:`form_values` for one dict of weights."""
+    return form_values(coeffs, table, (weights,), f)[0]

@@ -26,9 +26,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import band
-from .assembly import ModeMatrices, assemble, assemble_scalar_gravity_kernel
+from .assembly import BandPolynomial, ModeMatrices, assemble, assemble_scalar_gravity_kernel
 from .errors import InputError, RTSpectraError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_value
+from .modereduce import FormCoefficients, FourierMode, energy_signs, form_values
 from .params import MHD, VISCOELASTIC
 
 EIGVEC_RESIDUAL_TOL = 1e-8
@@ -116,7 +116,7 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
 
     mv, rho_prev = band.matvec(mb, v), None     # rho_prev: set after a trial that factored
     for _ in range(INVERSE_STEPS):
-        v = sla.cho_solve_banded((factor, False), mv, check_finite=False)
+        v = band.solve(factor, mv)
         mv = band.matvec(mb, v)
         norm2 = float(np.real(np.vdot(v, mv)))
         rho = float(np.real(np.vdot(v, band.matvec(hb, v)))) / norm2
@@ -142,17 +142,18 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
 
 
 def _element_quotient(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
-    """(E(v) - s*Psi(v)) / mass(v) by form_value at the quadrature points.
+    """(E(v) - s*Psi(v)) / mass(v) by form_values at the quadrature points,
+    both from one pass over them.
 
     A band product v* X v cancels to eps * ||X|| ||v||^2, and the entries of X
     grow like 1/h: on the accepted mesh n = 200, grading 1.09 (smallest
     element 2.9e-9 of a layer) _top_pair's own quotient is off a dense
     reference by up to 1.6e-7, this one by 1e-13.
     """
-    f = matrices.at_quadrature(v)
-    co, table = matrices.coeffs, matrices.table
-    return (form_value(co, table, {**energy_signs(co.params), "dissipation": -s}, f)
-            / form_value(co, table, {"mass": 1.0}, f))
+    co = matrices.coeffs
+    energy, mass = form_values(co, matrices.table, (
+        {**energy_signs(co.params), "dissipation": -s}, {"mass": 1.0}), matrices.at_quadrature(v))
+    return energy / mass
 
 
 def alpha(s: float, matrices: ModeMatrices,
@@ -345,7 +346,8 @@ def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> Stab
     """Scan the half mode lattice |k1|,|k2| <= k_max and aggregate suprema.
 
     Every mode is assembled on ``coeffs``, whose profile gives the geometry
-    and whose params the medium.
+    and whose params the medium, from one :class:`~.assembly.BandPolynomial`
+    built before the first mode.
     With a viscoelastic ``params.medium``, or an mhd field with M1 = M2 = 0,
     every per-mode form is invariant under a rotation of the horizontal
     components, so modes of equal |xi|^2 have orthogonally equivalent
@@ -366,13 +368,15 @@ def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> Stab
     isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}
     solved = {}     # class key -> ModeVerdict or error message
+    forms = None
     for k1, k2 in mode_lattice(k_max):
         mode = FourierMode.from_indices(k1, k2, geometry)
         key = mode.norm2 if isotropic else (k1, k2)
         if key not in solved:
             try:
-                mm = assemble(coeffs, mode)
-                solved[key] = analyze_mode(mm, tol)
+                if forms is None:
+                    forms = BandPolynomial(coeffs)
+                solved[key] = analyze_mode(assemble(forms, mode), tol)
             except RTSpectraError as exc:
                 solved[key] = f"{type(exc).__name__}: {exc}"
         result = solved[key]

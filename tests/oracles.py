@@ -36,6 +36,69 @@ def dense(ab):
     return band.to_csr(ab).toarray()
 
 
+def _outer_gram(*rows):
+    return sum(np.outer(np.conj(r), r) for r in rows)
+
+
+def per_mode_table(coeffs, mode):
+    """The per-mode forms as (label, coefficient, {form name: C}) triples, each
+    6x6 matrix C built from its rows at the mode's xi: the table as
+    ``modereduce`` wrote it before its forms became polynomials in xi."""
+    xi1, xi2 = mode.xi1, mode.xi2
+    M1, M2, M3 = coeffs.M
+    mdotxi = M1 * xi1 + M2 * xi2
+    v, dv = np.eye(6)[:3], np.eye(6)[3:]
+    wh = xi1 * v[0] + xi2 * v[1]
+    div = wh + dv[2]
+    C_div = _outer_gram(div)
+    C_sym = 2.0 * _outer_gram(xi1 * v[0], xi2 * v[1], dv[2]) + _outer_gram(
+        xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
+    C_mag = coeffs.lam * _outer_gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
+                                     M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
+                                     M3 * (div - dv[2]) - 1j * mdotxi * v[2])
+    C_dir = _outer_gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
+                        M3 * dv[2] + 1j * mdotxi * v[2])
+    C_val = _outer_gram(*v)
+    return (
+        ("density", coeffs.rho,
+         {"mass": C_val, "gravity": coeffs.g * (np.outer(wh, v[2]) + np.outer(v[2], wh))}),
+        ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
+        ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
+        ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),
+        ("bulk", coeffs.bulk, {"dissipation": C_div}),
+        ("kappa", coeffs.kappa, {"elastic": C_sym - C_div}),
+    )
+
+
+def per_mode_matrices(coeffs, mode):
+    """Dense per-mode matrices by the per-mode contraction: every 6x6 matrix of
+    :func:`per_mode_table` (taken real when its imaginary part vanishes)
+    contracted, element by element, with the P1 shape-function moments of its
+    coefficient, and the element blocks added into a dense matrix whose
+    Dirichlet ends are then cut."""
+    ne, q = coeffs.qp_w.shape
+    P = np.empty((ne, q, 2, 2))
+    P[:, :, 0] = coeffs.shape.T
+    P[:, :, 1] = (np.array([-1.0, 1.0]) / coeffs.element_h[:, None])[:, None, :]
+    P = P.reshape(ne, q, 4)
+    blocks = {}
+    for _, coefficient, forms in per_mode_table(coeffs, mode):
+        weight = coefficient * coeffs.qp_w
+        m = (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, 2, 2, 2)
+        for name, C in forms.items():
+            if not np.any(np.imag(C)):
+                C = np.real(C)
+            b = np.tensordot(m, C.reshape(2, 3, 2, 3), axes=([1, 3], [0, 2]))
+            blocks[name] = blocks.get(name, 0.0) + b.transpose(0, 1, 3, 2, 4).reshape(-1, 6, 6)
+    out = {}
+    for name, b in blocks.items():
+        X = np.zeros((3 * (ne + 1), 3 * (ne + 1)), dtype=b.dtype)
+        for e in range(ne):
+            X[3 * e:3 * e + 6, 3 * e:3 * e + 6] += b[e]
+        out[name] = X[3:-3, 3:-3]
+    return out
+
+
 def p1_eval(grid, nodal, y):
     idx = np.clip(np.searchsorted(grid, y, side="right") - 1, 0, grid.size - 2)
     t = (y - grid[idx]) / (grid[idx + 1] - grid[idx])

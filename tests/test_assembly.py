@@ -9,8 +9,8 @@ from conftest import make_mode, random_field
 from form_oracles import (compressibility_form, dissipation_form, elastic_form,
                           field_directional_form, gradient_form, gravity_form, magnetic_form,
                           mass_form, quadratic)
-from oracles import dense, oracle_integrate, p1_eval, p1_slope
-from rtspectra import assembly, band, modereduce as mr
+from oracles import dense, oracle_integrate, p1_eval, p1_slope, per_mode_matrices
+from rtspectra import assembly, band, modereduce as mr, spectral
 from rtspectra.equilibrium import PressureLaw, build_profile
 from rtspectra.errors import InputError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -216,3 +216,58 @@ def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     e1 = abs(values[1] - values[0])
     e2 = abs(values[2] - values[1])
     assert e2 < 0.5 * e1  # at least first-order decay of increments
+
+
+@pytest.mark.parametrize("k", [(0, 0), (1, 0), (2, -1), (4, 4)])
+@pytest.mark.parametrize("field", [{"M": (0.0, 0.0, 1.5)}, {}, {"medium": VISCOELASTIC}],
+                         ids=["vertical", "mixed", "viscoelastic"])
+def test_polynomial_assembly_matches_per_mode_contraction(field, k, canonical_profile,
+                                                          mixed_params, mesh60, geometry):
+    """Every band of the xi-polynomial assembly equals the per-mode contraction
+    of the mode's own table within 1e-14 of its largest entry, with its dtype:
+    complex exactly where that mode's table has an imaginary part.  Band
+    entries that point above the matrix stay zero."""
+    params = dataclasses.replace(mixed_params, **field)
+    co = mr.FormCoefficients(canonical_profile, params, mesh60.nodes)
+    mode = make_mode(*k, geometry)
+    mm = assembly.assemble(co, mode)
+    for name, want in per_mode_matrices(co, mode).items():
+        got = getattr(mm, name)
+        assert got.dtype == want.dtype, name
+        assert np.max(np.abs(dense(got) - want)) <= 1e-14 * np.max(np.abs(want)), name
+        assert not any(np.any(got[5 - k, :k]) for k in range(1, 6)), name
+    if field == {}:
+        assert np.iscomplexobj(mm.magnetic)
+
+
+def test_scan_builds_its_polynomial_once(canonical_profile, mixed_params, geometry, monkeypatch):
+    """A k_max=2 scan of a mixed field (13 modes, no isotropy classes) builds the
+    xi-independent part once, and Cholesky-checks the one mass matrix all its
+    modes share once."""
+    builds, factored, masses = [], [], []
+    real_polynomial, real_cholesky, real_assemble = (assembly.form_polynomial, band.cholesky,
+                                                     assembly.assemble)
+
+    def polynomial(coeffs):
+        builds.append(coeffs)
+        return real_polynomial(coeffs)
+
+    def cholesky(ab):
+        factored.append(ab)
+        return real_cholesky(ab)
+
+    def assemble(forms, mode):
+        mm = real_assemble(forms, mode)
+        masses.append(mm.mass)
+        return mm
+
+    monkeypatch.setattr(assembly, "form_polynomial", polynomial)
+    monkeypatch.setattr(band, "cholesky", cholesky)
+    monkeypatch.setattr(spectral, "assemble", assemble)
+    mesh = assembly.build_mesh(geometry, n_per_layer=30)
+    verdict = spectral.global_scan(mr.FormCoefficients(canonical_profile, mixed_params,
+                                                       mesh.nodes), k_max=2)
+    assert len(verdict.verdicts) == 13 and not verdict.errors
+    assert len(builds) == 1 and len(masses) == 13
+    assert all(mass is masses[0] for mass in masses)
+    assert sum(ab is masses[0] for ab in factored) == 1

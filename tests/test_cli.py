@@ -98,6 +98,9 @@ INADMISSIBLE = {
     "n_per_layr": ("scan", {"n_per_layer = 30": "n_per_layr = 30"},
                    "unknown key 'n_per_layr' in section [numerics]"),
     "[numerix]": ("scan", {"[numerics]": "[numerix]"}, "unknown section [numerix]"),
+    # the retired eig_tol is refused like any other unknown key
+    "eig_tol": ("scan", {"k_max = 1": "k_max = 1\neig_tol = 1e-3"},
+                "unknown key 'eig_tol' in section [numerics]"),
 }
 
 
@@ -340,7 +343,7 @@ def test_xi_matches_scan(tmp_path):
     cfgp = write_config(tmp_path, **{
         "c2_plus = 1.0": "c2_plus = 2.0", "c2_minus = 2.0": "c2_minus = 1.0",
         "rho_plus_interface = 2.0": "rho_plus_interface = 1.0",
-        "m3 = 0.0": "m2 = 1.0\nm3 = 0.0", "k_max = 1": "k_max = 1\neig_tol = 1e-3"})
+        "m3 = 0.0": "m2 = 1.0\nm3 = 0.0"})
     xi_out, scan_out = tmp_path / "xi.json", tmp_path / "scan.csv"
     assert cli.run(str(cfgp), "xi", out=str(xi_out)) == 0
     assert cli.run(str(cfgp), "scan", out=str(scan_out)) == 0

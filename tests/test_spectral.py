@@ -228,6 +228,23 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
     assert len(checked) >= 20
 
 
+def test_top_pair_bracket_holds_its_iterates(canonical_profile, baseline_params, geometry,
+                                             monkeypatch):
+    """test_top_pair_value_in_its_bracket with every band.solve routed through
+    scipy's cho_solve_banded, which gives the same bits (test_band.py) and which
+    that test records: each top is then also held against the quotients of
+    the iterates of its own solve."""
+    calls = []
+
+    def solve(factor, b):
+        calls.append(b)
+        return sla.cho_solve_banded((factor, False), b, check_finite=False)
+
+    monkeypatch.setattr(band, "solve", solve)
+    test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch)
+    assert len(calls) >= 100
+
+
 def _restricted_dense_xi(mm):
     """Top of (P^T N P, P^T B P), P the per-node (longitudinal, psi) basis:
     the mhd discriminant with the transverse horizontal component removed."""
@@ -671,7 +688,7 @@ def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry,
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (modereduce, assembly, criteria):      # every module that holds the name
+    for module in (modereduce, criteria):      # every module that holds the name
         monkeypatch.setattr(module, "form_table", counting)
     lam, _, _ = spectral.growth_rate_detailed(mm_nofield, tol=1e-8)
     assert lam is not None and lam > 0
