@@ -372,17 +372,3 @@ def assemble(coeffs, mode: FourierMode) -> ModeMatrices:
     forms = coeffs if isinstance(coeffs, BandPolynomial) else BandPolynomial(coeffs)
     return forms.at(mode)
 
-
-def assemble_scalar_gravity_kernel(coeffs: FormCoefficients):
-    """Scalar-psi forms restricted to divergence-free directions.
-
-    Returns (Q, Mpsi) over the interior psi dofs of the coefficient table's
-    grid, in upper band storage with half-bandwidth 1: Q carries
-    -g*int(rho*(psi*psi' + psi'*psi)), which equals
-    g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2) for psi = 0 at the walls, and Mpsi
-    the rho-weighted mass.  These are the numerator and normalization seen by
-    fields whose per-mode divergence vanishes identically.
-    """
-    m = _moments(coeffs, coeffs.rho)
-    Q = band.from_element_blocks(-coeffs.g * (m[:, 0, :, 1, :] + m[:, 1, :, 0, :]), 1)
-    return Q, band.from_element_blocks(m[:, 0, :, 0, :], 1)

@@ -4,8 +4,7 @@ A Hermitian matrix X of half-bandwidth p and order n is held as an array
 ab of shape (p + 1, n) with ab[p - k, j] = X[j - k, j] for 0 <= k <= p,
 the layout of ``scipy.linalg.cholesky_banded``.  Entries ab[p - k, j] with
 j < k point above the matrix and are kept zero.  The per-mode forms have
-p = 5 (two nodes of three components each), the scalar gravity kernel
-p = 1.
+p = 5 (two nodes of three components each).
 
 Factorizations, solves and products call LAPACK ``pbtrf``/``pbtrs`` and
 BLAS ``sbmv``/``hbmv`` directly, through handles fetched once per dtype:
@@ -33,26 +32,6 @@ def _handle(name: str, dtype: np.dtype):
         get = sla.get_blas_funcs if name in ("sbmv", "hbmv") else sla.get_lapack_funcs
         _HANDLES[key] = get(name, dtype=dtype)
     return _HANDLES[key]
-
-
-def from_element_blocks(blocks: np.ndarray, stride: int) -> np.ndarray:
-    """Interior band matrix from element blocks of shape (ne, 2*stride, 2*stride).
-
-    Element e's block sits at dof offset stride*e, so its (a, b) entry lands
-    in column stride*e + b.  Only the upper triangle (a <= b) is stored, and
-    for one (a, b) no two elements share a column.  The Dirichlet ends (the
-    first and last `stride` dofs) are then cut.
-    """
-    ne, m = blocks.shape[:2]
-    p = m - 1
-    ab = np.zeros((m, stride * (ne + 1)), dtype=blocks.dtype)
-    for a in range(m):
-        for b in range(a, m):
-            ab[p - (b - a), b:b + stride * ne:stride] += blocks[:, a, b]
-    ab = ab[:, stride:-stride].copy()
-    for k in range(1, m):
-        ab[p - k, :k] = 0.0     # entries of the removed rows
-    return ab
 
 
 def cholesky(ab: np.ndarray) -> Optional[np.ndarray]:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import band
-from .assembly import BandPolynomial, ModeMatrices, assemble, assemble_scalar_gravity_kernel
+from .assembly import BandPolynomial, ModeMatrices, assemble
 from .errors import InputError, RTSpectraError, SolverError
 from .modereduce import FormCoefficients, FourierMode, energy_signs, form_values
 from .params import MHD, VISCOELASTIC
@@ -240,63 +239,51 @@ def _transverse_kernel(matrices: ModeMatrices) -> bool:
             <= 1e-12 * math.hypot(M[0], M[1]) * math.sqrt(mode.norm2))
 
 
-def _divfree_kernel_unbounded(matrices: ModeMatrices):
-    """Certificate field of an infinite discriminant, or None.
-
-    On a transverse kernel the denominator vanishes on divergence-free
-    fields; with xi != 0 the horizontal components absorb any psi', and that
-    kernel carries the scalar numerator -2*g*int(rho*psi*psi'), which is
-    g*[[rho]]*psi(0)^2 + int(g*rho'*psi^2).
-    A positive supremum of that form certifies an infinite discriminant.
-    """
-    mode, co = matrices.mode, matrices.coeffs
-    if not _transverse_kernel(matrices):
-        return None
-    Q, Mpsi = assemble_scalar_gravity_kernel(co)
-    lam_max, psi = _top_pair(Q, Mpsi)
-    if lam_max <= 1e-10 * max(1.0, co.g):
-        return None
-    # embed the certificate as a near-divergence-free nodal field
-    psi_full = np.concatenate(([0.0], psi, [0.0]))
-    slope = np.gradient(psi_full, co.grid)
-    vec = np.zeros((co.grid.size, 3))
-    vec[:, 0] = -mode.xi1 / mode.norm2 * slope
-    vec[:, 1] = -mode.xi2 / mode.norm2 * slope
-    vec[:, 2] = psi_full
-    v = vec[1:-1].reshape(-1)
-    return v if float(np.real(np.vdot(v, band.matvec(matrices.gravity, v)))) > 0.0 else None
-
-
 def xi_per_mode(matrices: ModeMatrices):
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
-    Returns (value, eigvec) with value possibly math.inf.  Explicit cases:
+    Returns (value, eigvec) with value possibly math.inf.  Explicit cases,
+    settled from the model before any solve, with eigvec None:
     - xi = 0 or g = 0: the gravity form 2*g*int(rho*Re(conj(psi)*i*xi.w_h))
-      and its matrix vanish identically: exactly 0.0, eigvec None;
-    - an identically zero denominator (viscoelastic, kappa = 0 in both
-      layers): inf when the numerator has a positive direction, else 0.0;
-    - a transverse kernel: the div-free certificate, or else t t^T with
-      t = (-xi2, xi1, 0)/|xi| joins each node's block of the denominator.
-      Both forms vanish on t and the supremum is >= 0 (psi = 0 gives 0).
-    The pencil, Jacobi-scaled by the mass diagonal (uniform within a node),
-    then goes to the banded solver, whose shift bracket certifies the value.
-    SolverError when the scaled denominator does not factor.
+      and its matrix vanish identically: exactly 0.0;
+    - a denominator that vanishes on every divergence-free field: a
+      transverse kernel (_transverse_kernel, no field included), whose
+      magnetic form is lam*|M_h|^2*|div w|^2, or viscoelastic with kappa = 0
+      in both layers, whose denominator is identically 0.  With xi != 0 the
+      horizontal components absorb any psi', and on those fields the
+      numerator integrates by parts to g*[[rho]]*|psi(0)|^2 +
+      int(g*rho'*|psi|^2).  rho' < 0 in each layer, so a psi concentrated at
+      the interface (criteria.small_field_witness) makes it positive exactly
+      when [[rho]] > 0: then inf;
+    - viscoelastic, kappa = 0 in both layers and [[rho]] <= 0: 0.0.  With
+      d = div w = i*xi.w_h + psi', the numerator gravity - compress is
+      g*[[rho]]*|psi(0)|^2 + int(g*rho'*|psi|^2 + 2*g*rho*Re(conj(psi)*d)
+      - P'(rho)*rho*|d|^2).  Its maximum over d, at d = g*psi/P'(rho),
+      adds int(g^2*rho/P'(rho)*|psi|^2), which hydrostatic balance
+      P'(rho)*rho' = -g*rho cancels against the stratification.  That
+      leaves g*[[rho]]*|psi(0)|^2 <= 0: no direction has a positive
+      numerator.
+    A transverse kernel with [[rho]] <= 0 adds t t^T, t = (-xi2, xi1, 0)/|xi|,
+    to each node's block of the denominator: both forms vanish on t and the
+    supremum is >= 0 (psi = 0 gives 0).  The pencil, Jacobi-scaled by the
+    mass diagonal (uniform within a node), then goes to the banded solver,
+    whose shift bracket certifies the value.  SolverError when the scaled
+    denominator does not factor.
     """
     mode, co = matrices.mode, matrices.coeffs
     if mode.is_zero() or co.g == 0.0:
         return 0.0, None
-    v_inf = _divfree_kernel_unbounded(matrices)
-    if v_inf is not None:
-        return math.inf, v_inf
-
     Nmat, B = matrices.discriminant_pencil
+    transverse = _transverse_kernel(matrices)
+    if transverse or not np.any(B):
+        if co.profile.density_jump > 0.0:
+            return math.inf, None
+        if not transverse:
+            return 0.0, None
+
     dinv = 1.0 / np.sqrt(matrices.mass[-1].real)     # the last band row is the diagonal
     Bs, Ns = band.jacobi_scaled(B, dinv), band.jacobi_scaled(Nmat, dinv)
-    if not np.any(B):
-        top, v = _top_pair(Nmat, matrices.mass)
-        # positive beyond rounding: the transverse direction gives 0 up to eps*||Ns||
-        return (math.inf if top > 1e-10 * max(1.0, band.frobenius(Ns)) else 0.0), v
-    if _transverse_kernel(matrices):
+    if transverse:
         t1, t2 = -mode.xi2 / math.sqrt(mode.norm2), mode.xi1 / math.sqrt(mode.norm2)
         Bs[-1, 0::3] += t1 * t1
         Bs[-1, 1::3] += t2 * t2

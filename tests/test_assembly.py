@@ -153,22 +153,6 @@ def test_galerkin_consistency(field, k, canonical_profile, mixed_params, mesh60,
             assert quadratic(X, f) == pytest.approx(form_value, rel=1e-10, abs=1e-12)
 
 
-def test_scalar_gravity_kernel(canonical_profile, mesh60, rng):
-    """Q = g[[rho]]|psi(0)|^2 + int g rho' |psi|^2 and Mpsi = int rho |psi|^2 on P1 psi."""
-    co = mr.FormCoefficients(canonical_profile, PhysicalParams(), mesh60.nodes)
-    Q, Mpsi = assembly.assemble_scalar_gravity_kernel(co)
-    for _ in range(20):
-        psi = rng.standard_normal(mesh60.nodes.size) + 1j * rng.standard_normal(mesh60.nodes.size)
-        psi[0] = psi[-1] = 0.0
-        at_q = np.abs(psi[:-1, None] * co.shape[0] + psi[1:, None] * co.shape[1]) ** 2
-        jump = co.g * co.profile.density_jump * abs(psi[mesh60.nodes == 0.0][0]) ** 2
-        z = psi[1:-1]
-        for X, value in ((Q, jump + np.sum(co.qp_w * co.g * co.rho_prime * at_q)),
-                         (Mpsi, np.sum(co.qp_w * co.rho * at_q))):
-            got = np.real(np.vdot(z, band.matvec(X, z)))
-            assert got == pytest.approx(value, rel=1e-10, abs=1e-12)
-
-
 @pytest.mark.parametrize("g, k", [(1.0, (0, 0)), (0.0, (2, -1))], ids=["xi0", "g0"])
 def test_gravity_matrix_zero_without_drive(g, k, geometry, mixed_params, mesh60):
     """At xi = 0 or g = 0 the gravity form vanishes identically, and so does every entry."""

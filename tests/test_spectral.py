@@ -66,11 +66,32 @@ def test_xi_zero_gravity(geometry, mesh60, M):
 
 
 def test_xi_infinite_without_field(mm_nofield):
+    """No field and [[rho]] > 0: inf from the model, with no vector.  The
+    divergence-free certificate it rests on is the small-field witness,
+    whose energy is its gravity numerator."""
     value, vec = spectral.xi_per_mode(mm_nofield)
-    assert math.isinf(value)
-    # the certificate direction really has positive numerator
-    num = float(np.real(np.vdot(vec, dense(mm_nofield.gravity) @ vec)))
-    assert num > 0
+    assert math.isinf(value) and vec is None
+    co = mm_nofield.coeffs
+    assert criteria.small_field_witness(co.profile, co.params, 0.1).energy_value > 0.0
+
+
+@pytest.mark.parametrize("M, transverse", [((0.0, 0.0, 0.0), 4), ((1.0, 0.0, 0.0), 1)],
+                         ids=["no_field", "horizontal"])
+def test_xi_infinite_on_asymmetric_layers(M, transverse):
+    """Layers of heights 0.5 and 2, periods 1.7 and 0.6, [[rho]] = 0.25 on the
+    default mesh, whose two elements at 0 differ 4x in size: every nonzero
+    mode of a k_max = 1 scan with M . xi = 0 has xi = inf and grows."""
+    geometry = Geometry(h_minus=-0.5, h_plus=2.0, L1=1.7, L2=0.6)
+    profile = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.5, 0.5)
+    assert profile.density_jump == pytest.approx(0.25, rel=1e-12)
+    coeffs = FormCoefficients(profile, PhysicalParams(lam=1.0, M=M),
+                              assembly.build_mesh(geometry).nodes)
+    verdict = spectral.global_scan(coeffs, k_max=1)
+    assert not verdict.errors
+    driven = [v for v in verdict.verdicts if not v.mode.is_zero() and M[0] * v.mode.xi1 == 0.0]
+    assert len(driven) == transverse
+    for v in driven:
+        assert math.isinf(v.xi_value) and v.lambda_value > 0.0, (v.mode, v.xi_value)
 
 
 def test_xi_zero_mode_vanishes(canonical_profile, baseline_params, mesh60, geometry):
@@ -178,22 +199,24 @@ def test_top_pair_warm_start(rng):
 
 def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
     """Every top value of a growth scan (complex pencils) lies in its closed
-    bracket [lo, sigma]: not below any quotient of the iteration or shift that
-    did not factor, not above the lowest shift that did, and within
-    BRACKET_TOL of it.  Shifts are read back from the factorized bands."""
+    bracket [lo, sigma]: not below any quotient of the iterates of its own
+    solve or shift that did not factor, not above the lowest shift that did,
+    and within BRACKET_TOL of it.  Shifts are read back from the factorized
+    bands, iterates recorded from band.solve."""
     params = dataclasses.replace(baseline_params, M=(0.03, -0.05, -0.02))
     mesh = assembly.build_mesh(geometry, n_per_layer=100)
-    real_top, real_cholesky, real_solve = spectral._top_pair, band.cholesky, sla.cho_solve_banded
-    events, checked = [], []
+    real_top, real_cholesky, real_solve = spectral._top_pair, band.cholesky, band.solve
+    events, checked, iterates = [], [], []
 
     def cholesky(ab):
         factor = real_cholesky(ab)
         events.append(("shift", ab, factor is not None))
         return factor
 
-    def solve(*args, **kwargs):
-        x = real_solve(*args, **kwargs)
+    def solve(factor, b):
+        x = real_solve(factor, b)
         events.append(("iterate", x, None))
+        iterates.append(x)
         return x
 
     def recording(hb, mb, guess=None):
@@ -220,29 +243,12 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
         return top, v
 
     monkeypatch.setattr(band, "cholesky", cholesky)
-    monkeypatch.setattr(spectral.sla, "cho_solve_banded", solve)
+    monkeypatch.setattr(band, "solve", solve)
     monkeypatch.setattr(spectral, "_top_pair", recording)
     verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes),
                                    k_max=1)
     assert not verdict.errors and verdict.global_lambda > 0
-    assert len(checked) >= 20
-
-
-def test_top_pair_bracket_holds_its_iterates(canonical_profile, baseline_params, geometry,
-                                             monkeypatch):
-    """test_top_pair_value_in_its_bracket with every band.solve routed through
-    scipy's cho_solve_banded, which gives the same bits (test_band.py) and which
-    that test records: each top is then also held against the quotients of
-    the iterates of its own solve."""
-    calls = []
-
-    def solve(factor, b):
-        calls.append(b)
-        return sla.cho_solve_banded((factor, False), b, check_finite=False)
-
-    monkeypatch.setattr(band, "solve", solve)
-    test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch)
-    assert len(calls) >= 100
+    assert len(checked) >= 20 and len(iterates) >= 100
 
 
 def _restricted_dense_xi(mm):
@@ -291,22 +297,29 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
     assert value == pytest.approx(0.95300952456, abs=1e-10)
 
 
-def test_xi_viscoelastic_zero_kappa(canonical_profile, geometry):
+def test_xi_viscoelastic_zero_kappa(canonical_profile, stable_profile, geometry):
     """kappa = 0 in one layer leaves a singular denominator: a typed error.
-    kappa = 0 in both makes it vanish: inf where gravity drives, 0 at xi = 0."""
+    kappa = 0 in both makes it vanish: inf where gravity drives, also on the
+    near-floor mesh (smallest element 2.9e-9), where the mode grows; 0 at
+    xi = 0; and exactly 0, with no vector, on the stable profile."""
     mesh = assembly.build_mesh(geometry, 30)
 
-    def xi(kappa, k):
+    def matrices(kappa, k, profile=canonical_profile, nodes=mesh.nodes):
         params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, kappa_plus=kappa[0],
                                 kappa_minus=kappa[1], medium=VISCOELASTIC)
-        mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh.nodes),
-                               make_mode(*k, geometry))
-        return spectral.xi_per_mode(mm)[0]
+        return assembly.assemble(FormCoefficients(profile, params, nodes), make_mode(*k, geometry))
 
     with pytest.raises(SolverError, match="singular denominator"):
-        xi((0.0, 0.3), (1, 0))
-    assert math.isinf(xi((0.0, 0.0), (1, 0)))
-    assert xi((0.0, 0.0), (0, 0)) == 0.0
+        spectral.xi_per_mode(matrices((0.0, 0.3), (1, 0)))
+    assert math.isinf(spectral.xi_per_mode(matrices((0.0, 0.0), (1, 0)))[0])
+    assert spectral.xi_per_mode(matrices((0.0, 0.0), (0, 0)))[0] == 0.0
+    # [[rho]] < 0: the numerator's sup over the divergence is g[[rho]]|psi(0)|^2 <= 0
+    value, vec = spectral.xi_per_mode(matrices((0.0, 0.0), (1, 0), stable_profile))
+    assert value == 0.0 and vec is None
+    floor = matrices((0.0, 0.0), (1, 0),
+                     nodes=assembly.build_mesh(geometry, 200, grading=1.09).nodes)
+    assert math.isinf(spectral.xi_per_mode(floor)[0])
+    assert spectral.growth_rate_detailed(floor)[0] > 0.0
 
 
 def test_xi_nearly_singular_viscoelastic_denominator(stable_profile, geometry):
@@ -726,7 +739,7 @@ def test_scan_builds_no_dense_matrix(canonical_profile, stable_profile, geometry
     def dense(*args, **kwargs):
         raise AssertionError("dense matrix built on the main path")
 
-    monkeypatch.setattr(spectral.sla, "eigh", dense)
+    monkeypatch.setattr(sla, "eigh", dense)
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
     visc = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
     for profile, params in (
