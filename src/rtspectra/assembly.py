@@ -26,6 +26,7 @@ couples two neighbouring nodes, so each form is banded with half-bandwidth
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -149,11 +150,14 @@ class ModeMatrices:
     def n_dof(self) -> int:
         return self.mass.shape[1]
 
-    @property
+    @cached_property
     def operator(self) -> np.ndarray:
-        """Energy operator A (band): the signed forms of :func:`~.modereduce.energy_signs`."""
-        return sum(sign * getattr(self, name)
-                   for name, sign in energy_signs(self.coeffs.params).items())
+        """Energy operator A (band): the signed forms of :func:`~.modereduce.energy_signs`,
+        summed on first use into one read-only array."""
+        A = sum(sign * getattr(self, name)
+                for name, sign in energy_signs(self.coeffs.params).items())
+        A.setflags(write=False)
+        return A
 
     @property
     def discriminant_pencil(self):

@@ -15,6 +15,7 @@ validation.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -51,10 +52,12 @@ def solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """X @ x through BLAS sbmv (real) or hbmv (complex)."""
-    dtype = np.result_type(ab, x)
-    fn = _handle("hbmv" if dtype.kind == "c" else "sbmv", dtype)
-    return fn(ab.shape[0] - 1, 1.0, ab.astype(dtype, copy=False), x.astype(dtype, copy=False))
+    """X @ x through BLAS sbmv (real) or hbmv (complex); a band and a vector
+    of one dtype go straight to it, others are first cast to their common type."""
+    if ab.dtype != x.dtype:
+        dtype = np.result_type(ab, x)
+        ab, x = ab.astype(dtype, copy=False), x.astype(dtype, copy=False)
+    return _handle("hbmv" if x.dtype.kind == "c" else "sbmv", x.dtype)(ab.shape[0] - 1, 1.0, ab, x)
 
 
 def jacobi_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -68,10 +71,25 @@ def jacobi_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def frobenius(ab: np.ndarray) -> float:
     """Frobenius norm of X: every off-diagonal entry counted twice; inf, with
-    no warning, when its square overflows."""
+    no warning, when its square overflows.
+
+    Two dot products: sum |ab|^2 over the whole band, read as one flat real
+    array, and sum |diagonal|^2, the norm being sqrt(2*all - diagonal).
+    """
     p = ab.shape[0] - 1
+    flat = ab.ravel(order="K")
+    diagonal = ab[p]
+    if ab.dtype.kind == "c":
+        flat = flat.view(flat.real.dtype)
+        parts = (diagonal.real, diagonal.imag)
+    else:
+        parts = (diagonal,)
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(np.abs(ab[p]) ** 2) + 2.0 * np.sum(np.abs(ab[:p]) ** 2)))
+        total = float(np.dot(flat, flat))
+        diagonal2 = sum(float(np.dot(d, d)) for d in parts)
+    if total == math.inf:       # 2*inf - inf would be nan
+        return math.inf
+    return math.sqrt(2.0 * total - diagonal2)
 
 
 def to_csr(ab: np.ndarray) -> csr_matrix:

@@ -7,8 +7,13 @@ dissipation-penalized pencil (A - s*D, Mass).
 
 Both are top eigenpairs of banded Hermitian pencils with a definite
 right-hand side, from one solver (_top_pair): inverse iteration in a bracket
-of the top eigenvalue that banded Cholesky factorizations certify, started
-cold or, along the fixed-point iteration, from the previous eigenpair.  The
+of the top eigenvalue that banded Cholesky factorizations certify.  A cold
+solve climbs the shifts 1, 4, 16, ... from a seeded vector (alpha(0), the
+coercivity constant) or, for the discriminant, from the alpha(0)
+eigenvector plus a share of the seeded one: the energy operator is the
+discriminant's numerator minus its denominator, so that vector is a field of
+large N/B.  Along the fixed-point iteration each alpha(s) starts warm from
+the previous eigenpair.  The
 discriminant's singular cases are settled before the solve (xi_per_mode), so
 no dense matrix is built.
 alpha is non-increasing and convex in s (a supremum of affine functions
@@ -38,6 +43,8 @@ TOP_BRANCH_MARGIN = 1e-6
 SHIFT_TRIES = 41
 # seeds the start vector of inverse iteration
 START_SEED = 20240811
+# a cold start from a given vector adds the seeded one at this share of its M-norm
+SEEDED_SHARE = 0.1
 # the bracket [lo, sigma] of a top eigenvalue closes at BRACKET_TOL * max(1, |lo|)
 BRACKET_TOL = 1e-12
 BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from lo to sigma
@@ -70,6 +77,11 @@ class StabilityVerdict:
     errors: Dict[Tuple[int, int], str] = field(default_factory=dict)
 
 
+def _m_unit(mb: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v scaled to v* M v = 1."""
+    return v / math.sqrt(float(np.real(np.vdot(v, band.matvec(mb, v)))))
+
+
 def _top_pair(hb: np.ndarray, mb: np.ndarray,
               guess: Optional[Tuple[float, np.ndarray]] = None):
     """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
@@ -80,9 +92,13 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
     the whole spectrum; one that does not factor lies below the top and
     raises lo.  Cold (no ``guess``), sigma = 1, 4, 16, ... and inverse
     iteration starts from a seeded vector, so a repeated call returns the
-    same bits.  With ``guess = (value, vector)``, the top and eigenvector of
-    a nearby pencil, sigma = value + delta with delta = WARM_OFFSET *
-    max(1, |value|), the offset grows 4x per shift that does not factor, and
+    same bits; ``guess = (None, vector)`` keeps those shifts and starts from
+    ``vector`` plus the seeded vector at SEEDED_SHARE of its M-norm, so
+    that a vector with no component along the top eigenvector (one in a
+    block of the pencil that does not hold it) still has one.  With
+    ``guess = (value, vector)``, the top and eigenvector of a nearby
+    pencil, sigma = value + delta with delta = WARM_OFFSET * max(1,
+    |value|), the offset grows 4x per shift that does not factor, and
     inverse iteration starts from the guessed vector.
 
     Inverse iteration then closes a bracket [lo, sigma] of the top.  Each
@@ -97,11 +113,12 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
     iterate's quotient, or the same within band-product rounding (about
     eps*||H||): an earlier quotient or a shift that did not factor.
     """
-    if guess is None:
+    base, v = (None, None) if guess is None else guess
+    if base is None:
         base, offset = 0.0, 1.0
-        v = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
+        seeded = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
+        v = seeded if v is None else _m_unit(mb, v) + SEEDED_SHARE * _m_unit(mb, seeded)
     else:
-        base, v = guess
         offset = WARM_OFFSET * max(1.0, abs(base))
     lo = -math.inf
     for _ in range(SHIFT_TRIES):
@@ -239,7 +256,8 @@ def _transverse_kernel(matrices: ModeMatrices) -> bool:
             <= 1e-12 * math.hypot(M[0], M[1]) * math.sqrt(mode.norm2))
 
 
-def xi_per_mode(matrices: ModeMatrices):
+def xi_per_mode(matrices: ModeMatrices,
+                alpha0: Optional[Tuple[float, np.ndarray]] = None):
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
     Returns (value, eigvec) with value possibly math.inf.  Explicit cases,
@@ -269,6 +287,19 @@ def xi_per_mode(matrices: ModeMatrices):
     mass diagonal (uniform within a node), then goes to the banded solver,
     whose shift bracket certifies the value.  SolverError when the scaled
     denominator does not factor.
+
+    The solve climbs the cold shifts 1, 4, 16, ... but starts inverse
+    iteration from the eigenvector of alpha(0), in the scaled coordinates:
+    the energy operator is numerator minus denominator, so alpha(0) > 0
+    exactly when xi > 1 and its top eigenvector is a field of large N/B,
+    where a random start sits in the high-frequency fields of large B.
+    When alpha(0) < 0 that eigenvector can lie in a block of the pencil
+    that decouples from the top, such as the horizontal shear transverse to
+    xi of a viscoelastic or horizontal-field mode, where N vanishes: the
+    seeded share that _top_pair adds to the start reaches the top's block.
+    ``alpha0`` is the result of alpha(0.0, matrices) when the caller has it
+    already (analyze_mode); it is solved here otherwise, after the explicit
+    cases and the denominator check, so either way gives the same bits.
     """
     mode, co = matrices.mode, matrices.coeffs
     if mode.is_zero() or co.g == 0.0:
@@ -291,7 +322,8 @@ def xi_per_mode(matrices: ModeMatrices):
     if band.cholesky(Bs) is None:
         raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")
-    val, u = _top_pair(Ns, Bs)
+    _, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
+    val, u = _top_pair(Ns, Bs, (None, v0 / dinv))
     return val, dinv * u
 
 
@@ -319,9 +351,10 @@ def mode_lattice(k_max: int):
 
 
 def analyze_mode(matrices: ModeMatrices, tol: float = 1e-8) -> ModeVerdict:
-    """Full verdict for one assembled mode."""
-    xi_val, _ = xi_per_mode(matrices)
+    """Full verdict for one assembled mode: alpha(0), solved once, starts
+    both the discriminant's solve and the fixed point."""
     a0, v0 = alpha(0.0, matrices)
+    xi_val, _ = xi_per_mode(matrices, alpha0=(a0, v0))
     lam = res = None
     if a0 > 0.0:
         lam, _, res = growth_rate_detailed(matrices, tol, alpha0=(a0, v0))

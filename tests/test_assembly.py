@@ -174,6 +174,14 @@ def test_mixed_field_matrices_complex(assembled):
     assert np.linalg.norm(assembled.magnetic.imag) > 0
 
 
+def test_operator_summed_once_read_only(assembled):
+    """The energy operator is summed once per mode and shared read-only, as
+    the mass is: every alpha(s) of a mode reads the same array."""
+    A = assembled.operator
+    assert assembled.operator is A and not A.flags.writeable
+    assert np.array_equal(A, assembled.gravity - assembled.compress - assembled.magnetic)
+
+
 def test_vertical_field_matrices_real(canonical_profile, mesh60, geometry):
     params = PhysicalParams(M=(0.0, 0.0, 1.5))
     mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh60.nodes),

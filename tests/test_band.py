@@ -40,3 +40,37 @@ def test_cholesky_refuses_an_indefinite_band(complex_valued, rng):
     assert band.cholesky(ab) is None
     with pytest.raises(sla.LinAlgError):
         sla.cholesky_banded(ab)
+
+
+def _dense(ab):
+    return band.to_csr(ab).toarray()
+
+
+@pytest.mark.parametrize("p", [1, 5])
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "hermitian"])
+def test_frobenius_matches_the_dense_norm(complex_valued, p, rng):
+    ab = _definite_band(rng, 40, p, complex_valued)
+    want = np.linalg.norm(_dense(ab))
+    for layout in (ab, np.asfortranarray(ab)):
+        assert band.frobenius(layout) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("row", [0, 5], ids=["off_diagonal", "diagonal"])
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "hermitian"])
+def test_frobenius_overflows_to_inf_without_warning(complex_valued, row, rng, recwarn):
+    ab = np.asfortranarray(_definite_band(rng, 40, 5, complex_valued))
+    ab[row, 17] = 1e200
+    assert band.frobenius(ab) == np.inf
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("complex_band", [False, True], ids=["real", "hermitian"])
+@pytest.mark.parametrize("complex_vector", [False, True], ids=["real_x", "complex_x"])
+def test_matvec_matches_the_dense_product(complex_band, complex_vector, rng):
+    ab = np.asfortranarray(_definite_band(rng, 40, 5, complex_band))
+    x = rng.standard_normal(40)
+    if complex_vector:
+        x = x + 1j * rng.standard_normal(40)
+    y = band.matvec(ab, x)
+    assert y.dtype == np.result_type(ab, x)
+    np.testing.assert_allclose(y, _dense(ab) @ x, rtol=1e-13, atol=1e-13)

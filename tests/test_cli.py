@@ -337,6 +337,16 @@ def test_scan_all_failed_strict_json(tmp_path, monkeypatch, capsys, fmt):
     assert "global_xi=none global_lambda=none" in capsys.readouterr().out
 
 
+def _xi_and_scan_row(tmp_path, cfgp, k):
+    """xi_value of the xi subcommand, and those of the scan rows of mode k."""
+    xi_out, scan_out = tmp_path / "xi.json", tmp_path / "scan.csv"
+    assert cli.run(str(cfgp), "xi", out=str(xi_out)) == 0
+    assert cli.run(str(cfgp), "scan", out=str(scan_out)) == 0
+    xi_value = json.loads(xi_out.read_text())["xi_value"]
+    rows = [line.split(",") for line in scan_out.read_text().splitlines()[1:]]
+    return xi_value, [float(r[4]) for r in rows if (r[0], r[1]) == k]
+
+
 def test_xi_matches_scan(tmp_path):
     # stable stratification and a horizontal field normal to the mode: the
     # transverse component is in the denominator's kernel and is deflated
@@ -344,13 +354,18 @@ def test_xi_matches_scan(tmp_path):
         "c2_plus = 1.0": "c2_plus = 2.0", "c2_minus = 2.0": "c2_minus = 1.0",
         "rho_plus_interface = 2.0": "rho_plus_interface = 1.0",
         "m3 = 0.0": "m2 = 1.0\nm3 = 0.0"})
-    xi_out, scan_out = tmp_path / "xi.json", tmp_path / "scan.csv"
-    assert cli.run(str(cfgp), "xi", out=str(xi_out)) == 0
-    assert cli.run(str(cfgp), "scan", out=str(scan_out)) == 0
-    xi_value = json.loads(xi_out.read_text())["xi_value"]
-    rows = [line.split(",") for line in scan_out.read_text().splitlines()[1:]]
-    scanned = [float(r[4]) for r in rows if (r[0], r[1]) == ("1", "0")]
+    xi_value, scanned = _xi_and_scan_row(tmp_path, cfgp, ("1", "0"))
     assert math.isfinite(xi_value) and scanned == [xi_value]
+
+
+def test_xi_matches_scan_mixed_field(tmp_path):
+    """A weak mixed field (complex pencils, no isotropy shortcut) on the unstable
+    profile: the xi subcommand solves alpha(0) itself to start its solve, the
+    scan hands analyze_mode's over, and both give the same bits."""
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m1 = 0.05\nm2 = -0.03\nm3 = 0.1",
+                                     "k2 = 0": "k2 = 1"})
+    xi_value, scanned = _xi_and_scan_row(tmp_path, cfgp, ("1", "1"))
+    assert 1.0 < xi_value < math.inf and scanned == [xi_value]
 
 
 def test_thresholds_viscoelastic(tmp_path, capsys):

@@ -197,6 +197,29 @@ def test_top_pair_warm_start(rng):
                 assert top2 == top and np.array_equal(v2, v)
 
 
+def test_top_pair_start_outside_the_top_block(rng):
+    """A cold start from a vector confined to a block of a block-diagonal
+    pencil that does not hold the top: the seeded share of the start reaches
+    the other block, so the eigenvector is the top one too, not only the
+    value (which the shift bracket certifies either way)."""
+    n, p = 40, 5
+
+    def block_band():
+        ab = _random_band(rng, n, p, False)
+        for k in range(1, p + 1):
+            ab[p - k, 20:20 + k] = 0.0        # no entry couples dof < 20 with dof >= 20
+        return ab
+
+    hb, mb = block_band(), 0.1 * block_band()
+    hb[p, 20:] += 3.0                         # the top lies in the second block
+    mb[p] = 2.0
+    H, M = dense(hb), dense(mb)
+    first = sla.eigh(H[:20, :20], M[:20, :20])[1][:, -1]
+    top, v = spectral._top_pair(hb, mb, (None, np.concatenate([first, np.zeros(20)])))
+    assert top == pytest.approx(sla.eigh(H, M, eigvals_only=True)[-1], rel=1e-12)
+    assert np.linalg.norm(H @ v - top * (M @ v)) <= 1e-10 * np.linalg.norm(H)
+
+
 def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
     """Every top value of a growth scan (complex pencils) lies in its closed
     bracket [lo, sigma]: not below any quotient of the iterates of its own
@@ -670,10 +693,15 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
 
 
 def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
-    """Warm-started alpha along the Newton path and aimed trial shifts: one
-    fixed point and one stable verdict stay under a ceiling of banded Cholesky
-    factorizations (measured 44 and 22; 114 and 33 with cold starts and
-    fixed 10 % steps), and the count repeats exactly."""
+    """Warm-started alpha along the Newton path, aimed trial shifts and the
+    discriminant started from the alpha(0) eigenvector: one fixed point, one
+    stable verdict and that verdict's discriminant, alpha(0) handed over,
+    stay under a ceiling of banded Cholesky factorizations (measured 44, 14
+    and 7, its denominator check included; 20 and 13 with the discriminant
+    started from the seeded vector, whose first quotient is about 1e-7
+    against a top of 0.13; 114 and 33 with cold starts and fixed 10 % steps
+    as well), and the count repeats exactly."""
+    alpha0 = spectral.alpha(0.0, mm_vertical)
     real, calls, counts = band.cholesky, [], []
 
     def counting(ab):
@@ -687,9 +715,29 @@ def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
         assert lam is not None and lam > 0
         middle = len(calls)
         assert spectral.analyze_mode(mm_vertical).lambda_value is None
-        counts.append((middle - start, len(calls) - middle))
+        verdict = len(calls)
+        assert 0.0 < spectral.xi_per_mode(mm_vertical, alpha0=alpha0)[0] < 1.0
+        counts.append((middle - start, verdict - middle, len(calls) - verdict))
     assert counts[0] == counts[1]
-    assert counts[0][0] <= 48 and counts[0][1] <= 24, counts
+    assert counts[0][0] <= 48 and counts[0][1] <= 14 and counts[0][2] <= 7, counts
+
+
+@pytest.mark.parametrize("case", ["stable_vertical", "unstable_mixed"])
+def test_xi_alpha0_handed_over_or_solved(mm_vertical, canonical_profile, mesh60, geometry,
+                                         case):
+    """xi_per_mode solves alpha(0) itself when it is not handed one, and gives
+    the bits it gives with alpha(0.0, mm) handed over: on a stable real
+    mode and on an unstable complex one."""
+    mm = mm_vertical
+    if case == "unstable_mixed":
+        params = PhysicalParams(**SCAN_FIELDS["mixed"])
+        mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh60.nodes),
+                               make_mode(1, 1, geometry))
+        assert np.iscomplexobj(mm.operator)
+    value, vec = spectral.xi_per_mode(mm)
+    handed, handed_vec = spectral.xi_per_mode(mm, alpha0=spectral.alpha(0.0, mm))
+    assert (value > 1.0) == (case == "unstable_mixed") and math.isfinite(value)
+    assert handed == value and np.array_equal(handed_vec, vec)
 
 
 def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry, monkeypatch):
