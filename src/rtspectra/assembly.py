@@ -159,6 +159,16 @@ class ModeMatrices:
         A.setflags(write=False)
         return A
 
+    @cached_property
+    def operator_norm(self) -> float:
+        """Frobenius norm of :attr:`operator`, computed on first use."""
+        return band.frobenius(self.operator)
+
+    @cached_property
+    def dissipation_norm(self) -> float:
+        """Frobenius norm of ``dissipation``, computed on first use."""
+        return band.frobenius(self.dissipation)
+
     @property
     def discriminant_pencil(self):
         """(numerator, denominator) of the stability discriminant, in band storage.

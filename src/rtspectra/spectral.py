@@ -1,24 +1,27 @@
 """Per-mode variational solvers and the global mode scan.
 
 The stability discriminant per mode is the largest generalized eigenvalue
-of (numerator, denominator); the growth rate comes from the fixed point
-Lambda^2 = alpha(Lambda) with alpha(s) the largest eigenvalue of the
-dissipation-penalized pencil (A - s*D, Mass).
+of (numerator, denominator); alpha(s) is the largest eigenvalue of the
+dissipation-penalized pencil (A - s*D, Mass); the growth rate Lambda, the
+root of Lambda^2 = alpha(Lambda), is the largest real eigenvalue of the
+quadratic pencil s^2*Mass + s*D - A.
 
-Both are top eigenpairs of banded Hermitian pencils with a definite
-right-hand side, from one solver (_top_pair): inverse iteration in a bracket
-of the top eigenvalue that banded Cholesky factorizations certify.  A cold
-solve climbs the shifts 1, 4, 16, ... from a seeded vector (alpha(0), the
-coercivity constant) or, for the discriminant, from the alpha(0)
-eigenvector plus a share of the seeded one: the energy operator is the
-discriminant's numerator minus its denominator, so that vector is a field of
-large N/B.  Along the fixed-point iteration each alpha(s) starts warm from
-the previous eigenpair.  The
-discriminant's singular cases are settled before the solve (xi_per_mode), so
-no dense matrix is built.
-alpha is non-increasing and convex in s (a supremum of affine functions
-of s), so f(s) = alpha(s) - s^2 is strictly decreasing and the fixed point
-is the root of a bracketed Newton iteration.
+All three come from one solver (_top_pair): inverse iteration in a bracket
+of the top of a banded Hermitian pencil, linear or quadratic, that banded
+Cholesky factorizations certify.  A cold alpha(0) climbs the shifts 1, 4,
+16, ... from a seeded vector; so does the discriminant of a stable mode,
+from the alpha(0) eigenvector plus a share of the seeded one: the energy
+operator is the discriminant's numerator minus its denominator, so that
+vector is a field of large N/B.  On an unstable mode (alpha(0) > 0) that
+vector's quotient N/B exceeds 1 and starts the bracket and its shifts.
+The growth rate's bracket starts from the alpha(0) eigenvector, between
+its Rayleigh functional and sqrt(alpha(0)): alpha is non-increasing and
+convex in s (a supremum of affine functions of s), so f(s) = alpha(s) -
+s^2 is strictly decreasing and the quadratic pencil factors exactly above
+Lambda.  One alpha(Lambda), warm-started from the bracket's last iterate,
+gives the eigenvector and the fixed-point residual.  The discriminant's
+singular cases are settled before the solve (xi_per_mode), so no dense
+matrix is built.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from
 AIM_FACTOR = 8.0        # aimed trial shifts lie this many last quotient changes above lo
 WARM_OFFSET = 1e-3      # a warm start's first shift lies this relative offset above its guess
 INVERSE_STEPS = 200
-MAX_FIXED_POINT_STEPS = 100
 
 
 @dataclass
@@ -82,48 +84,85 @@ def _m_unit(mb: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(float(np.real(np.vdot(v, band.matvec(mb, v)))))
 
 
+def _functional(a: float, d: float, m: float) -> float:
+    """Positive root p of p^2*m + p*d - a = 0 (m > 0, d >= 0), without
+    cancellation; 0.0 when a <= 0, which leaves no positive root."""
+    if a <= 0.0:
+        return 0.0
+    return 2.0 * a / (d + math.sqrt(d * d + 4.0 * m * a))
+
+
+def _shifted(hb: np.ndarray, mb: np.ndarray, db: Optional[np.ndarray], sigma: float):
+    """The pencil at sigma: sigma*M - H, or sigma^2*M + sigma*D - H with ``db``."""
+    return sigma * mb - hb if db is None else (sigma * sigma) * mb + sigma * db - hb
+
+
+def _pencil_value(hb: np.ndarray, db: Optional[np.ndarray], v: np.ndarray,
+                  norm2: float) -> float:
+    """v's Rayleigh quotient v* H v / norm2 (``db`` None), or its Rayleigh
+    functional _functional(v* H v, v* D v, norm2); norm2 = v* M v."""
+    a = float(np.real(np.vdot(v, band.matvec(hb, v))))
+    if db is None:
+        return a / norm2
+    return _functional(a, float(np.real(np.vdot(v, band.matvec(db, v)))), norm2)
+
+
 def _top_pair(hb: np.ndarray, mb: np.ndarray,
-              guess: Optional[Tuple[float, np.ndarray]] = None):
-    """Largest eigenvalue of the Hermitian pencil (H, M), M positive definite,
-    and its eigenvector normalized to v* M v = 1; H and M in upper band
-    storage of one shape.
+              guess: Optional[Tuple[float, np.ndarray]] = None,
+              db: Optional[np.ndarray] = None, lo: float = -math.inf):
+    """Top of a Hermitian pencil and its eigenvector normalized to
+    v* M v = 1; H, M and D in upper band storage of one shape, M positive
+    definite.
 
-    A shift sigma whose sigma*M - H has a banded Cholesky factor lies above
-    the whole spectrum; one that does not factor lies below the top and
-    raises lo.  Cold (no ``guess``), sigma = 1, 4, 16, ... and inverse
-    iteration starts from a seeded vector, so a repeated call returns the
-    same bits; ``guess = (None, vector)`` keeps those shifts and starts from
-    ``vector`` plus the seeded vector at SEEDED_SHARE of its M-norm, so
-    that a vector with no component along the top eigenvector (one in a
-    block of the pencil that does not hold it) still has one.  With
-    ``guess = (value, vector)``, the top and eigenvector of a nearby
-    pencil, sigma = value + delta with delta = WARM_OFFSET * max(1,
-    |value|), the offset grows 4x per shift that does not factor, and
-    inverse iteration starts from the guessed vector.
+    Two pencils share the solve.  Without ``db`` it is the linear pencil
+    sigma*M - H, whose top is the largest eigenvalue of (H, M) and whose
+    value of a vector is its Rayleigh quotient.  With ``db``, D positive
+    semidefinite, it is the quadratic pencil Q(sigma) = sigma^2*M +
+    sigma*D - H, whose top is its largest real eigenvalue Lambda (positive,
+    for an H that is not negative semidefinite, the only case solved), and
+    whose value of v is its Rayleigh functional p(v), the positive root of
+    p^2*v*Mv + p*v*Dv - v*Hv = 0 (Voss & Werner 1982).  Either value is
+    never above the top.  The linear pencil has a banded Cholesky factor at
+    a shift sigma exactly when sigma lies above its top, and so has Q at a
+    shift sigma >= 0, because sigma^2 - alpha(sigma), with alpha(sigma) the
+    top of (H - sigma*D, M), is strictly increasing there.  A shift that
+    factors is an upper bound, one that does not raises ``lo``, a known
+    lower bound of the top.
 
-    Inverse iteration then closes a bracket [lo, sigma] of the top.  Each
-    Rayleigh quotient rho (never above the top, so above sigma only by
-    rounding) raises lo up to sigma, and a trial shift lo + step becomes
-    sigma if it factors, else lo.  The step is BRACKET_STEP*(sigma - lo),
-    or, after a trial that factored, the smaller AIM_FACTOR*|rho - rho_prev|
-    (at least half the closing tolerance): the quotient's last change
-    bounds how far below the top it still is.  Once sigma - lo <=
-    BRACKET_TOL*max(1, |lo|) it returns lo, inside the bracket, with the
-    last iterate, which came from the shift nearest the top.  lo is that
-    iterate's quotient, or the same within band-product rounding (about
-    eps*||H||): an earlier quotient or a shift that did not factor.
+    Cold (no ``guess``), sigma = f, 4f, 16f, ... with f = max(1, 4*lo)
+    (1, 4, 16, ... with no lower bound), and inverse iteration starts from
+    a seeded vector, so a repeated call returns the same bits; ``guess =
+    (None, vector)`` keeps those shifts and starts from ``vector`` plus the
+    seeded vector at SEEDED_SHARE of its M-norm, so that a vector with no
+    component along the top eigenvector (one in a block of the pencil that
+    does not hold it) still has one.  With ``guess = (value, vector)``, a
+    value at or near the top, sigma = value + delta with delta =
+    WARM_OFFSET * max(1, |value|), the offset grows 4x per shift that does
+    not factor, and inverse iteration starts from the guessed vector.
+
+    Inverse iteration v <- P(sigma)^-1 M v, P the pencil at the closing
+    shift, then closes a bracket [lo, sigma] of the top.  Each value rho
+    of an iterate (never above the top, so above sigma only by rounding)
+    raises lo up to sigma, and a trial shift lo + step becomes sigma if it
+    factors, else lo.  The step is BRACKET_STEP*(sigma - lo), or, after a
+    trial that factored, the smaller AIM_FACTOR*|rho - rho_prev| (at least
+    half the closing tolerance): the value's last change bounds how far
+    below the top it still is.  Once sigma - lo <= BRACKET_TOL*max(1, |lo|)
+    it returns lo, inside the bracket, with the last iterate, which came
+    from the shift nearest the top.  lo is that iterate's value, or the
+    same within band-product rounding (about eps*||H||): an earlier value
+    or a shift that did not factor.
     """
     base, v = (None, None) if guess is None else guess
     if base is None:
-        base, offset = 0.0, 1.0
+        base, offset = 0.0, max(1.0, 4.0 * lo)
         seeded = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
         v = seeded if v is None else _m_unit(mb, v) + SEEDED_SHARE * _m_unit(mb, seeded)
     else:
         offset = WARM_OFFSET * max(1.0, abs(base))
-    lo = -math.inf
     for _ in range(SHIFT_TRIES):
         sigma = base + offset
-        factor = band.cholesky(sigma * mb - hb)
+        factor = band.cholesky(_shifted(hb, mb, db, sigma))
         if factor is not None:
             break
         lo, offset = sigma, 4.0 * offset
@@ -135,9 +174,9 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
         v = band.solve(factor, mv)
         mv = band.matvec(mb, v)
         norm2 = float(np.real(np.vdot(v, mv)))
-        rho = float(np.real(np.vdot(v, band.matvec(hb, v)))) / norm2
+        rho = _pencil_value(hb, db, v, norm2)
         if not (norm2 > 0.0 and math.isfinite(rho)):
-            raise SolverError(f"inverse iteration at shift {sigma:.6g} gave the quotient {rho}")
+            raise SolverError(f"inverse iteration at shift {sigma:.6g} gave the value {rho}")
         v, mv = v / math.sqrt(norm2), mv / math.sqrt(norm2)
         lo = max(lo, min(rho, sigma))
         tol = BRACKET_TOL * max(1.0, abs(lo))
@@ -147,7 +186,7 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
         if rho_prev is not None:
             step = min(step, max(0.5 * tol, AIM_FACTOR * abs(rho - rho_prev)))
         shift = lo + step
-        trial = band.cholesky(shift * mb - hb)
+        trial = band.cholesky(_shifted(hb, mb, db, shift))
         if trial is None:
             lo = shift
         else:
@@ -157,29 +196,28 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
                       f"after {INVERSE_STEPS} inverse-iteration steps")
 
 
-def _element_quotient(matrices: ModeMatrices, s: float, v: np.ndarray) -> float:
-    """(E(v) - s*Psi(v)) / mass(v) by form_values at the quadrature points,
-    both from one pass over them.
+def _element_forms(matrices: ModeMatrices, v: np.ndarray) -> Tuple[float, float, float]:
+    """(E(v), Psi(v), mass(v)): energy, dissipation and mass by form_values
+    at the quadrature points, all from one pass over them.
 
     A band product v* X v cancels to eps * ||X|| ||v||^2, and the entries of X
     grow like 1/h: on the accepted mesh n = 200, grading 1.09 (smallest
     element 2.9e-9 of a layer) _top_pair's own quotient is off a dense
-    reference by up to 1.6e-7, this one by 1e-13.
+    reference by up to 1.6e-7, the quotient of these values by 1e-13.
     """
     co = matrices.coeffs
-    energy, mass = form_values(co, matrices.table, (
-        {**energy_signs(co.params), "dissipation": -s}, {"mass": 1.0}), matrices.at_quadrature(v))
-    return energy / mass
+    return form_values(co, matrices.table, (energy_signs(co.params), {"dissipation": 1.0},
+                                            {"mass": 1.0}), matrices.at_quadrature(v))
 
 
 def alpha(s: float, matrices: ModeMatrices,
           guess: Optional[Tuple[float, np.ndarray]] = None):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
-    The value is the element-level Rayleigh quotient of the banded
-    solver's eigenvector (v* Mass v = 1), which graded meshes do not spoil
-    by cancellation.  ``guess``, the (value, eigenvector) of alpha at a
-    nearby s, warm-starts the banded solver (_top_pair); without it the
+    The value is the element-level Rayleigh quotient (E - s*Psi)/mass of the
+    banded solver's eigenvector (v* Mass v = 1), which graded meshes do not
+    spoil by cancellation.  ``guess``, the (value, eigenvector) of alpha at
+    a nearby s, warm-starts the banded solver (_top_pair); without it the
     solve starts cold from a seeded vector.  SolverError when the
     eigen-residual is too large, or when the value lifted by a relative
     TOP_BRANCH_MARGIN stays below the closing shift bound of the solver's
@@ -190,12 +228,13 @@ def alpha(s: float, matrices: ModeMatrices,
     """
     if s < 0:
         raise InputError(f"s must be nonnegative, got {s}")
-    A, D, M = matrices.operator, matrices.dissipation, matrices.mass
-    H = A - s * D
+    H = matrices.operator - s * matrices.dissipation
+    M = matrices.mass
     top, v = _top_pair(H, M, guess)
-    rho = _element_quotient(matrices, s, v)
+    energy, psi, mass = _element_forms(matrices, v)
+    rho = (energy - s * psi) / mass
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
-    scale = (band.frobenius(A) + abs(s) * band.frobenius(D)) * np.linalg.norm(v)
+    scale = (matrices.operator_norm + abs(s) * matrices.dissipation_norm) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
@@ -206,42 +245,42 @@ def alpha(s: float, matrices: ModeMatrices,
 
 def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
                          alpha0: Optional[Tuple[float, np.ndarray]] = None):
-    """Fixed point Lambda of Lambda^2 = alpha(Lambda), with the principal
-    eigenvector and the fixed-point residual; (None, None, None) when stable.
+    """Growth rate Lambda, the root of Lambda^2 = alpha(Lambda), with the
+    principal eigenvector and the fixed-point residual |Lambda^2 -
+    alpha(Lambda)|; (None, None, None) when stable.
 
     ``alpha0`` is the result of alpha(0.0, matrices) when the caller
-    has it already; it is solved here otherwise, cold.  Every later
-    alpha(s) is warm-started from the previous (alpha, eigenvector), so a
-    caller that passes a cold alpha(0.0) gets the bits of one that passes
-    none.
+    has it already; it is solved here otherwise, cold, with the same bits.
 
-    Newton iteration on f(s) = alpha(s) - s^2 from s = 0, with the
-    Hellmann-Feynman slope f'(s) = -v* D v - 2s of the mass-normalized top
-    eigenvector v.  Each evaluation narrows a bracket [lo, hi] with
-    f(lo) > 0 >= f(hi), starting from [0, sqrt(alpha(0)) + 1], and a step
-    that leaves it is replaced by its midpoint.  Returns once
-    |f| <= tol * max(1, s^2); SolverError if the bracket collapses first.
+    Lambda is the top of the quadratic pencil Q(s) = s^2*Mass + s*Diss - A
+    (Tisseur & Meerbergen 2001), solved by one bracket of _top_pair: Q(s)
+    factors exactly when f(s) = alpha(s) - s^2 < 0, that is when s lies
+    above Lambda, as f is strictly decreasing.  The bracket starts from the
+    alpha(0) eigenvector v0, with lo = p(v0), its Rayleigh functional, and
+    the first shift just above sqrt(alpha(0)), an upper bound because alpha
+    is non-increasing.  Lambda is the element-level Rayleigh functional
+    (form values E, Psi and mass of the last iterate, which graded meshes
+    do not spoil by cancellation), and one alpha(Lambda), warm-started from
+    (Lambda^2, that iterate), gives the eigenvector and the residual.
+    SolverError when the residual exceeds tol * max(1, Lambda^2).  The
+    bracket, like every _top_pair bracket, holds only to band-product
+    rounding, about eps*||A||, which can exceed BRACKET_TOL.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
-    a, vec = alpha0 if alpha0 is not None else alpha(0.0, matrices)
+    a, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
     if a <= 0.0:
         return None, None, None
-    lo, hi = 0.0, math.sqrt(a) + 1.0
-    s, f = 0.0, a
-    for _ in range(MAX_FIXED_POINT_STEPS):
-        s -= f / (-float(np.real(np.vdot(vec, band.matvec(matrices.dissipation, vec)))) - 2.0 * s)
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi)
-            if not lo < s < hi:
-                break
-        a, vec = alpha(s, matrices, guess=(a, vec))
-        f = a - s * s
-        if abs(f) <= tol * max(1.0, s * s):
-            return s, vec, abs(f)
-        lo, hi = (s, hi) if f > 0.0 else (lo, s)
-    raise SolverError(f"no fixed point with |f| <= {tol:.1e} in [{lo:.17g}, {hi:.17g}] "
-                       f"(last |f|={abs(f):.3e})")
+    A, D, M = matrices.operator, matrices.dissipation, matrices.mass
+    lo = _pencil_value(A, D, v0, float(np.real(np.vdot(v0, band.matvec(M, v0)))))
+    _, u = _top_pair(A, M, (math.sqrt(a), v0), D, lo)
+    lam = _functional(*_element_forms(matrices, u))
+    value, vec = alpha(lam, matrices, guess=(lam * lam, u))
+    residual = abs(lam * lam - value)
+    if residual > tol * max(1.0, lam * lam):
+        raise SolverError(f"growth rate {lam:.17g} leaves |Lambda^2 - alpha(Lambda)| = "
+                          f"{residual:.3e} > {tol:.1e} * max(1, Lambda^2)")
+    return lam, vec, residual
 
 
 def _transverse_kernel(matrices: ModeMatrices) -> bool:
@@ -288,15 +327,19 @@ def xi_per_mode(matrices: ModeMatrices,
     whose shift bracket certifies the value.  SolverError when the scaled
     denominator does not factor.
 
-    The solve climbs the cold shifts 1, 4, 16, ... but starts inverse
-    iteration from the eigenvector of alpha(0), in the scaled coordinates:
-    the energy operator is numerator minus denominator, so alpha(0) > 0
-    exactly when xi > 1 and its top eigenvector is a field of large N/B,
-    where a random start sits in the high-frequency fields of large B.
-    When alpha(0) < 0 that eigenvector can lie in a block of the pencil
-    that decouples from the top, such as the horizontal shear transverse to
-    xi of a viscoelastic or horizontal-field mode, where N vanishes: the
-    seeded share that _top_pair adds to the start reaches the top's block.
+    Inverse iteration starts from the eigenvector v0 of alpha(0), in the
+    scaled coordinates: the energy operator is numerator minus
+    denominator, so alpha(0) > 0 exactly when xi > 1 and its top
+    eigenvector is a field of large N/B, where a random start sits in the
+    high-frequency fields of large B.  When alpha(0) > 0, N(v0) - B(v0) =
+    alpha(0)*mass(v0) > 0, so v0's quotient q0 = N(v0)/B(v0) > 1 is a lower
+    bound of xi: the bracket starts from it and the shifts climb 4*q0,
+    16*q0, ... (q0 is 2.3-2.9 against xi of 6-50 on the unstable
+    growth_mixed modes of seeds 1-5).  Otherwise the shifts climb the cold
+    1, 4, 16, ..., and v0 can lie in a block of the pencil that decouples
+    from the top, such as the horizontal shear transverse to xi of a
+    viscoelastic or horizontal-field mode, where N vanishes: the seeded
+    share that _top_pair adds to the start reaches the top's block.
     ``alpha0`` is the result of alpha(0.0, matrices) when the caller has it
     already (analyze_mode); it is solved here otherwise, after the explicit
     cases and the denominator check, so either way gives the same bits.
@@ -322,8 +365,11 @@ def xi_per_mode(matrices: ModeMatrices,
     if band.cholesky(Bs) is None:
         raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")
-    _, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
-    val, u = _top_pair(Ns, Bs, (None, v0 / dinv))
+    a0, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
+    u0, lo = v0 / dinv, -math.inf
+    if a0 > 0.0:
+        lo = _pencil_value(Ns, None, u0, float(np.real(np.vdot(u0, band.matvec(Bs, u0)))))
+    val, u = _top_pair(Ns, Bs, (None, u0), lo=lo)
     return val, dinv * u
 
 

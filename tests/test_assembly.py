@@ -182,6 +182,25 @@ def test_operator_summed_once_read_only(assembled):
     assert np.array_equal(A, assembled.gravity - assembled.compress - assembled.magnetic)
 
 
+def test_norms_computed_once(assembled, monkeypatch):
+    """The Frobenius norms of the operator and the dissipation, which scale
+    every alpha(s) residual of a mode, are computed on first use only and
+    equal the dense norms."""
+    mm = dataclasses.replace(assembled)
+    real, calls = band.frobenius, []
+
+    def counting(ab):
+        calls.append(ab.shape)
+        return real(ab)
+
+    monkeypatch.setattr(band, "frobenius", counting)
+    for _ in range(2):
+        spectral.alpha(0.3, mm)
+    assert len(calls) == 2
+    assert mm.operator_norm == pytest.approx(np.linalg.norm(dense(mm.operator)), rel=1e-13)
+    assert mm.dissipation_norm == pytest.approx(np.linalg.norm(dense(mm.dissipation)), rel=1e-13)
+
+
 def test_vertical_field_matrices_real(canonical_profile, mesh60, geometry):
     params = PhysicalParams(M=(0.0, 0.0, 1.5))
     mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh60.nodes),

@@ -172,8 +172,8 @@ def test_top_pair_warm_start(rng):
     """A warm start (value, vector) reaches the dense top in three cases: the
     guessed value above the top, below it (the shift climbs from the guess),
     and a start vector M-orthogonal to the top eigenvector, as when the top
-    branch changes along the Newton path.  A repeated warm call returns the
-    same bits."""
+    branch changes between the guess's pencil and this one.  A repeated warm
+    call returns the same bits."""
     n = 120
     for p in (1, 5):
         for complex_valued in (False, True):
@@ -221,10 +221,11 @@ def test_top_pair_start_outside_the_top_block(rng):
 
 
 def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
-    """Every top value of a growth scan (complex pencils) lies in its closed
-    bracket [lo, sigma]: not below any quotient of the iterates of its own
-    solve or shift that did not factor, not above the lowest shift that did,
-    and within BRACKET_TOL of it.  Shifts are read back from the factorized
+    """Every top value of a growth scan (complex pencils, linear and
+    quadratic) lies in its closed bracket [lo, sigma]: not below any value
+    (Rayleigh quotient or functional) of the iterates of its own solve or
+    shift that did not factor, not above the lowest shift that did, and
+    within BRACKET_TOL of it.  Shifts are read back from the factorized
     bands, iterates recorded from band.solve."""
     params = dataclasses.replace(baseline_params, M=(0.03, -0.05, -0.02))
     mesh = assembly.build_mesh(geometry, n_per_layer=100)
@@ -242,36 +243,52 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
         iterates.append(x)
         return x
 
-    def recording(hb, mb, guess=None):
+    def recording(hb, mb, guess=None, db=None, lo=-math.inf):
         events.clear()
-        top, v = real_top(hb, mb, guess)
-        j = int(np.argmin(np.abs(hb[-1]) / mb[-1].real))    # least cancellation in the read-back
+        top, v = real_top(hb, mb, guess, db, lo)
+        d = np.zeros(mb.shape[1]) if db is None else db[-1].real
+        scale = mb[-1].real * (1.0 if db is None else 2.0 * abs(top)) + d
+        j = int(np.argmin(np.abs(hb[-1]) / scale))      # least cancellation in the read-back
+
+        def shift(x):       # sigma from the diagonal entry c = sigma*M (+ sigma^2*M + sigma*D) - H
+            c = float(x[-1, j].real + hb[-1, j].real)
+            if db is None:
+                return c / mb[-1, j].real
+            return 2.0 * c / (d[j] + math.sqrt(d[j] ** 2 + 4.0 * mb[-1, j].real * c))
+
         quotient = failed = -math.inf
         sigma = math.inf
         for kind, x, factored in events:
             if kind == "iterate":
-                mx = band.matvec(mb, x)
-                quotient = max(quotient, float(np.real(np.vdot(x, band.matvec(hb, x))))
-                               / float(np.real(np.vdot(x, mx))))
+                m = float(np.real(np.vdot(x, band.matvec(mb, x))))
+                a = float(np.real(np.vdot(x, band.matvec(hb, x))))
+                if db is None:
+                    value = a / m
+                else:
+                    dx = float(np.real(np.vdot(x, band.matvec(db, x))))
+                    value = 2.0 * a / (dx + math.sqrt(dx * dx + 4.0 * m * a))
+                quotient = max(quotient, value)
             elif factored:
-                sigma = min(sigma, float((x[-1, j].real + hb[-1, j].real) / mb[-1, j].real))
+                sigma = min(sigma, shift(x))
             else:
-                failed = max(failed, float((x[-1, j].real + hb[-1, j].real) / mb[-1, j].real))
-        slack = 4e-16 * (abs(top) + abs(hb[-1, j]) / mb[-1, j].real)     # read-back rounding
-        # a quotient above a shift that factored is rounding, and raises lo only to sigma
-        lo = max(failed, min(quotient, sigma))
-        assert lo - slack <= top <= sigma + slack, (lo, top, sigma)
+                failed = max(failed, shift(x))
+        slack = 4e-16 * (abs(top) + abs(hb[-1, j]) / scale[j])     # read-back rounding
+        # a value above a shift that factored is rounding, and raises lo only to sigma
+        lo_read = max(failed, lo, min(quotient, sigma))
+        assert lo_read - slack <= top <= sigma + slack, (lo_read, top, sigma)
         assert sigma - top <= spectral.BRACKET_TOL * max(1.0, abs(top)) + slack
-        checked.append(top)
+        checked.append(db is not None)
         return top, v
 
     monkeypatch.setattr(band, "cholesky", cholesky)
     monkeypatch.setattr(band, "solve", solve)
     monkeypatch.setattr(spectral, "_top_pair", recording)
     verdict = spectral.global_scan(FormCoefficients(canonical_profile, params, mesh.nodes),
-                                   k_max=1)
+                                   k_max=2)
     assert not verdict.errors and verdict.global_lambda > 0
     assert len(checked) >= 20 and len(iterates) >= 100
+    assert checked.count(True) == sum(v.lambda_value is not None for v in verdict.verdicts
+                                      if v.mode.norm2 > 0)
 
 
 def _restricted_dense_xi(mm):
@@ -417,6 +434,81 @@ def test_growth_rate_fixed_point(mm_nofield):
     assert res <= 1e-8 * max(1.0, lam * lam)
     a, _ = spectral.alpha(lam, mm_nofield)
     assert abs(a - lam * lam) <= 1e-8 * max(1.0, lam * lam)
+
+
+def test_growth_rate_residual_refused(mm_nofield, monkeypatch):
+    """A fixed-point residual |Lambda^2 - alpha(Lambda)| above
+    tol*max(1, Lambda^2) raises SolverError: alpha(s) is lifted by 1e-6
+    for s > 0."""
+    real = spectral.alpha
+
+    def lifted(s, *args, **kwargs):
+        value, v = real(s, *args, **kwargs)
+        return (value + 1e-6 if s > 0.0 else value), v
+
+    monkeypatch.setattr(spectral, "alpha", lifted)
+    with pytest.raises(SolverError, match=r"\|Lambda\^2 - alpha\(Lambda\)\|"):
+        spectral.growth_rate_detailed(mm_nofield, tol=1e-8)
+    assert spectral.growth_rate_detailed(mm_nofield, tol=1e-5)[0] > 0.0
+
+
+def _companion_top(mm):
+    """Largest real eigenvalue of lambda^2 M + lambda D - A, from dense eig of
+    its companion linearization [[0, I], [A, -D]] z = lambda [[I, 0], [0, M]] z."""
+    A, D, M = (dense(X) for X in (mm.operator, mm.dissipation, mm.mass))
+    n = A.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    w = sla.eig(np.block([[zero, eye], [A, -D]]), np.block([[eye, zero], [zero, M]]),
+                right=False)
+    w = w[np.isfinite(w)]
+    return float(np.max(w[np.abs(w.imag) <= 1e-9 * np.abs(w)].real))
+
+
+@pytest.mark.parametrize("case", ["no_field", "mixed", "inviscid"])
+def test_growth_rate_matches_companion_eigenvalue(canonical_profile, geometry, case,
+                                                  monkeypatch):
+    """On a small mesh (n_per_layer = 30, 177 unknowns) the growth rate is the
+    largest real eigenvalue of the quadratic pencil to 1e-10 relative: a real
+    no-field mode, a complex mixed-field one, and the first with a zero
+    dissipation form (band and table), whose rate is sqrt(alpha(0)).  The
+    quadratic bracket certifies its value to its closing tolerance: Q
+    factors one BRACKET_TOL above it and not one below (on the no-field
+    mode Q factors at the value itself, a band-level Rayleigh functional
+    1e-13 relative above the shift where Q starts to factor: band-product
+    rounding).  The residual is within tol*max(1, Lambda^2)."""
+    mesh = assembly.build_mesh(geometry, n_per_layer=30)
+    params = PhysicalParams(**SCAN_FIELDS["mixed" if case == "mixed" else "no_field"])
+    k = (1, 1) if case == "mixed" else (1, 0)
+    mm = assembly.assemble(FormCoefficients(canonical_profile, params, mesh.nodes),
+                           make_mode(*k, geometry))
+    assert np.iscomplexobj(mm.operator) == (case == "mixed")
+    if case == "inviscid":
+        table = tuple((label, c, {name: 0.0 * C if name == "dissipation" else C
+                                  for name, C in forms.items()}) for label, c, forms in mm.table)
+        mm = dataclasses.replace(mm, table=table, dissipation=np.zeros_like(mm.dissipation))
+    real, brackets = spectral._top_pair, []
+
+    def recording(hb, mb, guess=None, db=None, lo=-math.inf):
+        top, v = real(hb, mb, guess, db, lo)
+        if db is not None:
+            brackets.append(top)
+        return top, v
+
+    monkeypatch.setattr(spectral, "_top_pair", recording)
+    tol = 1e-8
+    lam, vec, res = spectral.growth_rate_detailed(mm, tol)
+    reference = _companion_top(mm)
+    assert reference > 0.0 and len(brackets) == 1
+    assert abs(lam - reference) <= 1e-10 * reference, (lam, reference)
+    assert res <= tol * max(1.0, lam * lam)
+    if case == "inviscid":
+        assert lam == pytest.approx(math.sqrt(spectral.alpha(0.0, mm)[0]), rel=1e-12)
+    top = brackets[0]
+    lo, hi = (top + sign * spectral.BRACKET_TOL * max(1.0, top) for sign in (-1.0, 1.0))
+    A, D, M = mm.operator, mm.dissipation, mm.mass
+    assert band.cholesky((hi * hi) * M + hi * D - A) is not None
+    assert band.cholesky((lo * lo) * M + lo * D - A) is None
+    assert abs(top - reference) <= 1e-10 * reference
 
 
 def test_growth_rate_decreases_with_dissipation(canonical_profile, mesh60, geometry,
@@ -693,14 +785,16 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
 
 
 def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
-    """Warm-started alpha along the Newton path, aimed trial shifts and the
-    discriminant started from the alpha(0) eigenvector: one fixed point, one
-    stable verdict and that verdict's discriminant, alpha(0) handed over,
-    stay under a ceiling of banded Cholesky factorizations (measured 44, 14
-    and 7, its denominator check included; 20 and 13 with the discriminant
-    started from the seeded vector, whose first quotient is about 1e-7
-    against a top of 0.13; 114 and 33 with cold starts and fixed 10 % steps
-    as well), and the count repeats exactly."""
+    """The growth rate as one bracket of the quadratic pencil plus one warm
+    alpha, aimed trial shifts and the discriminant started from the
+    alpha(0) eigenvector: one growth rate (alpha(0) included), one stable
+    verdict and that verdict's discriminant, alpha(0) handed over, stay
+    under a ceiling of banded Cholesky factorizations (measured 24, 14 and
+    7, its denominator check included; 39 for the growth rate as a Newton
+    iteration of warm alpha solves; 20 and 13 with the discriminant started
+    from the seeded vector, whose first quotient is about 1e-7 against a
+    top of 0.13; 114 and 33 with cold starts and fixed 10 % steps as well),
+    and the count repeats exactly."""
     alpha0 = spectral.alpha(0.0, mm_vertical)
     real, calls, counts = band.cholesky, [], []
 
@@ -719,7 +813,7 @@ def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
         assert 0.0 < spectral.xi_per_mode(mm_vertical, alpha0=alpha0)[0] < 1.0
         counts.append((middle - start, verdict - middle, len(calls) - verdict))
     assert counts[0] == counts[1]
-    assert counts[0][0] <= 48 and counts[0][1] <= 14 and counts[0][2] <= 7, counts
+    assert counts[0][0] <= 24 and counts[0][1] <= 14 and counts[0][2] <= 7, counts
 
 
 @pytest.mark.parametrize("case", ["stable_vertical", "unstable_mixed"])
