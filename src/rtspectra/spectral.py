@@ -41,8 +41,8 @@ from .params import MHD, VISCOELASTIC
 EIGVEC_RESIDUAL_TOL = 1e-8
 # alpha must lie within this relative margin below the top of its pencil
 TOP_BRANCH_MARGIN = 1e-6
-# shifts 1, 4, 16, ..., 4**40 (about 1e24) are tried above a spectrum, or offsets
-# delta, 4*delta, ... above a guess
+# shifts f, 4f, 16f, ..., 4**40*f (f >= 1; about 1e24*f) are tried above a spectrum,
+# or offsets delta, 4*delta, ... above a guess
 SHIFT_TRIES = 41
 # seeds the start vector of inverse iteration
 START_SEED = 20240811
@@ -51,7 +51,7 @@ SEEDED_SHARE = 0.1
 # the bracket [lo, sigma] of a top eigenvalue closes at BRACKET_TOL * max(1, |lo|)
 BRACKET_TOL = 1e-12
 BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from lo to sigma
-AIM_FACTOR = 8.0        # aimed trial shifts lie this many last quotient changes above lo
+AIM_FACTOR = 8.0        # aimed trial shifts lie this many last value changes above lo
 WARM_OFFSET = 1e-3      # a warm start's first shift lies this relative offset above its guess
 INVERSE_STEPS = 200
 
