@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import csr_matrix, diags
 
 
 _HANDLES = {}
@@ -92,8 +91,11 @@ def frobenius(ab: np.ndarray) -> float:
     return math.sqrt(2.0 * total - diagonal2)
 
 
-def to_csr(ab: np.ndarray) -> csr_matrix:
+def to_csr(ab: np.ndarray):
     """X as a CSR matrix without stored zeros."""
+    # only evolve builds CSR matrices; importing scipy.sparse here keeps it
+    # out of every other command's process
+    from scipy.sparse import diags
     p, n = ab.shape[0] - 1, ab.shape[1]
     upper = [ab[p - k, k:] for k in range(1, p + 1)]
     X = diags([u.conj() for u in upper[::-1]] + [ab[p].real.astype(ab.dtype)] + upper,

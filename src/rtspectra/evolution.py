@@ -39,7 +39,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import bmat
 
 from . import band
 from .assembly import ModeMatrices
@@ -102,6 +101,9 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
     solve = sla.get_lapack_funcs("pbtrs", (factor,))
+    # scipy.sparse is imported on evolve's path only, so that no scan process loads it
+    from scipy.sparse import bmat
+
     # B x = [2 M u; A eta; M eta; D s] for the state x = [u; eta; s]
     M_s = band.to_csr(M)
     B = bmat([[2.0 * M_s, None, None], [None, band.to_csr(A), None], [None, M_s, None],
@@ -161,9 +163,16 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
 
 
 def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float, float]] = None) -> float:
-    """Least-squares slope of log(norm) against time over the window."""
+    """Least-squares slope of log(norm) against time over the window.
+
+    The closed form sum(c * log(norm)) / sum(c^2), with c = t - mean(t),
+    is the slope of the two-parameter line fit with the intercept
+    eliminated; it needs no lstsq.
+    """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise SolverError("times must be finite for a log-linear fit")
     if window is not None:
         mask = (times >= window[0]) & (times <= window[1])
         times, norms = times[mask], norms[mask]
@@ -171,8 +180,13 @@ def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float,
         raise SolverError(f"need at least 10 samples in the window, got {times.size}")
     if np.any(norms <= 0.0):
         raise SolverError("norms must be positive for a log-linear fit")
-    slope, _ = np.polyfit(times, np.log(norms), 1)
-    return float(slope)
+    if not np.all(np.isfinite(norms)):
+        raise SolverError("norms must be finite for a log-linear fit")
+    centered = times - times.mean()
+    spread = float(np.dot(centered, centered))
+    if not spread > 0.0:
+        raise SolverError("the window's times must span an interval")
+    return float(np.dot(centered, np.log(norms))) / spread
 
 
 def export_trajectory(result: EvolutionResult, path) -> None:

@@ -510,12 +510,46 @@ def test_singular_denominator_exit_code(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 1
 
 
-def test_import_leaves_out_scipy_integrate():
-    """Every command imports the CLI; the closed-form layers need no ODE solver."""
+def _run_python(code: str) -> str:
+    """stdout of a fresh interpreter that runs `code` with this checkout's rtspectra."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, rtspectra.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse"])
+def test_import_leaves_out(module):
+    """Every command imports the CLI; the closed-form layers need no ODE solver,
+    and only evolve builds sparse matrices.  The import adds neither module to
+    what scipy.linalg loads itself (nothing, in current scipy releases)."""
+    code = (f"import sys, scipy.linalg; before = {module!r} in sys.modules; "
+            f"import rtspectra.cli; print(before, {module!r} in sys.modules)")
+    by_linalg, by_cli = _run_python(code).split()
+    assert by_cli == by_linalg
+
+
+def test_only_evolve_loads_scipy_sparse(tmp_path):
+    """The scan-side commands run without scipy.sparse; evolve then loads it.
+
+    Where scipy.linalg itself imports scipy.sparse (older scipy releases),
+    the first check compares against that: the commands add nothing to it.
+    """
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
+    code = f"""
+import sys, scipy.linalg
+loaded = ['scipy.sparse' in sys.modules]
+from rtspectra import cli
+for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium"):
+    assert cli.run({str(cfgp)!r}, command, out={str(tmp_path / "out")!r} + command) == 0
+loaded.append('scipy.sparse' in sys.modules)
+assert cli.run({str(cfgp)!r}, "evolve", out={str(tmp_path / "traj.csv")!r}) == 0
+loaded.append('scipy.sparse' in sys.modules)
+print(*loaded)
+"""
+    by_linalg, after_scan_side, after_evolve = _run_python(code).splitlines()[-1].split()
+    assert after_scan_side == by_linalg
+    assert after_evolve == "True"

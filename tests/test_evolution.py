@@ -75,6 +75,37 @@ def test_fit_rate_degenerate():
         evolution.fit_rate(t, np.concatenate([np.ones(19), [0.0]]))
 
 
+@pytest.mark.parametrize("window", [None, (1.0, 4.0)])
+def test_fit_rate_matches_polyfit(window):
+    """The closed-form slope is np.polyfit's degree-1 slope over the same window."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        t = np.sort(rng.uniform(0.0, 5.0, 200))
+        rate = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        norms = np.exp(rate * t + 0.3 * rng.standard_normal(t.size))
+        tw, nw = t, norms
+        if window is not None:
+            mask = (t >= window[0]) & (t <= window[1])
+            tw, nw = t[mask], norms[mask]
+        want = np.polyfit(tw, np.log(nw), 1)[0]
+        assert evolution.fit_rate(t, norms, window) == pytest.approx(want, rel=1e-12)
+
+
+def test_fit_rate_rejects_non_finite_and_flat_windows():
+    t = np.linspace(0.0, 1.0, 20)
+    for bad in (np.nan, np.inf):
+        norms = np.exp(t)
+        norms[7] = bad
+        with pytest.raises(SolverError, match="norms must be finite"):
+            evolution.fit_rate(t, norms)
+    nan_time = t.copy()
+    nan_time[3] = np.nan
+    with pytest.raises(SolverError, match="times must be finite"):
+        evolution.fit_rate(nan_time, np.exp(t))
+    with pytest.raises(SolverError, match="span an interval"):
+        evolution.fit_rate(np.full(20, 2.0), np.exp(t))
+
+
 def test_rate_matches_growth_rate(mm_unstable):
     lam, vec, _ = spectral.growth_rate_detailed(mm_unstable, 1e-8)
     eta0, u0 = evolution.random_initial_data(mm_unstable, seed=3)
