@@ -7,36 +7,68 @@ j < k point above the matrix and are kept zero.  The per-mode forms have
 p = 5 (two nodes of three components each).
 
 Factorizations, solves and products call LAPACK ``pbtrf``/``pbtrs`` and
-BLAS ``sbmv``/``hbmv`` directly, through handles fetched once per dtype:
-the calls of ``scipy.linalg.cholesky_banded`` and ``cho_solve_banded``
-with ``check_finite=False``, and the same bits, without their per-call
-validation.
+BLAS ``sbmv``/``hbmv`` directly: the calls of ``scipy.linalg.cholesky_banded``
+and ``cho_solve_banded`` with ``check_finite=False``, and the same bits,
+without their per-call validation.  The handles are the f2py routines of
+scipy's compiled modules ``scipy/linalg/_flapack`` and ``_fblas``, loaded
+by file, so that ``scipy/linalg/__init__.py`` never runs: it would load
+scipy's array-API layer, ``numpy.f2py``, ``numpy.testing`` and the rest of
+``scipy.linalg``, about 16 MB and 0.2 s per process.  They are the objects
+``scipy.linalg.get_lapack_funcs`` and ``get_blas_funcs`` return.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 
-_HANDLES = {}
+def _compiled(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file.
+
+    It is registered under its dotted name, and an entry already there is
+    reused, so a later ``import scipy.linalg`` shares the module object.
+    """
+    dotted = f"scipy.linalg.{name}"
+    if dotted in sys.modules:
+        return sys.modules[dotted]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for path in (os.path.join(directory, name + suffix) for suffix in suffixes):
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(
+            f"no file {os.path.join(directory, name)}{{{','.join(suffixes)}}}: rtspectra.band "
+            "loads scipy's compiled LAPACK and BLAS wrappers scipy/linalg/_flapack and _fblas "
+            "by file")
+    spec = importlib.util.spec_from_file_location(dotted, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[dotted] = module
+    return module
 
 
-def _handle(name: str, dtype: np.dtype):
-    """The LAPACK or BLAS routine ``name`` for ``dtype``, fetched on first use."""
-    key = (name, dtype)
-    if key not in _HANDLES:
-        get = sla.get_blas_funcs if name in ("sbmv", "hbmv") else sla.get_lapack_funcs
-        _HANDLES[key] = get(name, dtype=dtype)
-    return _HANDLES[key]
+_FLAPACK, _FBLAS = _compiled("_flapack"), _compiled("_fblas")
+
+
+def routine(name: str, dtype: np.dtype):
+    """The LAPACK or BLAS routine ``name`` (pbtrf, pbtrs, sbmv, hbmv): the
+    z-prefixed one for a complex ``dtype``, else the d-prefixed one."""
+    module = _FBLAS if name in ("sbmv", "hbmv") else _FLAPACK
+    return getattr(module, ("z" if dtype.kind == "c" else "d") + name)
 
 
 def cholesky(ab: np.ndarray) -> Optional[np.ndarray]:
     """Banded Cholesky factor (pbtrf), or None when the matrix is not positive definite."""
-    factor, info = _handle("pbtrf", ab.dtype)(ab)
+    factor, info = routine("pbtrf", ab.dtype)(ab)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of pbtrf")
     return factor if info == 0 else None
@@ -44,7 +76,7 @@ def cholesky(ab: np.ndarray) -> Optional[np.ndarray]:
 
 def solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """X^-1 b (pbtrs) from the banded Cholesky factor of X."""
-    x, info = _handle("pbtrs", np.result_type(factor, b))(factor, b)
+    x, info = routine("pbtrs", np.result_type(factor, b))(factor, b)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of pbtrs")
     return x
@@ -56,7 +88,7 @@ def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     if ab.dtype != x.dtype:
         dtype = np.result_type(ab, x)
         ab, x = ab.astype(dtype, copy=False), x.astype(dtype, copy=False)
-    return _handle("hbmv" if x.dtype.kind == "c" else "sbmv", x.dtype)(ab.shape[0] - 1, 1.0, ab, x)
+    return routine("hbmv" if x.dtype.kind == "c" else "sbmv", x.dtype)(ab.shape[0] - 1, 1.0, ab, x)
 
 
 def jacobi_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import band
 from .assembly import ModeMatrices
@@ -100,7 +99,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
             f"implicit-midpoint matrix at dt={dt:.6g} is not positive definite: the mode grows "
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
-    solve = sla.get_lapack_funcs("pbtrs", (factor,))
+    solve = band.routine("pbtrs", factor.dtype)
     # scipy.sparse is imported on evolve's path only, so that no scan process loads it
     from scipy.sparse import bmat
 

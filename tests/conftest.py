@@ -1,8 +1,14 @@
 """Shared fixtures: the canonical two-layer configuration at test scale."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rtspectra
 from rtspectra import assembly
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from form_oracles import ModeField
@@ -58,6 +64,16 @@ def random_field(grid, rng, complex_valued=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def run_python(code: str) -> str:
+    """stdout of a fresh interpreter that runs `code` with this checkout's rtspectra."""
+    src = str(Path(rtspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
 
 
 def make_mode(k1, k2, geometry):

@@ -1,9 +1,16 @@
 """The direct LAPACK/BLAS calls of band.py against scipy.linalg's banded routines."""
 
+import importlib.machinery
+import os
+import re
+import sys
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 
+from conftest import run_python
 from rtspectra import band
 
 
@@ -74,3 +81,45 @@ def test_matvec_matches_the_dense_product(complex_band, complex_vector, rng):
     y = band.matvec(ab, x)
     assert y.dtype == np.result_type(ab, x)
     np.testing.assert_allclose(y, _dense(ab) @ x, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_routines_are_scipys_handles(dtype):
+    """Each routine is the very object get_lapack_funcs or get_blas_funcs returns."""
+    dtype = np.dtype(dtype)
+    for name in ("pbtrf", "pbtrs"):
+        assert band.routine(name, dtype) is sla.get_lapack_funcs(name, dtype=dtype)
+    name = "hbmv" if dtype.kind == "c" else "sbmv"
+    assert band.routine(name, dtype) is sla.get_blas_funcs(name, dtype=dtype)
+
+
+@pytest.mark.parametrize("first", ["rtspectra.band", "scipy.linalg"])
+def test_either_import_order_shares_the_compiled_modules(first):
+    """Whichever of band and scipy.linalg is imported first, both use one
+    _flapack and one _fblas module object, and scipy.linalg's banded routines
+    work.  With band first, scipy.linalg reads the modules from sys.modules
+    (its package attributes _flapack and _fblas stay unset)."""
+    second = "scipy.linalg" if first == "rtspectra.band" else "rtspectra.band"
+    code = f"""
+import sys
+import numpy as np
+import {first}, {second}
+import scipy.linalg as sla
+from rtspectra import band
+flapack, fblas = sys.modules["scipy.linalg._flapack"], sys.modules["scipy.linalg._fblas"]
+assert sla.lapack._flapack is flapack and band._FLAPACK is flapack
+assert sla.blas._fblas is fblas and band._FBLAS is fblas
+ab = np.zeros((2, 5))
+ab[1], ab[0, 1:] = 4.0, 1.0
+assert np.array_equal(sla.cholesky_banded(ab), band.cholesky(ab))
+print("shared")
+"""
+    assert run_python(code) == "shared"
+
+
+def test_a_missing_module_file_names_its_path(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    with pytest.raises(ImportError, match=re.escape(path) + r"\{\.missing\.so\}"):
+        band._compiled("_flapack")

@@ -5,12 +5,11 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 from rtspectra import cli
 from rtspectra.errors import InputError, SolverError
 
@@ -510,46 +509,47 @@ def test_singular_denominator_exit_code(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 1
 
 
-def _run_python(code: str) -> str:
-    """stdout of a fresh interpreter that runs `code` with this checkout's rtspectra."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    return out.stdout.strip()
-
-
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse", "scipy.linalg"])
 def test_import_leaves_out(module):
     """Every command imports the CLI; the closed-form layers need no ODE solver,
-    and only evolve builds sparse matrices.  The import adds neither module to
-    what scipy.linalg loads itself (nothing, in current scipy releases)."""
-    code = (f"import sys, scipy.linalg; before = {module!r} in sys.modules; "
+    only evolve builds sparse matrices, and band.py loads scipy's compiled
+    LAPACK and BLAS modules without running scipy/linalg/__init__.py.  The
+    import adds none of these modules to what scipy.linalg loads itself
+    (nothing, in current scipy releases), or, for scipy.linalg, to what the
+    bare scipy package loads."""
+    first = "scipy" if module == "scipy.linalg" else "scipy.linalg"
+    code = (f"import sys, {first}; before = {module!r} in sys.modules; "
             f"import rtspectra.cli; print(before, {module!r} in sys.modules)")
-    by_linalg, by_cli = _run_python(code).split()
-    assert by_cli == by_linalg
+    by_first, by_cli = run_python(code).split()
+    assert by_cli == by_first
 
 
 def test_only_evolve_loads_scipy_sparse(tmp_path):
-    """The scan-side commands run without scipy.sparse; evolve then loads it.
+    """The scan-side commands run without scipy.sparse and scipy's array-API
+    layer; evolve then loads scipy.sparse.  No command loads scipy.linalg.
 
-    Where scipy.linalg itself imports scipy.sparse (older scipy releases),
-    the first check compares against that: the commands add nothing to it.
+    Where the scipy package itself imports scipy.sparse, the first check
+    compares against that: the commands add nothing to it.  Where scipy.sparse
+    imports scipy.linalg, the last check compares against a bare
+    ``import scipy.sparse``.
     """
     cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
     code = f"""
-import sys, scipy.linalg
+import sys, scipy
 loaded = ['scipy.sparse' in sys.modules]
 from rtspectra import cli
 for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium"):
     assert cli.run({str(cfgp)!r}, command, out={str(tmp_path / "out")!r} + command) == 0
-loaded.append('scipy.sparse' in sys.modules)
+loaded += [m in sys.modules for m in ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api')]
 assert cli.run({str(cfgp)!r}, "evolve", out={str(tmp_path / "traj.csv")!r}) == 0
-loaded.append('scipy.sparse' in sys.modules)
+loaded += [m in sys.modules for m in ('scipy.sparse', 'scipy.linalg')]
 print(*loaded)
 """
-    by_linalg, after_scan_side, after_evolve = _run_python(code).splitlines()[-1].split()
-    assert after_scan_side == by_linalg
-    assert after_evolve == "True"
+    (by_scipy, sparse_scan_side, linalg_scan_side, array_api_scan_side,
+     sparse_evolve, linalg_evolve) = run_python(code).splitlines()[-1].split()
+    assert sparse_scan_side == by_scipy
+    assert linalg_scan_side == "False" and array_api_scan_side == "False"
+    assert sparse_evolve == "True"
+    by_sparse = run_python("import sys, scipy.sparse; print('scipy.linalg' in sys.modules)")
+    assert linalg_evolve == by_sparse

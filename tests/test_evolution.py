@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from conftest import make_mode
 from oracles import dense, reference_integrate_linearized
-from rtspectra import assembly, evolution, spectral
+from rtspectra import assembly, band, evolution, spectral
 from rtspectra.errors import InputError, SolverError
 from rtspectra.modereduce import FormCoefficients
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -302,18 +302,20 @@ def test_residual_sees_a_perturbed_solve(monkeypatch, mm_stable):
     which therefore checks the computed state rather than holding by construction."""
     eta0, u0 = evolution.random_initial_data(mm_stable, seed=11)
     clean = evolution.integrate_linearized(mm_stable, eta0, u0, 1e-2, 2.0)
-    get_lapack_funcs = sla.get_lapack_funcs
+    routine = band.routine
 
-    def perturbed_pbtrs(*args, **kwargs):
-        pbtrs = get_lapack_funcs(*args, **kwargs)
+    def perturbed_pbtrs(name, dtype):
+        handle = routine(name, dtype)
+        if name != "pbtrs":
+            return handle
 
         def solve(factor, b, **options):
-            x, info = pbtrs(factor, b, **options)
+            x, info = handle(factor, b, **options)
             x *= 1.0 + 1e-9
             return x, info
         return solve
 
-    monkeypatch.setattr(evolution.sla, "get_lapack_funcs", perturbed_pbtrs)
+    monkeypatch.setattr(band, "routine", perturbed_pbtrs)
     perturbed = evolution.integrate_linearized(mm_stable, eta0, u0, 1e-2, 2.0)
     # measured: 1.0e-16 unperturbed, 8.2e-10 perturbed
     assert clean.energy_balance_residual <= 1e-14
