@@ -5,9 +5,9 @@ The forms are defined once, as the coefficient-matrix polynomial of
 the six monomials 1, xi1, xi2, xi1^2, xi1*xi2, xi2^2 of the horizontal wave
 vector.  The moments of the P1 shape functions and their slopes depend on
 the grid only, so :class:`BandPolynomial` contracts them with every C_m
-once per grid, and each band matrix is then sum_m xi^m B_m.  A mode's
-matrices cost one weighted sum of the nonzero parts of the B_m; a scan
-builds one BandPolynomial for all its modes.
+once per grid, and each band matrix is then sum_m xi^m B_m.  Each band of
+a mode costs one weighted sum of its form's nonzero parts of the B_m; a
+scan builds one BandPolynomial for all its modes.
 
 The complex per-mode problem is assembled in a real coordinate basis: with
 the substitution (phi, theta, psi) = (-i*pt, -i*tt, st) every form becomes
@@ -25,6 +25,7 @@ couples two neighbouring nodes, so each form is banded with half-bandwidth
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -115,12 +116,15 @@ class ModeMatrices:
     """Discrete Hermitian forms of one Fourier mode, in upper band storage.
 
     mass/gravity/compress/magnetic/elastic/dissipation carry the per-mode
-    quadratic forms; coercivity_metric carries |w|^2 + |M.grad w|^2 + |div w|^2
-    for the stability-certificate pencil.  Each is an array of shape
+    quadratic forms that the verdicts read.  Each is an array of shape
     (6, n_dof) in the layout of band.py; band.to_csr gives the matrix.
     Matrices are real symmetric except when the base field mixes vertical
-    and in-plane components, which adds an imaginary skew part.  The grid
-    is ``coeffs.grid``.
+    and in-plane components, which adds an imaginary skew part.  ``bands``
+    is the :class:`BandPolynomial` they come from, and the grid is
+    ``coeffs.grid``.  :attr:`coercivity_metric` carries
+    |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate pencil;
+    only :func:`~.spectral.coercivity_constant` reads it, so it is built on
+    first read.
 
     ``table`` is the mode's :func:`~.modereduce.form_table`, built once by
     :func:`assemble` and read again by every :func:`~.modereduce.form_values`
@@ -136,7 +140,7 @@ class ModeMatrices:
     """
 
     mode: FourierMode
-    coeffs: FormCoefficients
+    bands: BandPolynomial
     table: tuple
     mass: np.ndarray
     gravity: np.ndarray
@@ -144,7 +148,15 @@ class ModeMatrices:
     magnetic: np.ndarray
     elastic: np.ndarray
     dissipation: np.ndarray
-    coercivity_metric: np.ndarray
+
+    @property
+    def coeffs(self) -> FormCoefficients:
+        return self.bands.coeffs
+
+    @cached_property
+    def coercivity_metric(self) -> np.ndarray:
+        """The metric form's band, built on first read."""
+        return self.bands.band("coercivity_metric", self.mode)
 
     @property
     def n_dof(self) -> int:
@@ -208,9 +220,9 @@ def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
     return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, 2, 2, 2)
 
 
-# the forms that depend on xi, in the order their overflow is reported
-XI_FORMS = ("gravity", "compress", "magnetic", "coercivity_metric", "dissipation", "elastic")
-FORMS = ("mass",) + XI_FORMS
+# the forms that at() builds for every mode, in the order their overflow is reported
+VERDICT_FORMS = ("gravity", "compress", "magnetic", "dissipation", "elastic")
+FORMS = ("mass",) + VERDICT_FORMS + ("coercivity_metric",)
 # A band matrix in Fortran order holds, per interior node, 6 entries for each of
 # its 3 components j: entry (row 5 - d, dof 3*node + j) couples dof 3*node + j with
 # the dof d below it.  Lane 6*j + 5 - d is that entry along all nodes, so a node's
@@ -218,25 +230,23 @@ FORMS = ("mass",) + XI_FORMS
 LANES = 18
 
 
-def _monomial_matrices(polynomial):
-    """The 6x6 matrices of every (form, monomial) pair that some coefficient has.
+def _monomial_matrices(polynomial, name):
+    """The monomials that some coefficient of form ``name`` has, and its real
+    6x6 matrices there.
 
-    Returns (part, monomial, T): pair r is the real part of FORMS[part[r]] or,
-    for part[r] >= len(FORMS), the imaginary part of FORMS[part[r] - len(FORMS)],
-    at monomial[r]; T[r, c] is coefficient c's matrix of pair r, with axes
-    (k, i, l, j): k, l value or derivative, i, j the component.  A coefficient
-    that is zero everywhere contributes nothing.
+    Returns (monomial, T): T[r, c] is coefficient c's matrix at monomial[r],
+    with axes (k, i, l, j): k, l value or derivative, i, j the component.  For
+    a form with a skew part, T holds the real parts at these monomials and
+    then the imaginary parts.  A coefficient that is zero everywhere
+    contributes nothing.
     """
-    part, monomial, T = [], [], []
-    for f, name in enumerate(FORMS):
-        stacks = np.array([forms[name] if name in forms and np.any(coefficient)
-                           else np.zeros((6, 6, 6)) for _, coefficient, forms in polynomial])
-        for offset, values in ((0, stacks.real), (len(FORMS), stacks.imag)):
-            for m in np.flatnonzero(np.any(values, axis=(0, 2, 3))):
-                part.append(f + offset)
-                monomial.append(m)
-                T.append(values[:, m])
-    return np.array(part), np.array(monomial), np.array(T).reshape(len(T), -1, 2, 3, 2, 3)
+    stacks = np.array([forms[name] if name in forms and np.any(coefficient)
+                       else np.zeros((6, 6, 6)) for _, coefficient, forms in polynomial])
+    monomial = np.flatnonzero(np.any(stacks, axis=(0, 2, 3)))
+    T = stacks[:, monomial].swapaxes(0, 1)
+    if np.iscomplexobj(T):
+        T = np.concatenate([T.real, T.imag])
+    return monomial, T.reshape(len(T), len(polynomial), 2, 3, 2, 3)
 
 
 class BandPolynomial:
@@ -244,21 +254,29 @@ class BandPolynomial:
     sum_m xi^m B_m over the monomials of :func:`~.modereduce.xi_monomials`.
 
     Built once per scan.  The shape-function moments of every coefficient
-    are contracted with the monomial matrices of
+    are contracted with the real monomial matrices of
     :func:`~.modereduce.form_polynomial`, one matrix product per pair of
     components and pair of element nodes, whose element blocks land straight
-    in the band lanes they feed.  Only the nonzero lanes of each (form,
-    monomial) pair are kept, real, with the imaginary part of a form that
-    has a skew part kept apart.  No array of the build is much larger than
-    the lanes kept.  The mass matrix does not depend on xi: it is built,
-    checked for overflow and Cholesky-factored here, once, and shared by
-    every mode.  :meth:`at` then gives a mode's matrices.
+    in the band lanes they feed.  Each form keeps only its nonzero lanes,
+    grouped by lane and ordered by monomial in a group; the lanes of a form
+    with a skew part are complex, from its real and imaginary products.  No
+    array of the build is much larger than the lanes kept.  :meth:`band`
+    gives one form of one mode.  The mass matrix does not depend on xi: it
+    is built and Cholesky-factored here, once, and shared by every mode.
+    :meth:`at` then gives a mode's matrices.
     """
 
     def __init__(self, coeffs: FormCoefficients):
         self.coeffs = coeffs
         self.polynomial = form_polynomial(coeffs)
-        part, monomial, T = _monomial_matrices(self.polynomial)
+        monomials, Ts = zip(*(_monomial_matrices(self.polynomial, name) for name in FORMS))
+        T = np.concatenate(Ts)
+        ends = np.cumsum([len(t) for t in Ts])
+        spans = [slice(end - len(t), end) for t, end in zip(Ts, ends)]     # each form's pairs
+        # partner[r]: the other part of pair r's monomial in a form with a skew part, else r
+        partner = np.arange(len(T))
+        for monomial, span in zip(monomials, spans):
+            partner[span] = np.roll(partner[span], len(monomial))
         n_pairs, n_c = T.shape[:2]
         ne = coeffs.element_h.size
         # mom[s][(c, k, l), e] for the node pairs s = (0, 0), (1, 1), (0, 1) of element e
@@ -268,19 +286,8 @@ class BandPolynomial:
             mom[:, c] = m[:, :, 0, 0], m[:, :, 1, 1], m[:, :, 0, 1]
         mom = mom.reshape(3, 4 * n_c, ne)
 
-        # The lanes of part p go to output row out_of[p] of a mode: the real part
-        # of XI_FORMS[out_of[p]], or from len(XI_FORMS) on the imaginary part of
-        # skew[out_of[p] - len(XI_FORMS)].  The mass (part 0) has its own array.
-        nf = len(FORMS)
-        skew = [k for k in range(1, nf) if np.any(part == nf + k)]
-        self.skew = [FORMS[k] for k in skew]
-        out_of = np.arange(-1, 2 * nf - 1)
-        out_of[[nf + k for k in skew]] = len(XI_FORMS) + np.arange(len(skew))
-        mass = np.zeros((ne - 1, LANES))
-        # the nonzero xi-dependent lanes, in blocks of one lane each; in a block the
-        # rows of one output row are adjacent, as pairs are ordered by form and part
-        blocks, kept_monomial, starts, targets = [], [], [], []
-        n_kept = 0
+        # the lanes of every pair that is nonzero, or whose partner is, lane by lane
+        blocks, pairs, lane_of = [], [], []
         for i in range(3):
             for j in range(3):
                 # component i of an element's node n with component j of its node n'
@@ -293,87 +300,73 @@ class BandPolynomial:
                     # one node: the first node of element n plus the second of element n - 1
                     lanes.append((j - i, (Tij @ mom[0])[:, 1:] + (Tij @ mom[1])[:, :-1]))
                 for d, values in lanes:
-                    lane = 6 * j + 5 - d
-                    rows = np.flatnonzero(np.any(values, axis=1))
-                    if rows.size and part[rows[0]] == 0:
-                        mass[:, lane] = values[rows[0]]
-                        rows = rows[1:]
+                    nonzero = np.any(values, axis=1)
+                    rows = np.flatnonzero(nonzero | nonzero[partner])
                     blocks.append(values[rows])
-                    for k, r in enumerate(rows):
-                        if k == 0 or part[r] != part[rows[k - 1]]:     # the next output row
-                            starts.append(n_kept + k)
-                            targets.append((out_of[part[r]], lane))
-                    kept_monomial += list(monomial[rows])
-                    n_kept += rows.size
-        self.rows, self.monomial = np.concatenate(blocks), np.array(kept_monomial, dtype=int)
-        # rows self.starts[g] up to the next start sum into lane targets[g][1] of output row targets[g][0]
-        self.starts = np.array(starts, dtype=int)
-        self.targets = tuple(np.array(targets, dtype=int).reshape(-1, 2).T)
+                    pairs.append(rows)
+                    lane_of.append(np.full(rows.size, 6 * j + 5 - d))
+        values, pair, lane = (np.concatenate(x) for x in (blocks, pairs, lane_of))
+        # self.kept[name] = (rows, monomial, starts, lanes): the rows from starts[g] up
+        # to the next start sum into lane lanes[g] of the form's band
+        self.kept = {}
+        for name, monomial, span in zip(FORMS, monomials, spans):
+            split = span.start + len(monomial)      # real parts, then imaginary parts
+            real = (pair >= span.start) & (pair < split)
+            rows = values[real]
+            if span.stop > split:                   # a skew part: partners pair up in order
+                rows = np.stack((rows, values[(pair >= split) & (pair < span.stop)]),
+                                axis=-1).view(complex)[..., 0]
+            form_lanes = lane[real]
+            starts = np.flatnonzero(np.diff(form_lanes, prepend=-1))
+            self.kept[name] = (rows, monomial[pair[real] - span.start], starts, form_lanes[starts])
 
-        # weights of the squared entries in a squared Frobenius norm
-        self.square_weight = np.full((ne - 1, LANES), 2.0)
-        self.square_weight[:, 5::6] = 1.0                 # the diagonal, d = 0
-        self.square_weight = self.square_weight.ravel()
-        self._check_overflow("mass", self._frobenius2(mass))
-        self.mass = mass.reshape(-1, 6).T                 # (6, n_dof), Fortran order
+        self.mass = self.band("mass", FourierMode(0, 0, 0.0, 0.0))
         if band.cholesky(self.mass) is None:
             raise SolverError("mass matrix is not positive definite")
         self.mass.setflags(write=False)
 
-    def _frobenius2(self, lanes: np.ndarray):
-        """Squared Frobenius norm of each band given by its lanes (..., n_nodes,
-        LANES); inf, with no warning, when a square overflows."""
-        with np.errstate(over="ignore"):
-            return (lanes * lanes).reshape(*lanes.shape[:-2], -1) @ self.square_weight
+    def band(self, name: str, mode: FourierMode) -> np.ndarray:
+        """Form ``name`` of ``mode`` in band storage, Fortran-ordered: the
+        form's kept lanes weighted by the mode's monomials and summed lane by
+        lane.  InputError naming the smallest element and the form's largest
+        coefficient when the band's Frobenius norm overflows.
 
-    def _check_overflow(self, name: str, norm2: float):
-        """InputError naming the smallest element and the form's largest
-        coefficient when the squared Frobenius norm of its matrix is not finite."""
-        if not np.isfinite(norm2):
+        The band is complex when the form's 6x6 matrix of this mode has an
+        imaginary part, as in the mode's table (:func:`~.modereduce.table_at`).
+        """
+        rows, monomial, starts, lanes = self.kept[name]
+        w = xi_monomials(mode)
+        # a complex row's real and imaginary parts are weighted apart, as reals
+        summed = np.add.reduceat(rows.view(float) * w[monomial][:, None], starts).view(rows.dtype)
+        if rows.dtype.kind == "c" and not any(np.any(np.imag(w @ forms[name].reshape(6, 36)))
+                                              for _, _, forms in self.polynomial
+                                              if name in forms):
+            summed = summed.real
+        out = np.zeros((rows.shape[1], LANES), dtype=summed.dtype)
+        out[:, lanes] = summed.T
+        ab = out.reshape(-1, 6).T                         # (6, n_dof), Fortran order
+        if not math.isfinite(band.frobenius(ab)):
             largest, label = max((np.max(np.abs(coefficient)), label)
                                  for label, coefficient, forms in self.polynomial
                                  if name in forms)
             raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
                              f"{self.coeffs.element_h.min():.3e}, largest coefficient "
                              f"{label} = {largest:.3e}")
+        return ab
 
     def at(self, mode: FourierMode) -> ModeMatrices:
-        """The matrices of ``mode``: the kept lanes weighted by the mode's
-        monomials and summed into its bands, one overflow check of all forms,
-        and the Cholesky check of the dissipation matrix.
-
-        A form is complex when its 6x6 matrix of this mode has an imaginary
-        part, as in the mode's table (:func:`~.modereduce.table_at`).
-        """
-        table = table_at(self.polynomial, mode)
-        n_out, n_nodes = len(XI_FORMS) + len(self.skew), self.rows.shape[1]
-        weighted = self.rows * xi_monomials(mode)[self.monomial][:, None]
-        lanes = np.zeros((n_out, n_nodes, LANES))
-        lanes.transpose(0, 2, 1)[self.targets] = np.add.reduceat(weighted, self.starts)
-        out = lanes.reshape(n_out, -1, 6).transpose(0, 2, 1)     # (n_out, 6, n_dof) bands
-        norm2 = self._frobenius2(lanes)
-        bands = {}
-        for i, name in enumerate(XI_FORMS):
-            bands[name] = out[i]
-            if name in self.skew:
-                j = len(XI_FORMS) + self.skew.index(name)
-                norm2[i] += norm2[j]
-                if any(np.any(np.imag(forms[name])) for _, _, forms in table if name in forms):
-                    bands[name] = out[i] + 1j * out[j]
-        if self.skew:       # keep no view of the imaginary parts alive
-            bands = {name: ab.copy(order="F") if ab.base is lanes else ab
-                     for name, ab in bands.items()}
-        if not np.all(np.isfinite(norm2[:len(XI_FORMS)])):
-            for name, value in zip(XI_FORMS, norm2):
-                self._check_overflow(name, value)
-        mm = ModeMatrices(mode=mode, coeffs=self.coeffs, table=table, mass=self.mass, **bands)
+        """The matrices of ``mode``: the shared mass, the verdict forms from
+        :meth:`band`, and the Cholesky check of the dissipation matrix."""
+        mm = ModeMatrices(mode=mode, bands=self, table=table_at(self.polynomial, mode),
+                          mass=self.mass, **{name: self.band(name, mode) for name in VERDICT_FORMS})
         if band.cholesky(mm.dissipation) is None:
             raise SolverError("dissipation matrix is not positive definite")
         return mm
 
 
 def assemble(coeffs, mode: FourierMode) -> ModeMatrices:
-    """Assemble all per-mode matrices on the grid of ``coeffs``.
+    """Assemble the per-mode matrices on the grid of ``coeffs``; the coercivity
+    metric, which no verdict reads, is built on first read.
 
     Piecewise-linear conforming elements per component, with the
     Gauss-Legendre points of ``coeffs`` in every element.  Every form is the

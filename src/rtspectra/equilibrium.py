@@ -140,20 +140,19 @@ class Geometry:
         return self.h_plus - self.h_minus
 
 
-def _clustered_grid(h_from0: float, n: int = TABLE_POINTS, ratio: float = TABLE_RATIO) -> np.ndarray:
-    """Grid on [0, |h|] with spacing growing geometrically away from 0.
+def _clustered_grid(h_from0: float) -> np.ndarray:
+    """Grid of TABLE_POINTS heights on [0, |h|] with spacing growing by
+    TABLE_RATIO away from 0.
 
     The literal ratio**k progression collapses below float spacing for large
     n, so growth stops once the first element would drop under 1e-9 * |h|;
     the remaining elements stay uniform at the floor.
     """
     H = abs(h_from0)
-    floor = 1e-9
+    n, ratio, floor = TABLE_POINTS, TABLE_RATIO, 1e-9
     # choose m = number of geometric steps so that h0 = H*(r-1)/(r^m-1) stays above floor*H
-    m = n - 1
-    if ratio > 1.0:
-        m_max = int(math.floor(math.log1p((ratio - 1.0) / floor) / math.log(ratio)))
-        m = min(n - 1, max(1, m_max))
+    m_max = int(math.floor(math.log1p((ratio - 1.0) / floor) / math.log(ratio)))
+    m = min(n - 1, max(1, m_max))
     sizes = np.full(n - 1, 1.0)
     sizes[:m] = ratio ** np.arange(m)
     sizes[m:] = ratio ** (m - 1)

@@ -10,7 +10,7 @@ from form_oracles import (compressibility_form, dissipation_form, elastic_form,
                           field_directional_form, gradient_form, gravity_form, magnetic_form,
                           mass_form, quadratic)
 from oracles import dense, oracle_integrate, p1_eval, p1_slope, per_mode_matrices
-from rtspectra import assembly, band, modereduce as mr, spectral
+from rtspectra import assembly, band, cli, modereduce as mr, spectral
 from rtspectra.equilibrium import PressureLaw, build_profile
 from rtspectra.errors import InputError
 from rtspectra.params import VISCOELASTIC, PhysicalParams
@@ -249,6 +249,59 @@ def test_polynomial_assembly_matches_per_mode_contraction(field, k, canonical_pr
         assert not any(np.any(got[5 - k, :k]) for k in range(1, 6)), name
     if field == {}:
         assert np.iscomplexobj(mm.magnetic)
+
+
+MIXED_SCAN_INI = """
+[geometry]
+h_minus = -1.0
+h_plus = 1.0
+
+[equilibrium]
+c2_plus = 1.0
+c2_minus = 2.0
+g = 1.0
+rho_plus_interface = 2.0
+
+[mhd]
+m1 = 0.3
+m2 = -0.2
+m3 = 0.7
+
+[numerics]
+n_per_layer = 30
+k_max = 1
+"""
+
+
+def test_metric_built_only_when_read(canonical_profile, mixed_params, geometry, tmp_path,
+                                     monkeypatch):
+    """The coercivity metric, which only coercivity_constant reads, is built
+    on first read: global scans of a mixed and of a vertical field and a CLI
+    scan never ask BandPolynomial.band for it, and two coercivity constants
+    of one mode ask for it once."""
+    asked, real = [], assembly.BandPolynomial.band
+
+    def recording(self, name, mode):
+        asked.append(name)
+        return real(self, name, mode)
+
+    monkeypatch.setattr(assembly.BandPolynomial, "band", recording)
+    mesh = assembly.build_mesh(geometry, n_per_layer=30)
+    # M3 above the canonical profile's vertical threshold 2.27: every mode is stable
+    vertical = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 2.4))
+    for params in (mixed_params, vertical):
+        spectral.global_scan(mr.FormCoefficients(canonical_profile, params, mesh.nodes), k_max=1)
+    config = tmp_path / "mixed.ini"
+    config.write_text(MIXED_SCAN_INI)
+    assert cli.run(str(config), "scan", out=str(tmp_path / "scan.csv")) == 0
+    assert "magnetic" in asked and "coercivity_metric" not in asked
+
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, vertical, mesh.nodes),
+                           make_mode(1, 0, geometry))
+    asked.clear()
+    assert spectral.coercivity_constant(mm) == spectral.coercivity_constant(mm) > 0.0
+    assert asked == ["coercivity_metric"]
+    assert mm.coercivity_metric is mm.coercivity_metric
 
 
 def test_scan_builds_its_polynomial_once(canonical_profile, mixed_params, geometry, monkeypatch):

@@ -113,7 +113,6 @@ def test_xi_scale_invariance(mm_vertical):
         mass=3.0 * mm_vertical.mass, gravity=3.0 * mm_vertical.gravity,
         compress=3.0 * mm_vertical.compress, magnetic=3.0 * mm_vertical.magnetic,
         elastic=3.0 * mm_vertical.elastic, dissipation=3.0 * mm_vertical.dissipation,
-        coercivity_metric=3.0 * mm_vertical.coercivity_metric,
     )
     value2, vec2 = spectral.xi_per_mode(scaled)
     assert value2 == pytest.approx(value, rel=1e-12)
