@@ -230,23 +230,22 @@ FORMS = ("mass",) + VERDICT_FORMS + ("coercivity_metric",)
 LANES = 18
 
 
-def _monomial_matrices(polynomial, name):
-    """The monomials that some coefficient of form ``name`` has, and its real
-    6x6 matrices there.
+def _monomial_parts(polynomial, name):
+    """The parts of form ``name`` as real matrices: its real part, then, for a
+    form with a skew part (a complex matrix in :func:`~.modereduce.form_polynomial`),
+    its imaginary part.
 
-    Returns (monomial, T): T[r, c] is coefficient c's matrix at monomial[r],
-    with axes (k, i, l, j): k, l value or derivative, i, j the component.  For
-    a form with a skew part, T holds the real parts at these monomials and
-    then the imaginary parts.  A coefficient that is zero everywhere
-    contributes nothing.
+    Yields (monomial, T) per part: the monomials at which some coefficient's
+    part is nonzero, and T[r, c] that part of coefficient c's matrix at
+    monomial[r], with axes (k, i, l, j): k, l value or derivative, i, j the
+    component.  A coefficient that is zero everywhere contributes nothing.
     """
     stacks = np.array([forms[name] if name in forms and np.any(coefficient)
                        else np.zeros((6, 6, 6)) for _, coefficient, forms in polynomial])
-    monomial = np.flatnonzero(np.any(stacks, axis=(0, 2, 3)))
-    T = stacks[:, monomial].swapaxes(0, 1)
-    if np.iscomplexobj(T):
-        T = np.concatenate([T.real, T.imag])
-    return monomial, T.reshape(len(T), len(polynomial), 2, 3, 2, 3)
+    for part in (stacks.real, stacks.imag) if np.iscomplexobj(stacks) else (stacks,):
+        monomial = np.flatnonzero(np.any(part, axis=(0, 2, 3)))
+        T = part[:, monomial].swapaxes(0, 1)
+        yield monomial, T.reshape(len(T), len(polynomial), 2, 3, 2, 3)
 
 
 class BandPolynomial:
@@ -257,26 +256,25 @@ class BandPolynomial:
     are contracted with the real monomial matrices of
     :func:`~.modereduce.form_polynomial`, one matrix product per pair of
     components and pair of element nodes, whose element blocks land straight
-    in the band lanes they feed.  Each form keeps only its nonzero lanes,
-    grouped by lane and ordered by monomial in a group; the lanes of a form
-    with a skew part are complex, from its real and imaginary products.  No
-    array of the build is much larger than the lanes kept.  :meth:`band`
-    gives one form of one mode.  The mass matrix does not depend on xi: it
-    is built and Cholesky-factored here, once, and shared by every mode.
-    :meth:`at` then gives a mode's matrices.
+    in the band lanes they feed.  ``kept[name]`` holds one real lane group
+    per part of the form (:func:`_monomial_parts`): the real part, then the
+    imaginary part of a form with a skew part.  A group keeps only its
+    nonzero lanes, grouped by lane and ordered by monomial in a lane, as
+    (rows, monomial, starts, lanes): the rows from starts[g] up to the next
+    start sum into lane lanes[g].  No array of the build is much larger than
+    the lanes kept.  :meth:`band` gives one form of one mode.  The mass
+    matrix does not depend on xi: it is built and Cholesky-factored here,
+    once, and shared by every mode.  :meth:`at` then gives a mode's matrices.
     """
 
     def __init__(self, coeffs: FormCoefficients):
         self.coeffs = coeffs
         self.polynomial = form_polynomial(coeffs)
-        monomials, Ts = zip(*(_monomial_matrices(self.polynomial, name) for name in FORMS))
+        names, monomials, Ts = zip(*((name, monomial, T) for name in FORMS
+                                     for monomial, T in _monomial_parts(self.polynomial, name)))
         T = np.concatenate(Ts)
-        ends = np.cumsum([len(t) for t in Ts])
-        spans = [slice(end - len(t), end) for t, end in zip(Ts, ends)]     # each form's pairs
-        # partner[r]: the other part of pair r's monomial in a form with a skew part, else r
-        partner = np.arange(len(T))
-        for monomial, span in zip(monomials, spans):
-            partner[span] = np.roll(partner[span], len(monomial))
+        sizes = [len(t) for t in Ts]
+        ends = np.cumsum(sizes)
         n_pairs, n_c = T.shape[:2]
         ne = coeffs.element_h.size
         # mom[s][(c, k, l), e] for the node pairs s = (0, 0), (1, 1), (0, 1) of element e
@@ -286,7 +284,7 @@ class BandPolynomial:
             mom[:, c] = m[:, :, 0, 0], m[:, :, 1, 1], m[:, :, 0, 1]
         mom = mom.reshape(3, 4 * n_c, ne)
 
-        # the lanes of every pair that is nonzero, or whose partner is, lane by lane
+        # the nonzero lanes of every pair, lane by lane
         blocks, pairs, lane_of = [], [], []
         for i in range(3):
             for j in range(3):
@@ -300,25 +298,18 @@ class BandPolynomial:
                     # one node: the first node of element n plus the second of element n - 1
                     lanes.append((j - i, (Tij @ mom[0])[:, 1:] + (Tij @ mom[1])[:, :-1]))
                 for d, values in lanes:
-                    nonzero = np.any(values, axis=1)
-                    rows = np.flatnonzero(nonzero | nonzero[partner])
+                    rows = np.flatnonzero(np.any(values, axis=1))
                     blocks.append(values[rows])
                     pairs.append(rows)
                     lane_of.append(np.full(rows.size, 6 * j + 5 - d))
         values, pair, lane = (np.concatenate(x) for x in (blocks, pairs, lane_of))
-        # self.kept[name] = (rows, monomial, starts, lanes): the rows from starts[g] up
-        # to the next start sum into lane lanes[g] of the form's band
-        self.kept = {}
-        for name, monomial, span in zip(FORMS, monomials, spans):
-            split = span.start + len(monomial)      # real parts, then imaginary parts
-            real = (pair >= span.start) & (pair < split)
-            rows = values[real]
-            if span.stop > split:                   # a skew part: partners pair up in order
-                rows = np.stack((rows, values[(pair >= split) & (pair < span.stop)]),
-                                axis=-1).view(complex)[..., 0]
-            form_lanes = lane[real]
-            starts = np.flatnonzero(np.diff(form_lanes, prepend=-1))
-            self.kept[name] = (rows, monomial[pair[real] - span.start], starts, form_lanes[starts])
+        self.kept = {name: [] for name in FORMS}
+        for name, monomial, first, end in zip(names, monomials, ends - sizes, ends):
+            mine = (pair >= first) & (pair < end)
+            group_lanes = lane[mine]
+            starts = np.flatnonzero(np.diff(group_lanes, prepend=-1))
+            self.kept[name].append((values[mine], monomial[pair[mine] - first], starts,
+                                    group_lanes[starts]))
 
         self.mass = self.band("mass", FourierMode(0, 0, 0.0, 0.0))
         if band.cholesky(self.mass) is None:
@@ -326,24 +317,23 @@ class BandPolynomial:
         self.mass.setflags(write=False)
 
     def band(self, name: str, mode: FourierMode) -> np.ndarray:
-        """Form ``name`` of ``mode`` in band storage, Fortran-ordered: the
-        form's kept lanes weighted by the mode's monomials and summed lane by
-        lane.  InputError naming the smallest element and the form's largest
+        """Form ``name`` of ``mode`` in band storage, Fortran-ordered: each
+        lane group of the form weighted by the mode's monomials and summed
+        lane by lane, into the band's real part and then its imaginary part.
+        InputError naming the smallest element and the form's largest
         coefficient when the band's Frobenius norm overflows.
 
-        The band is complex when the form's 6x6 matrix of this mode has an
-        imaginary part, as in the mode's table (:func:`~.modereduce.table_at`).
+        The band is complex exactly when the form's imaginary group sums to
+        a nonzero entry at this mode.
         """
-        rows, monomial, starts, lanes = self.kept[name]
         w = xi_monomials(mode)
-        # a complex row's real and imaginary parts are weighted apart, as reals
-        summed = np.add.reduceat(rows.view(float) * w[monomial][:, None], starts).view(rows.dtype)
-        if rows.dtype.kind == "c" and not any(np.any(np.imag(w @ forms[name].reshape(6, 36)))
-                                              for _, _, forms in self.polynomial
-                                              if name in forms):
-            summed = summed.real
-        out = np.zeros((rows.shape[1], LANES), dtype=summed.dtype)
-        out[:, lanes] = summed.T
+        parts = [(np.add.reduceat(rows * w[monomial][:, None], starts), lanes)
+                 for rows, monomial, starts, lanes in self.kept[name]]
+        if len(parts) > 1 and not np.any(parts[1][0]):
+            parts.pop()                                   # the skew part cancels at this mode
+        out = np.zeros((parts[0][0].shape[1], LANES), dtype=complex if len(parts) > 1 else float)
+        for target, (summed, lanes) in zip((out.real, out.imag), parts):
+            target[:, lanes] = summed.T
         ab = out.reshape(-1, 6).T                         # (6, n_dof), Fortran order
         if not math.isfinite(band.frobenius(ab)):
             largest, label = max((np.max(np.abs(coefficient)), label)

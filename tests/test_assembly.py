@@ -229,15 +229,23 @@ def test_mesh_convergence_trend(canonical_profile, baseline_params, geometry):
     assert e2 < 0.5 * e1  # at least first-order decay of increments
 
 
-@pytest.mark.parametrize("k", [(0, 0), (1, 0), (2, -1), (4, 4)])
-@pytest.mark.parametrize("field", [{"M": (0.0, 0.0, 1.5)}, {}, {"medium": VISCOELASTIC}],
-                         ids=["vertical", "mixed", "viscoelastic"])
+# M.xi = 0 exactly on mode (1, -2) of the unit period: the metric's skew part
+# cancels there, while the magnetic form's does not
+PERPENDICULAR = {"M": (0.5, 0.25, 0.7)}
+
+
+@pytest.mark.parametrize("k", [(0, 0), (1, 0), (2, -1), (4, 4), (1, -2)])
+@pytest.mark.parametrize("field", [{"M": (0.0, 0.0, 1.5)}, {}, {"medium": VISCOELASTIC},
+                                   PERPENDICULAR],
+                         ids=["vertical", "mixed", "viscoelastic", "perpendicular"])
 def test_polynomial_assembly_matches_per_mode_contraction(field, k, canonical_profile,
                                                           mixed_params, mesh60, geometry):
     """Every band of the xi-polynomial assembly equals the per-mode contraction
     of the mode's own table within 1e-14 of its largest entry, with its dtype:
     complex exactly where that mode's table has an imaginary part.  Band
-    entries that point above the matrix stay zero."""
+    entries that point above the matrix stay zero.  With M.xi = 0 the
+    metric's imaginary lanes sum to exact zeros, so its band is real while
+    the magnetic band stays complex."""
     params = dataclasses.replace(mixed_params, **field)
     co = mr.FormCoefficients(canonical_profile, params, mesh60.nodes)
     mode = make_mode(*k, geometry)
@@ -249,6 +257,21 @@ def test_polynomial_assembly_matches_per_mode_contraction(field, k, canonical_pr
         assert not any(np.any(got[5 - k, :k]) for k in range(1, 6)), name
     if field == {}:
         assert np.iscomplexobj(mm.magnetic)
+    if field == PERPENDICULAR and k == (1, -2):
+        assert np.iscomplexobj(mm.magnetic) and not np.iscomplexobj(mm.coercivity_metric)
+
+
+def test_kept_lanes_real_and_nonzero(coeffs60):
+    """A mixed field's kept lanes are real rows, none all zero: a form with a
+    skew part keeps its imaginary part as a second lane group, after the
+    real part's, and every other form keeps one group."""
+    forms = assembly.BandPolynomial(coeffs60)
+    for name, groups in forms.kept.items():
+        for rows, *_ in groups:
+            assert rows.dtype == np.float64, name
+            assert np.all(np.any(rows, axis=1)), name
+        skew = name in ("magnetic", "coercivity_metric")
+        assert len(groups) == (2 if skew else 1), name
 
 
 MIXED_SCAN_INI = """
