@@ -117,9 +117,10 @@ class ModeMatrices:
 
     mass/gravity/compress/magnetic/elastic/dissipation carry the per-mode
     quadratic forms that the verdicts read.  Each is an array of shape
-    (6, n_dof) in the layout of band.py; band.to_csr gives the matrix.
-    Matrices are real symmetric except when the base field mixes vertical
-    and in-plane components, which adds an imaginary skew part.  ``bands``
+    (6, n_dof) in the layout of band.py: entry (j - k, j) of the matrix
+    sits at [5 - k, j].  Matrices are real symmetric except when the base
+    field mixes vertical and in-plane components, which adds an imaginary
+    skew part.  ``bands``
     is the :class:`BandPolynomial` they come from, and the grid is
     ``coeffs.grid``.  :attr:`coercivity_metric` carries
     |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate pencil;

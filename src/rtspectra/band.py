@@ -15,6 +15,14 @@ by file, so that ``scipy/linalg/__init__.py`` never runs: it would load
 scipy's array-API layer, ``numpy.f2py``, ``numpy.testing`` and the rest of
 ``scipy.linalg``, about 16 MB and 0.2 s per process.  They are the objects
 ``scipy.linalg.get_lapack_funcs`` and ``get_blas_funcs`` return.
+
+``block_csr`` stacks bands into one matrix in CSR arrays, the arrays
+``scipy.sparse.bmat(..., format="csr")`` gives, and ``csr_product``
+multiplies by it through ``csr_matvec`` of scipy's compiled module
+``scipy/sparse/_sparsetools``, the kernel behind ``csr_matrix @ x``.  That
+module too is loaded by file, on the first product, so that no process
+runs ``scipy/sparse/__init__.py``: it would load the same array-API layer
+and test modules, about 18 MB.
 """
 
 from __future__ import annotations
@@ -24,22 +32,22 @@ import importlib.util
 import math
 import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 
-def _compiled(name: str):
-    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file.
+def _compiled(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its file.
 
     It is registered under its dotted name, and an entry already there is
-    reused, so a later ``import scipy.linalg`` shares the module object.
+    reused, so a later ``import scipy.<package>`` shares the module object.
     """
-    dotted = f"scipy.linalg.{name}"
+    dotted = f"scipy.{package}.{name}"
     if dotted in sys.modules:
         return sys.modules[dotted]
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    directory = os.path.join(os.path.dirname(scipy.__file__), package)
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     for path in (os.path.join(directory, name + suffix) for suffix in suffixes):
         if os.path.isfile(path):
@@ -47,8 +55,8 @@ def _compiled(name: str):
     else:
         raise ImportError(
             f"no file {os.path.join(directory, name)}{{{','.join(suffixes)}}}: rtspectra.band "
-            "loads scipy's compiled LAPACK and BLAS wrappers scipy/linalg/_flapack and _fblas "
-            "by file")
+            "loads scipy's compiled modules scipy/linalg/_flapack, scipy/linalg/_fblas and "
+            "scipy/sparse/_sparsetools by file")
     spec = importlib.util.spec_from_file_location(dotted, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -56,7 +64,7 @@ def _compiled(name: str):
     return module
 
 
-_FLAPACK, _FBLAS = _compiled("_flapack"), _compiled("_fblas")
+_FLAPACK, _FBLAS = _compiled("linalg", "_flapack"), _compiled("linalg", "_fblas")
 
 
 def routine(name: str, dtype: np.dtype):
@@ -123,14 +131,75 @@ def frobenius(ab: np.ndarray) -> float:
     return math.sqrt(2.0 * total - diagonal2)
 
 
-def to_csr(ab: np.ndarray):
-    """X as a CSR matrix without stored zeros."""
-    # only evolve builds CSR matrices; importing scipy.sparse here keeps it
-    # out of every other command's process
-    from scipy.sparse import diags
+class CSR(NamedTuple):
+    """A matrix of ``shape`` in compressed sparse row arrays: row i holds the
+    entries data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], ascending, none of them zero."""
+    shape: Tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _csr_rows(ab: np.ndarray):
+    """X row by row: the columns and values of its nonzero entries, in
+    row-major order, and the count of each row."""
     p, n = ab.shape[0] - 1, ab.shape[1]
-    upper = [ab[p - k, k:] for k in range(1, p + 1)]
-    X = diags([u.conj() for u in upper[::-1]] + [ab[p].real.astype(ab.dtype)] + upper,
-              range(-p, p + 1), shape=(n, n), format="csr", dtype=ab.dtype)
-    X.eliminate_zeros()
-    return X
+    table = np.zeros((n, 2 * p + 1), dtype=ab.dtype)     # table[i, p + k] = X[i, i + k]
+    table[:, p] = ab[p].real
+    for k in range(1, p + 1):
+        table[:n - k, p + k] = ab[p - k, k:]
+        table[k:, p - k] = ab[p - k, k:].conj()
+    keep = table != 0
+    columns = np.arange(n)[:, None] + np.arange(-p, p + 1)
+    return columns[keep], table[keep], keep.sum(axis=1)
+
+
+def block_csr(blocks: Sequence[Tuple[float, np.ndarray, int]], n_block_columns: int) -> CSR:
+    """The matrix whose i-th block row holds scale * X in block column ``column``
+    and zeros elsewhere, for the i-th (scale, ab, column) of ``blocks``; all
+    bands are of one order n.
+
+    The arrays are those of ``scipy.sparse.bmat(..., format="csr")`` over
+    ``scale * X`` in CSR form without stored zeros: a scale other than 1
+    multiplies in the band's own dtype, before the cast to the common one,
+    and the indices are int32 unless the matrix needs int64, as scipy picks
+    them.
+    """
+    n = blocks[0][1].shape[1]
+    columns, values, counts = [], [], []
+    for scale, ab, column in blocks:
+        c, v, k = _csr_rows(ab)
+        columns.append(c + column * n)
+        values.append(v if scale == 1.0 else v * scale)
+        counts.append(k)
+    data = np.concatenate(values)
+    shape = (len(blocks) * n, n_block_columns * n)
+    index = np.int32 if max(data.size, *shape) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return CSR(shape, indptr, np.concatenate(columns).astype(index), data)
+
+
+def csr_product(B: CSR):
+    """The product y = B @ x, written into y, of scipy's compiled kernel
+    ``csr_matvec``: the kernel and summation order of ``csr_matrix @ x``, so
+    the same bits.  x and y are arrays of B's dtype.
+
+    The kernel adds into y, so the product zeroes y first.  It indexes x and
+    y without bounds checks, so their lengths are checked here.  It is
+    loaded by file from ``scipy/sparse/_sparsetools`` on the first call of
+    this function, so that only a process that builds a product loads it.
+    """
+    kernel = _compiled("sparse", "_sparsetools").csr_matvec
+    (n_row, n_col), indptr, indices, data = B
+
+    def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if x.shape != (n_col,) or y.shape != (n_row,):
+            raise ValueError(f"a {n_row}x{n_col} product needs x of shape ({n_col},) and "
+                             f"y of shape ({n_row},), got {x.shape} and {y.shape}")
+        y.fill(0)
+        kernel(n_row, n_col, indptr, indices, data, x, y)
+        return y
+
+    return product

@@ -28,7 +28,10 @@ last solve.  One CSR product with the block matrix
 gives 2 Mass u, A eta, Mass eta and Diss s: the new state's norms and
 energy, the dissipation of the step that led to it, and the next
 right-hand side.  A step is then that product, one pbtrs solve in place
-and a few in-place vector operations.
+and a few in-place vector operations.  B is built straight from the
+bands (``band.block_csr``), and the product is scipy's compiled CSR
+kernel writing into one buffer (``band.csr_product``): the bits of
+``csr_matrix @ x``, with no ``scipy.sparse`` import.
 """
 
 from __future__ import annotations
@@ -100,18 +103,17 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
     solve = band.routine("pbtrs", factor.dtype)
-    # scipy.sparse is imported on evolve's path only, so that no scan process loads it
-    from scipy.sparse import bmat
 
     # B x = [2 M u; A eta; M eta; D s] for the state x = [u; eta; s]
-    M_s = band.to_csr(M)
-    B = bmat([[2.0 * M_s, None, None], [None, band.to_csr(A), None], [None, M_s, None],
-              [None, None, band.to_csr(D)]], format="csr")
+    B = band.block_csr([(2.0, M, 0), (1.0, A, 1), (1.0, M, 1), (1.0, D, 2)], 3)
+    product = band.csr_product(B)
 
-    x = np.zeros(3 * n, dtype=np.result_type(A, M, D))
+    x = np.zeros(3 * n, dtype=B.data.dtype)
     u, eta, s = x[:n], x[n:2 * n], x[2 * n:]
     u[:], eta[:] = u0, eta0
     half_dt_s = np.empty_like(s)
+    Bx = np.empty(4 * n, dtype=x.dtype)
+    two_Mu, A_eta, M_eta, D_s = Bx.reshape(4, n)
 
     times = dt * np.arange(n_steps + 1)
     eta_norm = np.empty(n_steps + 1)
@@ -125,7 +127,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
     # Scaling by 2, 1/2 or 1/4 rounds nothing, so 0.5 * u*(2 M u), (dt/2) s and
     # s* D s / 4 equal u* M u, dt u_mid and u_mid* D u_mid to the bit.  Each
     # step's energy comes from the new state's own products, never from a recurrence.
-    two_Mu, A_eta, M_eta, _ = (B @ x).reshape(4, n)
+    product(x, Bx)
     uMu, etaMeta, etaAeta = 0.5 * quad(u, two_Mu), quad(eta, M_eta), quad(eta, A_eta)
     eta_norm[0], u_norm[0] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
     energy[0] = 0.5 * (uMu - etaAeta)
@@ -137,7 +139,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
         np.multiply(s, 0.5 * dt, out=half_dt_s)
         np.add(eta, half_dt_s, out=eta)
         np.subtract(s, u, out=u)
-        two_Mu, A_eta, M_eta, D_s = (B @ x).reshape(4, n)
+        product(x, Bx)
         uMu, etaMeta, etaAeta = 0.5 * quad(u, two_Mu), quad(eta, M_eta), quad(eta, A_eta)
         eta_norm[k], u_norm[k] = math.sqrt(max(etaMeta, 0.0)), math.sqrt(max(uMu, 0.0))
         if u_norm[k] > NORM_OVERFLOW or eta_norm[k] > NORM_OVERFLOW:

@@ -4,8 +4,9 @@ Everything here avoids the library's form/assembly machinery: piecewise
 linear evaluation, per-element Gauss panels, and the 1D frequency
 functional are re-coded directly from their definitions.  The hydrostatic
 layers are integrated numerically (DOP853), independent of the closed
-forms the library evaluates.  ``dense`` only views a band matrix as a
-dense array, through the library's own CSR view.
+forms the library evaluates.  ``to_csr`` views a band matrix as a CSR
+matrix through ``scipy.sparse.diags``, independent of the library's own
+CSR build (``band.block_csr``), and ``dense`` as a dense array.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
+from scipy.sparse import diags
 
 from rtspectra import band
 from rtspectra.equilibrium import VACUUM_FLOOR
@@ -31,9 +33,20 @@ def oracle_integrate(grid, integrand):
     return float(np.sum(np.outer(h, w / 2.0) * integrand(y)))
 
 
+def to_csr(ab):
+    """The Hermitian band matrix ab (LAPACK upper storage) as a CSR matrix
+    without stored zeros."""
+    p, n = ab.shape[0] - 1, ab.shape[1]
+    upper = [ab[p - k, k:] for k in range(1, p + 1)]
+    X = diags([u.conj() for u in upper[::-1]] + [ab[p].real.astype(ab.dtype)] + upper,
+              range(-p, p + 1), shape=(n, n), format="csr", dtype=ab.dtype)
+    X.eliminate_zeros()
+    return X
+
+
 def dense(ab):
     """The Hermitian band matrix ab (LAPACK upper storage) as a dense array."""
-    return band.to_csr(ab).toarray()
+    return to_csr(ab).toarray()
 
 
 def _outer_gram(*rows):
@@ -204,7 +217,7 @@ def reference_integrate_linearized(matrices, eta0, u0, dt, T):
             "at a rate Lambda with dt*Lambda >= 2, where the scheme flips its sign every step; "
             "take dt < 2/Lambda")
     solve = sla.get_lapack_funcs("pbtrs", (factor,))
-    A_s, M_s, D_s = band.to_csr(A), band.to_csr(M), band.to_csr(D)
+    A_s, M_s, D_s = to_csr(A), to_csr(M), to_csr(D)
 
     eta = np.array(eta0, dtype=complex if np.iscomplexobj(A) else float)
     u = np.array(u0, dtype=eta.dtype)

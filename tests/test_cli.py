@@ -512,11 +512,11 @@ def test_singular_denominator_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse", "scipy.linalg"])
 def test_import_leaves_out(module):
     """Every command imports the CLI; the closed-form layers need no ODE solver,
-    only evolve builds sparse matrices, and band.py loads scipy's compiled
-    LAPACK and BLAS modules without running scipy/linalg/__init__.py.  The
-    import adds none of these modules to what scipy.linalg loads itself
-    (nothing, in current scipy releases), or, for scipy.linalg, to what the
-    bare scipy package loads."""
+    and band.py loads scipy's compiled LAPACK, BLAS and sparse-product modules
+    by file, without running scipy/linalg/__init__.py or
+    scipy/sparse/__init__.py.  The import adds none of these modules to what
+    scipy.linalg loads itself (nothing, in current scipy releases), or, for
+    scipy.linalg, to what the bare scipy package loads."""
     first = "scipy" if module == "scipy.linalg" else "scipy.linalg"
     code = (f"import sys, {first}; before = {module!r} in sys.modules; "
             f"import rtspectra.cli; print(before, {module!r} in sys.modules)")
@@ -524,32 +524,18 @@ def test_import_leaves_out(module):
     assert by_cli == by_first
 
 
-def test_only_evolve_loads_scipy_sparse(tmp_path):
-    """The scan-side commands run without scipy.sparse and scipy's array-API
-    layer; evolve then loads scipy.sparse.  No command loads scipy.linalg.
-
-    Where the scipy package itself imports scipy.sparse, the first check
-    compares against that: the commands add nothing to it.  Where scipy.sparse
-    imports scipy.linalg, the last check compares against a bare
-    ``import scipy.sparse``.
-    """
+def test_no_command_loads_scipy_sparse_or_linalg(tmp_path):
+    """No command, evolve included, adds scipy.sparse, scipy.linalg or scipy's
+    array-API layer to what a bare ``import scipy`` loads."""
     cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
     code = f"""
 import sys, scipy
-loaded = ['scipy.sparse' in sys.modules]
+modules = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api')
+by_scipy = [m for m in modules if m in sys.modules]
 from rtspectra import cli
-for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium"):
+for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium", "evolve"):
     assert cli.run({str(cfgp)!r}, command, out={str(tmp_path / "out")!r} + command) == 0
-loaded += [m in sys.modules for m in ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api')]
-assert cli.run({str(cfgp)!r}, "evolve", out={str(tmp_path / "traj.csv")!r}) == 0
-loaded += [m in sys.modules for m in ('scipy.sparse', 'scipy.linalg')]
-print(*loaded)
+print([m for m in modules if m in sys.modules and m not in by_scipy])
 """
-    (by_scipy, sparse_scan_side, linalg_scan_side, array_api_scan_side,
-     sparse_evolve, linalg_evolve) = run_python(code).splitlines()[-1].split()
-    assert sparse_scan_side == by_scipy
-    assert linalg_scan_side == "False" and array_api_scan_side == "False"
-    assert sparse_evolve == "True"
-    by_sparse = run_python("import sys, scipy.sparse; print('scipy.linalg' in sys.modules)")
-    assert linalg_evolve == by_sparse
+    assert run_python(code).splitlines()[-1] == "[]"
