@@ -14,7 +14,10 @@ scipy's compiled modules ``scipy/linalg/_flapack`` and ``_fblas``, loaded
 by file, so that ``scipy/linalg/__init__.py`` never runs: it would load
 scipy's array-API layer, ``numpy.f2py``, ``numpy.testing`` and the rest of
 ``scipy.linalg``, about 16 MB and 0.2 s per process.  They are the objects
-``scipy.linalg.get_lapack_funcs`` and ``get_blas_funcs`` return.
+``scipy.linalg.get_lapack_funcs`` and ``get_blas_funcs`` return.  scipy's
+directory comes from ``importlib.util.find_spec("scipy")``, so that
+``scipy/__init__.py`` does not run either: it loads ``scipy._lib``'s test
+utilities, ``subprocess`` and ``_pep440``, about 0.6 MB and 15 ms.
 
 ``block_csr`` stacks bands into one matrix in CSR arrays, the arrays
 ``scipy.sparse.bmat(..., format="csr")`` gives, and ``csr_product``
@@ -35,7 +38,6 @@ import sys
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 
 def _compiled(package: str, name: str):
@@ -47,7 +49,10 @@ def _compiled(package: str, name: str):
     dotted = f"scipy.{package}.{name}"
     if dotted in sys.modules:
         return sys.modules[dotted]
-    directory = os.path.join(os.path.dirname(scipy.__file__), package)
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(scipy.submodule_search_locations[0], package)
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     for path in (os.path.join(directory, name + suffix) for suffix in suffixes):
         if os.path.isfile(path):

@@ -21,7 +21,8 @@ s^2 is strictly decreasing and the quadratic pencil factors exactly above
 Lambda.  One alpha(Lambda), warm-started from the bracket's last iterate,
 gives the eigenvector and the fixed-point residual.  The discriminant's
 singular cases are settled before the solve (xi_per_mode), so no dense
-matrix is built.
+matrix is built.  The seeded vector is splitmix64 of a counter, computed
+in uint64 arithmetic (_start_vector), so that no solve loads numpy.random.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ TOP_BRANCH_MARGIN = 1e-6
 # shifts f, 4f, 16f, ..., 4**40*f (f >= 1; about 1e24*f) are tried above a spectrum,
 # or offsets delta, 4*delta, ... above a guess
 SHIFT_TRIES = 41
-# seeds the start vector of inverse iteration
+# seeds the start vector of inverse iteration (_start_vector)
 START_SEED = 20240811
 # a cold start from a given vector adds the seeded one at this share of its M-norm
 SEEDED_SHARE = 0.1
@@ -82,6 +83,22 @@ class StabilityVerdict:
 def _m_unit(mb: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v scaled to v* M v = 1."""
     return v / math.sqrt(float(np.real(np.vdot(v, band.matvec(mb, v)))))
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The seeded vector of a cold start: entry i < n is splitmix64 (Steele,
+    Lea & Flood 2014) at the state START_SEED + i*0x9E3779B97F4A7C15, its
+    golden-ratio increment, with the top 53 bits mapped to [-1, 1).
+
+    A stateless counter-based sequence in uint64 arithmetic (wrapping, as
+    in C): no generator object and no ``numpy.random``, whose import loads
+    ``secrets``, ``hmac`` and libcrypto, and every call gives the same bits.
+    """
+    z = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(START_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
 def _functional(a: float, d: float, m: float) -> float:
@@ -131,14 +148,16 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
 
     Cold (no ``guess``), sigma = f, 4f, 16f, ... with f = max(1, 4*lo)
     (1, 4, 16, ... with no lower bound), and inverse iteration starts from
-    a seeded vector, so a repeated call returns the same bits; ``guess =
-    (None, vector)`` keeps those shifts and starts from ``vector`` plus the
-    seeded vector at SEEDED_SHARE of its M-norm, so that a vector with no
-    component along the top eigenvector (one in a block of the pencil that
-    does not hold it) still has one.  With ``guess = (value, vector)``, a
-    value at or near the top, sigma = value + delta with delta =
-    WARM_OFFSET * max(1, |value|), the offset grows 4x per shift that does
-    not factor, and inverse iteration starts from the guessed vector.
+    the seeded vector _start_vector(n), a stateless function of n, so a
+    repeated call, in this process or another, returns the same bits;
+    ``guess = (None, vector)`` keeps those shifts and starts from
+    ``vector`` plus the seeded vector at SEEDED_SHARE of its M-norm, so
+    that a vector with no component along the top eigenvector (one in a
+    block of the pencil that does not hold it) still has one.  With
+    ``guess = (value, vector)``, a value at or near the top, sigma = value
+    + delta with delta = WARM_OFFSET * max(1, |value|), the offset grows
+    4x per shift that does not factor, and inverse iteration starts from
+    the guessed vector.
 
     Inverse iteration v <- P(sigma)^-1 M v, P the pencil at the closing
     shift, then closes a bracket [lo, sigma] of the top.  Each value rho
@@ -156,7 +175,7 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
     base, v = (None, None) if guess is None else guess
     if base is None:
         base, offset = 0.0, max(1.0, 4.0 * lo)
-        seeded = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, hb.shape[1])
+        seeded = _start_vector(hb.shape[1])
         v = seeded if v is None else _m_unit(mb, v) + SEEDED_SHARE * _m_unit(mb, seeded)
     else:
         offset = WARM_OFFSET * max(1.0, abs(base))

@@ -539,3 +539,23 @@ for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium", 
 print([m for m in modules if m in sys.modules and m not in by_scipy])
 """
     assert run_python(code).splitlines()[-1] == "[]"
+
+
+def test_only_evolve_loads_numpy_random(tmp_path):
+    """Only evolve draws random initial data.  No other command adds
+    numpy.random, or the secrets and _hashlib modules its bit generators
+    load, to what a bare ``import numpy`` loads (numpy 1.24 loads
+    numpy.random itself), and ``import rtspectra.cli`` does not run
+    scipy/__init__.py."""
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
+    code = f"""
+import sys, numpy
+modules = ('numpy.random', 'secrets', '_hashlib')
+by_numpy = [m for m in modules if m in sys.modules]
+from rtspectra import cli
+scipy_by_cli = 'scipy' in sys.modules
+for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium"):
+    assert cli.run({str(cfgp)!r}, command, out={str(tmp_path / "out")!r} + command) == 0
+print(scipy_by_cli, [m for m in modules if m in sys.modules and m not in by_numpy])
+"""
+    assert run_python(code).splitlines()[-1] == "False []"

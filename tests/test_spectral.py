@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import make_mode
+from conftest import make_mode, run_python
 from oracles import dense
 from rtspectra import assembly, band, criteria, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
@@ -217,6 +217,39 @@ def test_top_pair_start_outside_the_top_block(rng):
     top, v = spectral._top_pair(hb, mb, (None, np.concatenate([first, np.zeros(20)])))
     assert top == pytest.approx(sla.eigh(H, M, eigvals_only=True)[-1], rel=1e-12)
     assert np.linalg.norm(H @ v - top * (M @ v)) <= 1e-10 * np.linalg.norm(H)
+
+
+def _splitmix64(state):
+    """splitmix64's output at ``state``, in Python integers reduced mod 2**64."""
+    mask = 2 ** 64 - 1
+    z = state & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_start_vector():
+    """The cold start vector: its first entries have pinned bits, each entry
+    is splitmix64 at the state START_SEED + i*gamma with its top 53 bits
+    mapped to [-1, 1) (recomputed in Python integers), its mean is near 0,
+    a shorter vector is a prefix of a longer one, and a second call and a
+    call in a fresh process give identical bits."""
+    n = 4096
+    v = spectral._start_vector(n)
+    assert v.dtype == np.float64 and v.shape == (n,)
+    assert [x.hex() for x in v[:4]] == ["-0x1.0e175d3212d84p-1", "0x1.f108f6302ec60p-3",
+                                        "0x1.4ddd22ea671d8p-1", "-0x1.9b81ce622ef82p-1"]
+    reference = [(_splitmix64(spectral.START_SEED + i * 0x9E3779B97F4A7C15) >> 11) * 2.0 ** -52
+                 - 1.0 for i in range(256)]
+    assert v[:256].tolist() == reference
+    assert v.min() >= -1.0 and v.max() < 1.0
+    # a uniform entry on [-1, 1) has standard deviation 1/sqrt(3): four standard errors
+    assert abs(v.mean()) <= 4.0 / math.sqrt(3.0 * n)
+    assert np.array_equal(spectral._start_vector(100), v[:100])
+    assert spectral._start_vector(n).tobytes() == v.tobytes()
+    fresh = run_python("from rtspectra import spectral; "
+                       f"print(spectral._start_vector({n}).tobytes().hex())")
+    assert fresh == v.tobytes().hex()
 
 
 def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
