@@ -376,6 +376,7 @@ def cmd_thresholds(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
+    evolution.check_seed(cfg.seed)
     if cfg.dt is not None and cfg.T is not None:
         evolution.check_horizon(cfg.dt, cfg.T)     # before the solves; else once Lambda is known
     mm = _single_mode(cfg)

@@ -157,6 +157,14 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
                                      "quadrature_points": int(coeffs.qp_y.size)})
 
 
+def _bump_panels(geometry: Geometry):
+    """(weights, psi0, psi0') at the Gauss points of one panel per layer."""
+    x, w = _leggauss(WITNESS_QUADRATURE_ORDER)
+    for a, b in ((geometry.h_minus, 0.0), (0.0, geometry.h_plus)):
+        y = 0.5 * (b - a) * x + 0.5 * (a + b)
+        yield (0.5 * (b - a) * w, *_bump(y, geometry))
+
+
 def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
                            mode: FourierMode) -> float:
     """g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2).
@@ -165,13 +173,8 @@ def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
     independent of the form/assembly machinery.
     """
     geo = profile.geometry
-    x, w = _leggauss(WITNESS_QUADRATURE_ORDER)
-    total = 0.0
-    for a, b in ((geo.h_minus, 0.0), (0.0, geo.h_plus)):
-        y = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wy = 0.5 * (b - a) * w
-        psi0, dpsi0 = _bump(y, geo)
-        total += np.sum(wy * (psi0 ** 2 + dpsi0 ** 2 / mode.norm2))
+    total = sum(np.sum(wy * (psi0 ** 2 + dpsi0 ** 2 / mode.norm2))
+                for wy, psi0, dpsi0 in _bump_panels(geo))
     psi0_at_0 = float(_bump(np.array([0.0]), geo)[0][0])
     return (profile.g * profile.density_jump * psi0_at_0 ** 2
             - params.lam * mode.xi1 ** 2 * params.M[0] ** 2 * total)
@@ -179,27 +182,38 @@ def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
 
 def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalParams,
                                 k1: int = 1, k2: int = 1) -> float:
-    """Bisect the closed-form witness value in L1 over [1e-3, 1e6] to a relative
-    1e-10: positive for L1 above the root."""
+    """The period L1 in [1e-3, 1e6] above which the closed-form witness value
+    is positive: 1e-3 when it already is there, InputError when it is not
+    at 1e6.
+
+    With x = (k1/L1)^2, c = (k2/L2)^2, I0 = int(psi0^2), I1 = int(psi0'^2)
+    and G = g*[[rho]]*psi0(0)^2, the value times x + c is the quadratic
+    -a*x^2 + b*x + G*c with a = lam*M1^2*I0 and b = G - lam*M1^2*(I0*c + I1);
+    L1 = k1/sqrt(x) at its positive root, taken in the form that does not
+    cancel.
+    """
     geo = profile.geometry
 
     def value(L1: float) -> float:
         mode = FourierMode(k1=k1, k2=k2, xi1=k1 / L1, xi2=k2 / geo.L2)
         return closed_form_horizontal(profile, params, mode)
 
-    lo, hi = 1e-3, 1e6
-    f_lo, f_hi = value(lo), value(hi)
-    if f_lo > 0.0:
-        return lo
-    if f_hi <= 0.0:
+    if value(1e-3) > 0.0:
+        return 1e-3
+    if value(1e6) <= 0.0:
         raise InputError("closed form never positive on the bracket")
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if value(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    I0 = I1 = 0.0
+    for wy, psi0, dpsi0 in _bump_panels(geo):
+        I0 += float(np.sum(wy * psi0 ** 2))
+        I1 += float(np.sum(wy * dpsi0 ** 2))
+    psi0_at_0 = float(_bump(np.array([0.0]), geo)[0][0])
+    G = profile.g * profile.density_jump * psi0_at_0 ** 2
+    tension = params.lam * params.M[0] ** 2
+    c = (k2 / geo.L2) ** 2
+    a, b = tension * I0, G - tension * (I0 * c + I1)
+    root = math.sqrt(b * b + 4.0 * a * G * c)
+    x = (b + root) / (2.0 * a) if b > 0.0 else 2.0 * G * c / (root - b)
+    return k1 / math.sqrt(x)
 
 
 def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,

@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import band
+from . import band, spectral
 from .assembly import ModeMatrices
 from .errors import InputError, SolverError, open_artifact
 
@@ -60,21 +60,30 @@ class EvolutionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def check_seed(seed: int) -> None:
+    """InputError unless seed lies in [0, 2**64), the uint64 states."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed must be nonnegative and below 2**64, in [0, 2**64); got {seed}")
+
+
 def random_initial_data(matrices: ModeMatrices, seed: int = 0):
-    """Random nodal (eta0, u0), each normalized to unit mass norm."""
-    if not seed >= 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    """Seeded nodal (eta0, u0), each normalized to unit mass norm.
+
+    The data are uniform draws on [-1, 1) from the splitmix64 stream of
+    ``spectral._start_vector`` at the start state splitmix64(seed): eta0
+    takes draws [0, n), u0 draws [n, 2n) and, for a complex operator,
+    their imaginary parts draws [2n, 3n) and [3n, 4n).  Integer arithmetic
+    and one scale give the same bits on every build and numpy version,
+    with no ``numpy.random`` import.
+    """
+    check_seed(seed)
     n = matrices.n_dof
-    out = []
     complex_state = np.iscomplexobj(matrices.operator)
-    for _ in range(2):
-        v = rng.standard_normal(n)
-        if complex_state:
-            v = v + 1j * rng.standard_normal(n)
-        v = v / math.sqrt(float(np.real(np.vdot(v, band.matvec(matrices.mass, v)))))
-        out.append(v)
-    return out[0], out[1]
+    state = spectral._splitmix64(1, seed)[0]
+    draws = spectral._start_vector((4 if complex_state else 2) * n, state).reshape(-1, n)
+    if complex_state:
+        draws = draws[:2] + 1j * draws[2:]
+    return tuple(spectral._m_unit(matrices.mass, v) for v in draws)
 
 
 def check_horizon(dt: float, T: float) -> None:

@@ -85,20 +85,24 @@ def _m_unit(mb: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(float(np.real(np.vdot(v, band.matvec(mb, v)))))
 
 
-def _start_vector(n: int) -> np.ndarray:
-    """The seeded vector of a cold start: entry i < n is splitmix64 (Steele,
-    Lea & Flood 2014) at the state START_SEED + i*0x9E3779B97F4A7C15, its
-    golden-ratio increment, with the top 53 bits mapped to [-1, 1).
+def _splitmix64(n: int, state: int) -> np.ndarray:
+    """splitmix64's output function (Steele, Lea & Flood 2014) at the states
+    state + i*0x9E3779B97F4A7C15, i < n, its golden-ratio increment.
 
     A stateless counter-based sequence in uint64 arithmetic (wrapping, as
     in C): no generator object and no ``numpy.random``, whose import loads
     ``secrets``, ``hmac`` and libcrypto, and every call gives the same bits.
     """
-    z = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(START_SEED)
+    z = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(state)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
+    return z ^ (z >> np.uint64(31))
+
+
+def _start_vector(n: int, state: int = START_SEED) -> np.ndarray:
+    """The draws _splitmix64(n, state) with their top 53 bits mapped to
+    [-1, 1); at the default state, the seeded vector of a cold start."""
+    return (_splitmix64(n, state) >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
 def _functional(a: float, d: float, m: float) -> float:

@@ -263,3 +263,55 @@ def reference_integrate_linearized(matrices, eta0, u0, dt, T):
         energy_balance_residual=drift / scale,
         diagnostics={"energy": energy},
     )
+
+
+def splitmix64_draws(n, seed):
+    """evolve's n uniform draws for ``seed`` in Python integers: draw i is
+    splitmix64's output at the state splitmix64(seed) + i*0x9E3779B97F4A7C15
+    (mod 2**64) with its top 53 bits mapped to [-1, 1)."""
+    mask = 2 ** 64 - 1
+
+    def mix(z):
+        z &= mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    state = mix(seed)
+    return [(mix(state + i * 0x9E3779B97F4A7C15) >> 11) * 2.0 ** -52 - 1.0 for i in range(n)]
+
+
+def bisected_horizontal_period(profile, lam, M1, k1, k2):
+    """The first period L1 at which the horizontal-field witness value
+    g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2),
+    xi = (k1/L1, k2/L2), turns positive, bisected over [1e-3, 1e6] until
+    the midpoint rounds to an end; 1e-3 when the value is positive there,
+    None when it is not at 1e6.  psi0 = ((h+ - y)(y - h-)/(-h+ h-))^2
+    is re-coded here and integrated by Gauss-12 on each layer, exact for
+    its polynomial integrands."""
+    geo = profile.geometry
+    hp, hm = geo.h_plus, geo.h_minus
+    x, w = GAUSS12
+    I0 = I1 = 0.0
+    for a, b in ((hm, 0.0), (0.0, hp)):
+        y = 0.5 * (b - a) * x + 0.5 * (a + b)
+        base = (hp - y) * (y - hm) / (-hp * hm)
+        slope = 2.0 * base * (hp + hm - 2.0 * y) / (-hp * hm)
+        I0 += float(np.sum(0.5 * (b - a) * w * base ** 4))
+        I1 += float(np.sum(0.5 * (b - a) * w * slope ** 2))
+    xi2 = k2 / geo.L2
+
+    def value(L1):
+        xi1 = k1 / L1
+        return (profile.g * profile.density_jump
+                - lam * xi1 ** 2 * M1 ** 2 * (I0 + I1 / (xi1 ** 2 + xi2 ** 2)))
+
+    lo, hi = 1e-3, 1e6
+    if value(lo) > 0.0:
+        return lo
+    if value(hi) <= 0.0:
+        return None
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if value(mid) > 0.0 else (mid, hi)
+    return hi

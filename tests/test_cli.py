@@ -541,21 +541,37 @@ print([m for m in modules if m in sys.modules and m not in by_scipy])
     assert run_python(code).splitlines()[-1] == "[]"
 
 
-def test_only_evolve_loads_numpy_random(tmp_path):
-    """Only evolve draws random initial data.  No other command adds
-    numpy.random, or the secrets and _hashlib modules its bit generators
-    load, to what a bare ``import numpy`` loads (numpy 1.24 loads
-    numpy.random itself), and ``import rtspectra.cli`` does not run
-    scipy/__init__.py."""
+def test_no_command_loads_numpy_random(tmp_path):
+    """No command, evolve included, adds numpy.random, or the secrets and
+    _hashlib modules its bit generators load, to what a bare ``import
+    numpy`` loads (numpy 1.24 loads numpy.random itself): the solvers'
+    start vector and evolve's initial data are splitmix64 draws in uint64
+    arithmetic.  ``import rtspectra.cli`` does not run scipy/__init__.py."""
     cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
     code = f"""
 import sys, numpy
 modules = ('numpy.random', 'secrets', '_hashlib')
 by_numpy = [m for m in modules if m in sys.modules]
 from rtspectra import cli
 scipy_by_cli = 'scipy' in sys.modules
-for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium"):
+for command in ("scan", "xi", "growth", "witness", "thresholds", "equilibrium", "evolve"):
     assert cli.run({str(cfgp)!r}, command, out={str(tmp_path / "out")!r} + command) == 0
 print(scipy_by_cli, [m for m in modules if m in sys.modules and m not in by_numpy])
 """
     assert run_python(code).splitlines()[-1] == "False []"
+
+
+@pytest.mark.parametrize("seed, status", [(2 ** 64, 2), (2 ** 64 - 1, 0)])
+def test_evolve_seed_range(tmp_path, capsys, seed, status):
+    """A seed is a uint64 state: 2**64 is refused with the range (exit 2, no
+    traceback) before any solve, and 2**64 - 1 runs."""
+    cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
+    cfgp.write_text(cfgp.read_text() + f"\n[evolution]\ndt = 0.05\nt = 1.0\nseed = {seed}\n")
+    assert cli.run(str(cfgp), "evolve", out=str(tmp_path / "traj.csv")) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err == f"error: seed must be nonnegative and below 2**64, in [0, 2**64); got {seed}\n"
+    else:
+        assert err == ""
+        assert json.loads((tmp_path / "traj.csv.rate.json").read_text())["seed"] == seed

@@ -8,6 +8,7 @@ import pytest
 from conftest import make_mode, random_field
 from form_oracles import (ModeField, compressibility_form, gravity_form, poincare_check,
                           trace_check)
+from oracles import bisected_horizontal_period
 from rtspectra import criteria, modereduce as mr
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import InputError, SolverError
@@ -116,6 +117,25 @@ def test_horizontal_period_bisection(canonical_profile):
 
     assert value(1.02 * L1_star) > 0
     assert value(0.98 * L1_star) < 0
+
+
+@pytest.mark.parametrize("M1", [0.0, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("k2", [0, 1])
+def test_horizontal_period_root(canonical_profile, M1, k2):
+    """The closed-form root agrees with a bisection of an independently coded
+    witness value within 1e-10 relative; with no field the value is positive
+    at L1 = 1e-3, which is returned, and with k2 = 0 and M1 >= 1 it is not
+    positive by L1 = 1e6, which raises."""
+    params = PhysicalParams(lam=1.0, M=(M1, 0.0, 0.0))
+    expected = bisected_horizontal_period(canonical_profile, 1.0, M1, 1, k2)
+    assert (expected is None) == (k2 == 0 and M1 >= 1.0)
+    if expected is None:
+        with pytest.raises(InputError, match="never positive"):
+            criteria.horizontal_period_threshold(canonical_profile, params, 1, k2)
+        return
+    L1_star = criteria.horizontal_period_threshold(canonical_profile, params, 1, k2)
+    assert L1_star == pytest.approx(expected, rel=1e-10)
+    assert (L1_star == 1e-3) == (M1 == 0.0)
 
 
 def test_small_field_witness_canonical(canonical_profile):

@@ -1,14 +1,15 @@
 """Linearized time integration: energy balance and rate recovery."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import make_mode
-from oracles import dense, reference_integrate_linearized
+from conftest import make_mode, run_python
+from oracles import dense, reference_integrate_linearized, splitmix64_draws
 from rtspectra import assembly, band, evolution, spectral
 from rtspectra.errors import InputError, SolverError
 from rtspectra.modereduce import FormCoefficients
@@ -181,6 +182,38 @@ def test_initial_data_follows_the_operator(mm_viscoelastic):
     result = evolution.integrate_linearized(mm, eta0, u0, 1e-2, 0.2)
     assert result.eta_norm[0] == pytest.approx(1.0, rel=1e-12)
     assert result.u_norm[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_initial_data_stream(tmp_path, mm_stable, mm_mixed):
+    """evolve's initial data for a seed are uniform splitmix64 draws
+    (recomputed in Python integers, the first four pinned): eta0 takes
+    draws [0, n) and u0 draws [n, 2n); a complex operator's imaginary parts
+    take draws [2n, 3n) and [3n, 4n).  Each vector has unit mass norm, a
+    fresh process gives the same bits, and seeds 0 and 1 differ."""
+    n = mm_mixed.n_dof
+    draws = np.array(splitmix64_draws(4 * n, 3)).reshape(4, n)
+    assert [x.hex() for x in draws[0, :4]] == ["0x1.5fc0c3f0f9d2ep-1", "0x1.42ee19aab8ca0p-1",
+                                               "-0x1.09dfcc785a7e0p-3", "-0x1.9644d8568e330p-3"]
+    M = dense(mm_mixed.mass)
+    complex_data = evolution.random_initial_data(mm_mixed, seed=3)
+    for v, re, im in zip(complex_data, draws[:2], draws[2:]):
+        assert np.array_equal(v, spectral._m_unit(mm_mixed.mass, re + 1j * im))
+        assert np.vdot(v, M @ v).real == pytest.approx(1.0, rel=1e-12)
+    assert not np.allclose(np.abs(complex_data[0].real), np.abs(complex_data[0].imag))
+    assert mm_stable.n_dof == n
+    for v, re in zip(evolution.random_initial_data(mm_stable, seed=3), draws[:2]):
+        assert np.array_equal(v, spectral._m_unit(mm_stable.mass, re))
+        assert np.vdot(v, dense(mm_stable.mass) @ v).real == pytest.approx(1.0, rel=1e-12)
+
+    path = tmp_path / "mm_mixed.pickle"
+    path.write_bytes(pickle.dumps(mm_mixed))
+    fresh = run_python("import pickle; from rtspectra import evolution; "
+                       f"mm = pickle.loads(open({str(path)!r}, 'rb').read()); "
+                       "print(*(v.tobytes().hex() for v in evolution.random_initial_data(mm, 3)))")
+    assert fresh.split() == [v.tobytes().hex() for v in complex_data]
+
+    seed0, seed1 = (evolution.random_initial_data(mm_stable, seed) for seed in (0, 1))
+    assert not np.allclose(seed0[0], seed1[0]) and not np.allclose(seed0[1], seed1[1])
 
 
 def test_trajectory_export(tmp_path, mm_stable):
