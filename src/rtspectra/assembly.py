@@ -18,16 +18,16 @@ Hermitian representations of the original sesquilinear forms under the
 nodal map z = (i*phi, i*theta, psi).
 
 Degrees of freedom are interior nodes only (Dirichlet ends removed),
-ordered node-major: dof(node j, comp c) = 3*(j-1) + c.  Every element
-couples two neighbouring nodes, so each form is banded with half-bandwidth
-5 and is assembled straight into LAPACK upper band storage (see band.py).
+ordered node-major: dof(node j, comp c) = 3*(j-1) + c.  Every element couples
+each pair of its n nodes (2 for P1, from FormCoefficients.shape), so each form
+is banded with half-bandwidth 3n - 1, assembled straight into band storage (band.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -117,12 +117,12 @@ class ModeMatrices:
 
     mass/gravity/compress/magnetic/elastic/dissipation carry the per-mode
     quadratic forms that the verdicts read.  Each is an array of shape
-    (6, n_dof) in the layout of band.py: entry (j - k, j) of the matrix
-    sits at [5 - k, j].  Matrices are real symmetric except when the base
-    field mixes vertical and in-plane components, which adds an imaginary
-    skew part.  ``bands``
-    is the :class:`BandPolynomial` they come from, and the grid is
-    ``coeffs.grid``.  :attr:`coercivity_metric` carries
+    (p + 1, n_dof) in the layout of band.py, with p = 3n - 1 for the n nodes
+    per element of ``coeffs.shape`` (p = 5 for P1): entry (j - k, j) of the
+    matrix sits at [p - k, j].  Matrices are real symmetric except when the
+    base field mixes vertical and in-plane components, which adds an
+    imaginary skew part.  ``bands`` is the :class:`BandPolynomial` they come
+    from, and the grid is ``coeffs.grid``.  :attr:`coercivity_metric` carries
     |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate pencil;
     only :func:`~.spectral.coercivity_constant` reads it, so it is built on
     first read.
@@ -194,41 +194,39 @@ class ModeMatrices:
         return self.gravity - self.compress, self.elastic
 
     def at_quadrature(self, vec: np.ndarray) -> np.ndarray:
-        """f = (pt, tt, st, pt', tt', st') of a dof vector's P1 field at the
-        quadrature points of ``coeffs``, shape (ne, q, 6), the input of
-        :func:`~.modereduce.form_values`."""
-        nodal = np.zeros((self.coeffs.grid.size, 3), dtype=vec.dtype)
+        """f = (pt, tt, st, pt', tt', st') of a dof vector's field at the quadrature
+        points of ``coeffs``, shape (ne, q, 6), the input of :func:`~.modereduce.form_values`:
+        nodal values times the element tables, added node by node (for P1, (v1 - v0)/h)."""
+        c = self.coeffs
+        n, ne = len(c.shape), c.element_h.size
+        nodal = np.zeros(((n - 1) * ne + 1, 3), dtype=vec.dtype)
         nodal[1:-1] = vec.reshape(-1, 3)
-        v0, v1 = nodal[:-1, None, :], nodal[1:, None, :]
-        N = self.coeffs.shape[:, None, :, None]
-        slopes = (v1 - v0) / self.coeffs.element_h[:, None, None]
-        vals = v0 * N[0] + v1 * N[1]
-        return np.concatenate([vals, np.broadcast_to(slopes, vals.shape)], axis=-1)
+        v = nodal[(n - 1) * np.arange(ne) + np.arange(n)[:, None], None]  # node a of element e
+        vals, slopes = (reduce(np.add, v * table[:, None, :, None]) for table in (c.shape, c.slope))
+        return np.concatenate([vals, slopes / c.element_h[:, None, None]], axis=-1)
 
 
 def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
     """Shape-function moments m[e, k, a, l, b] = sum_q w * coefficient * P[k, a] * P[l, b].
 
-    P = [[N0, N1], [-1/h, 1/h]] maps an element's two nodal values of one
-    component to its value (k = 0) and derivative (k = 1) at a quadrature point.
+    P = [shape; slope / h] of the element tables maps an element's nodal values
+    of one component to its value (k = 0) and derivative (k = 1) at a quadrature point.
     """
-    ne, q = coeffs.qp_w.shape
-    P = np.empty((ne, q, 2, 2))
-    P[:, :, 0] = coeffs.shape.T
-    P[:, :, 1] = (np.array([-1.0, 1.0]) / coeffs.element_h[:, None])[:, None, :]
-    P = P.reshape(ne, q, 4)
+    (ne, q), n = coeffs.qp_w.shape, len(coeffs.shape)
+    P = np.empty((ne, q, 2, n))
+    P[:, :, 0], P[:, :, 1] = coeffs.shape.T, coeffs.slope.T / coeffs.element_h[:, None, None]
+    P = P.reshape(ne, q, 2 * n)
     weight = coefficient * coeffs.qp_w
-    return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, 2, 2, 2)
+    return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, n, 2, n)
 
 
 # the forms that at() builds for every mode, in the order their overflow is reported
 VERDICT_FORMS = ("gravity", "compress", "magnetic", "dissipation", "elastic")
 FORMS = ("mass",) + VERDICT_FORMS + ("coercivity_metric",)
-# A band matrix in Fortran order holds, per interior node, 6 entries for each of
-# its 3 components j: entry (row 5 - d, dof 3*node + j) couples dof 3*node + j with
-# the dof d below it.  Lane 6*j + 5 - d is that entry along all nodes, so a node's
-# 18 lanes are contiguous and the band is the (n_nodes, 18) array of its lanes.
-LANES = 18
+# A band matrix of half-bandwidth p in Fortran order holds, per interior node, p + 1 entries
+# for each of its 3 components j: entry (row p - d, dof 3*node + j) couples dof 3*node + j
+# with the dof d below it.  Lane (p + 1)*j + p - d is that entry along all nodes, so a node's
+# 3*(p + 1) lanes are contiguous and the band is the (n_nodes, 3*(p + 1)) array of its lanes.
 
 
 def _monomial_parts(polynomial, name):
@@ -277,32 +275,31 @@ class BandPolynomial:
         sizes = [len(t) for t in Ts]
         ends = np.cumsum(sizes)
         n_pairs, n_c = T.shape[:2]
-        ne = coeffs.element_h.size
-        # mom[s][(c, k, l), e] for the node pairs s = (0, 0), (1, 1), (0, 1) of element e
-        mom = np.empty((3, n_c, 2, 2, ne))
-        for c, (_, coefficient, _) in enumerate(self.polynomial):
-            m = _moments(coeffs, coefficient).transpose(1, 3, 2, 4, 0)   # (k, l, n, n', e)
-            mom[:, c] = m[:, :, 0, 0], m[:, :, 1, 1], m[:, :, 0, 1]
-        mom = mom.reshape(3, 4 * n_c, ne)
+        ne, n = coeffs.element_h.size, len(coeffs.shape)  # elements, nodes per element
+        p = 3 * n - 1                                     # half-bandwidth
+        # mom[a, b][(c, k, l), e] for the node pairs (a, b) of element e
+        mom = np.stack([_moments(coeffs, coefficient).transpose(2, 4, 1, 3, 0)
+                        for _, coefficient, _ in self.polynomial], axis=2).reshape(n, n, -1, ne)
 
         # the nonzero lanes of every pair, lane by lane
         blocks, pairs, lane_of = [], [], []
         for i in range(3):
             for j in range(3):
-                # component i of an element's node n with component j of its node n'
+                # component i of an element's node a with component j of its node b
                 Tij = T[:, :, :, i, :, j].reshape(n_pairs, 4 * n_c)
-                # neighbouring nodes: element n - 1, except element 0 at the Dirichlet node
-                cross = np.zeros((n_pairs, ne - 1))
-                cross[:, 1:] = (Tij @ mom[2])[:, 1:-1]
-                lanes = [(3 + j - i, cross)]
-                if j >= i:
-                    # one node: the first node of element n plus the second of element n - 1
-                    lanes.append((j - i, (Tij @ mom[0])[:, 1:] + (Tij @ mom[1])[:, :-1]))
-                for d, values in lanes:
+                # s = b - a; the entry is on or above the diagonal, d >= 0, unless s = 0 < i - j
+                for s in range(int(j < i), n):
+                    d = 3 * s + j - i
+                    # over every node, Dirichlet ends included: element e's node b is (n - 1)*e + b
+                    values = np.zeros((n_pairs, (n - 1) * ne + 1))
+                    for a in range(n - s):                # the pairs add in (a, b) order
+                        values[:, a + s::n - 1][:, :ne] += Tij @ mom[a, a + s]
+                    values[:, s] = 0.0                    # the entry whose row is node h_minus
+                    values = values[:, 1:-1]
                     rows = np.flatnonzero(np.any(values, axis=1))
                     blocks.append(values[rows])
                     pairs.append(rows)
-                    lane_of.append(np.full(rows.size, 6 * j + 5 - d))
+                    lane_of.append(np.full(rows.size, (p + 1) * j + p - d))
         values, pair, lane = (np.concatenate(x) for x in (blocks, pairs, lane_of))
         self.kept = {name: [] for name in FORMS}
         for name, monomial, first, end in zip(names, monomials, ends - sizes, ends):
@@ -332,10 +329,11 @@ class BandPolynomial:
                  for rows, monomial, starts, lanes in self.kept[name]]
         if len(parts) > 1 and not np.any(parts[1][0]):
             parts.pop()                                   # the skew part cancels at this mode
-        out = np.zeros((parts[0][0].shape[1], LANES), dtype=complex if len(parts) > 1 else float)
+        height = 3 * len(self.coeffs.shape)               # p + 1
+        out = np.zeros((parts[0][0].shape[1], 3 * height), complex if len(parts) > 1 else float)
         for target, (summed, lanes) in zip((out.real, out.imag), parts):
             target[:, lanes] = summed.T
-        ab = out.reshape(-1, 6).T                         # (6, n_dof), Fortran order
+        ab = out.reshape(-1, height).T                    # (p + 1, n_dof), Fortran order
         if not math.isfinite(band.frobenius(ab)):
             largest, label = max((np.max(np.abs(coefficient)), label)
                                  for label, coefficient, forms in self.polynomial

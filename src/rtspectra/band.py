@@ -4,7 +4,7 @@ A Hermitian matrix X of half-bandwidth p and order n is held as an array
 ab of shape (p + 1, n) with ab[p - k, j] = X[j - k, j] for 0 <= k <= p,
 the layout of ``scipy.linalg.cholesky_banded``.  Entries ab[p - k, j] with
 j < k point above the matrix and are kept zero.  The per-mode forms have
-p = 5 (two nodes of three components each).
+p = 3n - 1 for the n nodes per element of the element tables (5 for P1).
 
 Factorizations, solves and products call LAPACK ``pbtrf``/``pbtrs`` and
 BLAS ``sbmv``/``hbmv`` directly: the calls of ``scipy.linalg.cholesky_banded``

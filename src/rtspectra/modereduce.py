@@ -101,7 +101,9 @@ class FormCoefficients:
         self.element_h = h
         self.qp_y = y0[:, None] + np.outer(h, t)          # (ne, q)
         self.qp_w = np.outer(h, w)                        # (ne, q) includes jacobian
-        self.shape = np.stack([1.0 - t, t])               # (2, q)
+        # the element tables (nodes, q), P1's one definition: shapes at t, slopes per unit h
+        self.shape = np.stack([1.0 - t, t])
+        self.slope = np.stack([-np.ones_like(t), np.ones_like(t)])
 
         upper = y0 >= 0.0                                 # elements never straddle 0
         ne, q = self.qp_y.shape
@@ -235,7 +237,7 @@ def form_values(coeffs: FormCoefficients, table, weights, f: np.ndarray) -> tupl
     unknown = set().union(*weights).difference(*(forms for _, _, forms in table))
     if unknown:
         raise InputError(f"unknown forms {sorted(unknown)}")
-    f6 = f.reshape(-1, 6)
+    f6 = f.reshape(-1, f.shape[-1])
     totals = [0.0] * len(weights)
     for _, coefficient, forms in table:
         G = None

@@ -274,6 +274,41 @@ def test_kept_lanes_real_and_nonzero(coeffs60):
         assert len(groups) == (2 if skew else 1), name
 
 
+def test_at_quadrature_matches_p1_oracle(canonical_profile, mixed_params, geometry, rng):
+    """On a mesh graded 1.3, a random complex dof vector's values at the
+    quadrature points match the independent P1 interpolant to rounding, and
+    its slopes match bit for bit: the slope sum is divided by h only once."""
+    mesh = assembly.build_mesh(geometry, n_per_layer=12, grading=1.3)
+    coeffs = mr.FormCoefficients(canonical_profile, mixed_params, mesh.nodes)
+    mm = assembly.assemble(coeffs, make_mode(1, -1, geometry))
+    vec = rng.standard_normal(mm.n_dof) + 1j * rng.standard_normal(mm.n_dof)
+    nodal = np.zeros((mesh.nodes.size, 3), dtype=complex)
+    nodal[1:-1] = vec.reshape(-1, 3)
+    f = mm.at_quadrature(vec)
+    assert f.shape == coeffs.qp_y.shape + (6,)
+    for c in range(3):
+        values = p1_eval(mesh.nodes, nodal[:, c], coeffs.qp_y)
+        assert np.max(np.abs(f[..., c] - values)) <= 1e-15 * np.max(np.abs(values))
+        assert np.array_equal(f[..., 3 + c], p1_slope(mesh.nodes, nodal[:, c], coeffs.qp_y))
+
+
+@pytest.mark.parametrize("order", [1, 3, 6])
+def test_element_tables_set_the_band_height(order, canonical_profile, mixed_params, mesh60,
+                                            geometry):
+    """The element tables are a partition of unity with slopes summing to
+    exactly 0, and every band has 3 rows per element node."""
+    coeffs = mr.FormCoefficients(canonical_profile, mixed_params, mesh60.nodes,
+                                 quadrature_order=order)
+    nodes = len(coeffs.shape)
+    assert coeffs.shape.shape == coeffs.slope.shape == (nodes, order)
+    assert np.max(np.abs(coeffs.shape.sum(axis=0) - 1.0)) <= 2 * np.finfo(float).eps
+    assert np.all(coeffs.slope.sum(axis=0) == 0.0)
+    forms = assembly.BandPolynomial(coeffs)
+    mode = make_mode(1, -2, geometry)
+    for name in assembly.FORMS:
+        assert forms.band(name, mode).shape[0] == 3 * nodes, name
+
+
 MIXED_SCAN_INI = """
 [geometry]
 h_minus = -1.0
