@@ -25,6 +25,7 @@ is banded with half-bandwidth 3n - 1, assembled straight into band storage (band
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -121,11 +122,12 @@ class ModeMatrices:
     per element of ``coeffs.shape`` (p = 5 for P1): entry (j - k, j) of the
     matrix sits at [p - k, j].  Matrices are real symmetric except when the
     base field mixes vertical and in-plane components, which adds an
-    imaginary skew part.  ``bands`` is the :class:`BandPolynomial` they come
-    from, and the grid is ``coeffs.grid``.  :attr:`coercivity_metric` carries
-    |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate pencil;
-    only :func:`~.spectral.coercivity_constant` reads it, so it is built on
-    first read.
+    imaginary skew part.  The grid is ``coeffs.grid``.  :attr:`coercivity_metric`
+    carries |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate
+    pencil; only :func:`~.spectral.coercivity_constant` reads it, so it is
+    built on first read, from ``bands``: the ``metric_only`` copy of the
+    :class:`BandPolynomial` they come from, which keeps the metric's lane
+    groups alone.
 
     ``table`` is the mode's :func:`~.modereduce.form_table`, built once by
     :func:`assemble` and read again by every :func:`~.modereduce.form_values`
@@ -264,6 +266,10 @@ class BandPolynomial:
     the lanes kept.  :meth:`band` gives one form of one mode.  The mass
     matrix does not depend on xi: it is built and Cholesky-factored here,
     once, and shared by every mode.  :meth:`at` then gives a mode's matrices.
+    They keep ``metric_only``, a shallow copy whose ``kept`` holds the
+    coercivity metric's groups alone, and not this polynomial: the 270 KB
+    of lanes of every form at n_dof 1197 would otherwise stay alive with
+    them, through all of ``evolve``'s steps, for a metric it never reads.
     """
 
     def __init__(self, coeffs: FormCoefficients):
@@ -313,6 +319,8 @@ class BandPolynomial:
         if band.cholesky(self.mass) is None:
             raise SolverError("mass matrix is not positive definite")
         self.mass.setflags(write=False)
+        self.metric_only = copy.copy(self)
+        self.metric_only.kept = {"coercivity_metric": self.kept["coercivity_metric"]}
 
     def band(self, name: str, mode: FourierMode) -> np.ndarray:
         """Form ``name`` of ``mode`` in band storage, Fortran-ordered: each
@@ -346,7 +354,7 @@ class BandPolynomial:
     def at(self, mode: FourierMode) -> ModeMatrices:
         """The matrices of ``mode``: the shared mass, the verdict forms from
         :meth:`band`, and the Cholesky check of the dissipation matrix."""
-        mm = ModeMatrices(mode=mode, bands=self, table=table_at(self.polynomial, mode),
+        mm = ModeMatrices(mode=mode, bands=self.metric_only, table=table_at(self.polynomial, mode),
                           mass=self.mass, **{name: self.band(name, mode) for name in VERDICT_FORMS})
         if band.cholesky(mm.dissipation) is None:
             raise SolverError("dissipation matrix is not positive definite")

@@ -104,15 +104,6 @@ def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return routine("hbmv" if x.dtype.kind == "c" else "sbmv", x.dtype)(ab.shape[0] - 1, 1.0, ab, x)
 
 
-def jacobi_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """diag(d) X diag(d): entry (j-k, j) scaled by d[j-k] * d[j]."""
-    p, n = ab.shape[0] - 1, ab.shape[1]
-    out = np.zeros_like(ab)
-    for k in range(p + 1):
-        out[p - k, k:] = ab[p - k, k:] * (d[:n - k] * d[k:])
-    return out
-
-
 def frobenius(ab: np.ndarray) -> float:
     """Frobenius norm of X: every off-diagonal entry counted twice; inf, with
     no warning, when its square overflows.

@@ -257,7 +257,10 @@ def alpha(s: float, matrices: ModeMatrices,
     energy, psi, mass = _element_forms(matrices, v)
     rho = (energy - s * psi) / mass
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
-    scale = (matrices.operator_norm + abs(s) * matrices.dissipation_norm) * np.linalg.norm(v)
+    norm = matrices.operator_norm
+    if s != 0.0:        # dissipation_norm, a pass over its band, only where it counts
+        norm += s * matrices.dissipation_norm
+    scale = norm * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
@@ -343,18 +346,20 @@ def xi_per_mode(matrices: ModeMatrices,
       P'(rho)*rho' = -g*rho cancels against the stratification.  That
       leaves g*[[rho]]*|psi(0)|^2 <= 0: no direction has a positive
       numerator.
-    A transverse kernel with [[rho]] <= 0 adds t t^T, t = (-xi2, xi1, 0)/|xi|,
-    to each node's block of the denominator: both forms vanish on t and the
-    supremum is >= 0 (psi = 0 gives 0).  The pencil, Jacobi-scaled by the
-    mass diagonal (uniform within a node), then goes to the banded solver,
-    whose shift bracket certifies the value.  SolverError when the scaled
-    denominator does not factor.
+    A transverse kernel with [[rho]] <= 0 adds m*t t^T, t = (-xi2, xi1,
+    0)/|xi| and m the node's mass diagonal (uniform within a node), to each
+    node's block of the denominator: both forms vanish on t and the
+    supremum is >= 0 (psi = 0 gives 0).  The pencil then goes to the banded
+    solver as assembled, in assembly's coordinates (a congruence such as a
+    diagonal scaling would not change its eigenvalues), and the solver's
+    shift bracket certifies the value.  SolverError when the denominator
+    does not factor.
 
-    Inverse iteration starts from the eigenvector v0 of alpha(0), in the
-    scaled coordinates: the energy operator is numerator minus
-    denominator, so alpha(0) > 0 exactly when xi > 1 and its top
-    eigenvector is a field of large N/B, where a random start sits in the
-    high-frequency fields of large B.  When alpha(0) > 0, N(v0) - B(v0) =
+    Inverse iteration starts from the eigenvector v0 of alpha(0) as it is:
+    the energy operator is numerator minus denominator, so alpha(0) > 0
+    exactly when xi > 1 and its top eigenvector is a field of large N/B,
+    where a random start sits in the high-frequency fields of large B.
+    When alpha(0) > 0, N(v0) - B(v0) =
     alpha(0)*mass(v0) > 0, so v0's quotient q0 = N(v0)/B(v0) > 1 is a lower
     bound of xi: the bracket starts from it and the shifts climb 4*q0,
     16*q0, ... (q0 is 2.3-2.9 against xi of 6-50 on the unstable
@@ -378,22 +383,20 @@ def xi_per_mode(matrices: ModeMatrices,
         if not transverse:
             return 0.0, None
 
-    dinv = 1.0 / np.sqrt(matrices.mass[-1].real)     # the last band row is the diagonal
-    Bs, Ns = band.jacobi_scaled(B, dinv), band.jacobi_scaled(Nmat, dinv)
-    if transverse:
+    if transverse:      # mhd, whose B is a new sum: the patch goes in place
         t1, t2 = -mode.xi2 / math.sqrt(mode.norm2), mode.xi1 / math.sqrt(mode.norm2)
-        Bs[-1, 0::3] += t1 * t1
-        Bs[-1, 1::3] += t2 * t2
-        Bs[-2, 1::3] += t1 * t2
-    if band.cholesky(Bs) is None:
+        m = matrices.mass[-1, 0::3]     # the last band row is the diagonal, uniform in a node
+        B[-1, 0::3] += m * (t1 * t1)
+        B[-1, 1::3] += m * (t2 * t2)
+        B[-2, 1::3] += m * (t1 * t2)
+    if band.cholesky(B) is None:
         raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")
     a0, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
-    u0, lo = v0 / dinv, -math.inf
+    lo = -math.inf
     if a0 > 0.0:
-        lo = _pencil_value(Ns, None, u0, float(np.real(np.vdot(u0, band.matvec(Bs, u0)))))
-    val, u = _top_pair(Ns, Bs, (None, u0), lo=lo)
-    return val, dinv * u
+        lo = _pencil_value(Nmat, None, v0, float(np.real(np.vdot(v0, band.matvec(B, v0)))))
+    return _top_pair(Nmat, B, (None, v0), lo=lo)
 
 
 def coercivity_constant(matrices: ModeMatrices) -> float:

@@ -1,6 +1,7 @@
 """Mesh construction and discrete-form consistency with the quadrature layer."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +361,27 @@ def test_metric_built_only_when_read(canonical_profile, mixed_params, geometry, 
     assert spectral.coercivity_constant(mm) == spectral.coercivity_constant(mm) > 0.0
     assert asked == ["coercivity_metric"]
     assert mm.coercivity_metric is mm.coercivity_metric
+
+
+def test_mode_matrices_release_their_polynomial(coeffs60, geometry, monkeypatch):
+    """assemble's BandPolynomial, with every form's kept lanes, dies once its
+    mode is assembled, while the mode lives; the mode's coercivity metric,
+    built afterwards from the metric's own lanes, has the bits of the full
+    polynomial's."""
+    built, real_at = [], assembly.BandPolynomial.at
+
+    def recording(self, mode):
+        built.append(weakref.ref(self))
+        return real_at(self, mode)
+
+    monkeypatch.setattr(assembly.BandPolynomial, "at", recording)
+    mode = make_mode(1, -2, geometry)
+    mm = assembly.assemble(coeffs60, mode)
+    assert len(built) == 1 and built[0]() is None
+    assert set(mm.bands.kept) == {"coercivity_metric"}
+    full = assembly.BandPolynomial(coeffs60).band("coercivity_metric", mode)
+    assert mm.coercivity_metric.dtype == full.dtype
+    assert mm.coercivity_metric.tobytes(order="A") == full.tobytes(order="A")
 
 
 def test_scan_builds_its_polynomial_once(canonical_profile, mixed_params, geometry, monkeypatch):

@@ -783,6 +783,44 @@ def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geo
         assert abs(value - recorded) <= 1e-12 * max(1.0, abs(recorded))
 
 
+
+def test_xi_on_graded_mesh_near_floor(canonical_profile, geometry):
+    """Smallest element 2.9e-9 of a layer, on the lattice_vertical benchmark
+    config of seed 1: xi, solved in assembly's coordinates, matches a dense
+    eigh of the pencil within 1e-7 (measured: 1.4-3.3e-8).
+
+    The dense pencil is scaled by the inverse square root of the mass
+    diagonal on both sides, a congruence, so it has the same eigenvalues;
+    dense eigh's Cholesky reduction of the unscaled denominator, whose
+    entries span the element sizes' 9 orders of magnitude, is itself
+    0.6-1.3e-7 off both the banded value and the scaled reference here."""
+    params = PhysicalParams(mu_plus=0.1771150605405849, mu_minus=0.16456619284649213,
+                            bulk_plus=0.08826035386091327, bulk_minus=0.12431526306379116,
+                            lam=1.0, M=(0.0, 0.0, 2.3119500516736675))
+    mesh = assembly.build_mesh(geometry, 200, grading=1.09)
+    assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
+    coeffs = FormCoefficients(canonical_profile, params, mesh.nodes)
+    for k in ((1, 0), (2, -1), (4, 4)):
+        mm = assembly.assemble(coeffs, make_mode(*k, geometry))
+        value, _ = spectral.xi_per_mode(mm)
+        d = 1.0 / np.sqrt(np.diag(dense(mm.mass)))
+        N, B = (d[:, None] * dense(x) * d for x in mm.discriminant_pencil)
+        n = N.shape[0]
+        reference = sla.eigh(N, B, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
+        assert abs(value - reference) <= 1e-7 * abs(reference), (k, value, reference)
+
+
+def test_alpha_at_zero_skips_the_dissipation_norm(canonical_profile, baseline_params,
+                                                  geometry, mesh60):
+    """alpha(0) reads no dissipation_norm, a pass over the dissipation band for
+    a term that vanishes; alpha(s > 0) reads it."""
+    mm = assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
+                           make_mode(1, 0, geometry))
+    spectral.alpha(0.0, mm)
+    assert "dissipation_norm" not in vars(mm)
+    spectral.alpha(0.4, mm)
+    assert "dissipation_norm" in vars(mm)
+
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(InputError, match="tol must be positive"):
         spectral.growth_rate_detailed(mm_vertical, tol=-1.0)[0]
