@@ -5,11 +5,13 @@ The class alone says whose fault a failure is:
 - :class:`InputError` (also a ``ValueError``): the caller's input is not
   admissible, e.g. a non-finite or out-of-range value, a degenerate mesh,
   an equilibrium that reaches vacuum, or a witness asked for a mode or
-  field it does not cover.  The CLI exits 2.
+  field it does not cover.  The CLI exits 2; a scan whose grid raises it
+  ends there, before any artifact is written.
 - :class:`SolverError`: the input is admissible but the method could not
   produce an answer (no eigenpair, no fixed point, a failed time step).
   The CLI exits 3, as it does for a bare ``ValueError`` raised while
-  solving.
+  solving.  A scan lists each mode that raised it as failed, goes on, and
+  writes its artifacts.
 
 Each input is checked once, by the type or function that owns it, before
 any solve.  An artifact that cannot be written raises ``OSError``, which

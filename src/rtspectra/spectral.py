@@ -35,7 +35,7 @@ import numpy as np
 
 from . import band
 from .assembly import BandPolynomial, ModeMatrices, assemble
-from .errors import InputError, RTSpectraError, SolverError
+from .errors import InputError, SolverError
 from .modereduce import FormCoefficients, FourierMode, energy_signs, form_values
 from .params import MHD, VISCOELASTIC
 
@@ -448,11 +448,11 @@ def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> Stab
     is assembled and solved, and every member gets a copy of its verdict
     under its own mode.  Any other field solves every mode.
 
-    A mode whose solve raises RTSpectraError is reported in ``errors`` (with
-    every member of its class) and the scan goes on; any other exception
-    propagates.  The truncation flag drops to False when a boundary-shell
-    mode is unstable (xi >= 1 or a positive growth rate) or unsolved:
-    instability could extend past it.
+    A mode whose solve raises SolverError is reported in ``errors`` (with
+    every member of its class) and the scan goes on; any other exception,
+    an InputError from the grid included, propagates.  The truncation flag
+    drops to False when a boundary-shell mode is unstable (xi >= 1 or a
+    positive growth rate) or unsolved: instability could extend past it.
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
@@ -460,16 +460,14 @@ def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> Stab
     isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}
     solved = {}     # class key -> ModeVerdict or error message
-    forms = None
+    forms = BandPolynomial(coeffs)
     for k1, k2 in mode_lattice(k_max):
         mode = FourierMode.from_indices(k1, k2, geometry)
         key = mode.norm2 if isotropic else (k1, k2)
         if key not in solved:
             try:
-                if forms is None:
-                    forms = BandPolynomial(coeffs)
                 solved[key] = analyze_mode(assemble(forms, mode), tol)
-            except RTSpectraError as exc:
+            except SolverError as exc:
                 solved[key] = f"{type(exc).__name__}: {exc}"
         result = solved[key]
         if isinstance(result, str):

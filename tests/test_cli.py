@@ -91,6 +91,9 @@ INADMISSIBLE = {
     "h_plus=1e-300": ("xi", {"h_plus = 1.0": "h_plus = 1e-300"}, "smallest element"),
     # lower densities up to 1.4e217: the coefficient, not the element, overflows
     "h_minus=-1000": ("xi", {"h_minus = -1.0": "h_minus = -1000"}, "density"),
+    # a scan refuses such a grid once, not as one failed mode per lattice point
+    "scan:h_plus=1e-300": ("scan", {"h_plus = 1.0": "h_plus = 1e-300"}, "smallest element"),
+    "scan:h_minus=-1000": ("scan", {"h_minus = -1.0": "h_minus = -1000"}, "density"),
     "witness_k1=0": ("witness", {"m3 = 0.0": "m1 = 1.0", "k1 = 1": "k1 = 0", "k2 = 0": "k2 = 1"},
                      "xi1 != 0"),
     # a misspelled key or section is refused, never replaced by the defaults
@@ -123,6 +126,12 @@ def test_error_class_decides_exit_code(tmp_path, monkeypatch, capsys, cls, code)
     monkeypatch.setattr(cli.spectral, "xi_per_mode", failing)
     assert cli.run(str(write_config(tmp_path)), "xi") == code
     assert "raised while solving" in capsys.readouterr().err
+    # a scan lists a mode's SolverError as a failed mode; an InputError ends it
+    monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
+    out = tmp_path / "scan.csv"
+    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out)) == code
+    assert "raised while solving" in capsys.readouterr().err
+    assert out.exists() == (cls is SolverError)
 
 
 def test_validation_degenerate_mesh(tmp_path, capsys):

@@ -694,6 +694,24 @@ def test_global_scan_collects_solver_errors(canonical_profile, geometry, monkeyp
     assert not verdict.truncation_converged
 
 
+def test_global_scan_builds_its_grid_once(canonical_profile, geometry, monkeypatch):
+    """The scan's BandPolynomial is built once, before the first mode, and an
+    error there ends the scan instead of failing each isotropy class."""
+    built = []
+
+    def failing(coeffs):
+        built.append(coeffs)
+        raise SolverError("no polynomial")
+
+    monkeypatch.setattr(spectral, "BandPolynomial", failing)
+    mesh = assembly.build_mesh(geometry, n_per_layer=20)
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, M3_STABLE))
+    coeffs = FormCoefficients(canonical_profile, params, mesh.nodes)
+    with pytest.raises(SolverError, match="no polynomial"):
+        spectral.global_scan(coeffs, k_max=2)
+    assert len(built) == 1 and built[0] is coeffs
+
+
 VISCOUS = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
 SCAN_FIELDS = {
     "no_field": dict(VISCOUS, lam=1.0),
