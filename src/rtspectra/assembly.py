@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,17 +36,20 @@ import numpy as np
 from . import band
 from .equilibrium import Geometry
 from .errors import InputError, SolverError
-from .modereduce import (FormCoefficients, FourierMode, energy_signs, form_polynomial,
-                         table_at, xi_monomials)
+from .modereduce import FormCoefficients, FourierMode, energy_signs, form_polynomial, xi_monomials
 from .params import MHD
 
 DEFAULT_N_PER_LAYER = 200
 # Largest over smallest element of the default mesh family, the same at every n.
 DEFAULT_SIZE_RATIO = 10.0
-# Smallest admissible element, relative to the layer height.  Far below it
-# (5.6e-19 at n=800, grading 1.05) the mass and dissipation matrices stop
-# being numerically definite.
-MIN_ELEMENT_FRACTION = 1e-9
+# Smallest admissible element, relative to the layer height.  A solver's value
+# is a band product v* X v, which cancels to about eps*||X||, and ||X|| grows
+# like 1/h_min.  Against the element-level quotients of their own eigenvectors,
+# alpha and Lambda hold to 3.3e-10 of max(1, |value|) at h_min 1.6e-5 (n = 200,
+# grading 1.04).  alpha(0) is off by 1.2e-9 at 2.9e-6 and by 1.5e-8 at 9.3e-8,
+# where growth rates' fixed points start to fail.  The default family stays
+# above the floor up to n of about 25,000.
+MIN_ELEMENT_FRACTION = 1e-5
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,8 @@ class ModeMatrices:
     :class:`BandPolynomial` they come from, which keeps the metric's lane
     groups alone.
 
-    ``table`` is the mode's :func:`~.modereduce.form_table`, built once by
-    :func:`assemble` and read again by every :func:`~.modereduce.form_values`
-    on this mode.  ``mass`` does not depend on the mode: it is one read-only
-    array, shared by every mode of a :class:`BandPolynomial`.  The bands are
+    ``mass`` does not depend on the mode: it is one read-only array, shared
+    by every mode of a :class:`BandPolynomial`.  The bands are
     Fortran-ordered, the layout LAPACK and BLAS read, so no call has to
     transpose them first.
 
@@ -144,7 +145,6 @@ class ModeMatrices:
 
     mode: FourierMode
     bands: BandPolynomial
-    table: tuple
     mass: np.ndarray
     gravity: np.ndarray
     compress: np.ndarray
@@ -194,18 +194,6 @@ class ModeMatrices:
         if self.coeffs.params.medium == MHD:
             return self.gravity, self.compress + self.magnetic
         return self.gravity - self.compress, self.elastic
-
-    def at_quadrature(self, vec: np.ndarray) -> np.ndarray:
-        """f = (pt, tt, st, pt', tt', st') of a dof vector's field at the quadrature
-        points of ``coeffs``, shape (ne, q, 6), the input of :func:`~.modereduce.form_values`:
-        nodal values times the element tables, added node by node (for P1, (v1 - v0)/h)."""
-        c = self.coeffs
-        n, ne = len(c.shape), c.element_h.size
-        nodal = np.zeros(((n - 1) * ne + 1, 3), dtype=vec.dtype)
-        nodal[1:-1] = vec.reshape(-1, 3)
-        v = nodal[(n - 1) * np.arange(ne) + np.arange(n)[:, None], None]  # node a of element e
-        vals, slopes = (reduce(np.add, v * table[:, None, :, None]) for table in (c.shape, c.slope))
-        return np.concatenate([vals, slopes / c.element_h[:, None, None]], axis=-1)
 
 
 def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
@@ -354,8 +342,8 @@ class BandPolynomial:
     def at(self, mode: FourierMode) -> ModeMatrices:
         """The matrices of ``mode``: the shared mass, the verdict forms from
         :meth:`band`, and the Cholesky check of the dissipation matrix."""
-        mm = ModeMatrices(mode=mode, bands=self.metric_only, table=table_at(self.polynomial, mode),
-                          mass=self.mass, **{name: self.band(name, mode) for name in VERDICT_FORMS})
+        mm = ModeMatrices(mode=mode, bands=self.metric_only, mass=self.mass,
+                          **{name: self.band(name, mode) for name in VERDICT_FORMS})
         if band.cholesky(mm.dissipation) is None:
             raise SolverError("dissipation matrix is not positive definite")
         return mm

@@ -17,14 +17,12 @@ Per-mode operators:
 matrices over a field and its derivative, each times one scalar coefficient
 per quadrature point of a :class:`FormCoefficients`.  Every matrix is a
 quadratic polynomial in xi, held as its coefficients over the six
-monomials 1, xi1, xi2, xi1^2, xi1*xi2 and xi2^2, and a mode's table
-(:func:`table_at`, or :func:`form_table`) contracts them with the mode's
-monomials.  The P1 assembly contracts the polynomial once per grid with
-shape-function moments and keeps each mode's table on its matrices, and
-:func:`form_values` evaluates a table on any field at the quadrature
-points: the analytic witness fields and the P1 eigenvectors whose Rayleigh
-quotient is alpha(s).  Quadrature is per-element Gauss-Legendre and never
-straddles the interface node at 0.
+monomials 1, xi1, xi2, xi1^2, xi1*xi2 and xi2^2.  The P1 assembly contracts
+the polynomial once per grid with shape-function moments.  A mode's table
+(:func:`form_table`) contracts it with the mode's monomials instead, and
+:func:`form_value` evaluates a table on a field given at the quadrature
+points: the analytic witness fields of :mod:`~.criteria`.  Quadrature is
+per-element Gauss-Legendre and never straddles the interface node at 0.
 """
 
 from __future__ import annotations
@@ -199,19 +197,14 @@ def form_polynomial(coeffs: FormCoefficients):
                  for label, coefficient, forms in table)
 
 
-def table_at(polynomial, mode: FourierMode):
-    """The (label, coefficient, {form name: C}) table of ``mode`` from
-    :func:`form_polynomial`: each C is its stack contracted with the mode's
+def form_table(coeffs: FormCoefficients, mode: FourierMode):
+    """The forms of ``mode`` on ``coeffs`` as (label, coefficient, {form name: C})
+    triples: each stack of :func:`form_polynomial` contracted with the mode's
     :func:`xi_monomials`."""
     w = xi_monomials(mode)
     return tuple((label, coefficient, {name: (w @ stack.reshape(6, 36)).reshape(6, 6)
                                        for name, stack in forms.items()})
-                 for label, coefficient, forms in polynomial)
-
-
-def form_table(coeffs: FormCoefficients, mode: FourierMode):
-    """The forms of ``mode`` on ``coeffs``: :func:`table_at` of :func:`form_polynomial`."""
-    return table_at(form_polynomial(coeffs), mode)
+                 for label, coefficient, forms in form_polynomial(coeffs))
 
 
 def energy_signs(params: PhysicalParams) -> dict:
@@ -221,36 +214,25 @@ def energy_signs(params: PhysicalParams) -> dict:
             "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
-def form_values(coeffs: FormCoefficients, table, weights, f: np.ndarray) -> tuple:
-    """For each dict in ``weights``, the sum of weights[name] * form ``name`` of
-    ``table``, for a field given at the quadrature points.
+def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:
+    """The sum of weights[name] * form ``name`` of ``table``, for a field given
+    at the quadrature points.
 
     ``table`` is :func:`form_table` of ``coeffs`` and the field's mode, built
-    once by the caller for its mode (:attr:`~.assembly.ModeMatrices.table`
-    after assembly).  ``f`` holds (pt, tt, st, pt', tt', st') at every
-    quadrature point of ``coeffs``, shape (ne, q, 6).  One pass over the
-    points serves every dict: for each coefficient that a requested form
-    has, G = sum over points of weight * coefficient * conj(f) f^T, and each
-    value is a sum of sum(C * G).  Each value and slope enters as it is, so
-    nothing cancels at the scale of the assembled matrices' 1/h entries.
+    once by the caller for its mode.  ``f`` holds (pt, tt, st, pt', tt', st')
+    at every quadrature point of ``coeffs``, shape (ne, q, 6).  For each
+    coefficient that a requested form has, G = sum over points of weight *
+    coefficient * conj(f) f^T, and the value is a sum of sum(C * G).
     """
-    unknown = set().union(*weights).difference(*(forms for _, _, forms in table))
+    unknown = set(weights).difference(*(forms for _, _, forms in table))
     if unknown:
         raise InputError(f"unknown forms {sorted(unknown)}")
     f6 = f.reshape(-1, f.shape[-1])
-    totals = [0.0] * len(weights)
+    total = 0.0
     for _, coefficient, forms in table:
-        G = None
-        for n, wts in enumerate(weights):
-            names = [name for name in wts if name in forms]
-            if names:
-                if G is None:
-                    G = np.conj(f6 * (coeffs.qp_w * coefficient).reshape(-1, 1)).T @ f6
-                C = sum(wts[name] * forms[name] for name in names)
-                totals[n] += np.real(np.sum(C * G))
-    return tuple(float(total) for total in totals)
-
-
-def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:
-    """:func:`form_values` for one dict of weights."""
-    return form_values(coeffs, table, (weights,), f)[0]
+        names = [name for name in weights if name in forms]
+        if names:
+            G = np.conj(f6 * (coeffs.qp_w * coefficient).reshape(-1, 1)).T @ f6
+            C = sum(weights[name] * forms[name] for name in names)
+            total += np.real(np.sum(C * G))
+    return float(total)

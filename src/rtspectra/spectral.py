@@ -19,10 +19,14 @@ its Rayleigh functional and sqrt(alpha(0)): alpha is non-increasing and
 convex in s (a supremum of affine functions of s), so f(s) = alpha(s) -
 s^2 is strictly decreasing and the quadratic pencil factors exactly above
 Lambda.  One alpha(Lambda), warm-started from the bracket's last iterate,
-gives the eigenvector and the fixed-point residual.  The discriminant's
-singular cases are settled before the solve (xi_per_mode), so no dense
-matrix is built.  The seeded vector is splitmix64 of a counter, computed
-in uint64 arithmetic (_start_vector), so that no solve loads numpy.random.
+gives the eigenvector and the fixed-point residual.  Every value is the
+lower end of its bracket, which holds the top to BRACKET_TOL or to
+band-product rounding (about eps*||H||), whichever is larger; the mesh
+floor assembly.MIN_ELEMENT_FRACTION keeps that rounding small.  The
+discriminant's singular cases are settled before the solve (xi_per_mode),
+so no dense matrix is built.  The seeded vector is splitmix64 of a
+counter, computed in uint64 arithmetic (_start_vector), so that no solve
+loads numpy.random.
 """
 
 from __future__ import annotations
@@ -36,12 +40,10 @@ import numpy as np
 from . import band
 from .assembly import BandPolynomial, ModeMatrices, assemble
 from .errors import InputError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_values
+from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC
 
 EIGVEC_RESIDUAL_TOL = 1e-8
-# alpha must lie within this relative margin below the top of its pencil
-TOP_BRANCH_MARGIN = 1e-6
 # shifts f, 4f, 16f, ..., 4**40*f (f >= 1; about 1e24*f) are tried above a spectrum,
 # or offsets delta, 4*delta, ... above a guess
 SHIFT_TRIES = 41
@@ -219,43 +221,25 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
                       f"after {INVERSE_STEPS} inverse-iteration steps")
 
 
-def _element_forms(matrices: ModeMatrices, v: np.ndarray) -> Tuple[float, float, float]:
-    """(E(v), Psi(v), mass(v)): energy, dissipation and mass by form_values
-    at the quadrature points, all from one pass over them.
-
-    A band product v* X v cancels to eps * ||X|| ||v||^2, and the entries of X
-    grow like 1/h: on the accepted mesh n = 200, grading 1.09 (smallest
-    element 2.9e-9 of a layer) _top_pair's own quotient is off a dense
-    reference by up to 1.6e-7, the quotient of these values by 1e-13.
-    """
-    co = matrices.coeffs
-    return form_values(co, matrices.table, (energy_signs(co.params), {"dissipation": 1.0},
-                                            {"mass": 1.0}), matrices.at_quadrature(v))
-
-
 def alpha(s: float, matrices: ModeMatrices,
           guess: Optional[Tuple[float, np.ndarray]] = None):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
-    The value is the element-level Rayleigh quotient (E - s*Psi)/mass of the
-    banded solver's eigenvector (v* Mass v = 1), which graded meshes do not
-    spoil by cancellation.  ``guess``, the (value, eigenvector) of alpha at
-    a nearby s, warm-starts the banded solver (_top_pair); without it the
-    solve starts cold from a seeded vector.  SolverError when the
-    eigen-residual is too large, or when the value lifted by a relative
-    TOP_BRANCH_MARGIN stays below the closing shift bound of the solver's
-    bracket, top + BRACKET_TOL*max(1, |top|) (the vector is then not on the
-    top branch).  The bracket's closing shift, at most that bound, factored,
-    and a larger shift adds a positive multiple of Mass, so the pencil
-    factors at the lifted value as well.
+    The value is the lower end lo of the bracket that the banded solver
+    (_top_pair) closes, and the vector its last iterate (v* Mass v = 1).
+    The bracket holds the top to max(BRACKET_TOL*max(1, |lo|), band-product
+    rounding of about eps*||A - s*D||); its upper end is a shift at which
+    the pencil factored, so no eigenvalue lies above it.  ``guess``, the (value, eigenvector) of
+    alpha at a nearby s, warm-starts the solver; without it the solve
+    starts cold from a seeded vector.  SolverError when the eigen-residual
+    ||(A - s*D) v - lo*Mass v|| exceeds EIGVEC_RESIDUAL_TOL times
+    (||A|| + s*||D||)*||v||, which ties the vector to the value.
     """
     if s < 0:
         raise InputError(f"s must be nonnegative, got {s}")
     H = matrices.operator - s * matrices.dissipation
     M = matrices.mass
-    top, v = _top_pair(H, M, guess)
-    energy, psi, mass = _element_forms(matrices, v)
-    rho = (energy - s * psi) / mass
+    rho, v = _top_pair(H, M, guess)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
     norm = matrices.operator_norm
     if s != 0.0:        # dissipation_norm, a pass over its band, only where it counts
@@ -264,8 +248,6 @@ def alpha(s: float, matrices: ModeMatrices,
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")
-    if rho + TOP_BRANCH_MARGIN * max(1.0, abs(rho)) < top + BRACKET_TOL * max(1.0, abs(top)):
-        raise SolverError(f"alpha({s:.6g}) = {rho:.6g} is not the top of its pencil")
     return rho, v
 
 
@@ -284,13 +266,12 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
     above Lambda, as f is strictly decreasing.  The bracket starts from the
     alpha(0) eigenvector v0, with lo = p(v0), its Rayleigh functional, and
     the first shift just above sqrt(alpha(0)), an upper bound because alpha
-    is non-increasing.  Lambda is the element-level Rayleigh functional
-    (form values E, Psi and mass of the last iterate, which graded meshes
-    do not spoil by cancellation), and one alpha(Lambda), warm-started from
-    (Lambda^2, that iterate), gives the eigenvector and the residual.
-    SolverError when the residual exceeds tol * max(1, Lambda^2).  The
-    bracket, like every _top_pair bracket, holds only to band-product
-    rounding, about eps*||A||, which can exceed BRACKET_TOL.
+    is non-increasing.  Lambda is the bracket's lower end, and one
+    alpha(Lambda), warm-started from (Lambda^2, the last iterate), gives the
+    eigenvector and the residual.  SolverError when the residual exceeds
+    tol * max(1, Lambda^2).  The bracket, like every _top_pair bracket,
+    holds Lambda to max(BRACKET_TOL*max(1, Lambda), band-product rounding
+    of about eps*||A||).
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -299,8 +280,7 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
         return None, None, None
     A, D, M = matrices.operator, matrices.dissipation, matrices.mass
     lo = _pencil_value(A, D, v0, float(np.real(np.vdot(v0, band.matvec(M, v0)))))
-    _, u = _top_pair(A, M, (math.sqrt(a), v0), D, lo)
-    lam = _functional(*_element_forms(matrices, u))
+    lam, u = _top_pair(A, M, (math.sqrt(a), v0), D, lo)
     value, vec = alpha(lam, matrices, guess=(lam * lam, u))
     residual = abs(lam * lam - value)
     if residual > tol * max(1.0, lam * lam):

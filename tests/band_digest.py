@@ -1,5 +1,5 @@
-"""Print the dtype, shape and SHA-256 of every assembled band and of two fields at
-the quadrature points, for the benchmark workloads' configs.
+"""Print the dtype, shape and SHA-256 of every assembled band, for the benchmark
+workloads' configs.
 
 Run from the repository root:
 
@@ -9,9 +9,7 @@ Two checkouts, or two runs under different PYTHONHASHSEED values, that print
 the same lines assemble the same bits.  The configs are those of
 ``perfbench/workloads.py`` at seeds 1-5.  For each, every form of
 :data:`~rtspectra.assembly.FORMS` (the coercivity metric included) is
-built for the modes |k1|, |k2| <= 2, and ``ModeMatrices.at_quadrature`` is
-evaluated on one fixed real and one fixed complex dof vector.  pytest does
-not collect this file.
+built for the modes |k1|, |k2| <= 2.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,13 +37,6 @@ def digest(array: np.ndarray) -> str:
     return f"{array.dtype} {array.shape} {hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()}"
 
 
-def fixed_vectors(n: int):
-    """A real and a complex dof vector with no zero entry, from closed forms."""
-    x = np.arange(n, dtype=float)
-    real = np.sin(0.37 * x + 0.1) + 0.5
-    return real, real + 1j * np.cos(0.23 * x + 0.2)
-
-
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(WORKLOADS):
@@ -59,9 +50,6 @@ def main() -> None:
                         mode = FourierMode.from_indices(k1, k2, cfg.geometry)
                         for form in assembly.FORMS:
                             print(name, seed, (k1, k2), form, digest(bands.band(form, mode)))
-                matrices = bands.at(FourierMode.from_indices(1, 0, cfg.geometry))
-                for vec in fixed_vectors(matrices.n_dof):
-                    print(name, seed, "at_quadrature", digest(matrices.at_quadrature(vec)))
 
 
 if __name__ == "__main__":

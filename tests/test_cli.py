@@ -134,10 +134,30 @@ def test_error_class_decides_exit_code(tmp_path, monkeypatch, capsys, cls, code)
     assert out.exists() == (cls is SolverError)
 
 
-def test_validation_degenerate_mesh(tmp_path, capsys):
-    cfgp = write_config(tmp_path, **{"n_per_layer = 30": "n_per_layer = 400\ngrading = 1.05"})
-    assert cli.run(str(cfgp), "xi") == 2
-    assert "smallest element" in capsys.readouterr().err
+# meshes whose smallest element lies below the floor; the second is the growth_mixed
+# seed-1 field on the k_max = 4 lattice, whose scan exited 3 with 11 failed modes
+# while meshes down to 1e-9 of a layer were admitted
+DEGENERATE_MESHES = {
+    "n400-grading1.05": {"n_per_layer = 30": "n_per_layer = 400\ngrading = 1.05"},
+    "n200-grading1.09-growth_mixed": {
+        "n_per_layer = 30": "n_per_layer = 200\ngrading = 1.09", "k_max = 1": "k_max = 4",
+        "m3 = 0.0": "m1 = 0.03971459135832493\nm2 = -0.0647371078605183\n"
+                    "m3 = -0.023923720410093906"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_MESHES))
+def test_validation_degenerate_mesh(tmp_path, capsys, case):
+    """xi and scan refuse the mesh before any solve: exit 2, one error line
+    naming the smallest element, and no artifact."""
+    cfgp = write_config(tmp_path, **DEGENERATE_MESHES[case])
+    for subcommand in ("xi", "scan"):
+        out = tmp_path / f"{subcommand}.csv"
+        assert cli.run(str(cfgp), subcommand, out=str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "smallest element" in lines[0]
+        assert not out.exists() and not Path(f"{out}.summary.json").exists()
     # subcommands that build no mesh are unaffected
     assert cli.run(str(cfgp), "equilibrium", out=str(tmp_path / "profile.csv")) == 0
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import make_mode, run_python
-from oracles import dense
+from oracles import dense, p1_eval, p1_slope
 from rtspectra import assembly, band, criteria, evolution, modereduce, spectral
 from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.errors import InputError, SolverError
@@ -372,7 +372,7 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
 def test_xi_viscoelastic_zero_kappa(canonical_profile, stable_profile, geometry):
     """kappa = 0 in one layer leaves a singular denominator: a typed error.
     kappa = 0 in both makes it vanish: inf where gravity drives, also on the
-    near-floor mesh (smallest element 2.9e-9), where the mode grows; 0 at
+    near-floor mesh (smallest element 1.6e-5), where the mode grows; 0 at
     xi = 0; and exactly 0, with no vector, on the stable profile."""
     mesh = assembly.build_mesh(geometry, 30)
 
@@ -389,7 +389,7 @@ def test_xi_viscoelastic_zero_kappa(canonical_profile, stable_profile, geometry)
     value, vec = spectral.xi_per_mode(matrices((0.0, 0.0), (1, 0), stable_profile))
     assert value == 0.0 and vec is None
     floor = matrices((0.0, 0.0), (1, 0),
-                     nodes=assembly.build_mesh(geometry, 200, grading=1.09).nodes)
+                     nodes=assembly.build_mesh(geometry, 200, grading=1.04).nodes)
     assert math.isinf(spectral.xi_per_mode(floor)[0])
     assert spectral.growth_rate_detailed(floor)[0] > 0.0
 
@@ -502,7 +502,7 @@ def test_growth_rate_matches_companion_eigenvalue(canonical_profile, geometry, c
     """On a small mesh (n_per_layer = 30, 177 unknowns) the growth rate is the
     largest real eigenvalue of the quadratic pencil to 1e-10 relative: a real
     no-field mode, a complex mixed-field one, and the first with a zero
-    dissipation form (band and table), whose rate is sqrt(alpha(0)).  The
+    dissipation band, whose rate is sqrt(alpha(0)).  The
     quadratic bracket certifies its value to its closing tolerance: Q
     factors one BRACKET_TOL above it and not one below (on the no-field
     mode Q factors at the value itself, a band-level Rayleigh functional
@@ -515,9 +515,7 @@ def test_growth_rate_matches_companion_eigenvalue(canonical_profile, geometry, c
                            make_mode(*k, geometry))
     assert np.iscomplexobj(mm.operator) == (case == "mixed")
     if case == "inviscid":
-        table = tuple((label, c, {name: 0.0 * C if name == "dissipation" else C
-                                  for name, C in forms.items()}) for label, c, forms in mm.table)
-        mm = dataclasses.replace(mm, table=table, dissipation=np.zeros_like(mm.dissipation))
+        mm = dataclasses.replace(mm, dissipation=np.zeros_like(mm.dissipation))
     real, brackets = spectral._top_pair, []
 
     def recording(hb, mb, guess=None, db=None, lo=-math.inf):
@@ -789,34 +787,59 @@ def test_xi_inertia_certificate(canonical_profile, geometry, field):
     assert checked == (0 if field == "no_field" else 13)
 
 
-def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
-    """Smallest element 2.9e-9 of a layer: alpha matches values recorded with
-    a dense Cholesky-reduction solver and element-wise polished quotients."""
-    mesh = assembly.build_mesh(geometry, 200, grading=1.09)
-    assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
-    mm = assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh.nodes),
-                           make_mode(1, 0, geometry))
-    for s, recorded in ((0.0, 0.23525264299814733), (0.4, -0.06240307581947192)):
-        value, _ = spectral.alpha(s, mm)
-        assert abs(value - recorded) <= 1e-12 * max(1.0, abs(recorded))
+def _element_quotient(coeffs, mode, v):
+    """(E, Psi, mass) of the P1 field of dof vector v: the energy, dissipation
+    and mass integrated from its values and slopes at the quadrature points,
+    where no band product cancels."""
+    nodal = np.zeros((coeffs.grid.size, 3), dtype=v.dtype)
+    nodal[1:-1] = v.reshape(-1, 3)
+    f = np.stack([p1_eval(coeffs.grid, nodal[:, c], coeffs.qp_y) for c in range(3)]
+                 + [p1_slope(coeffs.grid, nodal[:, c], coeffs.qp_y) for c in range(3)], axis=-1)
+    table = modereduce.form_table(coeffs, mode)
+    return tuple(modereduce.form_value(coeffs, table, weights, f) for weights in
+                 (modereduce.energy_signs(coeffs.params), {"dissipation": 1.0}, {"mass": 1.0}))
 
+
+def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
+    """Smallest element 1.6e-5 of a layer, just above the mesh floor, and the
+    default family at n = 1600: alpha(0), alpha(0.4) and the growth rate, each
+    a bracket's lower end from band products, lie within 1e-9 of max(1, |q|)
+    of the element-level quotient q of their own eigenvector (measured: at
+    most 5.3e-11).  A dense eigh of the pencil is no reference here: scaled
+    by the inverse square root of the mass diagonal, it is 5.0e-6 (alpha(0))
+    and 3.7e-5 (alpha(0.4)) off both values on the graded mesh."""
+    mode = make_mode(1, 0, geometry)
+    for n, grading, h_min in ((200, 1.04, 1.569e-5), (1600, None, 1.599e-4)):
+        mesh = assembly.build_mesh(geometry, n, grading=grading)
+        assert np.min(np.diff(mesh.nodes)) == pytest.approx(h_min, rel=1e-3)
+        coeffs = FormCoefficients(canonical_profile, baseline_params, mesh.nodes)
+        mm = assembly.assemble(coeffs, mode)
+        for s in (0.0, 0.4):
+            value, v = spectral.alpha(s, mm)
+            energy, psi, mass = _element_quotient(coeffs, mode, v)
+            q = (energy - s * psi) / mass
+            assert abs(value - q) <= 1e-9 * max(1.0, abs(q)), (n, s, value, q)
+        lam, vec, _ = spectral.growth_rate_detailed(mm)
+        q = spectral._functional(*_element_quotient(coeffs, mode, vec))
+        assert abs(lam - q) <= 1e-9 * max(1.0, q), (n, lam, q)
 
 
 def test_xi_on_graded_mesh_near_floor(canonical_profile, geometry):
-    """Smallest element 2.9e-9 of a layer, on the lattice_vertical benchmark
-    config of seed 1: xi, solved in assembly's coordinates, matches a dense
-    eigh of the pencil within 1e-7 (measured: 1.4-3.3e-8).
+    """Smallest element 1.6e-5 of a layer, just above the mesh floor, on the
+    lattice_vertical benchmark config of seed 1: xi, solved in assembly's
+    coordinates, matches a dense eigh of the pencil within 1e-7 (measured:
+    0.7-2.0e-11).
 
     The dense pencil is scaled by the inverse square root of the mass
-    diagonal on both sides, a congruence, so it has the same eigenvalues;
-    dense eigh's Cholesky reduction of the unscaled denominator, whose
-    entries span the element sizes' 9 orders of magnitude, is itself
-    0.6-1.3e-7 off both the banded value and the scaled reference here."""
+    diagonal on both sides, a congruence, so it has the same eigenvalues.
+    Below the floor, at grading 1.09 (smallest element 2.9e-9), dense eigh's
+    Cholesky reduction of the unscaled denominator was itself 0.6-1.3e-7 off
+    both the banded value and the scaled reference; here it is 2-4e-11 off."""
     params = PhysicalParams(mu_plus=0.1771150605405849, mu_minus=0.16456619284649213,
                             bulk_plus=0.08826035386091327, bulk_minus=0.12431526306379116,
                             lam=1.0, M=(0.0, 0.0, 2.3119500516736675))
-    mesh = assembly.build_mesh(geometry, 200, grading=1.09)
-    assert np.min(np.diff(mesh.nodes)) == pytest.approx(2.944e-9, rel=1e-3)
+    mesh = assembly.build_mesh(geometry, 200, grading=1.04)
+    assert np.min(np.diff(mesh.nodes)) == pytest.approx(1.569e-5, rel=1e-3)
     coeffs = FormCoefficients(canonical_profile, params, mesh.nodes)
     for k in ((1, 0), (2, -1), (4, 4)):
         mm = assembly.assemble(coeffs, make_mode(*k, geometry))
@@ -842,20 +865,6 @@ def test_alpha_at_zero_skips_the_dissipation_norm(canonical_profile, baseline_pa
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(InputError, match="tol must be positive"):
         spectral.growth_rate_detailed(mm_vertical, tol=-1.0)[0]
-
-
-def test_alpha_below_its_bracket_is_refused(mm_nofield, monkeypatch):
-    """alpha certifies its top branch from the bracket the solver closed: a value
-    more than TOP_BRANCH_MARGIN below the bracket's top raises."""
-    real = spectral._top_pair
-
-    def raised(*args):
-        top, v = real(*args)
-        return top + 1e-3, v
-
-    monkeypatch.setattr(spectral, "_top_pair", raised)
-    with pytest.raises(SolverError, match="is not the top of its pencil"):
-        spectral.alpha(0.0, mm_nofield)
 
 
 def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
@@ -923,8 +932,8 @@ def test_xi_alpha0_handed_over_or_solved(mm_vertical, canonical_profile, mesh60,
 
 
 def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry, monkeypatch):
-    """The fixed point reads the table its matrices were assembled from, and the
-    horizontal witness builds one table for its slope guard and its energy."""
+    """The fixed point builds no table, and the horizontal witness builds one
+    for its slope guard and its energy."""
     real, calls = modereduce.form_table, []
 
     def counting(*args, **kwargs):
