@@ -13,7 +13,6 @@ from .equilibrium import (
     Geometry,
     PressureLaw,
     build_profile,
-    check_rt_condition,
     infimum_p_prime_rho,
 )
 from .modereduce import FormCoefficients, FourierMode
@@ -31,7 +30,6 @@ __all__ = [
     "PressureLaw",
     "VISCOELASTIC",
     "build_profile",
-    "check_rt_condition",
     "infimum_p_prime_rho",
     "__version__",
 ]

@@ -21,7 +21,7 @@ import sys
 from typing import Dict, Optional
 
 from . import assembly, criteria, evolution, spectral
-from .equilibrium import Geometry, PressureLaw, build_profile, check_rt_condition
+from .equilibrium import Geometry, PressureLaw, build_profile
 from .errors import InputError, RTSpectraError, open_artifact
 from .modereduce import DEFAULT_QUADRATURE_ORDER, FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC, PhysicalParams
@@ -203,10 +203,6 @@ def parse_config(path: str) -> RunConfig:
 # -- report helpers -----------------------------------------------------------
 
 
-def _xi_str(x: float) -> str:
-    return "inf" if math.isinf(x) else _fmt(x)
-
-
 def _json_value(x):
     """JSON-safe value: inf as the string "inf", NaN (no value) as null."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
@@ -230,10 +226,8 @@ def _scan_records(verdict: spectral.StabilityVerdict):
 
 
 def _csv_cell(x) -> str:
-    """A scan CSV cell: an empty one for no value, a float as _xi_str, an index as is."""
-    if x is None:
-        return ""
-    return _xi_str(x) if isinstance(x, float) else str(x)
+    """A scan CSV cell: an empty one for no value, a float as _fmt, an index as is."""
+    return "" if x is None else _fmt(x) if isinstance(x, float) else str(x)
 
 
 def _summary_dict(verdict: spectral.StabilityVerdict) -> dict:
@@ -248,7 +242,7 @@ def _summary_dict(verdict: spectral.StabilityVerdict) -> dict:
 def _summary_line(verdict: spectral.StabilityVerdict) -> str:
     xi, lam = verdict.global_xi, verdict.global_lambda
     return "global_xi=%s global_lambda=%s truncation_converged=%s" % (
-        "none" if math.isnan(xi) else _xi_str(xi),
+        "none" if math.isnan(xi) else _fmt(xi),
         "none" if lam is None else _fmt(lam),
         str(verdict.truncation_converged).lower(),
     )
@@ -273,11 +267,15 @@ def _single_mode(cfg: RunConfig):
     return assembly.assemble(_coeffs(cfg), FourierMode.from_indices(cfg.k1, cfg.k2, cfg.geometry))
 
 
+#: elements per layer of the equilibrium CSV's default-family mesh: 1,024 heights per layer
+EQUILIBRIUM_TABLE_ELEMENTS = 1023
+
+
 def cmd_equilibrium(cfg: RunConfig, out: str) -> int:
     profile = _profile(cfg)
-    profile.to_csv(out)
-    stable, jump = check_rt_condition(profile)
-    print(f"rho_jump={_fmt(jump)} rt_condition={str(stable).lower()} wrote {out}")
+    profile.to_csv(out, assembly.build_mesh(cfg.geometry, EQUILIBRIUM_TABLE_ELEMENTS).nodes)
+    jump = profile.density_jump
+    print(f"rho_jump={_fmt(jump)} rt_condition={str(jump > 0.0).lower()} wrote {out}")
     return 0
 
 
@@ -288,7 +286,7 @@ def cmd_xi(cfg: RunConfig, out: str) -> int:
         "xi_value": _json_value(value),
         "medium": cfg.params.medium,
     })
-    print(f"xi_value={_xi_str(value)}")
+    print(f"xi_value={_fmt(value)}")
     return 0
 
 

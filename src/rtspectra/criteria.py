@@ -5,7 +5,9 @@ to plain arithmetic on equilibrium quantities, and witness fields carry
 their own closed-form energy value so positivity can be checked against
 the assembled solver on the same mode.  A witness's energy is
 :func:`modereduce.form_value` of its analytic field at the Gauss points of
-one panel per layer, so it reads the same form table as the assembly.
+one panel per layer, so it reads the same form table as the assembly.  The
+closed forms it is checked against use no quadrature: the horizontal-field
+bump's integrals are exact Beta integrals (:func:`_bump_integrals`).
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry, infimum_p_prime_rho
 from .errors import InputError, SolverError
-from .modereduce import (FormCoefficients, FourierMode, _leggauss, energy_signs, form_table,
-                         form_value)
+from .modereduce import FormCoefficients, FourierMode, energy_signs, form_table, form_value
 from .params import MHD, PhysicalParams
 
-#: Gauss points per layer panel of the witness energies and closed forms
+#: Gauss points per layer panel of the witness energies
 WITNESS_QUADRATURE_ORDER = 64
 #: tent widths eps, eps/2, ..., eps/2**19 tried in turn by the small-field witness
 TENT_WIDTHS = 20
@@ -157,27 +158,28 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
                                      "quadrature_points": int(coeffs.qp_y.size)})
 
 
-def _bump_panels(geometry: Geometry):
-    """(weights, psi0, psi0') at the Gauss points of one panel per layer."""
-    x, w = _leggauss(WITNESS_QUADRATURE_ORDER)
-    for a, b in ((geometry.h_minus, 0.0), (0.0, geometry.h_plus)):
-        y = 0.5 * (b - a) * x + 0.5 * (a + b)
-        yield (0.5 * (b - a) * w, *_bump(y, geometry))
+def _bump_integrals(geometry: Geometry):
+    """(int psi0^2, int psi0'^2) over [h_minus, h_plus], in closed form.
+
+    With h = h+ - h-, u = (y - h-)/h and r = h^2/|h+*h-|, psi0 = (r*u*(1 - u))^2,
+    so both integrals are Beta integrals: int psi0^2 = h*r^4*B(5, 5) =
+    h*r^4/630 and int psi0'^2 = (4*r^4/h)*(B(3, 3) - 4*B(4, 4)) = 2*r^4/(105*h).
+    """
+    h = geometry.height
+    r4 = (h * h / -(geometry.h_plus * geometry.h_minus)) ** 4
+    return h * r4 / 630.0, 2.0 * r4 / (105.0 * h)
 
 
 def closed_form_horizontal(profile: EquilibriumProfile, params: PhysicalParams,
                            mode: FourierMode) -> float:
     """g*[[rho]]*psi0(0)^2 - lam*xi1^2*M1^2 * int(psi0^2 + psi0'^2/|xi|^2).
 
-    Integrates the analytic bump psi0 with one Gauss panel per layer;
+    psi0(0) = 1 and the integrals are exact (:func:`_bump_integrals`);
     independent of the form/assembly machinery.
     """
-    geo = profile.geometry
-    total = sum(np.sum(wy * (psi0 ** 2 + dpsi0 ** 2 / mode.norm2))
-                for wy, psi0, dpsi0 in _bump_panels(geo))
-    psi0_at_0 = float(_bump(np.array([0.0]), geo)[0][0])
-    return (profile.g * profile.density_jump * psi0_at_0 ** 2
-            - params.lam * mode.xi1 ** 2 * params.M[0] ** 2 * total)
+    I0, I1 = _bump_integrals(profile.geometry)
+    return (profile.g * profile.density_jump
+            - params.lam * mode.xi1 ** 2 * params.M[0] ** 2 * (I0 + I1 / mode.norm2))
 
 
 def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalParams,
@@ -187,30 +189,26 @@ def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalPar
     at 1e6.
 
     With x = (k1/L1)^2, c = (k2/L2)^2, I0 = int(psi0^2), I1 = int(psi0'^2)
-    and G = g*[[rho]]*psi0(0)^2, the value times x + c is the quadratic
-    -a*x^2 + b*x + G*c with a = lam*M1^2*I0 and b = G - lam*M1^2*(I0*c + I1);
-    L1 = k1/sqrt(x) at its positive root, taken in the form that does not
-    cancel.
+    and G = g*[[rho]]*psi0(0)^2 = g*[[rho]], the value times x + c is the
+    quadratic q(x) = -a*x^2 + b*x + G*c with a = lam*M1^2*I0 and
+    b = G - lam*M1^2*(I0*c + I1), so the value has the sign of q.  L1 =
+    k1/sqrt(x) at its positive root, taken in the form that does not cancel.
     """
     geo = profile.geometry
-
-    def value(L1: float) -> float:
-        mode = FourierMode(k1=k1, k2=k2, xi1=k1 / L1, xi2=k2 / geo.L2)
-        return closed_form_horizontal(profile, params, mode)
-
-    if value(1e-3) > 0.0:
-        return 1e-3
-    if value(1e6) <= 0.0:
-        raise InputError("closed form never positive on the bracket")
-    I0 = I1 = 0.0
-    for wy, psi0, dpsi0 in _bump_panels(geo):
-        I0 += float(np.sum(wy * psi0 ** 2))
-        I1 += float(np.sum(wy * dpsi0 ** 2))
-    psi0_at_0 = float(_bump(np.array([0.0]), geo)[0][0])
-    G = profile.g * profile.density_jump * psi0_at_0 ** 2
+    I0, I1 = _bump_integrals(geo)
+    G = profile.g * profile.density_jump
     tension = params.lam * params.M[0] ** 2
     c = (k2 / geo.L2) ** 2
     a, b = tension * I0, G - tension * (I0 * c + I1)
+
+    def q(L1: float) -> float:
+        x = (k1 / L1) ** 2
+        return (b - a * x) * x + G * c
+
+    if q(1e-3) > 0.0:
+        return 1e-3
+    if q(1e6) <= 0.0:
+        raise InputError("closed form never positive on the bracket")
     root = math.sqrt(b * b + 4.0 * a * G * c)
     x = (b + root) / (2.0 * a) if b > 0.0 else 2.0 * G * c / (root - b)
     return k1 / math.sqrt(x)

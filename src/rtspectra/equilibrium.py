@@ -18,6 +18,8 @@ closed forms; a profile stores only the laws, anchors and g, and evaluates
 any height on demand.  P'(rho)*rho rises with rho for both laws, so the
 extrema that the vertical-field criterion reads (sup rho, inf P'(rho)*rho)
 sit at layer endpoints and are evaluated there; no sample table is kept.
+The CSV export (:meth:`EquilibriumProfile.to_csv`) evaluates the closed
+forms at the mesh nodes it is given.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ import numpy as np
 
 from .errors import InputError, open_artifact
 
-#: points per layer in the exported CSV table
-TABLE_POINTS = 1024
-#: geometric clustering ratio of the CSV table toward the interface
-TABLE_RATIO = 1.05
 #: non-vacuum floor, relative to the interface anchor of the layer
 VACUUM_FLOOR = 1e-8
 
@@ -140,28 +138,6 @@ class Geometry:
         return self.h_plus - self.h_minus
 
 
-def _clustered_grid(h_from0: float) -> np.ndarray:
-    """Grid of TABLE_POINTS heights on [0, |h|] with spacing growing by
-    TABLE_RATIO away from 0.
-
-    The literal ratio**k progression collapses below float spacing for large
-    n, so growth stops once the first element would drop under 1e-9 * |h|;
-    the remaining elements stay uniform at the floor.
-    """
-    H = abs(h_from0)
-    n, ratio, floor = TABLE_POINTS, TABLE_RATIO, 1e-9
-    # choose m = number of geometric steps so that h0 = H*(r-1)/(r^m-1) stays above floor*H
-    m_max = int(math.floor(math.log1p((ratio - 1.0) / floor) / math.log(ratio)))
-    m = min(n - 1, max(1, m_max))
-    sizes = np.full(n - 1, 1.0)
-    sizes[:m] = ratio ** np.arange(m)
-    sizes[m:] = ratio ** (m - 1)
-    sizes *= H / sizes.sum()
-    grid = np.concatenate(([0.0], np.cumsum(sizes)))
-    grid[-1] = H
-    return grid * np.sign(h_from0)
-
-
 @dataclass
 class EquilibriumProfile:
     """Immutable two-layer hydrostatic equilibrium.
@@ -203,9 +179,10 @@ class EquilibriumProfile:
         rho_bottom = self.evaluate_layer(self.geometry.h_minus, "-")[0][0]
         return max(self.rho_interface_plus, float(rho_bottom))
 
-    def to_csv(self, path) -> None:
-        """Export TABLE_POINTS heights per layer, clustered toward the interface:
-        columns y3, rho, rho_prime, p_prime_rho, layer."""
+    def to_csv(self, path, nodes: np.ndarray) -> None:
+        """Export the profile at the ascending mesh ``nodes`` (one at 0):
+        columns y3, rho, rho_prime, p_prime_rho, layer.  The interface node
+        appears in both layers, with each layer's one-sided values."""
         lines = [
             "# upper: %s; lower: %s; g=%s; rho(0+)=%s; rho(0-)=%s"
             % (
@@ -217,9 +194,8 @@ class EquilibriumProfile:
             ),
             "y3,rho,rho_prime,p_prime_rho,layer",
         ]
-        for side, name, h in (("-", "lower", self.geometry.h_minus),
-                              ("+", "upper", self.geometry.h_plus)):
-            y = np.sort(_clustered_grid(h))
+        for side, name, y in (("-", "lower", nodes[nodes <= 0.0]),
+                              ("+", "upper", nodes[nodes >= 0.0])):
             rho, rho_p, pp = self.evaluate_layer(y, side)
             for yv, r, rp, ppr in zip(y, rho, rho_p, pp):
                 lines.append(
@@ -276,12 +252,6 @@ def build_profile(
         rho_interface_plus=float(rho_plus_at_interface),
         rho_interface_minus=float(rho_minus),
     )
-
-
-def check_rt_condition(profile: EquilibriumProfile):
-    """Return (jump > 0, jump) for the interface density jump."""
-    jump = profile.density_jump
-    return jump > 0.0, jump
 
 
 def infimum_p_prime_rho(profile: EquilibriumProfile) -> float:

@@ -15,8 +15,8 @@ from form_oracles import (ModeField, elastic_form, elastic_form_expanded, energy
                           gravity_form, poincare_check, theta_numerator_form, trace_check)
 from oracles import dense, etilde_value
 from rtspectra import assembly, criteria, evolution, modereduce as mr, spectral
-from rtspectra.cli import run as cli_run
-from rtspectra.equilibrium import Geometry, PressureLaw, _clustered_grid, build_profile
+from rtspectra.cli import EQUILIBRIUM_TABLE_ELEMENTS, run as cli_run
+from rtspectra.equilibrium import Geometry, PressureLaw, build_profile
 from rtspectra.params import VISCOELASTIC, PhysicalParams
 
 VISC = dict(mu_plus=0.1, mu_minus=0.1, bulk_plus=0.1, bulk_minus=0.1)
@@ -43,9 +43,9 @@ def profile(geo):
 def test_criterion_01_equilibrium_exactness(geo):
     start = time.monotonic()
     prof = build_profile(geo, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, 2.0)
-    for side, c2, anchor, h, law in (("+", 1.0, 2.0, geo.h_plus, prof.law_plus),
-                                     ("-", 2.0, 1.0, geo.h_minus, prof.law_minus)):
-        y = _clustered_grid(h)
+    nodes = assembly.build_mesh(geo, EQUILIBRIUM_TABLE_ELEMENTS).nodes     # the CSV's heights
+    for side, c2, anchor, y, law in (("+", 1.0, 2.0, nodes[nodes >= 0.0], prof.law_plus),
+                                     ("-", 2.0, 1.0, nodes[nodes <= 0.0], prof.law_minus)):
         rho, rho_p, _ = prof.evaluate_layer(y, side)
         exact = anchor * np.exp(-prof.g * y / c2)
         assert np.max(np.abs(rho - exact)) <= 1e-10 * anchor

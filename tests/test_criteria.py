@@ -106,6 +106,23 @@ def test_horizontal_witness_errors(canonical_profile):
                                           make_mode(1, 0, geo))
 
 
+@pytest.mark.parametrize("h_plus, h_minus", [(1.0, -1.0), (0.5, -2.0), (2.0, -0.5),
+                                             (1e-3, -7.0)])
+def test_bump_integrals_match_gauss_legendre(h_plus, h_minus):
+    """The Beta-integral closed forms against a 64-point Gauss-Legendre sum
+    per layer, exact for the degree-8 integrands; psi0(0) is exactly 1."""
+    geo = Geometry(h_minus=h_minus, h_plus=h_plus, L1=1.0, L2=1.0)
+    x, w = np.polynomial.legendre.leggauss(64)
+    I0 = I1 = 0.0
+    for a, b in ((h_minus, 0.0), (0.0, h_plus)):
+        psi0, dpsi0 = criteria._bump(0.5 * (b - a) * x + 0.5 * (a + b), geo)
+        I0 += float(np.sum(0.5 * (b - a) * w * psi0 ** 2))
+        I1 += float(np.sum(0.5 * (b - a) * w * dpsi0 ** 2))
+    got = criteria._bump_integrals(geo)
+    assert got == pytest.approx((I0, I1), rel=2e-15, abs=0.0)
+    assert criteria._bump(np.array([0.0]), geo)[0][0] == 1.0
+
+
 def test_horizontal_period_bisection(canonical_profile):
     params = PhysicalParams(lam=1.0, M=(1.0, 0.0, 0.0))
     L1_star = criteria.horizontal_period_threshold(canonical_profile, params, 1, 1)

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from oracles import dop853_density
-from rtspectra.equilibrium import (
-    Geometry,
-    PressureLaw,
-    _clustered_grid,
-    build_profile,
-    check_rt_condition,
-    infimum_p_prime_rho,
-)
+from rtspectra.assembly import build_mesh
+from rtspectra.cli import EQUILIBRIUM_TABLE_ELEMENTS
+from rtspectra.equilibrium import Geometry, PressureLaw, build_profile, infimum_p_prime_rho
 from rtspectra.errors import InputError
 
 
+def _table_nodes(geo):
+    """The heights of the exported CSV table: the default-family mesh nodes."""
+    return build_mesh(geo, EQUILIBRIUM_TABLE_ELEMENTS).nodes
+
+
 def _layer_grid(prof, side):
-    """The heights of the exported CSV table of one layer."""
-    geo = prof.geometry
-    return _clustered_grid(geo.h_plus if side == "+" else geo.h_minus)
+    """The heights of the exported CSV table of one layer, the interface included."""
+    y = _table_nodes(prof.geometry)
+    return y[y >= 0.0] if side == "+" else y[y <= 0.0]
 
 
 def test_linear_laws_match_exponential(canonical_profile):
@@ -56,20 +56,20 @@ def test_density_strictly_decreasing(canonical_profile):
 
 
 def test_rt_condition_canonical(canonical_profile):
-    ok, jump = check_rt_condition(canonical_profile)
-    assert ok and jump == pytest.approx(1.0, rel=1e-12)
+    jump = canonical_profile.density_jump
+    assert jump > 0.0 and jump == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rt_condition_symmetric_layers(geometry):
     prof = build_profile(geometry, PressureLaw.linear(1.5), PressureLaw.linear(1.5), 1.0, 2.0)
-    ok, jump = check_rt_condition(prof)
-    assert not ok and jump == pytest.approx(0.0, abs=1e-14)
+    jump = prof.density_jump
+    assert not jump > 0.0 and jump == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rt_condition_swapped_sound_speeds(geometry):
     prof = build_profile(geometry, PressureLaw.linear(2.0), PressureLaw.linear(1.0), 1.0, 1.0)
-    ok, jump = check_rt_condition(prof)
-    assert not ok and jump == pytest.approx(-1.0, rel=1e-12)
+    jump = prof.density_jump
+    assert not jump > 0.0 and jump == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_evaluate_interface_sides(canonical_profile):
@@ -194,11 +194,18 @@ def test_invalid_inputs(geometry):
 
 def test_csv_export(tmp_path, canonical_profile):
     path = tmp_path / "profile.csv"
-    canonical_profile.to_csv(path)
+    nodes = _table_nodes(canonical_profile.geometry)
+    canonical_profile.to_csv(path, nodes)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "y3,rho,rho_prime,p_prime_rho,layer"
     fields = lines[2].split(",")
     assert len(fields) == 5 and fields[4] in ("lower", "upper")
-    # two layers, TABLE_POINTS rows each
+    # two layers, 1,024 rows each
     assert len(lines) == 2 + 2 * 1024
+    # the heights are exactly the nodes, the interface 0 in both layers
+    rows = [line.split(",") for line in lines[2:]]
+    for name, want in (("lower", nodes[nodes <= 0.0]), ("upper", nodes[nodes >= 0.0])):
+        heights = [float(row[0]) for row in rows if row[4] == name]
+        assert heights == want.tolist()
+    assert [row[4] for row in rows if row[0] == "0"] == ["lower", "upper"]
