@@ -1,13 +1,15 @@
 """Command-line front end: config parsing, scans, reports.
 
-Configs are flat INI sections (JSON accepted as an alternative encoding of
-the same sections); section names and keys ignore case in both encodings.
-All outputs are deterministic: fixed float formatting, sorted keys, no
-timestamps.  Exit codes: 0 success, 2 InputError (the configuration or a
-value in it is not admissible) or OSError (an artifact path that cannot be
-written), 3 SolverError or a bare ValueError raised while solving.  Each
-value is checked by the type or function that owns it; parse_config checks
-only what no type owns, and refuses any section or key KEYS does not list.
+A config is a flat INI file that says what to compute; section names and
+keys ignore case.  The command line names the artifact: ``--out`` is
+required, and a scan whose ``--out`` ends in ``.json`` writes one JSON
+document instead of a CSV and its summary.  All outputs are deterministic:
+fixed float formatting, sorted keys, no timestamps.  Exit codes: 0
+success, 2 InputError (the configuration or a value in it is not
+admissible) or OSError (an artifact path that cannot be written), 3
+SolverError or a bare ValueError raised while solving.  Each value is
+checked by the type or function that owns it; parse_config checks only
+what no type owns, and refuses any section or key KEYS does not list.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .params import MHD, VISCOELASTIC, PhysicalParams
 
 SCHEMA_VERSION = 1
 SCAN_COLUMNS = ("k1", "k2", "xi1", "xi2", "xi_value", "alpha0", "lambda", "residual")
-FORMATS = ("csv", "json")
 REQUIRED = object()
 
 # section -> key -> (type, default or REQUIRED), names lower-cased as in the
@@ -52,7 +53,6 @@ KEYS = {
                  "k_max": (int, 4), "fixed_point_tol": (float, 1e-8),
                  "k1": (int, 1), "k2": (int, 0)},
     "evolution": {"dt": (float, None), "t": (float, None), "seed": (int, 0)},
-    "output": {"path": (str, "report"), "format": (str, "csv")},
 }
 
 
@@ -80,48 +80,27 @@ class RunConfig:
     dt: Optional[float]
     T: Optional[float]
     seed: int
-    out_path: str
-    out_format: str
-
-
-def _lower_keys(pairs, where: str) -> Dict:
-    """The pairs as a dict with lower-cased keys; InputError when two keys differ only in case."""
-    out = {}
-    for key, value in pairs:
-        key = str(key).lower()
-        if key in out:
-            raise InputError(f"duplicate key {key!r} in {where} (keys ignore case)")
-        out[key] = value
-    return out
 
 
 def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
-    """Sections of an INI or JSON config, section names and keys lower-cased."""
+    """Sections of an INI config, section names and keys lower-cased."""
+    # "key = value  ; note" drops the note; a key given twice, in any case,
+    # raises DuplicateOptionError
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    sections = {}
     try:
         with open(path) as fh:
-            text = fh.read()
+            parser.read_file(fh)
+        for name in parser.sections():
+            if name.lower() in sections:
+                raise InputError(f"duplicate section [{name.lower()}] (section names ignore case)")
+            sections[name.lower()] = dict(parser.items(name))
     except OSError as exc:
         raise InputError(f"cannot read config file {path!r}: {exc}") from exc
-    stripped = text.lstrip()
-    if path.endswith(".json") or stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config is not valid JSON: {exc}") from exc
-        if not (isinstance(data, dict) and all(isinstance(v, dict) for v in data.values())):
-            raise InputError("JSON config must be an object of sections")
-        sections = [(name, items.items()) for name, items in data.items()]
-    else:
-        # lower-cases keys, not section names; "key = value  ; note" drops the note
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise InputError(f"config is not valid INI: {exc}") from exc
-        sections = [(name, parser.items(name)) for name in parser.sections()]
-    return _lower_keys(
-        ((name, _lower_keys(((k, str(v)) for k, v in items), f"section [{name}]"))
-         for name, items in sections), "the config")
+    except configparser.Error as exc:         # one error line, as for every InputError
+        message = str(exc).replace("\n", " ")
+        raise InputError(f"config is not valid INI: {message}") from exc
+    return sections
 
 
 def _section(sections: Dict[str, Dict[str, str]], name: str) -> Dict:
@@ -160,20 +139,14 @@ def _law(eq: Dict, side: str) -> PressureLaw:
     raise InputError(f"law_{side} must be 'linear' or 'polytropic', got {kind!r}")
 
 
-def _check_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise InputError(f"format must be 'csv' or 'json', got {fmt!r}")
-    return fmt
-
-
 def parse_config(path: str) -> RunConfig:
     """Parse and validate a config file into a RunConfig."""
     sections = _read_sections(path)
     for name in sections:
         if name not in KEYS:
             raise InputError(f"unknown section [{name}]")
-    geo, eq, physics, num, ev, out = (_section(sections, name) for name in (
-        "geometry", "equilibrium", "physics", "numerics", "evolution", "output"))
+    geo, eq, physics, num, ev = (_section(sections, name) for name in (
+        "geometry", "equilibrium", "physics", "numerics", "evolution"))
     if (MHD in sections) == (VISCOELASTIC in sections):
         raise InputError("exactly one of [mhd] or [viscoelastic] must be present")
     if MHD in sections:
@@ -196,8 +169,7 @@ def parse_config(path: str) -> RunConfig:
         n_per_layer=num["n_per_layer"], grading=num["grading"],
         quadrature_order=num["quadrature_order"], k_max=num["k_max"],
         fixed_point_tol=num["fixed_point_tol"], k1=num["k1"], k2=num["k2"],
-        dt=ev["dt"], T=ev["t"], seed=ev["seed"],
-        out_path=out["path"], out_format=_check_format(out["format"]))
+        dt=ev["dt"], T=ev["t"], seed=ev["seed"])
 
 
 # -- report helpers -----------------------------------------------------------
@@ -307,7 +279,7 @@ def cmd_growth(cfg: RunConfig, out: str) -> int:
 
 def cmd_scan(cfg: RunConfig, out: str) -> int:
     verdict = spectral.global_scan(_coeffs(cfg), cfg.k_max, cfg.fixed_point_tol)
-    if cfg.out_format == "json":
+    if out.endswith(".json"):
         _write_json(out, {
             "records": [
                 {k: _json_value(v) for k, v in rec.items()} for rec in _scan_records(verdict)
@@ -407,19 +379,15 @@ COMMANDS = {
 }
 
 
-def run(config_path: str, subcommand: str, out: Optional[str] = None,
-        fmt: Optional[str] = None, threads: Optional[int] = None) -> int:
-    """Execute one subcommand; returns the process exit status.
+def run(config_path: str, subcommand: str, out: str, threads: Optional[int] = None) -> int:
+    """Execute one subcommand, writing its artifact to `out`; returns the exit status.
 
     ``threads`` is accepted for compatibility and ignored.
     """
     try:
         if subcommand not in COMMANDS:
             raise InputError(f"unknown subcommand {subcommand!r}")
-        cfg = parse_config(config_path)
-        if fmt is not None:
-            cfg.out_format = _check_format(fmt)
-        return COMMANDS[subcommand](cfg, out or cfg.out_path)
+        return COMMANDS[subcommand](parse_config(config_path), out)
     except (InputError, OSError) as exc:      # OSError: an artifact that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -436,12 +404,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("subcommand", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the run configuration")
-    parser.add_argument("--out", default=None, help="output artifact path")
-    parser.add_argument("--format", default=None, choices=FORMATS)
+    parser.add_argument("--out", required=True,
+                        help="artifact path; a scan to a .json path writes JSON, else CSV")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored: modes are solved one after another")
     args = parser.parse_args(argv)
-    return run(args.config, args.subcommand, args.out, args.format, args.threads)
+    return run(args.config, args.subcommand, args.out, args.threads)
 
 
 if __name__ == "__main__":

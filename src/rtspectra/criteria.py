@@ -186,14 +186,16 @@ def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalPar
                                 k1: int = 1, k2: int = 1) -> float:
     """The period L1 in [1e-3, 1e6] above which the closed-form witness value
     is positive: 1e-3 when it already is there, InputError when it is not
-    at 1e6.
+    at 1e6, or when k1 = 0 and L1 enters no closed form.
 
     With x = (k1/L1)^2, c = (k2/L2)^2, I0 = int(psi0^2), I1 = int(psi0'^2)
     and G = g*[[rho]]*psi0(0)^2 = g*[[rho]], the value times x + c is the
     quadratic q(x) = -a*x^2 + b*x + G*c with a = lam*M1^2*I0 and
     b = G - lam*M1^2*(I0*c + I1), so the value has the sign of q.  L1 =
-    k1/sqrt(x) at its positive root, taken in the form that does not cancel.
+    |k1|/sqrt(x) at its positive root, taken in the form that does not cancel.
     """
+    if k1 == 0:
+        raise InputError("k1 = 0: the period L1 enters no closed form of mode (0, k2)")
     geo = profile.geometry
     I0, I1 = _bump_integrals(geo)
     G = profile.g * profile.density_jump
@@ -211,7 +213,7 @@ def horizontal_period_threshold(profile: EquilibriumProfile, params: PhysicalPar
         raise InputError("closed form never positive on the bracket")
     root = math.sqrt(b * b + 4.0 * a * G * c)
     x = (b + root) / (2.0 * a) if b > 0.0 else 2.0 * G * c / (root - b)
-    return k1 / math.sqrt(x)
+    return abs(k1) / math.sqrt(x)
 
 
 def small_field_witness(profile: EquilibriumProfile, params: PhysicalParams,

@@ -364,9 +364,6 @@ m3 = 0.0
 [numerics]
 n_per_layer = 60
 k_max = 1
-[output]
-path = unused
-format = csv
 """)
     assert cli_run(str(config), "scan", out=str(out1)) == 0
     assert cli_run(str(config), "scan", out=str(out2)) == 0

@@ -1,6 +1,5 @@
 """Command-line interface: parsing, validation, artifacts, determinism."""
 
-import configparser
 import json
 import math
 import os
@@ -41,10 +40,6 @@ n_per_layer = 30
 k_max = 1
 k1 = 1
 k2 = 0
-
-[output]
-path = {out}
-format = csv
 """
 
 MHD_BLOCK = "[mhd]\nlambda = 1.0\nm3 = 0.0\n"
@@ -52,8 +47,7 @@ VE_BLOCK = "[viscoelastic]\nkappa_plus = 0.55\nkappa_minus = 0.55\n"
 
 
 def write_config(tmp_path, medium=MHD_BLOCK, name="run.ini", **edits):
-    out = tmp_path / "artifact.csv"
-    text = BASE_INI.format(medium=medium, out=out)
+    text = BASE_INI.format(medium=medium)
     for old, new in edits.items():
         text = text.replace(old, new)
     path = tmp_path / name
@@ -63,14 +57,15 @@ def write_config(tmp_path, medium=MHD_BLOCK, name="run.ini", **edits):
 
 def test_validation_negative_mu(tmp_path, capsys):
     cfgp = write_config(tmp_path, **{"mu_plus = 0.1": "mu_plus = -0.5"})
-    assert cli.run(str(cfgp), "xi") == 2
+    assert cli.run(str(cfgp), "xi", out=str(tmp_path / "xi.json")) == 2
     assert "mu_plus" in capsys.readouterr().err
 
 
 def test_validation_nan_values(tmp_path):
     # NaN used to pass: g = nan hung the equilibrium ODE, bulk_plus = nan exited 0
     for old, new in (("g = 1.0", "g = nan"), ("bulk_plus = 0.1", "bulk_plus = nan")):
-        assert cli.run(str(write_config(tmp_path, **{old: new})), "xi") == 2
+        assert cli.run(str(write_config(tmp_path, **{old: new})), "xi",
+                       out=str(tmp_path / "xi.json")) == 2
 
 
 # (subcommand, edits, stderr fragment): inadmissible input, each refused by the
@@ -124,7 +119,7 @@ def test_error_class_decides_exit_code(tmp_path, monkeypatch, capsys, cls, code)
         raise cls("raised while solving")
 
     monkeypatch.setattr(cli.spectral, "xi_per_mode", failing)
-    assert cli.run(str(write_config(tmp_path)), "xi") == code
+    assert cli.run(str(write_config(tmp_path)), "xi", out=str(tmp_path / "xi.json")) == code
     assert "raised while solving" in capsys.readouterr().err
     # a scan lists a mode's SolverError as a failed mode; an InputError ends it
     monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
@@ -163,51 +158,34 @@ def test_validation_degenerate_mesh(tmp_path, capsys, case):
 
 
 def test_validation_medium_blocks(tmp_path):
-    assert cli.run(str(write_config(tmp_path, medium="")), "xi") == 2
-    assert cli.run(str(write_config(tmp_path, medium=MHD_BLOCK + "\n" + VE_BLOCK)), "xi") == 2
+    out = str(tmp_path / "xi.json")
+    assert cli.run(str(write_config(tmp_path, medium="")), "xi", out=out) == 2
+    assert cli.run(str(write_config(tmp_path, medium=MHD_BLOCK + "\n" + VE_BLOCK)), "xi",
+                   out=out) == 2
 
 
 def test_config_parse_error(tmp_path):
     p = tmp_path / "broken.ini"
     p.write_text("not an ini ][ at all")
-    assert cli.run(str(p), "scan") == 2
-    assert cli.run(str(tmp_path / "missing.ini"), "scan") == 2
+    out = str(tmp_path / "scan.csv")
+    assert cli.run(str(p), "scan", out=out) == 2
+    assert cli.run(str(tmp_path / "missing.ini"), "scan", out=out) == 2
 
 
 def test_unknown_subcommand(tmp_path):
-    assert cli.run(str(write_config(tmp_path)), "frobnicate") == 2
-
-
-def test_json_config_equivalent(tmp_path, capsys):
-    out = tmp_path / "xi.json"
-    payload = {
-        "geometry": {"h_minus": -1.0, "h_plus": 1.0, "L1": 1.0, "L2": 1.0},
-        "equilibrium": {"law_plus": "linear", "c2_plus": 1.0, "law_minus": "linear",
-                        "c2_minus": 2.0, "g": 1.0, "rho_plus_interface": 2.0},
-        "physics": {"mu_plus": 0.1, "mu_minus": 0.1, "bulk_plus": 0.1, "bulk_minus": 0.1},
-        "mhd": {"lambda": 1.0, "m3": 0.0},
-        "numerics": {"n_per_layer": 30, "k1": 1, "k2": 0},
-        "output": {"path": str(out), "format": "json"},
-    }
-    p = tmp_path / "run.json"
-    p.write_text(json.dumps(payload))
-    assert cli.run(str(p), "xi") == 0
-    report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
-    assert report["xi_value"] == "inf"
+    assert cli.run(str(write_config(tmp_path)), "frobnicate", out=str(tmp_path / "out")) == 2
 
 
 def test_readme_config_parses(tmp_path):
     """The README's INI example parses as documented; so does its polytropic
-    variant (K_plus / gamma_plus, as its comment says) and the same sections
-    as JSON with upper-case section names and keys."""
+    variant (K_plus / gamma_plus, as its comment says)."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     (tmp_path / "readme.ini").write_text(ini)
     cfg = cli.parse_config(str(tmp_path / "readme.ini"))
     assert cfg.params.medium == "mhd" and cfg.params.M == (0.0, 0.0, 2.4)
     assert (cfg.geometry.L1, cfg.geometry.L2, cfg.law_plus.kind) == (1.0, 1.0, "linear")
-    assert (cfg.n_per_layer, cfg.k_max, cfg.k1, cfg.out_path) == (200, 8, 1, "scan.csv")
+    assert (cfg.n_per_layer, cfg.k_max, cfg.k1) == (200, 8, 1)
 
     poly = re.sub(r"law_plus = linear.*\nc2_plus = 1.0",
                   "law_plus = polytropic\nK_plus = 1.5\ngamma_plus = 1.4", ini)
@@ -215,21 +193,17 @@ def test_readme_config_parses(tmp_path):
     law = cli.parse_config(str(tmp_path / "poly.ini")).law_plus
     assert (law.kind, law.K, law.gamma) == ("polytropic", 1.5, 1.4)
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    parser.optionxform = str                  # keep the README's own key case
-    parser.read_string(ini)
-    payload = {name.upper(): {key.upper(): value for key, value in parser.items(name)}
-               for name in parser.sections()}
-    assert payload["MHD"]["M3"] == "2.4" and payload["GEOMETRY"]["L1"] == "1.0"
-    (tmp_path / "readme.json").write_text(json.dumps(payload))
-    assert cli.parse_config(str(tmp_path / "readme.json")) == cfg
-
 
 def test_config_keys_differing_only_in_case(tmp_path, capsys):
-    p = tmp_path / "dup.json"
-    p.write_text(json.dumps({"mhd": {"m3": 1.0, "M3": 2.0}}))
-    assert cli.run(str(p), "xi") == 2
-    assert "duplicate key 'm3'" in capsys.readouterr().err
+    """Keys and section names ignore case, so two that differ only in case
+    are one given twice: exit 2 with one error line naming it."""
+    for edits, fragment in (
+            ({"m3 = 0.0": "m3 = 0.0\nM3 = 2.0"}, "option 'm3' in section 'mhd' already exists"),
+            ({"[mhd]": "[MHD]\nm1 = 0.5\n\n[mhd]"}, "duplicate section [mhd]")):
+        cfgp = write_config(tmp_path, **edits)
+        assert cli.run(str(cfgp), "xi", out=str(tmp_path / "xi.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err and len(err.splitlines()) == 1
 
 
 def test_equilibrium_artifact(tmp_path, capsys):
@@ -259,7 +233,7 @@ def test_scan_csv_schema_and_summary(tmp_path, capsys):
 def test_scan_json_format(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "scan.json"
-    assert cli.run(str(cfgp), "scan", out=str(out), fmt="json") == 0
+    assert cli.run(str(cfgp), "scan", out=str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
     assert {r["k1"] for r in doc["records"]} == {0, 1}
@@ -276,14 +250,14 @@ def test_scan_determinism(tmp_path):
         == (tmp_path / "b.csv.summary.json").read_bytes()
 
 
-# (subcommand, --format): {artifact: its top-level JSON keys, or None for a CSV}
+# (subcommand, suffix of --out): {artifact: its top-level JSON keys, or None for a CSV}
 ARTIFACTS = {
     ("equilibrium", None): {"out": None},
     ("xi", None): {"out": {"schema_version", "k1", "k2", "xi_value", "medium"}},
     ("growth", None): {"out": {"schema_version", "k1", "k2", "alpha0", "lambda", "residual",
                                "medium"}},
     ("scan", None): {"out": None, "out.summary.json": {"schema_version", "summary"}},
-    ("scan", "json"): {"out": {"schema_version", "records", "summary"}},
+    ("scan", "json"): {"out.json": {"schema_version", "records", "summary"}},
     ("witness", None): {"out": {"schema_version", "kind", "k1", "k2", "energy_value",
                                 "closed_form_value", "positive"}},
     ("thresholds", None): {"out": {"schema_version", "reports"}},
@@ -293,16 +267,17 @@ ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("subcommand, fmt", sorted(ARTIFACTS, key=str))
-def test_subcommand_determinism(tmp_path, capfd, subcommand, fmt):
+@pytest.mark.parametrize("subcommand, suffix", sorted(ARTIFACTS, key=str))
+def test_subcommand_determinism(tmp_path, capfd, subcommand, suffix):
     """Criterion 13 for every subcommand: a second run writes the same artifacts
     and prints the same lines, and each JSON artifact keeps its top-level keys."""
     cfgp = write_config(tmp_path, **{"m3 = 0.0": "m3 = 0.02"})
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.05\nt = 1.0\nseed = 1\n")
-    expected = ARTIFACTS[subcommand, fmt]
+    expected = ARTIFACTS[subcommand, suffix]
+    out = "out" if suffix is None else f"out.{suffix}"
     runs = []
     for _ in range(2):
-        assert cli.run(str(cfgp), subcommand, out=str(tmp_path / "out"), fmt=fmt) == 0
+        assert cli.run(str(cfgp), subcommand, out=str(tmp_path / out)) == 0
         assert {p.name for p in tmp_path.iterdir()} == {cfgp.name, *expected}
         runs.append(({name: (tmp_path / name).read_bytes() for name in expected},
                      capfd.readouterr()))
@@ -357,7 +332,7 @@ def test_scan_all_failed_strict_json(tmp_path, monkeypatch, capsys, fmt):
 
     monkeypatch.setattr(cli.spectral, "analyze_mode", failing)
     out = tmp_path / f"scan.{fmt}"
-    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out), fmt=fmt) == 3
+    assert cli.run(str(write_config(tmp_path)), "scan", out=str(out)) == 3
     path = tmp_path / "scan.csv.summary.json" if fmt == "csv" else out
     summary = json.loads(path.read_text(), parse_constant=_reject_constant)["summary"]
     assert summary["global_xi"] is None and summary["global_lambda"] is None
@@ -506,12 +481,12 @@ def test_validation_evolve_horizon(tmp_path, monkeypatch, capsys):
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.5\nt = 4.0\n")
     with monkeypatch.context() as patch:
         patch.setattr(cli.assembly, "assemble", no_assembly)
-        assert cli.run(str(cfgp), "evolve") == 2
+        assert cli.run(str(cfgp), "evolve", out=str(tmp_path / "traj.csv")) == 2
     assert "10 steps" in capsys.readouterr().err
     # T defaults to 10/Lambda, less than 10 steps of this dt (and dt*Lambda < 2)
     cfgp = write_config(tmp_path)
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 6.0\n")
-    assert cli.run(str(cfgp), "evolve") == 2
+    assert cli.run(str(cfgp), "evolve", out=str(tmp_path / "traj.csv")) == 2
     assert "10 steps" in capsys.readouterr().err
 
 
@@ -521,7 +496,7 @@ def test_solver_value_error_exit_code(tmp_path, monkeypatch, capsys):
         raise ValueError("broken solver")
 
     monkeypatch.setattr(cli.spectral, "xi_per_mode", broken)
-    assert cli.run(str(write_config(tmp_path)), "xi") == 3
+    assert cli.run(str(write_config(tmp_path)), "xi", out=str(tmp_path / "xi.json")) == 3
     assert "broken solver" in capsys.readouterr().err
 
 

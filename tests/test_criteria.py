@@ -155,6 +155,17 @@ def test_horizontal_period_root(canonical_profile, M1, k2):
     assert (L1_star == 1e-3) == (M1 == 0.0)
 
 
+def test_horizontal_period_sign_of_k1(canonical_profile):
+    """L1 enters only through (k1/L1)^2: k1 = -1 gives the period of k1 = 1,
+    and a mode with k1 = 0 has no period threshold."""
+    params = PhysicalParams(lam=1.0, M=(1.0, 0.0, 0.0))
+    assert criteria.horizontal_period_threshold(canonical_profile, params, -1, 1) \
+        == criteria.horizontal_period_threshold(canonical_profile, params, 1, 1)
+    for k2 in (1, 0):
+        with pytest.raises(InputError, match="L1 enters no closed form"):
+            criteria.horizontal_period_threshold(canonical_profile, params, 0, k2)
+
+
 def test_small_field_witness_canonical(canonical_profile):
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 0.02))
     w = criteria.small_field_witness(canonical_profile, params, 0.1)

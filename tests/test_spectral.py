@@ -369,6 +369,31 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
     assert value == pytest.approx(0.95300952456, abs=1e-10)
 
 
+@pytest.mark.parametrize("M, k", [((0.0, 0.0, 0.0), (1, 0)), ((1.0, 0.0, 0.0), (0, 1)),
+                                  ((0.3, -0.2, 0.0), (2, 3))],
+                         ids=["no_field", "horizontal", "skew"])
+def test_xi_transverse_kernel_below_its_supremum(stable_profile, geometry, M, k):
+    """M3 = 0, M . xi = 0, g > 0 and [[rho]] <= 0: with d = div w and
+    c = P'(rho)*rho + lam*|M_h|^2, Cauchy-Schwarz in d, then the sup over psi
+    and hydrostatic balance (-g*rho' = g^2*rho/P'(rho)) give the per-mode
+    supremum S/(S + lam*|M_h|^2), with S = sup P'(rho)*rho, here 2e at the
+    bottom of the lower layer.  The Galerkin value lies below it and rises
+    with n; with no field its gap shrinks at least 3x per doubling."""
+    params = PhysicalParams(lam=1.0, M=M)
+    S = 2.0 * math.e
+    bound = S / (S + params.lam * (M[0] ** 2 + M[1] ** 2))
+    values = []
+    for n in (25, 50, 100):
+        mm = assembly.assemble(FormCoefficients(stable_profile, params,
+                                                assembly.build_mesh(geometry, n).nodes),
+                               make_mode(*k, geometry))
+        values.append(spectral.xi_per_mode(mm)[0])
+    assert values[0] < values[1] < values[2] < bound
+    if M == (0.0, 0.0, 0.0):
+        gaps = [bound - v for v in values]
+        assert gaps[1] <= gaps[0] / 3.0 and gaps[2] <= gaps[1] / 3.0
+
+
 def test_xi_viscoelastic_zero_kappa(canonical_profile, stable_profile, geometry):
     """kappa = 0 in one layer leaves a singular denominator: a typed error.
     kappa = 0 in both makes it vanish: inf where gravity drives, also on the
@@ -932,22 +957,28 @@ def test_xi_alpha0_handed_over_or_solved(mm_vertical, canonical_profile, mesh60,
 
 
 def test_form_table_built_once_per_mode(mm_nofield, canonical_profile, geometry, monkeypatch):
-    """The fixed point builds no table, and the horizontal witness builds one
-    for its slope guard and its energy."""
-    real, calls = modereduce.form_table, []
+    """A verdict reads only what assemble built: analyze_mode contracts no
+    band and builds no table.  The horizontal witness builds one table for
+    its slope guard and its energy."""
+    calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
+    monkeypatch.setattr(assembly.BandPolynomial, "band",
+                        counting(assembly.BandPolynomial.band, "band"))
+    table = counting(modereduce.form_table, "form_table")
     for module in (modereduce, criteria):      # every module that holds the name
-        monkeypatch.setattr(module, "form_table", counting)
-    lam, _, _ = spectral.growth_rate_detailed(mm_nofield, tol=1e-8)
-    assert lam is not None and lam > 0
-    assert len(calls) == 0
+        monkeypatch.setattr(module, "form_table", table)
+    verdict = spectral.analyze_mode(mm_nofield)
+    assert verdict.lambda_value is not None and verdict.lambda_value > 0
+    assert calls == []
     criteria.horizontal_field_witness(canonical_profile, PhysicalParams(M=(1.0, 0.0, 0.0)),
                                       make_mode(1, 1, geometry))
-    assert len(calls) == 1
+    assert calls == ["form_table"]
 
 
 @pytest.mark.parametrize("m3", [M3_STABLE, 0.0])
