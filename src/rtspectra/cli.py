@@ -84,12 +84,12 @@ class RunConfig:
 
 def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
     """Sections of an INI config, section names and keys lower-cased."""
-    # "key = value  ; note" drops the note; a key given twice, in any case,
-    # raises DuplicateOptionError
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # "key = value  ; note" drops the note; a key given twice, in any case, raises
+    # DuplicateOptionError; no header names the default section "", so [DEFAULT] is unknown
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
     sections = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
         for name in parser.sections():
             if name.lower() in sections:
@@ -97,6 +97,8 @@ def _read_sections(path: str) -> Dict[str, Dict[str, str]]:
             sections[name.lower()] = dict(parser.items(name))
     except OSError as exc:
         raise InputError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:         # one error line, as for every InputError
         message = str(exc).replace("\n", " ")
         raise InputError(f"config is not valid INI: {message}") from exc

@@ -15,9 +15,9 @@ that is rho**(gamma-1) = anchor**(gamma-1) - (gamma-1)*g*y3/(K*gamma).
 Density decreases strictly with height in each layer, so the non-vacuum
 check at the layer's top end is exact.  :class:`PressureLaw` owns these
 closed forms; a profile stores only the laws, anchors and g, and evaluates
-any height on demand.  P'(rho)*rho rises with rho for both laws, so the
-extrema that the vertical-field criterion reads (sup rho, inf P'(rho)*rho)
-sit at layer endpoints and are evaluated there; no sample table is kept.
+any height on demand.  P'(rho)*rho rises with rho for both laws, so
+the extrema read elsewhere (sup rho, inf and sup P'(rho)*rho) sit at layer
+endpoints and are evaluated there; no sample table is kept.
 The CSV export (:meth:`EquilibriumProfile.to_csv`) evaluates the closed
 forms at the mesh nodes it is given.
 """
@@ -263,3 +263,10 @@ def infimum_p_prime_rho(profile: EquilibriumProfile) -> float:
     top_plus = profile.evaluate_layer(profile.geometry.h_plus, "+")[2][0]
     top_minus = profile.evaluate_layer(0.0, "-")[2][0]
     return float(min(top_plus, top_minus))
+
+
+def supremum_p_prime_rho(profile: EquilibriumProfile) -> float:
+    """Supremum of P'(rho)*rho over both layers, by the same argument at the
+    bottom of a layer: y3 = 0 above the interface, h_minus below it."""
+    return float(max(profile.evaluate_layer(0.0, "+")[2][0],
+                     profile.evaluate_layer(profile.geometry.h_minus, "-")[2][0]))

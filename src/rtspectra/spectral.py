@@ -39,6 +39,7 @@ import numpy as np
 
 from . import band
 from .assembly import BandPolynomial, ModeMatrices, assemble
+from .equilibrium import supremum_p_prime_rho
 from .errors import InputError, SolverError
 from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC
@@ -292,8 +293,8 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
 def _transverse_kernel(matrices: ModeMatrices) -> bool:
     """mhd with M3 = 0 and M . xi = 0 (to rounding: 0.3*2 - 0.2*3 = -1.1e-16).
 
-    The magnetic form then only sees the divergence, so the horizontal
-    component transverse to xi is in the kernel of both forms.
+    The magnetic form then only sees the divergence, lam*|M_h|^2*|div w|^2,
+    and the horizontal component transverse to xi is in both forms' kernels.
     """
     mode, M = matrices.mode, matrices.coeffs.M
     return (matrices.coeffs.params.medium == MHD and M[2] == 0.0
@@ -306,34 +307,27 @@ def xi_per_mode(matrices: ModeMatrices,
     """Per-mode discriminant: sup of numerator/denominator Rayleigh quotients.
 
     Returns (value, eigvec) with value possibly math.inf.  Explicit cases,
-    settled from the model before any solve, with eigvec None:
+    settled from the model before any solve or band, with eigvec None:
     - xi = 0 or g = 0: the gravity form 2*g*int(rho*Re(conj(psi)*i*xi.w_h))
       and its matrix vanish identically: exactly 0.0;
-    - a denominator that vanishes on every divergence-free field: a
-      transverse kernel (_transverse_kernel, no field included), whose
-      magnetic form is lam*|M_h|^2*|div w|^2, or viscoelastic with kappa = 0
-      in both layers, whose denominator is identically 0.  With xi != 0 the
-      horizontal components absorb any psi', and on those fields the
-      numerator integrates by parts to g*[[rho]]*|psi(0)|^2 +
-      int(g*rho'*|psi|^2).  rho' < 0 in each layer, so a psi concentrated at
-      the interface (criteria.small_field_witness) makes it positive exactly
-      when [[rho]] > 0: then inf;
-    - viscoelastic, kappa = 0 in both layers and [[rho]] <= 0: 0.0.  With
-      d = div w = i*xi.w_h + psi', the numerator gravity - compress is
-      g*[[rho]]*|psi(0)|^2 + int(g*rho'*|psi|^2 + 2*g*rho*Re(conj(psi)*d)
-      - P'(rho)*rho*|d|^2).  Its maximum over d, at d = g*psi/P'(rho),
-      adds int(g^2*rho/P'(rho)*|psi|^2), which hydrostatic balance
-      P'(rho)*rho' = -g*rho cancels against the stratification.  That
-      leaves g*[[rho]]*|psi(0)|^2 <= 0: no direction has a positive
-      numerator.
-    A transverse kernel with [[rho]] <= 0 adds m*t t^T, t = (-xi2, xi1,
-    0)/|xi| and m the node's mass diagonal (uniform within a node), to each
-    node's block of the denominator: both forms vanish on t and the
-    supremum is >= 0 (psi = 0 gives 0).  The pencil then goes to the banded
-    solver as assembled, in assembly's coordinates (a congruence such as a
-    diagonal scaling would not change its eigenvalues), and the solver's
-    shift bracket certifies the value.  SolverError when the denominator
-    does not factor.
+    - a transverse kernel (_transverse_kernel, no field included) or
+      viscoelastic with kappa = 0 in both layers.  With d = div w =
+      i*xi.w_h + psi', the horizontal components make d free of psi, and
+      the numerator is g*[[rho]]*|psi(0)|^2 + int(g*rho'*|psi|^2 +
+      2*g*rho*Re(conj(psi)*d)), minus int(c*|d|^2) with c = P'(rho)*rho
+      for viscoelastic.  On d = 0 it is positive for a psi concentrated at
+      the interface (criteria.small_field_witness) exactly when [[rho]] > 0:
+      then inf.  Otherwise hydrostatic balance, g*rho' = -g^2*rho^2/c, leaves
+      g*[[rho]]*|psi(0)|^2 + int(g^2*rho^2*|psi|^2*(1/(t*(c + m)) - 1/c))
+      as the sup over d of the numerator minus t times the transverse
+      denominator int((c + m)*|d|^2), m = lam*|M_h|^2, so xi = S/(S + m),
+      S = sup c (equilibrium.supremum_p_prime_rho).  For viscoelastic, whose
+      denominator is identically 0, it leaves g*[[rho]]*|psi(0)|^2 <= 0:
+      exactly 0.0.
+    Otherwise the pencil goes to the banded solver as assembled, in
+    assembly's coordinates (a congruence such as a diagonal scaling would
+    not change its eigenvalues), and the solver's shift bracket certifies
+    the value.  SolverError when the denominator does not factor.
 
     Inverse iteration starts from the eigenvector v0 of alpha(0) as it is:
     the energy operator is numerator minus denominator, so alpha(0) > 0
@@ -352,23 +346,20 @@ def xi_per_mode(matrices: ModeMatrices,
     already (analyze_mode); it is solved here otherwise, after the explicit
     cases and the denominator check, so either way gives the same bits.
     """
-    mode, co = matrices.mode, matrices.coeffs
+    mode, co, params = matrices.mode, matrices.coeffs, matrices.coeffs.params
     if mode.is_zero() or co.g == 0.0:
         return 0.0, None
-    Nmat, B = matrices.discriminant_pencil
     transverse = _transverse_kernel(matrices)
-    if transverse or not np.any(B):
+    if transverse or (params.medium == VISCOELASTIC
+                      and params.kappa_plus == params.kappa_minus == 0.0):
         if co.profile.density_jump > 0.0:
             return math.inf, None
         if not transverse:
             return 0.0, None
+        S = supremum_p_prime_rho(co.profile)
+        return S / (S + params.lam * (params.M[0] ** 2 + params.M[1] ** 2)), None
 
-    if transverse:      # mhd, whose B is a new sum: the patch goes in place
-        t1, t2 = -mode.xi2 / math.sqrt(mode.norm2), mode.xi1 / math.sqrt(mode.norm2)
-        m = matrices.mass[-1, 0::3]     # the last band row is the diagonal, uniform in a node
-        B[-1, 0::3] += m * (t1 * t1)
-        B[-1, 1::3] += m * (t2 * t2)
-        B[-2, 1::3] += m * (t1 * t2)
+    Nmat, B = matrices.discriminant_pencil
     if band.cholesky(B) is None:
         raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")

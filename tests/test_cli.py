@@ -51,7 +51,7 @@ def write_config(tmp_path, medium=MHD_BLOCK, name="run.ini", **edits):
     for old, new in edits.items():
         text = text.replace(old, new)
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))     # "\udcff" is the byte 0xff
     return path
 
 
@@ -98,6 +98,11 @@ INADMISSIBLE = {
     # the retired eig_tol is refused like any other unknown key
     "eig_tol": ("scan", {"k_max = 1": "k_max = 1\neig_tol = 1e-3"},
                 "unknown key 'eig_tol' in section [numerics]"),
+    # [DEFAULT] is a section like any other, not keys merged into every section
+    "[DEFAULT]": ("scan", {"[numerics]\nn_per_layer = 30":
+                           "[DEFAULT]\nn_per_layer = 30\n\n[numerics]"},
+                  "unknown section [default]"),
+    "non-utf-8": ("xi", {"g = 1.0": "g = 1.0 ; \udcff"}, "config is not UTF-8 text"),
 }
 
 
@@ -110,6 +115,7 @@ def test_validation_inadmissible_values(tmp_path, capfd, case):
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and fragment in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cls, code", [(InputError, 2), (SolverError, 3)])
@@ -352,13 +358,14 @@ def _xi_and_scan_row(tmp_path, cfgp, k):
 
 def test_xi_matches_scan(tmp_path):
     # stable stratification and a horizontal field normal to the mode: the
-    # transverse component is in the denominator's kernel and is deflated
+    # transverse component is in the kernel of both forms, and xi is the
+    # closed form S/(S + lam*|M_h|^2), S = sup P'(rho)*rho = 2e
     cfgp = write_config(tmp_path, **{
         "c2_plus = 1.0": "c2_plus = 2.0", "c2_minus = 2.0": "c2_minus = 1.0",
         "rho_plus_interface = 2.0": "rho_plus_interface = 1.0",
         "m3 = 0.0": "m2 = 1.0\nm3 = 0.0"})
     xi_value, scanned = _xi_and_scan_row(tmp_path, cfgp, ("1", "0"))
-    assert math.isfinite(xi_value) and scanned == [xi_value]
+    assert xi_value == 2.0 * math.e / (2.0 * math.e + 1.0) and scanned == [xi_value]
 
 
 def test_xi_matches_scan_mixed_field(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from oracles import dop853_density
 from rtspectra.assembly import build_mesh
 from rtspectra.cli import EQUILIBRIUM_TABLE_ELEMENTS
-from rtspectra.equilibrium import Geometry, PressureLaw, build_profile, infimum_p_prime_rho
+from rtspectra.equilibrium import (Geometry, PressureLaw, build_profile, infimum_p_prime_rho,
+                                   supremum_p_prime_rho)
 from rtspectra.errors import InputError
 
 
@@ -96,12 +97,25 @@ def test_polytropic_linear_profile(geometry):
     rho, _, _ = prof.evaluate_layer(y, "+")
     exact = 2.0 - y / 2.0
     assert np.max(np.abs(rho - exact)) <= 1e-10
-    # infimum of P'(rho)*rho = 2*K*rho^2 at the smallest-density endpoint
+    # infimum of P'(rho)*rho = 2*K*rho^2 at the smallest-density endpoint,
+    # supremum at the largest, rho(-1) = 2.5 in the lower layer
     assert infimum_p_prime_rho(prof) == pytest.approx(2.0 * 1.5 ** 2, rel=1e-10)
+    assert supremum_p_prime_rho(prof) == pytest.approx(2.0 * 2.5 ** 2, rel=1e-10)
 
 
 def test_infimum_canonical(canonical_profile):
     assert infimum_p_prime_rho(canonical_profile) == pytest.approx(2.0 / math.e, rel=1e-10)
+
+
+def test_supremum_p_prime_rho(canonical_profile, geometry):
+    """At the bottom of the lower layer on both the canonical profile and its
+    swap (heavy fluid below), and P'(rho)*rho = 2 in both layers without gravity."""
+    assert supremum_p_prime_rho(canonical_profile) == pytest.approx(2.0 * math.sqrt(math.e),
+                                                                    rel=1e-14)
+    swapped = build_profile(geometry, PressureLaw.linear(2.0), PressureLaw.linear(1.0), 1.0, 1.0)
+    assert supremum_p_prime_rho(swapped) == pytest.approx(2.0 * math.e, rel=1e-14)
+    flat = build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 0.0, 2.0)
+    assert supremum_p_prime_rho(flat) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_sup_density(canonical_profile):

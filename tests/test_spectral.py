@@ -337,18 +337,15 @@ def _restricted_dense_xi(mm):
 def test_xi_restricted_dense_reference(stable_profile, mesh60, geometry):
     """A horizontal field orthogonal to the mode on the stable profile: the
     transverse component is in the kernel of both forms and no div-free
-    certificate exists.  The banded value is the restricted dense one."""
+    certificate exists.  xi is 2e/(2e + 1) on every mesh, with no vector;
+    the restricted dense Galerkin value, independent of it, lies below."""
     params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(1.0, 0.0, 0.0))
     mode = make_mode(0, 1, geometry)
-    mm = assembly.assemble(FormCoefficients(stable_profile, params, mesh60.nodes), mode)
-    value, _ = spectral.xi_per_mode(mm)
-    assert abs(value - 0.7380293829795882) <= 1e-9
-    for n in (100, 200):
-        mm = assembly.assemble(FormCoefficients(stable_profile, params,
-                                                assembly.build_mesh(geometry, n).nodes),
-                               mode)
-        value, _ = spectral.xi_per_mode(mm)
-        assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
+    exact = 2.0 * math.e / (2.0 * math.e + 1.0)
+    for nodes in (mesh60.nodes, assembly.build_mesh(geometry, 100).nodes):
+        mm = assembly.assemble(FormCoefficients(stable_profile, params, nodes), mode)
+        assert spectral.xi_per_mode(mm) == (exact, None)
+        assert 0.7 < _restricted_dense_xi(mm) < exact
 
 
 def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry):
@@ -364,9 +361,10 @@ def test_xi_rounded_orthogonal_field(canonical_profile, stable_profile, geometry
     mm = assembly.assemble(FormCoefficients(stable_profile, params,
                                             assembly.build_mesh(geometry, 100).nodes),
                            mode)
-    value, _ = spectral.xi_per_mode(mm)
-    assert value == pytest.approx(_restricted_dense_xi(mm), rel=1e-9)
-    assert value == pytest.approx(0.95300952456, abs=1e-10)
+    S = 2.0 * math.e        # sup P'(rho)*rho, at the bottom of the lower layer
+    exact = S / (S + params.lam * (0.3 ** 2 + 0.2 ** 2))
+    assert spectral.xi_per_mode(mm) == (exact, None)
+    assert 0.95 < _restricted_dense_xi(mm) < exact
 
 
 @pytest.mark.parametrize("M, k", [((0.0, 0.0, 0.0), (1, 0)), ((1.0, 0.0, 0.0), (0, 1)),
@@ -377,8 +375,9 @@ def test_xi_transverse_kernel_below_its_supremum(stable_profile, geometry, M, k)
     c = P'(rho)*rho + lam*|M_h|^2, Cauchy-Schwarz in d, then the sup over psi
     and hydrostatic balance (-g*rho' = g^2*rho/P'(rho)) give the per-mode
     supremum S/(S + lam*|M_h|^2), with S = sup P'(rho)*rho, here 2e at the
-    bottom of the lower layer.  The Galerkin value lies below it and rises
-    with n; with no field its gap shrinks at least 3x per doubling."""
+    bottom of the lower layer.  xi_per_mode returns it on every mesh.  The
+    restricted dense Galerkin value lies below it and rises with n; with no
+    field its gap shrinks at least 3x per doubling."""
     params = PhysicalParams(lam=1.0, M=M)
     S = 2.0 * math.e
     bound = S / (S + params.lam * (M[0] ** 2 + M[1] ** 2))
@@ -387,11 +386,37 @@ def test_xi_transverse_kernel_below_its_supremum(stable_profile, geometry, M, k)
         mm = assembly.assemble(FormCoefficients(stable_profile, params,
                                                 assembly.build_mesh(geometry, n).nodes),
                                make_mode(*k, geometry))
-        values.append(spectral.xi_per_mode(mm)[0])
+        assert spectral.xi_per_mode(mm) == (bound, None)
+        values.append(_restricted_dense_xi(mm))
     assert values[0] < values[1] < values[2] < bound
     if M == (0.0, 0.0, 0.0):
         gaps = [bound - v for v in values]
         assert gaps[1] <= gaps[0] / 3.0 and gaps[2] <= gaps[1] / 3.0
+
+
+@pytest.mark.parametrize("medium", ["transverse", "viscoelastic_kappa0"])
+def test_xi_explicit_cases_build_no_pencil(canonical_profile, stable_profile, geometry,
+                                           monkeypatch, medium):
+    """A transverse-kernel mode and a kappa = 0 viscoelastic mode are settled
+    from the model: xi_per_mode reads no discriminant pencil and factors no
+    band, whichever sign [[rho]] has."""
+    if medium == "transverse":
+        params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(1.0, 0.0, 0.0))
+    else:
+        params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, medium=VISCOELASTIC)
+    nodes = assembly.build_mesh(geometry, 30).nodes
+    matrices = [assembly.assemble(FormCoefficients(profile, params, nodes),
+                                  make_mode(0, 1, geometry))
+                for profile in (canonical_profile, stable_profile)]
+    reads, factors = [], []
+    pencil = assembly.ModeMatrices.discriminant_pencil
+    cholesky = band.cholesky
+    monkeypatch.setattr(assembly.ModeMatrices, "discriminant_pencil",
+                        property(lambda mm: reads.append(1) or pencil.fget(mm)))
+    monkeypatch.setattr(band, "cholesky", lambda ab: factors.append(1) or cholesky(ab))
+    values = [spectral.xi_per_mode(mm)[0] for mm in matrices]
+    assert math.isinf(values[0]) and 0.0 <= values[1] < 1.0
+    assert reads == [] and factors == []
 
 
 def test_xi_viscoelastic_zero_kappa(canonical_profile, stable_profile, geometry):
