@@ -36,7 +36,7 @@ import numpy as np
 from . import band
 from .equilibrium import Geometry
 from .errors import InputError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_polynomial, xi_monomials
+from .modereduce import FormCoefficients, FourierMode, form_polynomial, xi_monomials
 from .params import MHD
 
 DEFAULT_N_PER_LAYER = 200
@@ -63,16 +63,22 @@ class Mesh1D:
 def _layer_nodes(height: float, n: int, grading: float) -> np.ndarray:
     """Node offsets 0..height with element sizes growing away from 0 by `grading`.
 
-    Raises InputError when the element at 0 would be smaller than
-    MIN_ELEMENT_FRACTION * height.
+    The element at 0 is (r - 1)/(r^n - 1) of the height for a ratio r > 1
+    and 1/n of it at r = 1.  InputError, before any array is built, when it
+    is below MIN_ELEMENT_FRACTION * height: every n above 1/MIN_ELEMENT_FRACTION
+    is refused so.
     """
-    sizes = grading ** (np.arange(n) - (n - 1.0))   # largest is 1: no overflow
-    sizes *= height / sizes.sum()
-    if not sizes[0] >= MIN_ELEMENT_FRACTION * height:
+    # (r - 1)/(r^n - 1) = r^-(n-1) (1 - 1/r)/(1 - r^-n), whose powers of 1/r cannot overflow
+    L = math.log(grading)
+    smallest = height * (math.exp(-(n - 1) * L) * math.expm1(-L) / math.expm1(-n * L) if L > 0.0
+                         else 1.0 / n)
+    if not smallest >= MIN_ELEMENT_FRACTION * height:
         raise InputError(
             f"grading {grading} with {n} elements gives a smallest element of "
-            f"{sizes[0]:.3e}, below {MIN_ELEMENT_FRACTION:.0e} * layer height {height}"
+            f"{smallest:.3e}, below {MIN_ELEMENT_FRACTION:.0e} * layer height {height}"
         )
+    sizes = grading ** (np.arange(n) - (n - 1.0))   # largest is 1: no overflow
+    sizes *= height / sizes.sum()
     nodes = np.concatenate(([0.0], np.cumsum(sizes)))
     nodes[-1] = height
     return nodes
@@ -137,10 +143,10 @@ class ModeMatrices:
     Fortran-ordered, the layout LAPACK and BLAS read, so no call has to
     transpose them first.
 
-    The medium is read from ``coeffs.params.medium`` only; :attr:`operator`
-    (through :func:`~.modereduce.energy_signs`) and :attr:`discriminant_pencil`
-    are the one place that maps it to the stabilizing form (magnetic tension
-    or elasticity).
+    The medium is read from ``coeffs.params.medium`` by :attr:`stabilizer`
+    only, the one map from the medium to its stabilizing form (magnetic
+    tension or elasticity); :attr:`operator` and :attr:`discriminant_pencil`
+    are built from it.
     """
 
     mode: FourierMode
@@ -165,35 +171,31 @@ class ModeMatrices:
     def n_dof(self) -> int:
         return self.mass.shape[1]
 
+    @property
+    def stabilizer(self) -> np.ndarray:
+        """The stabilizing form of ``coeffs.params.medium``: magnetic tension
+        for mhd, elasticity for a viscoelastic medium."""
+        return self.magnetic if self.coeffs.params.medium == MHD else self.elastic
+
     @cached_property
     def operator(self) -> np.ndarray:
-        """Energy operator A (band): the signed forms of :func:`~.modereduce.energy_signs`,
-        summed on first use into one read-only array."""
-        A = sum(sign * getattr(self, name)
-                for name, sign in energy_signs(self.coeffs.params).items())
+        """Energy operator A (band): gravity minus compressibility and the
+        stabilizer, summed on first use into one read-only array."""
+        A = (self.gravity - self.compress) - self.stabilizer
         A.setflags(write=False)
         return A
-
-    @cached_property
-    def operator_norm(self) -> float:
-        """Frobenius norm of :attr:`operator`, computed on first use."""
-        return band.frobenius(self.operator)
-
-    @cached_property
-    def dissipation_norm(self) -> float:
-        """Frobenius norm of ``dissipation``, computed on first use."""
-        return band.frobenius(self.dissipation)
 
     @property
     def discriminant_pencil(self):
         """(numerator, denominator) of the stability discriminant, in band storage.
 
         mhd: gravity over compressibility plus magnetic tension; viscoelastic:
-        gravity minus compressibility over elasticity.
+        gravity minus compressibility over elasticity.  Either way the
+        numerator minus the denominator is :attr:`operator`.
         """
-        if self.coeffs.params.medium == MHD:
-            return self.gravity, self.compress + self.magnetic
-        return self.gravity - self.compress, self.elastic
+        if self.stabilizer is self.magnetic:
+            return self.gravity, self.compress + self.stabilizer
+        return self.gravity - self.compress, self.stabilizer
 
 
 def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
@@ -314,8 +316,8 @@ class BandPolynomial:
         """Form ``name`` of ``mode`` in band storage, Fortran-ordered: each
         lane group of the form weighted by the mode's monomials and summed
         lane by lane, into the band's real part and then its imaginary part.
-        InputError naming the smallest element and the form's largest
-        coefficient when the band's Frobenius norm overflows.
+        InputError naming the mode, its |xi|, the smallest element and the
+        form's largest coefficient when the band's Frobenius norm overflows.
 
         The band is complex exactly when the form's imaginary group sums to
         a nonzero entry at this mode.
@@ -334,7 +336,9 @@ class BandPolynomial:
             largest, label = max((np.max(np.abs(coefficient)), label)
                                  for label, coefficient, forms in self.polynomial
                                  if name in forms)
-            raise InputError(f"the {name} matrix's Frobenius norm overflows: smallest element "
+            raise InputError(f"the {name} matrix's Frobenius norm overflows at mode "
+                             f"({mode.k1},{mode.k2}), |xi| = "
+                             f"{math.hypot(mode.xi1, mode.xi2):.3e}: smallest element "
                              f"{self.coeffs.element_h.min():.3e}, largest coefficient "
                              f"{label} = {largest:.3e}")
         return ab

@@ -19,11 +19,10 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry, infimum_p_prime_rho
 from .errors import InputError, SolverError
-from .modereduce import FormCoefficients, FourierMode, energy_signs, form_table, form_value
+from .modereduce import (WITNESS_QUADRATURE_ORDER, FormCoefficients, FourierMode, form_table,
+                         form_value)
 from .params import MHD, PhysicalParams
 
-#: Gauss points per layer panel of the witness energies
-WITNESS_QUADRATURE_ORDER = 64
 #: tent widths eps, eps/2, ..., eps/2**19 tried in turn by the small-field witness
 TENT_WIDTHS = 20
 
@@ -136,7 +135,7 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     geo = profile.geometry
     coeffs = _panels(profile, params, geo.h_minus, geo.h_plus)
     xi1, xi2 = mode.xi1, mode.xi2
-    energy = energy_signs(params)
+    energy = {"gravity": 1.0, "compress": -1.0, "magnetic": -1.0}
     table = form_table(coeffs, mode)
     # with M3 = 0 no energy matrix reads the horizontal slopes pt', tt' (f[3:5]),
     # so the slope of phi, which carries the equilibrium coefficients, is not needed
@@ -154,7 +153,6 @@ def horizontal_field_witness(profile: EquilibriumProfile, params: PhysicalParams
     closed = closed_form_horizontal(profile, params, mode)
     return WitnessField(mode=mode, energy_value=energy_value, closed_form_value=closed,
                         diagnostics={"agreement": abs(energy_value - closed),
-                                     "positive": closed > 0.0,
                                      "quadrature_points": int(coeffs.qp_y.size)})
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
     )
 
 
-def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float, float]] = None) -> float:
+def fit_rate(times: np.ndarray, norms: np.ndarray, window: Tuple[float, float]) -> float:
     """Least-squares slope of log(norm) against time over the window.
 
     The closed form sum(c * log(norm)) / sum(c^2), with c = t - mean(t),
@@ -183,9 +183,8 @@ def fit_rate(times: np.ndarray, norms: np.ndarray, window: Optional[Tuple[float,
     norms = np.asarray(norms, dtype=float)
     if not np.all(np.isfinite(times)):
         raise SolverError("times must be finite for a log-linear fit")
-    if window is not None:
-        mask = (times >= window[0]) & (times <= window[1])
-        times, norms = times[mask], norms[mask]
+    mask = (times >= window[0]) & (times <= window[1])
+    times, norms = times[mask], norms[mask]
     if times.size < 10:
         raise SolverError(f"need at least 10 samples in the window, got {times.size}")
     if np.any(norms <= 0.0):

@@ -33,9 +33,11 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, Geometry
 from .errors import InputError
-from .params import MHD, PhysicalParams
+from .params import PhysicalParams
 
 DEFAULT_QUADRATURE_ORDER = 6
+#: Gauss points per layer panel of the witness energies, the largest order admitted
+WITNESS_QUADRATURE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,9 @@ class FormCoefficients:
         grid = np.asarray(grid, dtype=float)
         if not np.any(grid == 0.0):
             raise InputError("grid must contain the interface node 0")
-        if not quadrature_order >= 1:
-            raise InputError(f"quadrature order must be at least 1, got {quadrature_order}")
+        if not 1 <= quadrature_order <= WITNESS_QUADRATURE_ORDER:
+            raise InputError(f"quadrature order must be between 1 and "
+                             f"{WITNESS_QUADRATURE_ORDER}, got {quadrature_order}")
         self.profile = profile
         self.params = params
         self.grid = grid
@@ -205,13 +208,6 @@ def form_table(coeffs: FormCoefficients, mode: FourierMode):
     return tuple((label, coefficient, {name: (w @ stack.reshape(6, 36)).reshape(6, 6)
                                        for name, stack in forms.items()})
                  for label, coefficient, forms in form_polynomial(coeffs))
-
-
-def energy_signs(params: PhysicalParams) -> dict:
-    """{form name: sign} of the spectral energy: gravity minus compressibility
-    and the stabilizing form of ``params.medium`` (magnetic tension or elasticity)."""
-    return {"gravity": 1.0, "compress": -1.0,
-            "magnetic" if params.medium == MHD else "elastic": -1.0}
 
 
 def form_value(coeffs: FormCoefficients, table, weights: dict, f: np.ndarray) -> float:

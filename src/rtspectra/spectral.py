@@ -234,7 +234,8 @@ def alpha(s: float, matrices: ModeMatrices,
     alpha at a nearby s, warm-starts the solver; without it the solve
     starts cold from a seeded vector.  SolverError when the eigen-residual
     ||(A - s*D) v - lo*Mass v|| exceeds EIGVEC_RESIDUAL_TOL times
-    (||A|| + s*||D||)*||v||, which ties the vector to the value.
+    ||A - s*D||_F*||v||, which ties the vector to the value; the Frobenius
+    norm is one pass over the band that the solve reads.
     """
     if s < 0:
         raise InputError(f"s must be nonnegative, got {s}")
@@ -242,10 +243,7 @@ def alpha(s: float, matrices: ModeMatrices,
     M = matrices.mass
     rho, v = _top_pair(H, M, guess)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
-    norm = matrices.operator_norm
-    if s != 0.0:        # dissipation_norm, a pass over its band, only where it counts
-        norm += s * matrices.dissipation_norm
-    scale = norm * np.linalg.norm(v)
+    scale = band.frobenius(H) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenvector residual {res:.3e} exceeds {EIGVEC_RESIDUAL_TOL:.1e} * {scale:.3e}")

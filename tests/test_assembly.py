@@ -14,7 +14,8 @@ from oracles import dense, oracle_integrate, p1_eval, p1_slope, per_mode_matrice
 from rtspectra import assembly, band, cli, modereduce as mr, spectral
 from rtspectra.equilibrium import PressureLaw, build_profile
 from rtspectra.errors import InputError
-from rtspectra.params import VISCOELASTIC, PhysicalParams
+from rtspectra.params import MHD, VISCOELASTIC, PhysicalParams
+from test_spectral import SCAN_FIELDS
 
 
 def test_uniform_mesh_nodes(geometry):
@@ -177,31 +178,32 @@ def test_mixed_field_matrices_complex(assembled):
     assert np.linalg.norm(assembled.magnetic.imag) > 0
 
 
-def test_operator_summed_once_read_only(assembled):
+def test_operator_summed_once_read_only(assembled, canonical_profile, mesh60, geometry):
     """The energy operator is summed once per mode and shared read-only, as
-    the mass is: every alpha(s) of a mode reads the same array."""
+    the mass is: every alpha(s) of a mode reads the same array.  It is
+    gravity - compress - stabilizer bit for bit, and the stabilizer of the
+    other medium enters neither it nor the discriminant pencil, not even a
+    viscoelastic mode's magnetic form under a field (ve_soft_field)."""
     A = assembled.operator
     assert assembled.operator is A and not A.flags.writeable
-    assert np.array_equal(A, assembled.gravity - assembled.compress - assembled.magnetic)
-
-
-def test_norms_computed_once(assembled, monkeypatch):
-    """The Frobenius norms of the operator and the dissipation, which scale
-    every alpha(s) residual of a mode, are computed on first use only and
-    equal the dense norms."""
-    mm = dataclasses.replace(assembled)
-    real, calls = band.frobenius, []
-
-    def counting(ab):
-        calls.append(ab.shape)
-        return real(ab)
-
-    monkeypatch.setattr(band, "frobenius", counting)
-    for _ in range(2):
-        spectral.alpha(0.3, mm)
-    assert len(calls) == 2
-    assert mm.operator_norm == pytest.approx(np.linalg.norm(dense(mm.operator)), rel=1e-13)
-    assert mm.dissipation_norm == pytest.approx(np.linalg.norm(dense(mm.dissipation)), rel=1e-13)
+    ve = [assembly.assemble(mr.FormCoefficients(canonical_profile, PhysicalParams(**fields),
+                                                mesh60.nodes), make_mode(2, -1, geometry))
+          for fields in (SCAN_FIELDS["ve_stiff"], SCAN_FIELDS["ve_soft_field"])]
+    assert np.any(assembled.elastic) and np.any(ve[1].magnetic)   # the other form is there
+    for mm in [assembled] + ve:
+        mhd = mm.coeffs.params.medium == MHD
+        other = "elastic" if mhd else "magnetic"
+        blind = dataclasses.replace(mm, **{other: np.full_like(getattr(mm, other), np.nan)})
+        for m in (mm, blind):
+            stabilizer = m.magnetic if mhd else m.elastic
+            assert m.operator.tobytes() == (m.gravity - m.compress - stabilizer).tobytes()
+            numerator, denominator = m.discriminant_pencil
+            if mhd:
+                assert numerator is m.gravity
+                assert denominator.tobytes() == (m.compress + stabilizer).tobytes()
+            else:
+                assert numerator.tobytes() == (m.gravity - m.compress).tobytes()
+                assert denominator is m.elastic
 
 
 def test_vertical_field_matrices_real(canonical_profile, mesh60, geometry):

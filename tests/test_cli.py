@@ -103,6 +103,18 @@ INADMISSIBLE = {
                            "[DEFAULT]\nn_per_layer = 30\n\n[numerics]"},
                   "unknown section [default]"),
     "non-utf-8": ("xi", {"g = 1.0": "g = 1.0 ; \udcff"}, "config is not UTF-8 text"),
+    # sizes refused before any array of n elements or order^2 entries is built; each
+    # such array would exceed the address space (7 PiB, a 728 TiB companion matrix)
+    "n_per_layer=1e15": ("xi", {"n_per_layer = 30": "n_per_layer = 1000000000000000"},
+                         "smallest element"),
+    "n_per_layer=1e19": ("xi", {"n_per_layer = 30": "n_per_layer = 10000000000000000000"},
+                         "smallest element"),
+    "quadrature_order=1e7": ("xi", {"k_max = 1": "k_max = 1\nquadrature_order = 10000000"},
+                             "quadrature order"),
+    "quadrature_order=1e19": ("xi", {"k_max = 1": "k_max = 1\nquadrature_order = "
+                                                  "10000000000000000000"}, "quadrature order"),
+    # the band overflows because of the wave number, which the message names
+    "L1=1e-300": ("xi", {"L1 = 1.0": "L1 = 1e-300"}, "|xi| = 1.000e+300"),
 }
 
 

@@ -51,12 +51,12 @@ def mm_viscoelastic(canonical_profile, mesh60, geometry):
 
 def test_fit_rate_exact_exponential():
     t = np.linspace(0.0, 3.0, 50)
-    assert evolution.fit_rate(t, np.exp(2.0 * t)) == pytest.approx(2.0, abs=1e-12)
+    assert evolution.fit_rate(t, np.exp(2.0 * t), (0.0, 3.0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_rate_constant():
     t = np.linspace(0.0, 3.0, 50)
-    assert evolution.fit_rate(t, np.ones(50)) == pytest.approx(0.0, abs=1e-14)
+    assert evolution.fit_rate(t, np.ones(50), (0.0, 3.0)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fit_rate_oscillating_noise():
@@ -70,26 +70,25 @@ def test_fit_rate_oscillating_noise():
 def test_fit_rate_degenerate():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(SolverError, match="at least 10 samples"):
-        evolution.fit_rate(t, np.exp(t))
+        evolution.fit_rate(t, np.exp(t), (0.0, 1.0))
     t = np.linspace(0.0, 1.0, 20)
     with pytest.raises(SolverError, match="norms must be positive"):
-        evolution.fit_rate(t, np.concatenate([np.ones(19), [0.0]]))
+        evolution.fit_rate(t, np.concatenate([np.ones(19), [0.0]]), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("window", [None, (1.0, 4.0)])
 def test_fit_rate_matches_polyfit(window):
-    """The closed-form slope is np.polyfit's degree-1 slope over the same window."""
+    """The closed-form slope is np.polyfit's degree-1 slope over the same
+    window; None is the whole record."""
     rng = np.random.default_rng(12)
     for _ in range(20):
         t = np.sort(rng.uniform(0.0, 5.0, 200))
         rate = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
         norms = np.exp(rate * t + 0.3 * rng.standard_normal(t.size))
-        tw, nw = t, norms
-        if window is not None:
-            mask = (t >= window[0]) & (t <= window[1])
-            tw, nw = t[mask], norms[mask]
-        want = np.polyfit(tw, np.log(nw), 1)[0]
-        assert evolution.fit_rate(t, norms, window) == pytest.approx(want, rel=1e-12)
+        span = window or (t[0], t[-1])
+        mask = (t >= span[0]) & (t <= span[1])
+        want = np.polyfit(t[mask], np.log(norms[mask]), 1)[0]
+        assert evolution.fit_rate(t, norms, span) == pytest.approx(want, rel=1e-12)
 
 
 def test_fit_rate_rejects_non_finite_and_flat_windows():
@@ -98,13 +97,13 @@ def test_fit_rate_rejects_non_finite_and_flat_windows():
         norms = np.exp(t)
         norms[7] = bad
         with pytest.raises(SolverError, match="norms must be finite"):
-            evolution.fit_rate(t, norms)
+            evolution.fit_rate(t, norms, (0.0, 1.0))
     nan_time = t.copy()
     nan_time[3] = np.nan
     with pytest.raises(SolverError, match="times must be finite"):
-        evolution.fit_rate(nan_time, np.exp(t))
+        evolution.fit_rate(nan_time, np.exp(t), (0.0, 1.0))
     with pytest.raises(SolverError, match="span an interval"):
-        evolution.fit_rate(np.full(20, 2.0), np.exp(t))
+        evolution.fit_rate(np.full(20, 2.0), np.exp(t), (2.0, 2.0))
 
 
 def test_rate_matches_growth_rate(mm_unstable):

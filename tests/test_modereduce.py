@@ -395,9 +395,8 @@ def test_form_value_matches_hand_written_forms(canonical_profile, mixed_params, 
                            ("elastic", elastic_form(fld, co, mode)),
                            ("dissipation", dissipation_form(fld, co, mode))):
             assert value(name) == pytest.approx(want, rel=1e-12), name
-        energy = mr.form_value(co, table, mr.energy_signs(params), f)
+        energy = mr.form_value(co, table, {"gravity": 1.0, "compress": -1.0, stabilizer: -1.0}, f)
         assert energy == pytest.approx(energy_form(fld, co, mode), rel=1e-12)
-        assert mr.energy_signs(params)[stabilizer] == -1.0
     with pytest.raises(InputError, match="unknown forms"):
         mr.form_value(co, table, {"energy": 1.0}, f)
 

@@ -838,16 +838,17 @@ def test_xi_inertia_certificate(canonical_profile, geometry, field):
 
 
 def _element_quotient(coeffs, mode, v):
-    """(E, Psi, mass) of the P1 field of dof vector v: the energy, dissipation
-    and mass integrated from its values and slopes at the quadrature points,
-    where no band product cancels."""
+    """(E, Psi, mass) of the P1 field of dof vector v: the mhd energy,
+    dissipation and mass integrated from its values and slopes at the
+    quadrature points, where no band product cancels."""
     nodal = np.zeros((coeffs.grid.size, 3), dtype=v.dtype)
     nodal[1:-1] = v.reshape(-1, 3)
     f = np.stack([p1_eval(coeffs.grid, nodal[:, c], coeffs.qp_y) for c in range(3)]
                  + [p1_slope(coeffs.grid, nodal[:, c], coeffs.qp_y) for c in range(3)], axis=-1)
     table = modereduce.form_table(coeffs, mode)
     return tuple(modereduce.form_value(coeffs, table, weights, f) for weights in
-                 (modereduce.energy_signs(coeffs.params), {"dissipation": 1.0}, {"mass": 1.0}))
+                 ({"gravity": 1.0, "compress": -1.0, "magnetic": -1.0}, {"dissipation": 1.0},
+                  {"mass": 1.0}))
 
 
 def test_alpha_on_graded_mesh_near_floor(canonical_profile, baseline_params, geometry):
@@ -901,16 +902,22 @@ def test_xi_on_graded_mesh_near_floor(canonical_profile, geometry):
         assert abs(value - reference) <= 1e-7 * abs(reference), (k, value, reference)
 
 
-def test_alpha_at_zero_skips_the_dissipation_norm(canonical_profile, baseline_params,
-                                                  geometry, mesh60):
-    """alpha(0) reads no dissipation_norm, a pass over the dissipation band for
-    a term that vanishes; alpha(s > 0) reads it."""
-    mm = assembly.assemble(FormCoefficients(canonical_profile, baseline_params, mesh60.nodes),
-                           make_mode(1, 0, geometry))
-    spectral.alpha(0.0, mm)
-    assert "dissipation_norm" not in vars(mm)
-    spectral.alpha(0.4, mm)
-    assert "dissipation_norm" in vars(mm)
+def test_alpha_scales_its_check_by_the_band_it_solves(mm_nofield, monkeypatch):
+    """Each alpha(s) takes one Frobenius pass, over the band A - s*D that it
+    solves, at s = 0 as at s > 0: the mode caches no norm."""
+    real, seen = band.frobenius, []
+
+    def recording(ab):
+        seen.append(ab.copy())
+        return real(ab)
+
+    monkeypatch.setattr(band, "frobenius", recording)
+    for s in (0.0, 0.4):
+        seen.clear()
+        spectral.alpha(s, mm_nofield)
+        assert len(seen) == 1, s
+        assert np.array_equal(seen[0], mm_nofield.operator - s * mm_nofield.dissipation), s
+
 
 def test_bracket_error_message(mm_vertical):
     with pytest.raises(InputError, match="tol must be positive"):
