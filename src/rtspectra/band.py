@@ -159,8 +159,9 @@ def block_csr(blocks: Sequence[Tuple[float, np.ndarray, int]], n_block_columns: 
     The arrays are those of ``scipy.sparse.bmat(..., format="csr")`` over
     ``scale * X`` in CSR form without stored zeros: a scale other than 1
     multiplies in the band's own dtype, before the cast to the common one,
-    and the indices are int32 unless the matrix needs int64, as scipy picks
-    them.
+    and the indices are int32, as scipy picks them below 2**31 rows and
+    entries: the mesh floor caps n at 599,997, so evolve's four block rows
+    hold at most 2.4e6 rows and 2.7e7 entries.
     """
     n = blocks[0][1].shape[1]
     columns, values, counts = [], [], []
@@ -171,10 +172,9 @@ def block_csr(blocks: Sequence[Tuple[float, np.ndarray, int]], n_block_columns: 
         counts.append(k)
     data = np.concatenate(values)
     shape = (len(blocks) * n, n_block_columns * n)
-    index = np.int32 if max(data.size, *shape) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(shape[0] + 1, dtype=index)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return CSR(shape, indptr, np.concatenate(columns).astype(index), data)
+    return CSR(shape, indptr, np.concatenate(columns).astype(np.int32), data)
 
 
 def csr_product(B: CSR):

@@ -5,11 +5,12 @@ prescribed density anchor on the upper side of the interface; the lower
 anchor is the unique root of the pressure-matching equation, so the
 pressure-jump condition holds by construction.
 
-Both supported laws solve the layer equation in closed form.  With the
-scale height H = P'(anchor) / g,
+Both supported laws are one power law P = K * rho**gamma, the linear law
+being gamma = 1 with K = c2, and solve the layer equation in closed form.
+With the scale height H = P'(anchor) / g,
 
-    linear:      rho(y3) = anchor * exp(-y3 / H)
-    polytropic:  rho(y3) = anchor * (1 - (gamma - 1) * y3 / H) ** (1 / (gamma - 1))
+    gamma = 1:   rho(y3) = anchor * exp(-y3 / H)
+    gamma > 1:   rho(y3) = anchor * (1 - (gamma - 1) * y3 / H) ** (1 / (gamma - 1))
 
 that is rho**(gamma-1) = anchor**(gamma-1) - (gamma-1)*g*y3/(K*gamma).
 Density decreases strictly with height in each layer, so the non-vacuum
@@ -37,22 +38,23 @@ VACUUM_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class PressureLaw:
-    """Barotropic pressure law, smooth and strictly increasing on (0, inf).
+    """Barotropic power law P(tau) = K * tau**gamma, smooth and strictly
+    increasing on (0, inf).
 
-    Supported kinds: ``linear`` with P(tau) = c2 * tau, and ``polytropic``
-    with P(tau) = K * tau**gamma (gamma > 1); construction raises InputError
-    for any other kind or parameters.  The law also owns the closed-form
-    hydrostatic layer of the module docstring (:meth:`density`).
+    Supported kinds: ``linear``, the case gamma = 1 whose K is the squared
+    sound speed c2 (P = c2 * tau), and ``polytropic`` with gamma > 1;
+    construction raises InputError for any other kind or parameters.  The
+    law also owns the closed-form hydrostatic layer of the module docstring
+    (:meth:`density`).
     """
 
     kind: str
-    c2: float = 0.0
     K: float = 0.0
-    gamma: float = 0.0
+    gamma: float = 1.0
 
     @staticmethod
     def linear(c2: float) -> "PressureLaw":
-        return PressureLaw(kind="linear", c2=float(c2))
+        return PressureLaw(kind="linear", K=float(c2))
 
     @staticmethod
     def polytropic(K: float, gamma: float) -> "PressureLaw":
@@ -60,8 +62,10 @@ class PressureLaw:
 
     def __post_init__(self):
         if self.kind == "linear":
-            if not 0.0 < self.c2 < math.inf:
-                raise InputError(f"linear law needs finite c2 > 0, got {self.c2}")
+            if not 0.0 < self.K < math.inf:
+                raise InputError(f"linear law needs finite c2 > 0, got {self.K}")
+            if self.gamma != 1.0:
+                raise InputError(f"linear law is the power law at gamma = 1, got {self.gamma}")
         elif self.kind == "polytropic":
             if not (0.0 < self.K < math.inf and 1.0 < self.gamma < math.inf):
                 raise InputError(f"polytropic law needs finite K > 0 and gamma > 1, "
@@ -69,48 +73,41 @@ class PressureLaw:
         else:
             raise InputError(f"unknown pressure law kind {self.kind!r}")
 
+    # pow(x, 1) = x and pow(x, 0) = 1 exactly, so the linear law keeps its bits
     def value(self, tau):
-        if self.kind == "linear":
-            return self.c2 * tau
         return self.K * np.power(tau, self.gamma)
 
     def derivative(self, tau):
-        if self.kind == "linear":
-            return self.c2 * np.ones_like(np.asarray(tau, dtype=float))
         return self.K * self.gamma * np.power(tau, self.gamma - 1.0)
 
     def inverse(self, p: float) -> float:
         """Unique positive root of P(tau) = p (strict monotonicity)."""
         if not 0.0 < p < math.inf:
             raise InputError(f"pressure matching target must be positive and finite, got {p}")
-        if self.kind == "linear":
-            return p / self.c2
         return (p / self.K) ** (1.0 / self.gamma)
 
     def density(self, anchor: float, g: float, y3) -> np.ndarray:
         """Closed-form hydrostatic density at heights y3 of a layer whose
         interface density is ``anchor``."""
         y3 = np.atleast_1d(np.asarray(y3, dtype=float))
-        if g == 0.0:
-            return np.full_like(y3, anchor)
-        scaled = y3 * (g / float(self.derivative(anchor)))     # y3 / H
-        if self.kind == "linear":
-            return anchor * np.exp(-scaled)
+        scaled = y3 * (g / float(self.derivative(anchor)))     # y3 / H, +-0 at g = 0
         e = self.gamma - 1.0
+        if e == 0.0:
+            return anchor * np.exp(-scaled)
         # clipped at the vacuum height, where the base reaches 0
         return anchor * np.maximum(1.0 - e * scaled, 0.0) ** (1.0 / e)
 
     def floor_height(self, anchor: float, g: float, floor: float) -> float:
         """Height where the density falls from ``anchor`` to ``floor`` (< anchor, g > 0)."""
         H = float(self.derivative(anchor)) / g
-        if self.kind == "linear":
-            return H * math.log(anchor / floor)
         e = self.gamma - 1.0
+        if e == 0.0:
+            return H * math.log(anchor / floor)
         return H * (1.0 - (floor / anchor) ** e) / e
 
     def describe(self) -> str:
         if self.kind == "linear":
-            return f"linear c2={self.c2:g}"
+            return f"linear c2={self.K:g}"
         return f"polytropic K={self.K:g} gamma={self.gamma:g}"
 
 
@@ -138,7 +135,7 @@ class Geometry:
         return self.h_plus - self.h_minus
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquilibriumProfile:
     """Immutable two-layer hydrostatic equilibrium.
 

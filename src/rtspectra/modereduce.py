@@ -76,7 +76,8 @@ class FormCoefficients:
     """Equilibrium and material coefficients bound to one grid.
 
     Holds per-element quadrature tables so that every form sees
-    coefficients evaluated at Gauss points of the correct layer.
+    coefficients evaluated at Gauss points of the correct layer.  The
+    constants g, lam and M stay with their owners, ``profile`` and ``params``.
     """
 
     def __init__(self, profile: EquilibriumProfile, params: PhysicalParams,
@@ -91,9 +92,6 @@ class FormCoefficients:
         self.params = params
         self.grid = grid
         self.quadrature_order = int(quadrature_order)
-        self.g = profile.g
-        self.lam = params.lam
-        self.M = np.asarray(params.M, dtype=float)
 
         x, w = _leggauss(self.quadrature_order)
         t, w = (x + 1.0) / 2.0, w / 2.0                   # mapped to [0, 1]
@@ -169,7 +167,7 @@ def form_polynomial(coeffs: FormCoefficients):
     forms are those of :class:`~.assembly.ModeMatrices`.
     """
     one, xi1, xi2 = np.eye(3)[:, :, None]     # affine scalars: times a 6-vector, a row
-    M1, M2, M3 = coeffs.M
+    M1, M2, M3 = coeffs.params.M
     mdotxi = M1 * xi1 + M2 * xi2
     v, dv = np.eye(6)[:3], one * np.eye(6)[3:, None]   # values; constant derivative rows
     wh = xi1 * v[0] + xi2 * v[1]                    # xi . w_h (tilde)
@@ -179,16 +177,17 @@ def form_polynomial(coeffs: FormCoefficients):
     C_sym = 2.0 * _gram(xi1 * v[0], xi2 * v[1], dv[2]) + _gram(
         xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
     # magnetic rows d*M - m and field-directional rows m = (M.xi) w - i M3 w' (tilde)
-    C_mag = coeffs.lam * _gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
-                               M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
-                               M3 * (div - dv[2]) - 1j * mdotxi * v[2])
+    C_mag = coeffs.params.lam * _gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
+                                      M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
+                                      M3 * (div - dv[2]) - 1j * mdotxi * v[2])
     C_dir = _gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
                   M3 * dv[2] + 1j * mdotxi * v[2])
     C_val = _gram(*(one * v[:, None]))
     psi = one * v[2]
     table = (
         ("density", coeffs.rho,
-         {"mass": C_val, "gravity": coeffs.g * (_product(wh, psi) + _product(psi, wh))}),
+         {"mass": C_val,
+          "gravity": coeffs.profile.g * (_product(wh, psi) + _product(psi, wh))}),
         ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
         ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
         ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),

@@ -58,6 +58,8 @@ BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from
 AIM_FACTOR = 8.0        # aimed trial shifts lie this many last value changes above lo
 WARM_OFFSET = 1e-3      # a warm start's first shift lies this relative offset above its guess
 INVERSE_STEPS = 200
+# the largest scanned k_max: its half lattice holds 2*k^2 + 2*k + 1 <= 100,000 modes
+MAX_K_MAX = 223
 
 
 @dataclass
@@ -294,7 +296,7 @@ def _transverse_kernel(matrices: ModeMatrices) -> bool:
     The magnetic form then only sees the divergence, lam*|M_h|^2*|div w|^2,
     and the horizontal component transverse to xi is in both forms' kernels.
     """
-    mode, M = matrices.mode, matrices.coeffs.M
+    mode, M = matrices.mode, matrices.coeffs.params.M
     return (matrices.coeffs.params.medium == MHD and M[2] == 0.0
             and abs(M[0] * mode.xi1 + M[1] * mode.xi2)
             <= 1e-12 * math.hypot(M[0], M[1]) * math.sqrt(mode.norm2))
@@ -345,7 +347,7 @@ def xi_per_mode(matrices: ModeMatrices,
     cases and the denominator check, so either way gives the same bits.
     """
     mode, co, params = matrices.mode, matrices.coeffs, matrices.coeffs.params
-    if mode.is_zero() or co.g == 0.0:
+    if mode.is_zero() or co.profile.g == 0.0:
         return 0.0, None
     transverse = _transverse_kernel(matrices)
     if transverse or (params.medium == VISCOELASTIC
@@ -423,8 +425,9 @@ def global_scan(coeffs: FormCoefficients, k_max: int, tol: float = 1e-8) -> Stab
     drops to False when a boundary-shell mode is unstable (xi >= 1 or a
     positive growth rate) or unsolved: instability could extend past it.
     """
-    if k_max < 1:
-        raise InputError("k_max must be at least 1")
+    if not 1 <= k_max <= MAX_K_MAX:
+        raise InputError(f"k_max must be between 1 and {MAX_K_MAX}, a half lattice of at most "
+                         f"100,000 modes, got {k_max}")
     params, geometry = coeffs.params, coeffs.profile.geometry
     isotropic = params.medium == VISCOELASTIC or params.M[0] == params.M[1] == 0.0
     verdicts, errors = [], {}

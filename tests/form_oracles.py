@@ -97,11 +97,11 @@ def gravity_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode) 
     vals, ders = _at_quadrature(field, coeffs)
     psi = vals[..., 2]
     d = _d_xi(vals, ders, mode)
-    density = coeffs.g * (
+    density = coeffs.profile.g * (
         coeffs.rho_prime * np.abs(psi) ** 2
         + 2.0 * coeffs.rho * np.real(d * np.conj(psi))
     )
-    jump = coeffs.g * coeffs.profile.density_jump * abs(field.interface_psi()) ** 2
+    jump = coeffs.profile.g * coeffs.profile.density_jump * abs(field.interface_psi()) ** 2
     return jump + _integrate(coeffs, density)
 
 
@@ -118,12 +118,12 @@ def magnetic_form(field: ModeField, coeffs: FormCoefficients, mode: FourierMode)
     _check_grid(field, coeffs)
     vals, ders = _at_quadrature(field, coeffs)
     d = _d_xi(vals, ders, mode)
-    mdotxi = coeffs.M[0] * mode.xi1 + coeffs.M[1] * mode.xi2
+    mdotxi = coeffs.params.M[0] * mode.xi1 + coeffs.params.M[1] * mode.xi2
     density = np.zeros(d.shape)
     for c in range(3):
-        m_c = 1j * mdotxi * vals[..., c] + coeffs.M[2] * ders[..., c]
-        density += np.abs(d * coeffs.M[c] - m_c) ** 2
-    return coeffs.lam * _integrate(coeffs, density)
+        m_c = 1j * mdotxi * vals[..., c] + coeffs.params.M[2] * ders[..., c]
+        density += np.abs(d * coeffs.params.M[c] - m_c) ** 2
+    return coeffs.params.lam * _integrate(coeffs, density)
 
 
 def _sym_gradient_frobenius2(vals, ders, mode: FourierMode):
@@ -173,7 +173,7 @@ def theta_numerator_form(field: ModeField, coeffs: FormCoefficients, mode: Fouri
     _check_grid(field, coeffs)
     vals, _ = _at_quadrature(field, coeffs)
     horiz = 1j * (mode.xi1 * vals[..., 0] + mode.xi2 * vals[..., 1])
-    density = 2.0 * coeffs.g * coeffs.rho * np.real(horiz * np.conj(vals[..., 2]))
+    density = 2.0 * coeffs.profile.g * coeffs.rho * np.real(horiz * np.conj(vals[..., 2]))
     return _integrate(coeffs, density)
 
 
@@ -210,10 +210,10 @@ def field_directional_form(field: ModeField, coeffs: FormCoefficients, mode: Fou
     """Integral of |m_xi(w)|^2 (no lam factor)."""
     _check_grid(field, coeffs)
     vals, ders = _at_quadrature(field, coeffs)
-    mdotxi = coeffs.M[0] * mode.xi1 + coeffs.M[1] * mode.xi2
+    mdotxi = coeffs.params.M[0] * mode.xi1 + coeffs.params.M[1] * mode.xi2
     density = np.zeros(vals.shape[:2])
     for c in range(3):
-        density += np.abs(1j * mdotxi * vals[..., c] + coeffs.M[2] * ders[..., c]) ** 2
+        density += np.abs(1j * mdotxi * vals[..., c] + coeffs.params.M[2] * ders[..., c]) ** 2
     return _integrate(coeffs, density)
 
 

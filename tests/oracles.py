@@ -58,7 +58,7 @@ def per_mode_table(coeffs, mode):
     6x6 matrix C built from its rows at the mode's xi: the table as
     ``modereduce`` wrote it before its forms became polynomials in xi."""
     xi1, xi2 = mode.xi1, mode.xi2
-    M1, M2, M3 = coeffs.M
+    M1, M2, M3 = coeffs.params.M
     mdotxi = M1 * xi1 + M2 * xi2
     v, dv = np.eye(6)[:3], np.eye(6)[3:]
     wh = xi1 * v[0] + xi2 * v[1]
@@ -66,15 +66,16 @@ def per_mode_table(coeffs, mode):
     C_div = _outer_gram(div)
     C_sym = 2.0 * _outer_gram(xi1 * v[0], xi2 * v[1], dv[2]) + _outer_gram(
         xi1 * v[1] + xi2 * v[0], xi1 * v[2] - dv[0], xi2 * v[2] - dv[1])
-    C_mag = coeffs.lam * _outer_gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
-                                     M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
-                                     M3 * (div - dv[2]) - 1j * mdotxi * v[2])
+    C_mag = coeffs.params.lam * _outer_gram(M1 * div - mdotxi * v[0] + 1j * M3 * dv[0],
+                                            M2 * div - mdotxi * v[1] + 1j * M3 * dv[1],
+                                            M3 * (div - dv[2]) - 1j * mdotxi * v[2])
     C_dir = _outer_gram(mdotxi * v[0] - 1j * M3 * dv[0], mdotxi * v[1] - 1j * M3 * dv[1],
                         M3 * dv[2] + 1j * mdotxi * v[2])
     C_val = _outer_gram(*v)
     return (
         ("density", coeffs.rho,
-         {"mass": C_val, "gravity": coeffs.g * (np.outer(wh, v[2]) + np.outer(v[2], wh))}),
+         {"mass": C_val,
+          "gravity": coeffs.profile.g * (np.outer(wh, v[2]) + np.outer(v[2], wh))}),
         ("P'(rho)*rho", coeffs.p_prime_rho, {"compress": C_div}),
         ("1", 1.0, {"magnetic": C_mag, "coercivity_metric": C_val + C_div + C_dir}),
         ("mu", coeffs.mu, {"dissipation": C_sym - (2.0 / 3.0) * C_div}),

@@ -175,6 +175,24 @@ def test_validation_degenerate_mesh(tmp_path, capsys, case):
     assert cli.run(str(cfgp), "equilibrium", out=str(tmp_path / "profile.csv")) == 0
 
 
+def test_validation_huge_k_max(tmp_path, monkeypatch, capfd):
+    """A k_max whose half lattice would not fit in memory is refused before
+    any band polynomial or lattice is built: exit 2, one error line naming
+    the bound, and no artifact."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built for a refused k_max")
+
+    monkeypatch.setattr(cli.spectral, "BandPolynomial", unreachable)
+    monkeypatch.setattr(cli.spectral, "mode_lattice", unreachable)
+    out = tmp_path / "scan.csv"
+    cfgp = write_config(tmp_path, **{"k_max = 1": "k_max = 1000000000000000000"})
+    assert cli.run(str(cfgp), "scan", out=str(out)) == 2
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: k_max must be between 1 and 223"), captured.err
+    assert not out.exists() and not Path(f"{out}.summary.json").exists()
+
+
 def test_validation_medium_blocks(tmp_path):
     out = str(tmp_path / "xi.json")
     assert cli.run(str(write_config(tmp_path, medium="")), "xi", out=out) == 2

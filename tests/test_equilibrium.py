@@ -191,13 +191,36 @@ def test_deep_layer_overflow():
         build_profile(geo, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("c2", [0.05, 0.3, 1.0, 2.0, 7.5e3])
+def test_linear_law_is_the_power_law_at_gamma_one(c2):
+    """The linear law is the power law's gamma = 1 case and keeps the bits of
+    its own closed forms: c2*tau, c2, p/c2, anchor*exp(-y*(g/c2)) and
+    (c2/g)*log(anchor/floor); at g = 0 the density is the anchor."""
+    law = PressureLaw.linear(c2)
+    assert (law.K, law.gamma, law.describe()) == (c2, 1.0, f"linear c2={c2:g}")
+    tau = np.array([1e-300, 1e-8, 0.3, 1.0, 2.0, 7.0, 1e12])
+    assert np.array_equal(law.value(tau), c2 * tau) and law.value(2.0) == c2 * 2.0
+    assert np.array_equal(law.derivative(tau), np.full_like(tau, c2))
+    assert law.derivative(2.0) == c2
+    assert all(law.inverse(float(p)) == float(p) / c2 for p in tau)
+    y = np.linspace(-3.0, 3.0, 61)
+    for anchor in (1e-3, 1.0, 2.0):
+        assert np.array_equal(law.density(anchor, 0.0, y), np.full_like(y, anchor))
+        for g in (0.25, 1.0, 3.0):
+            assert np.array_equal(law.density(anchor, g, y), anchor * np.exp(-(y * (g / c2))))
+        for g, floor in ((0.25, 1e-8 * anchor), (1.0, 0.5 * anchor), (3.0, 1e-3 * anchor)):
+            assert law.floor_height(anchor, g, floor) == (c2 / g) * math.log(anchor / floor)
+
+
 def test_invalid_inputs(geometry):
     with pytest.raises(InputError, match="polytropic law"):
         PressureLaw.polytropic(1.0, 1.0)
     with pytest.raises(InputError, match="linear law"):
         PressureLaw.linear(-1.0)
     with pytest.raises(InputError, match="linear law"):
-        PressureLaw(kind="linear", c2=-1.0)
+        PressureLaw(kind="linear", K=-1.0)
+    with pytest.raises(InputError, match="linear law is the power law at gamma = 1"):
+        PressureLaw(kind="linear", K=1.0, gamma=2.0)
     with pytest.raises(InputError, match="unknown pressure law kind 'isothermal'"):
         PressureLaw(kind="isothermal")
     with pytest.raises(InputError, match="upper anchor"):
