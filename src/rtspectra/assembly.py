@@ -25,7 +25,6 @@ is banded with half-bandwidth 3n - 1, assembled straight into band storage (band
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -134,9 +133,7 @@ class ModeMatrices:
     imaginary skew part.  The grid is ``coeffs.grid``.  :attr:`coercivity_metric`
     carries |w|^2 + |M.grad w|^2 + |div w|^2 for the stability-certificate
     pencil; only :func:`~.spectral.coercivity_constant` reads it, so it is
-    built on first read, from ``bands``: the ``metric_only`` copy of the
-    :class:`BandPolynomial` they come from, which keeps the metric's lane
-    groups alone.
+    contracted from ``coeffs`` on first read.
 
     ``mass`` does not depend on the mode: it is one read-only array, shared
     by every mode of a :class:`BandPolynomial`.  The bands are
@@ -150,7 +147,7 @@ class ModeMatrices:
     """
 
     mode: FourierMode
-    bands: BandPolynomial
+    coeffs: FormCoefficients
     mass: np.ndarray
     gravity: np.ndarray
     compress: np.ndarray
@@ -158,14 +155,11 @@ class ModeMatrices:
     elastic: np.ndarray
     dissipation: np.ndarray
 
-    @property
-    def coeffs(self) -> FormCoefficients:
-        return self.bands.coeffs
-
     @cached_property
     def coercivity_metric(self) -> np.ndarray:
-        """The metric form's band, built on first read."""
-        return self.bands.band("coercivity_metric", self.mode)
+        """Built on first read, by a :class:`BandPolynomial` of the metric alone."""
+        name = "coercivity_metric"
+        return BandPolynomial(self.coeffs, (name,)).band(name, self.mode)
 
     @property
     def n_dof(self) -> int:
@@ -198,18 +192,23 @@ class ModeMatrices:
         return self.gravity - self.compress, self.stabilizer
 
 
-def _moments(coeffs: FormCoefficients, coefficient) -> np.ndarray:
+def _moments(coeffs: FormCoefficients, label: str, coefficient) -> np.ndarray:
     """Shape-function moments m[e, k, a, l, b] = sum_q w * coefficient * P[k, a] * P[l, b].
 
     P = [shape; slope / h] of the element tables maps an element's nodal values
     of one component to its value (k = 0) and derivative (k = 1) at a quadrature point.
+    InputError naming ``label`` and the smallest element when a moment overflows.
     """
     (ne, q), n = coeffs.qp_w.shape, len(coeffs.shape)
-    P = np.empty((ne, q, 2, n))
-    P[:, :, 0], P[:, :, 1] = coeffs.shape.T, coeffs.slope.T / coeffs.element_h[:, None, None]
-    P = P.reshape(ne, q, 2 * n)
-    weight = coefficient * coeffs.qp_w
-    return (P.transpose(0, 2, 1) * weight[:, None, :] @ P).reshape(ne, 2, n, 2, n)
+    P = np.empty((ne, q, 2 * n))
+    P[:, :, :n], P[:, :, n:] = coeffs.shape.T, coeffs.slope.T / coeffs.element_h[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = P.transpose(0, 2, 1) * (coefficient * coeffs.qp_w)[:, None, :] @ P
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"the {label} coefficient's shape-function moments overflow: smallest "
+                         f"element {coeffs.element_h.min():.3e}, largest coefficient {label} = "
+                         f"{np.max(np.abs(coefficient)):.3e}")
+    return m.reshape(ne, 2, n, 2, n)
 
 
 # the forms that at() builds for every mode, in the order their overflow is reported
@@ -240,10 +239,12 @@ def _monomial_parts(polynomial, name):
 
 
 class BandPolynomial:
-    """The band matrices of every Fourier mode on the grid of ``coeffs``, as
-    sum_m xi^m B_m over the monomials of :func:`~.modereduce.xi_monomials`.
+    """The band matrices of the mass and of ``forms``, for every Fourier mode
+    on the grid of ``coeffs``, as sum_m xi^m B_m over the monomials of
+    :func:`~.modereduce.xi_monomials`.
 
-    Built once per scan.  The shape-function moments of every coefficient
+    Built once per scan, of the verdict forms; a mode's coercivity metric
+    builds one of its own.  The shape-function moments of every coefficient
     are contracted with the real monomial matrices of
     :func:`~.modereduce.form_polynomial`, one matrix product per pair of
     components and pair of element nodes, whose element blocks land straight
@@ -255,17 +256,15 @@ class BandPolynomial:
     start sum into lane lanes[g].  No array of the build is much larger than
     the lanes kept.  :meth:`band` gives one form of one mode.  The mass
     matrix does not depend on xi: it is built and Cholesky-factored here,
-    once, and shared by every mode.  :meth:`at` then gives a mode's matrices.
-    They keep ``metric_only``, a shallow copy whose ``kept`` holds the
-    coercivity metric's groups alone, and not this polynomial: the 270 KB
-    of lanes of every form at n_dof 1197 would otherwise stay alive with
-    them, through all of ``evolve``'s steps, for a metric it never reads.
+    once, and shared by every mode.  :meth:`at` then gives a mode's matrices,
+    which do not keep this polynomial.
     """
 
-    def __init__(self, coeffs: FormCoefficients):
+    def __init__(self, coeffs: FormCoefficients, forms=VERDICT_FORMS):
         self.coeffs = coeffs
         self.polynomial = form_polynomial(coeffs)
-        names, monomials, Ts = zip(*((name, monomial, T) for name in FORMS
+        forms = ("mass",) + tuple(forms)
+        names, monomials, Ts = zip(*((name, monomial, T) for name in forms
                                      for monomial, T in _monomial_parts(self.polynomial, name)))
         T = np.concatenate(Ts)
         sizes = [len(t) for t in Ts]
@@ -274,8 +273,8 @@ class BandPolynomial:
         ne, n = coeffs.element_h.size, len(coeffs.shape)  # elements, nodes per element
         p = 3 * n - 1                                     # half-bandwidth
         # mom[a, b][(c, k, l), e] for the node pairs (a, b) of element e
-        mom = np.stack([_moments(coeffs, coefficient).transpose(2, 4, 1, 3, 0)
-                        for _, coefficient, _ in self.polynomial], axis=2).reshape(n, n, -1, ne)
+        mom = np.stack([_moments(coeffs, label, c).transpose(2, 4, 1, 3, 0)
+                        for label, c, _ in self.polynomial], axis=2).reshape(n, n, -1, ne)
 
         # the nonzero lanes of every pair, lane by lane
         blocks, pairs, lane_of = [], [], []
@@ -297,7 +296,7 @@ class BandPolynomial:
                     pairs.append(rows)
                     lane_of.append(np.full(rows.size, (p + 1) * j + p - d))
         values, pair, lane = (np.concatenate(x) for x in (blocks, pairs, lane_of))
-        self.kept = {name: [] for name in FORMS}
+        self.kept = {name: [] for name in forms}
         for name, monomial, first, end in zip(names, monomials, ends - sizes, ends):
             mine = (pair >= first) & (pair < end)
             group_lanes = lane[mine]
@@ -309,15 +308,14 @@ class BandPolynomial:
         if band.cholesky(self.mass) is None:
             raise SolverError("mass matrix is not positive definite")
         self.mass.setflags(write=False)
-        self.metric_only = copy.copy(self)
-        self.metric_only.kept = {"coercivity_metric": self.kept["coercivity_metric"]}
 
     def band(self, name: str, mode: FourierMode) -> np.ndarray:
         """Form ``name`` of ``mode`` in band storage, Fortran-ordered: each
         lane group of the form weighted by the mode's monomials and summed
         lane by lane, into the band's real part and then its imaginary part.
         InputError naming the mode, its |xi|, the smallest element and the
-        form's largest coefficient when the band's Frobenius norm overflows.
+        form's largest coefficient (lambda*|M|^2 for the magnetic form, whose
+        coefficient is 1) when the band's Frobenius norm overflows.
 
         The band is complex exactly when the form's imaginary group sums to
         a nonzero entry at this mode.
@@ -336,6 +334,8 @@ class BandPolynomial:
             largest, label = max((np.max(np.abs(coefficient)), label)
                                  for label, coefficient, forms in self.polynomial
                                  if name in forms)
+            if name == "magnetic":                        # its coefficient is 1
+                largest, label = self.coeffs.params.lam_M2, "lambda*|M|^2"
             raise InputError(f"the {name} matrix's Frobenius norm overflows at mode "
                              f"({mode.k1},{mode.k2}), |xi| = "
                              f"{math.hypot(mode.xi1, mode.xi2):.3e}: smallest element "
@@ -346,7 +346,7 @@ class BandPolynomial:
     def at(self, mode: FourierMode) -> ModeMatrices:
         """The matrices of ``mode``: the shared mass, the verdict forms from
         :meth:`band`, and the Cholesky check of the dissipation matrix."""
-        mm = ModeMatrices(mode=mode, bands=self.metric_only, mass=self.mass,
+        mm = ModeMatrices(mode=mode, coeffs=self.coeffs, mass=self.mass,
                           **{name: self.band(name, mode) for name in VERDICT_FORMS})
         if band.cholesky(mm.dissipation) is None:
             raise SolverError("dissipation matrix is not positive definite")
@@ -354,8 +354,7 @@ class BandPolynomial:
 
 
 def assemble(coeffs, mode: FourierMode) -> ModeMatrices:
-    """Assemble the per-mode matrices on the grid of ``coeffs``; the coercivity
-    metric, which no verdict reads, is built on first read.
+    """Assemble the per-mode matrices on the grid of ``coeffs``.
 
     Piecewise-linear conforming elements per component, with the
     Gauss-Legendre points of ``coeffs`` in every element.  Every form is the

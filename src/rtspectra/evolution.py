@@ -48,6 +48,8 @@ from .errors import InputError, SolverError, open_artifact
 
 NORM_OVERFLOW = 1e150
 EXPORT_BLOCK_ROWS = 2048
+#: the most steps a run may take: 320 MB of step records (times, norms and energies)
+MAX_STEPS = 10_000_000
 
 
 @dataclass
@@ -87,11 +89,26 @@ def random_initial_data(matrices: ModeMatrices, seed: int = 0):
 
 
 def check_horizon(dt: float, T: float) -> None:
-    """InputError unless dt is positive and finite and T is finite and covers 10 steps."""
+    """InputError unless dt is positive and finite, T is finite, the run takes
+    at most MAX_STEPS steps, and :func:`fit_rate`'s window [T/2, T] holds at
+    least 10 of its times dt*k, k <= round(T/dt).  Nothing is allocated."""
     if not 0.0 < dt < math.inf:
         raise InputError(f"dt must be positive and finite, got {dt}")
-    if not 10 * dt <= T < math.inf:
-        raise InputError(f"T={T:.6g} must be finite and cover at least 10 steps of dt={dt:.6g}")
+    if not math.isfinite(T):
+        raise InputError(f"T must be finite, got {T}")
+    if not T / dt < MAX_STEPS + 0.5:
+        raise InputError(f"T={T:.6g} takes more than {MAX_STEPS:,} steps of dt={dt:.6g}")
+    n_steps = round(T / dt)
+    # the first and last k with T/2 <= dt*k <= T, as fit_rate's mask compares them
+    first = max(0, math.ceil(0.5 * T / dt) - 1)
+    while dt * first < 0.5 * T:
+        first += 1
+    last = min(n_steps, math.floor(T / dt) + 1)
+    while dt * last > T:
+        last -= 1
+    if last - first + 1 < 10:
+        raise InputError(f"T={T:.6g} must hold at least 10 samples of dt={dt:.6g} in the fit "
+                         f"window [T/2, T], got {max(0, last - first + 1)}")
 
 
 def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarray,

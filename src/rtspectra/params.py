@@ -43,5 +43,13 @@ class PhysicalParams:
                 raise InputError(f"{name} must be nonnegative and finite, got {value}")
         if not all(math.isfinite(m) for m in self.M):
             raise InputError(f"base field M must be finite, got {self.M}")
+        if not math.isfinite(self.lam_M2):
+            raise InputError(f"lambda*|M|^2 must be finite, got lambda = {self.lam:.3e} and "
+                             f"M = ({', '.join(f'{m:.3e}' for m in self.M)})")
         if self.medium not in (MHD, VISCOELASTIC):
             raise InputError(f"medium must be '{MHD}' or '{VISCOELASTIC}'")
+
+    @property
+    def lam_M2(self) -> float:
+        """lambda*|M|^2, the scale of the magnetic form."""
+        return self.lam * sum(m * m for m in self.M)

@@ -8,8 +8,10 @@ Run from the repository root:
 Two checkouts, or two runs under different PYTHONHASHSEED values, that print
 the same lines assemble the same bits.  The configs are those of
 ``perfbench/workloads.py`` at seeds 1-5.  For each, every form of
-:data:`~rtspectra.assembly.FORMS` (the coercivity metric included) is
-built for the modes |k1|, |k2| <= 2.  pytest does not collect this file.
+:data:`~rtspectra.assembly.FORMS` is read from the
+:class:`~rtspectra.assembly.ModeMatrices` of the modes |k1|, |k2| <= 2: the
+verdict forms from the scan's polynomial, the coercivity metric from its own
+build on first read.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def main() -> None:
                 bands = assembly.BandPolynomial(cli._coeffs(cfg))
                 for k1 in K:
                     for k2 in K:
-                        mode = FourierMode.from_indices(k1, k2, cfg.geometry)
+                        mm = bands.at(FourierMode.from_indices(k1, k2, cfg.geometry))
                         for form in assembly.FORMS:
-                            print(name, seed, (k1, k2), form, digest(bands.band(form, mode)))
+                            print(name, seed, (k1, k2), form, digest(getattr(mm, form)))
 
 
 if __name__ == "__main__":

@@ -270,7 +270,9 @@ def test_kept_lanes_real_and_nonzero(coeffs60):
     """A mixed field's kept lanes are real rows, none all zero: a form with a
     skew part keeps its imaginary part as a second lane group, after the
     real part's, and every other form keeps one group."""
-    forms = assembly.BandPolynomial(coeffs60)
+    forms = assembly.BandPolynomial(coeffs60,
+                                    assembly.VERDICT_FORMS + ("coercivity_metric",))
+    assert set(forms.kept) == set(assembly.FORMS)
     for name, groups in forms.kept.items():
         for rows, *_ in groups:
             assert rows.dtype == np.float64, name
@@ -283,17 +285,17 @@ def test_kept_lanes_real_and_nonzero(coeffs60):
 def test_element_tables_set_the_band_height(order, canonical_profile, mixed_params, mesh60,
                                             geometry):
     """The element tables are a partition of unity with slopes summing to
-    exactly 0, and every band has 3 rows per element node."""
+    exactly 0, and every band of a mode, the coercivity metric's own build
+    included, has 3 rows per element node."""
     coeffs = mr.FormCoefficients(canonical_profile, mixed_params, mesh60.nodes,
                                  quadrature_order=order)
     nodes = len(coeffs.shape)
     assert coeffs.shape.shape == coeffs.slope.shape == (nodes, order)
     assert np.max(np.abs(coeffs.shape.sum(axis=0) - 1.0)) <= 2 * np.finfo(float).eps
     assert np.all(coeffs.slope.sum(axis=0) == 0.0)
-    forms = assembly.BandPolynomial(coeffs)
-    mode = make_mode(1, -2, geometry)
+    mm = assembly.assemble(coeffs, make_mode(1, -2, geometry))
     for name in assembly.FORMS:
-        assert forms.band(name, mode).shape[0] == 3 * nodes, name
+        assert getattr(mm, name).shape[0] == 3 * nodes, name
 
 
 MIXED_SCAN_INI = """
@@ -322,15 +324,15 @@ def test_metric_built_only_when_read(canonical_profile, mixed_params, geometry, 
                                      monkeypatch):
     """The coercivity metric, which only coercivity_constant reads, is built
     on first read: global scans of a mixed and of a vertical field and a CLI
-    scan never ask BandPolynomial.band for it, and two coercivity constants
-    of one mode ask for it once."""
-    asked, real = [], assembly.BandPolynomial.band
+    scan contract none of its lanes, and two coercivity constants of one mode
+    contract them once, in a polynomial of the mass and the metric alone."""
+    asked, real = [], assembly._monomial_parts
 
-    def recording(self, name, mode):
+    def recording(polynomial, name):
         asked.append(name)
-        return real(self, name, mode)
+        return real(polynomial, name)
 
-    monkeypatch.setattr(assembly.BandPolynomial, "band", recording)
+    monkeypatch.setattr(assembly, "_monomial_parts", recording)
     mesh = assembly.build_mesh(geometry, n_per_layer=30)
     # M3 above the canonical profile's vertical threshold 2.27: every mode is stable
     vertical = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1.0, M=(0.0, 0.0, 2.4))
@@ -345,29 +347,33 @@ def test_metric_built_only_when_read(canonical_profile, mixed_params, geometry, 
                            make_mode(1, 0, geometry))
     asked.clear()
     assert spectral.coercivity_constant(mm) == spectral.coercivity_constant(mm) > 0.0
-    assert asked == ["coercivity_metric"]
+    assert asked == ["mass", "coercivity_metric"]
     assert mm.coercivity_metric is mm.coercivity_metric
 
 
 def test_mode_matrices_release_their_polynomial(coeffs60, geometry, monkeypatch):
-    """assemble's BandPolynomial, with every form's kept lanes, dies once its
-    mode is assembled, while the mode lives; the mode's coercivity metric,
-    built afterwards from the metric's own lanes, has the bits of the full
-    polynomial's."""
-    built, real_at = [], assembly.BandPolynomial.at
+    """assemble's BandPolynomial, with every verdict form's kept lanes, dies
+    once its mode is assembled, while the mode lives; so does the polynomial
+    that the mode's coercivity metric is built from on first read.  That
+    metric has the bits of a polynomial that contracts every form at once."""
+    built, real_band = [], assembly.BandPolynomial.band
 
-    def recording(self, mode):
-        built.append(weakref.ref(self))
-        return real_at(self, mode)
+    def recording(self, name, mode):
+        built.append((name, weakref.ref(self)))
+        return real_band(self, name, mode)
 
-    monkeypatch.setattr(assembly.BandPolynomial, "at", recording)
+    monkeypatch.setattr(assembly.BandPolynomial, "band", recording)
     mode = make_mode(1, -2, geometry)
     mm = assembly.assemble(coeffs60, mode)
-    assert len(built) == 1 and built[0]() is None
-    assert set(mm.bands.kept) == {"coercivity_metric"}
-    full = assembly.BandPolynomial(coeffs60).band("coercivity_metric", mode)
-    assert mm.coercivity_metric.dtype == full.dtype
-    assert mm.coercivity_metric.tobytes(order="A") == full.tobytes(order="A")
+    assert [name for name, _ in built] == ["mass", *assembly.VERDICT_FORMS]
+    assert mm.coeffs is coeffs60 and built[0][1]() is None
+    metric = mm.coercivity_metric
+    assert [name for name, _ in built[6:]] == ["mass", "coercivity_metric"]
+    assert built[-1][1]() is None
+    full = assembly.BandPolynomial(coeffs60, assembly.VERDICT_FORMS + ("coercivity_metric",)
+                                   ).band("coercivity_metric", mode)
+    assert metric.dtype == full.dtype
+    assert metric.tobytes(order="A") == full.tobytes(order="A")
 
 
 def test_scan_builds_its_polynomial_once(canonical_profile, mixed_params, geometry, monkeypatch):

@@ -165,7 +165,7 @@ def test_parameter_validation(mm_stable):
     eta0, u0 = evolution.random_initial_data(mm_stable, seed=6)
     with pytest.raises(InputError, match="dt must be positive"):
         evolution.integrate_linearized(mm_stable, eta0, u0, -0.1, 1.0)
-    with pytest.raises(InputError, match="10 steps"):
+    with pytest.raises(InputError, match="at least 10 samples"):
         evolution.integrate_linearized(mm_stable, eta0, u0, 0.5, 1.0)
     with pytest.raises(InputError, match="seed must be nonnegative"):
         evolution.random_initial_data(mm_stable, seed=-1)
