@@ -287,8 +287,10 @@ class BandPolynomial:
                     d = 3 * s + j - i
                     # over every node, Dirichlet ends included: element e's node b is (n - 1)*e + b
                     values = np.zeros((n_pairs, (n - 1) * ne + 1))
-                    for a in range(n - s):                # the pairs add in (a, b) order
-                        values[:, a + s::n - 1][:, :ne] += Tij @ mom[a, a + s]
+                    # an entry that overflows makes its band's norm overflow, which band() names
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        for a in range(n - s):            # the pairs add in (a, b) order
+                            values[:, a + s::n - 1][:, :ne] += Tij @ mom[a, a + s]
                     values[:, s] = 0.0                    # the entry whose row is node h_minus
                     values = values[:, 1:-1]
                     rows = np.flatnonzero(np.any(values, axis=1))
@@ -314,8 +316,9 @@ class BandPolynomial:
         lane group of the form weighted by the mode's monomials and summed
         lane by lane, into the band's real part and then its imaginary part.
         InputError naming the mode, its |xi|, the smallest element and the
-        form's largest coefficient (lambda*|M|^2 for the magnetic form, whose
-        coefficient is 1) when the band's Frobenius norm overflows.
+        form's largest |coefficient x coefficient-matrix entry| (the
+        magnetic form's coefficient is 1 and its matrices carry
+        lambda*|M|^2) when the band's Frobenius norm overflows.
 
         The band is complex exactly when the form's imaginary group sums to
         a nonzero entry at this mode.
@@ -331,16 +334,15 @@ class BandPolynomial:
             target[:, lanes] = summed.T
         ab = out.reshape(-1, height).T                    # (p + 1, n_dof), Fortran order
         if not math.isfinite(band.frobenius(ab)):
-            largest, label = max((np.max(np.abs(coefficient)), label)
+            largest, label = max((float(np.max(np.abs(coefficient)))
+                                  * float(np.max(np.abs(forms[name]))), label)
                                  for label, coefficient, forms in self.polynomial
                                  if name in forms)
-            if name == "magnetic":                        # its coefficient is 1
-                largest, label = self.coeffs.params.lam_M2, "lambda*|M|^2"
             raise InputError(f"the {name} matrix's Frobenius norm overflows at mode "
                              f"({mode.k1},{mode.k2}), |xi| = "
                              f"{math.hypot(mode.xi1, mode.xi2):.3e}: smallest element "
-                             f"{self.coeffs.element_h.min():.3e}, largest coefficient "
-                             f"{label} = {largest:.3e}")
+                             f"{self.coeffs.element_h.min():.3e}, largest |coefficient x "
+                             f"matrix entry| {largest:.3e} (coefficient {label})")
         return ab
 
     def at(self, mode: FourierMode) -> ModeMatrices:

@@ -41,37 +41,33 @@ class PressureLaw:
     """Barotropic power law P(tau) = K * tau**gamma, smooth and strictly
     increasing on (0, inf).
 
-    Supported kinds: ``linear``, the case gamma = 1 whose K is the squared
-    sound speed c2 (P = c2 * tau), and ``polytropic`` with gamma > 1;
-    construction raises InputError for any other kind or parameters.  The
-    law also owns the closed-form hydrostatic layer of the module docstring
-    (:meth:`density`).
+    The linear law is gamma = 1, whose K is the squared sound speed c2
+    (P = c2 * tau); a polytropic law has gamma > 1.  Construction raises
+    InputError for any other parameters, and :meth:`polytropic` also for
+    gamma = 1.  The law also owns the closed-form hydrostatic layer of the
+    module docstring (:meth:`density`).
     """
 
-    kind: str
-    K: float = 0.0
+    K: float
     gamma: float = 1.0
 
     @staticmethod
     def linear(c2: float) -> "PressureLaw":
-        return PressureLaw(kind="linear", K=float(c2))
+        return PressureLaw(float(c2))
 
     @staticmethod
     def polytropic(K: float, gamma: float) -> "PressureLaw":
-        return PressureLaw(kind="polytropic", K=float(K), gamma=float(gamma))
+        if gamma == 1.0:
+            raise InputError("polytropic law needs gamma > 1; gamma = 1 is the linear law")
+        return PressureLaw(float(K), float(gamma))
 
     def __post_init__(self):
-        if self.kind == "linear":
+        if self.gamma == 1.0:
             if not 0.0 < self.K < math.inf:
                 raise InputError(f"linear law needs finite c2 > 0, got {self.K}")
-            if self.gamma != 1.0:
-                raise InputError(f"linear law is the power law at gamma = 1, got {self.gamma}")
-        elif self.kind == "polytropic":
-            if not (0.0 < self.K < math.inf and 1.0 < self.gamma < math.inf):
-                raise InputError(f"polytropic law needs finite K > 0 and gamma > 1, "
-                                 f"got K={self.K}, gamma={self.gamma}")
-        else:
-            raise InputError(f"unknown pressure law kind {self.kind!r}")
+        elif not (0.0 < self.K < math.inf and 1.0 < self.gamma < math.inf):
+            raise InputError(f"polytropic law needs finite K > 0 and gamma > 1, "
+                             f"got K={self.K}, gamma={self.gamma}")
 
     # pow(x, 1) = x and pow(x, 0) = 1 exactly, so the linear law keeps its bits
     def value(self, tau):
@@ -106,7 +102,7 @@ class PressureLaw:
         return H * (1.0 - (floor / anchor) ** e) / e
 
     def describe(self) -> str:
-        if self.kind == "linear":
+        if self.gamma == 1.0:
             return f"linear c2={self.K:g}"
         return f"polytropic K={self.K:g} gamma={self.gamma:g}"
 

@@ -90,33 +90,27 @@ def random_initial_data(matrices: ModeMatrices, seed: int = 0):
 
 def check_horizon(dt: float, T: float) -> None:
     """InputError unless dt is positive and finite, T is finite, the run takes
-    at most MAX_STEPS steps, and :func:`fit_rate`'s window [T/2, T] holds at
-    least 10 of its times dt*k, k <= round(T/dt).  Nothing is allocated."""
+    at most MAX_STEPS steps, and its fit window, the samples k = ceil(n/2),
+    ..., n of its n = round(T/dt) steps, holds at least 10, floor(n/2) + 1.
+    Nothing is allocated."""
     if not 0.0 < dt < math.inf:
         raise InputError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(T):
         raise InputError(f"T must be finite, got {T}")
     if not T / dt < MAX_STEPS + 0.5:
         raise InputError(f"T={T:.6g} takes more than {MAX_STEPS:,} steps of dt={dt:.6g}")
-    n_steps = round(T / dt)
-    # the first and last k with T/2 <= dt*k <= T, as fit_rate's mask compares them
-    first = max(0, math.ceil(0.5 * T / dt) - 1)
-    while dt * first < 0.5 * T:
-        first += 1
-    last = min(n_steps, math.floor(T / dt) + 1)
-    while dt * last > T:
-        last -= 1
-    if last - first + 1 < 10:
+    samples = max(0, round(T / dt) // 2 + 1)
+    if samples < 10:
         raise InputError(f"T={T:.6g} must hold at least 10 samples of dt={dt:.6g} in the fit "
-                         f"window [T/2, T], got {max(0, last - first + 1)}")
+                         f"window, the second half of its steps, got {samples}")
 
 
 def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarray,
                          dt: float, T: float) -> EvolutionResult:
     """Implicit-midpoint trajectory of (eta, u) with per-step mass norms.
 
-    The exponential rate is fitted on log(u_norm) over the second half of
-    [0, T].
+    The exponential rate is fitted on log(u_norm) over the samples of the
+    second half of the n = round(T/dt) steps, k = ceil(n/2), ..., n.
     """
     check_horizon(dt, T)
     A, M, D = matrices.operator, matrices.mass, matrices.dissipation
@@ -178,7 +172,7 @@ def integrate_linearized(matrices: ModeMatrices, eta0: np.ndarray, u0: np.ndarra
         drift = max(drift, abs(energy[k] - energy[k - 1] + dissipated))
 
     scale = max(1.0, float(np.max(np.abs(energy))))
-    rate = fit_rate(times, u_norm, (T / 2.0, T))
+    rate = fit_rate(times, u_norm, (times[(n_steps + 1) // 2], times[-1]))
     return EvolutionResult(
         times=times,
         eta_norm=eta_norm,

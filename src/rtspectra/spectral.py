@@ -8,21 +8,22 @@ quadratic pencil s^2*Mass + s*D - A.
 
 All three come from one solver (_top_pair): inverse iteration in a bracket
 of the top of a banded Hermitian pencil, linear or quadratic, that banded
-Cholesky factorizations certify.  A cold alpha(0) climbs the shifts 1, 4,
-16, ... from a seeded vector; so does the discriminant of a stable mode,
+Cholesky factorizations certify.  A start vector's value (Rayleigh
+quotient, or functional for the quadratic pencil) is never above the top,
+so it is the bracket's first lower end, and the shifts climb from four
+times it: max(1, 4*value), then x4.  alpha(0) starts from a seeded vector,
+with no lower end, at the shifts 1, 4, 16, ...  The discriminant starts
 from the alpha(0) eigenvector plus a share of the seeded one: the energy
 operator is the discriminant's numerator minus its denominator, so that
-vector is a field of large N/B.  On an unstable mode (alpha(0) > 0) that
-vector's quotient N/B exceeds 1 and starts the bracket and its shifts.
-The growth rate's bracket starts from the alpha(0) eigenvector, between
-its Rayleigh functional and sqrt(alpha(0)): alpha is non-increasing and
-convex in s (a supremum of affine functions of s), so f(s) = alpha(s) -
-s^2 is strictly decreasing and the quadratic pencil factors exactly above
-Lambda.  One alpha(Lambda), warm-started from the bracket's last iterate,
-gives the eigenvector and the fixed-point residual.  Every value is the
-lower end of its bracket, which holds the top to BRACKET_TOL or to
-band-product rounding (about eps*||H||), whichever is larger; the mesh
-floor assembly.MIN_ELEMENT_FRACTION keeps that rounding small.  The
+vector is a field of large N/B.  The growth rate's bracket starts from the
+alpha(0) eigenvector: alpha is non-increasing and convex in s (a supremum
+of affine functions of s), so f(s) = alpha(s) - s^2 is strictly decreasing
+and the quadratic pencil factors exactly above Lambda.  One alpha(Lambda),
+started from the bracket's last iterate, gives the eigenvector and the
+fixed-point residual.  Every value is the lower end of its bracket,
+which holds the top to BRACKET_TOL or to band-product rounding (about
+eps*||H||), whichever is larger; the mesh floor
+assembly.MIN_ELEMENT_FRACTION keeps that rounding small.  The
 discriminant's singular cases are settled before the solve (xi_per_mode),
 so no dense matrix is built.  The seeded vector is splitmix64 of a
 counter, computed in uint64 arithmetic (_start_vector), so that no solve
@@ -45,18 +46,16 @@ from .modereduce import FormCoefficients, FourierMode
 from .params import MHD, VISCOELASTIC
 
 EIGVEC_RESIDUAL_TOL = 1e-8
-# shifts f, 4f, 16f, ..., 4**40*f (f >= 1; about 1e24*f) are tried above a spectrum,
-# or offsets delta, 4*delta, ... above a guess
+# shifts f, 4f, 16f, ..., 4**40*f (f >= 1; about 1e24*f) are tried above a spectrum
 SHIFT_TRIES = 41
 # seeds the start vector of inverse iteration (_start_vector)
 START_SEED = 20240811
-# a cold start from a given vector adds the seeded one at this share of its M-norm
+# xi_per_mode's start adds the seeded vector to alpha(0)'s at this share of its B-norm
 SEEDED_SHARE = 0.1
 # the bracket [lo, sigma] of a top eigenvalue closes at BRACKET_TOL * max(1, |lo|)
 BRACKET_TOL = 1e-12
 BRACKET_STEP = 0.1      # trial shifts lie at most this fraction of the way from lo to sigma
 AIM_FACTOR = 8.0        # aimed trial shifts lie this many last value changes above lo
-WARM_OFFSET = 1e-3      # a warm start's first shift lies this relative offset above its guess
 INVERSE_STEPS = 200
 # the largest scanned k_max: its half lattice holds 2*k^2 + 2*k + 1 <= 100,000 modes
 MAX_K_MAX = 223
@@ -133,9 +132,8 @@ def _pencil_value(hb: np.ndarray, db: Optional[np.ndarray], v: np.ndarray,
     return _functional(a, float(np.real(np.vdot(v, band.matvec(db, v)))), norm2)
 
 
-def _top_pair(hb: np.ndarray, mb: np.ndarray,
-              guess: Optional[Tuple[float, np.ndarray]] = None,
-              db: Optional[np.ndarray] = None, lo: float = -math.inf):
+def _top_pair(hb: np.ndarray, mb: np.ndarray, start: Optional[np.ndarray] = None,
+              db: Optional[np.ndarray] = None):
     """Top of a Hermitian pencil and its eigenvector normalized to
     v* M v = 1; H, M and D in upper band storage of one shape, M positive
     definite.
@@ -152,24 +150,17 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
     a shift sigma exactly when sigma lies above its top, and so has Q at a
     shift sigma >= 0, because sigma^2 - alpha(sigma), with alpha(sigma) the
     top of (H - sigma*D, M), is strictly increasing there.  A shift that
-    factors is an upper bound, one that does not raises ``lo``, a known
-    lower bound of the top.
+    factors is an upper bound, one that does not raises lo, the bracket's
+    lower end.
 
-    Cold (no ``guess``), sigma = f, 4f, 16f, ... with f = max(1, 4*lo)
-    (1, 4, 16, ... with no lower bound), and inverse iteration starts from
-    the seeded vector _start_vector(n), a stateless function of n, so a
-    repeated call, in this process or another, returns the same bits;
-    ``guess = (None, vector)`` keeps those shifts and starts from
-    ``vector`` plus the seeded vector at SEEDED_SHARE of its M-norm, so
-    that a vector with no component along the top eigenvector (one in a
-    block of the pencil that does not hold it) still has one.  With
-    ``guess = (value, vector)``, a value at or near the top, sigma = value
-    + delta with delta = WARM_OFFSET * max(1, |value|), the offset grows
-    4x per shift that does not factor, and inverse iteration starts from
-    the guessed vector.
+    Inverse iteration starts from ``start`` as given, and lo from its value;
+    without a start, from the seeded vector _start_vector(n), a stateless
+    function of n, so a repeated call, in this process or another, returns
+    the same bits, and from lo = -inf.  The shifts sigma = f, 4f, 16f, ...
+    with f = max(1, 4*lo) are tried until one factors.
 
     Inverse iteration v <- P(sigma)^-1 M v, P the pencil at the closing
-    shift, then closes a bracket [lo, sigma] of the top.  Each value rho
+    shift, then closes the bracket [lo, sigma] of the top.  Each value rho
     of an iterate (never above the top, so above sigma only by rounding)
     raises lo up to sigma, and a trial shift lo + step becomes sigma if it
     factors, else lo.  The step is BRACKET_STEP*(sigma - lo), or, after a
@@ -181,23 +172,19 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
     same within band-product rounding (about eps*||H||): an earlier value
     or a shift that did not factor.
     """
-    base, v = (None, None) if guess is None else guess
-    if base is None:
-        base, offset = 0.0, max(1.0, 4.0 * lo)
-        seeded = _start_vector(hb.shape[1])
-        v = seeded if v is None else _m_unit(mb, v) + SEEDED_SHARE * _m_unit(mb, seeded)
-    else:
-        offset = WARM_OFFSET * max(1.0, abs(base))
+    v = _start_vector(hb.shape[1]) if start is None else start
+    mv = band.matvec(mb, v)
+    lo = -math.inf if start is None else _pencil_value(hb, db, v, float(np.real(np.vdot(v, mv))))
+    sigma = max(1.0, 4.0 * lo)
     for _ in range(SHIFT_TRIES):
-        sigma = base + offset
         factor = band.cholesky(_shifted(hb, mb, db, sigma))
         if factor is not None:
             break
-        lo, offset = sigma, 4.0 * offset
+        lo, sigma = sigma, 4.0 * sigma
     else:
-        raise SolverError(f"no shift up to {sigma:.1e} lies above the pencil's spectrum")
+        raise SolverError(f"no shift up to {lo:.1e} lies above the pencil's spectrum")
 
-    mv, rho_prev = band.matvec(mb, v), None     # rho_prev: set after a trial that factored
+    rho_prev = None     # set after a trial that factored
     for _ in range(INVERSE_STEPS):
         v = band.solve(factor, mv)
         mv = band.matvec(mb, v)
@@ -224,17 +211,17 @@ def _top_pair(hb: np.ndarray, mb: np.ndarray,
                       f"after {INVERSE_STEPS} inverse-iteration steps")
 
 
-def alpha(s: float, matrices: ModeMatrices,
-          guess: Optional[Tuple[float, np.ndarray]] = None):
+def alpha(s: float, matrices: ModeMatrices, start: Optional[np.ndarray] = None):
     """Largest eigenvalue of the pencil (A - s*D, Mass) and its eigenvector.
 
     The value is the lower end lo of the bracket that the banded solver
     (_top_pair) closes, and the vector its last iterate (v* Mass v = 1).
     The bracket holds the top to max(BRACKET_TOL*max(1, |lo|), band-product
     rounding of about eps*||A - s*D||); its upper end is a shift at which
-    the pencil factored, so no eigenvalue lies above it.  ``guess``, the (value, eigenvector) of
-    alpha at a nearby s, warm-starts the solver; without it the solve
-    starts cold from a seeded vector.  SolverError when the eigen-residual
+    the pencil factored, so no eigenvalue lies above it.  ``start``, such
+    as the eigenvector of alpha at a nearby s, starts the solver's inverse
+    iteration and bracket (_top_pair); without it the solve starts from a
+    seeded vector.  SolverError when the eigen-residual
     ||(A - s*D) v - lo*Mass v|| exceeds EIGVEC_RESIDUAL_TOL times
     ||A - s*D||_F*||v||, which ties the vector to the value; the Frobenius
     norm is one pass over the band that the solve reads.
@@ -243,7 +230,7 @@ def alpha(s: float, matrices: ModeMatrices,
         raise InputError(f"s must be nonnegative, got {s}")
     H = matrices.operator - s * matrices.dissipation
     M = matrices.mass
-    rho, v = _top_pair(H, M, guess)
+    rho, v = _top_pair(H, M, start)
     res = np.linalg.norm(band.matvec(H, v) - rho * band.matvec(M, v))
     scale = band.frobenius(H) * np.linalg.norm(v)
     if res > EIGVEC_RESIDUAL_TOL * scale:
@@ -265,10 +252,8 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
     (Tisseur & Meerbergen 2001), solved by one bracket of _top_pair: Q(s)
     factors exactly when f(s) = alpha(s) - s^2 < 0, that is when s lies
     above Lambda, as f is strictly decreasing.  The bracket starts from the
-    alpha(0) eigenvector v0, with lo = p(v0), its Rayleigh functional, and
-    the first shift just above sqrt(alpha(0)), an upper bound because alpha
-    is non-increasing.  Lambda is the bracket's lower end, and one
-    alpha(Lambda), warm-started from (Lambda^2, the last iterate), gives the
+    alpha(0) eigenvector v0.  Lambda is the bracket's lower end, and one
+    alpha(Lambda), started from the bracket's last iterate, gives the
     eigenvector and the residual.  SolverError when the residual exceeds
     tol * max(1, Lambda^2).  The bracket, like every _top_pair bracket,
     holds Lambda to max(BRACKET_TOL*max(1, Lambda), band-product rounding
@@ -279,10 +264,8 @@ def growth_rate_detailed(matrices: ModeMatrices, tol: float = 1e-8,
     a, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
     if a <= 0.0:
         return None, None, None
-    A, D, M = matrices.operator, matrices.dissipation, matrices.mass
-    lo = _pencil_value(A, D, v0, float(np.real(np.vdot(v0, band.matvec(M, v0)))))
-    lam, u = _top_pair(A, M, (math.sqrt(a), v0), D, lo)
-    value, vec = alpha(lam, matrices, guess=(lam * lam, u))
+    lam, u = _top_pair(matrices.operator, matrices.mass, v0, matrices.dissipation)
+    value, vec = alpha(lam, matrices, start=u)
     residual = abs(lam * lam - value)
     if residual > tol * max(1.0, lam * lam):
         raise SolverError(f"growth rate {lam:.17g} leaves |Lambda^2 - alpha(Lambda)| = "
@@ -329,19 +312,17 @@ def xi_per_mode(matrices: ModeMatrices,
     not change its eigenvalues), and the solver's shift bracket certifies
     the value.  SolverError when the denominator does not factor.
 
-    Inverse iteration starts from the eigenvector v0 of alpha(0) as it is:
-    the energy operator is numerator minus denominator, so alpha(0) > 0
-    exactly when xi > 1 and its top eigenvector is a field of large N/B,
-    where a random start sits in the high-frequency fields of large B.
-    When alpha(0) > 0, N(v0) - B(v0) =
-    alpha(0)*mass(v0) > 0, so v0's quotient q0 = N(v0)/B(v0) > 1 is a lower
-    bound of xi: the bracket starts from it and the shifts climb 4*q0,
-    16*q0, ... (q0 is 2.3-2.9 against xi of 6-50 on the unstable
-    growth_mixed modes of seeds 1-5).  Otherwise the shifts climb the cold
-    1, 4, 16, ..., and v0 can lie in a block of the pencil that decouples
-    from the top, such as the horizontal shear transverse to xi of a
-    viscoelastic or horizontal-field mode, where N vanishes: the seeded
-    share that _top_pair adds to the start reaches the top's block.
+    Inverse iteration starts from the eigenvector v0 of alpha(0) plus the
+    seeded vector at SEEDED_SHARE of its B-norm: the energy operator is
+    numerator minus denominator, so alpha(0) > 0 exactly when xi > 1 and
+    its top eigenvector is a field of large N/B, where a random start sits
+    in the high-frequency fields of large B.  The seeded share reaches the
+    top's block when v0 lies in a block of the pencil that decouples from
+    it, such as the horizontal shear transverse to xi of a viscoelastic or
+    horizontal-field mode, where N vanishes.  The start's quotient N/B
+    starts the bracket and its shifts (_top_pair); on an unstable mode it
+    is above 1 (2.3-2.9 against xi of 6-50 on the unstable growth_mixed
+    modes of seeds 1-5).
     ``alpha0`` is the result of alpha(0.0, matrices) when the caller has it
     already (analyze_mode); it is solved here otherwise, after the explicit
     cases and the denominator check, so either way gives the same bits.
@@ -363,11 +344,9 @@ def xi_per_mode(matrices: ModeMatrices,
     if band.cholesky(B) is None:
         raise SolverError(f"singular denominator at mode ({mode.k1}, {mode.k2}): "
                                "no banded Cholesky factor")
-    a0, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
-    lo = -math.inf
-    if a0 > 0.0:
-        lo = _pencil_value(Nmat, None, v0, float(np.real(np.vdot(v0, band.matvec(B, v0)))))
-    return _top_pair(Nmat, B, (None, v0), lo=lo)
+    _, v0 = alpha0 if alpha0 is not None else alpha(0.0, matrices)
+    start = _m_unit(B, v0) + SEEDED_SHARE * _m_unit(B, _start_vector(B.shape[1]))
+    return _top_pair(Nmat, B, start)
 
 
 def coercivity_constant(matrices: ModeMatrices) -> float:

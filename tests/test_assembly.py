@@ -376,6 +376,23 @@ def test_mode_matrices_release_their_polynomial(coeffs60, geometry, monkeypatch)
     assert metric.tobytes(order="A") == full.tobytes(order="A")
 
 
+def test_metric_overflow_names_its_matrix_entry(canonical_profile, geometry, recwarn):
+    """lambda = 1e-160 and M3 = 1e154 leave lambda*|M|^2 = 1e148, but the
+    coercivity metric's field-directional matrix carries |M|^2 = 1e308
+    under the coefficient 1, and its contraction overflows.  Reading the
+    metric raises one InputError that names that entry, with no numpy
+    warning before it."""
+    params = PhysicalParams(mu_plus=0.1, mu_minus=0.1, lam=1e-160, M=(0.0, 0.0, 1e154))
+    mesh = assembly.build_mesh(geometry, n_per_layer=30)
+    mm = assembly.assemble(mr.FormCoefficients(canonical_profile, params, mesh.nodes),
+                           make_mode(1, 0, geometry))
+    with pytest.raises(InputError, match=r"the coercivity_metric matrix's Frobenius norm "
+                       r"overflows .* largest \|coefficient x matrix entry\| 1\.000e\+308 "
+                       r"\(coefficient 1\)$"):
+        spectral.coercivity_constant(mm)
+    assert len(recwarn) == 0, [str(w.message) for w in recwarn]
+
+
 def test_scan_builds_its_polynomial_once(canonical_profile, mixed_params, geometry, monkeypatch):
     """A k_max=2 scan of a mixed field (13 modes, no isotropy classes) builds the
     xi-independent part once, and Cholesky-checks the one mass matrix all its

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import run_python
 from rtspectra import cli
+from rtspectra.equilibrium import PressureLaw
 from rtspectra.errors import InputError, SolverError
 
 BASE_INI = """
@@ -116,7 +117,8 @@ INADMISSIBLE = {
     # the band overflows because of the wave number, which the message names
     "L1=1e-300": ("xi", {"L1 = 1.0": "L1 = 1e-300"}, "|xi| = 1.000e+300"),
     # an overflow names the value that overflowed, and no RuntimeWarning follows it
-    "m3=1e150": ("xi", {"m3 = 0.0": "m3 = 1e150"}, "lambda*|M|^2 = 1.000e+300"),
+    "m3=1e150": ("xi", {"m3 = 0.0": "m3 = 1e150"},
+                 "largest |coefficient x matrix entry| 1.000e+300 (coefficient 1)"),
     "m3=1e160": ("xi", {"m3 = 0.0": "m3 = 1e160"}, "lambda*|M|^2 must be finite"),
     "m1=1e200": ("xi", {"m3 = 0.0": "m1 = 1e200"}, "lambda*|M|^2 must be finite"),
     "lambda=1e300": ("xi", {"lambda = 1.0": "lambda = 1e300", "m3 = 0.0": "m3 = 1e10"},
@@ -231,14 +233,14 @@ def test_readme_config_parses(tmp_path):
     (tmp_path / "readme.ini").write_text(ini)
     cfg = cli.parse_config(str(tmp_path / "readme.ini"))
     assert cfg.params.medium == "mhd" and cfg.params.M == (0.0, 0.0, 2.4)
-    assert (cfg.geometry.L1, cfg.geometry.L2, cfg.law_plus.kind) == (1.0, 1.0, "linear")
+    assert (cfg.geometry.L1, cfg.geometry.L2, cfg.law_plus) == (1.0, 1.0, PressureLaw.linear(1.0))
     assert (cfg.n_per_layer, cfg.k_max, cfg.k1) == (200, 8, 1)
 
     poly = re.sub(r"law_plus = linear.*\nc2_plus = 1.0",
                   "law_plus = polytropic\nK_plus = 1.5\ngamma_plus = 1.4", ini)
     (tmp_path / "poly.ini").write_text(poly)
     law = cli.parse_config(str(tmp_path / "poly.ini")).law_plus
-    assert (law.kind, law.K, law.gamma) == ("polytropic", 1.5, 1.4)
+    assert (law.describe(), law.K, law.gamma) == ("polytropic K=1.5 gamma=1.4", 1.5, 1.4)
 
 
 def test_config_keys_differing_only_in_case(tmp_path, capsys):
@@ -520,18 +522,20 @@ def test_main_entry(tmp_path):
 
 
 def test_validation_evolve_horizon(tmp_path, monkeypatch, capsys):
-    """The fit window [T/2, T] must hold 10 samples, and the run at most
-    MAX_STEPS steps: an explicit dt/T pair is checked before the mode is
-    assembled, with one error line, and the integrator checks the pair once
-    dt or T comes from Lambda."""
+    """The fit window, the second half of the round(T/dt) steps, must hold
+    10 samples, and the run at most MAX_STEPS steps: an explicit dt/T pair
+    is checked before the mode is assembled, with one error line, and the
+    integrator checks the pair once dt or T comes from Lambda.  19 steps
+    of dt = 0.1 to T = 1.9 hold 10 samples, the last at 0.1*19 > 1.9, and
+    run."""
     def no_assembly(*args, **kwargs):
         raise AssertionError("the mode was assembled before the horizon check")
 
-    # 8 steps; exactly 10 steps, whose window holds 6 samples; 19 steps, where
-    # dt*19 > 1.9 leaves 9; and 1e12 steps, whose records would take 7.28 TiB
+    # 8 steps; exactly 10 steps, whose window holds 6 samples; 17 steps, whose
+    # window holds 9; and 1e12 steps, whose records would take 7.28 TiB
     for horizon, fragment in (("dt = 0.5\nt = 4.0", "at least 10 samples"),
                               ("dt = 0.01\nt = 0.1", "got 6"),
-                              ("dt = 0.1\nt = 1.9", "got 9"),
+                              ("dt = 0.1\nt = 1.7", "got 9"),
                               ("dt = 1e-12\nt = 1.0", "more than 10,000,000 steps")):
         cfgp = write_config(tmp_path)
         cfgp.write_text(cfgp.read_text() + f"\n[evolution]\n{horizon}\n")
@@ -547,6 +551,12 @@ def test_validation_evolve_horizon(tmp_path, monkeypatch, capsys):
     cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 6.0\n")
     assert cli.run(str(cfgp), "evolve", out=str(tmp_path / "traj.csv")) == 2
     assert "at least 10 samples" in capsys.readouterr().err
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "\n[evolution]\ndt = 0.1\nt = 1.9\n")
+    assert cli.run(str(cfgp), "evolve", out=str(tmp_path / "traj.csv")) == 0
+    rate = json.loads((tmp_path / "traj.csv.rate.json").read_text())
+    with open(tmp_path / "traj.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 20 and rate["T"] == 1.9
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 10: P1 locking on the thin "

@@ -217,12 +217,15 @@ def test_invalid_inputs(geometry):
         PressureLaw.polytropic(1.0, 1.0)
     with pytest.raises(InputError, match="linear law"):
         PressureLaw.linear(-1.0)
-    with pytest.raises(InputError, match="linear law"):
-        PressureLaw(kind="linear", K=-1.0)
-    with pytest.raises(InputError, match="linear law is the power law at gamma = 1"):
-        PressureLaw(kind="linear", K=1.0, gamma=2.0)
-    with pytest.raises(InputError, match="unknown pressure law kind 'isothermal'"):
-        PressureLaw(kind="isothermal")
+    # a direct construction is the linear law at gamma = 1 and polytropic otherwise
+    assert PressureLaw(2.0) == PressureLaw.linear(2.0)
+    assert PressureLaw(2.0, 1.4) == PressureLaw.polytropic(2.0, 1.4)
+    with pytest.raises(InputError, match="linear law needs finite c2 > 0, got -1.0"):
+        PressureLaw(K=-1.0)
+    with pytest.raises(InputError, match="polytropic law needs finite K > 0 and gamma > 1"):
+        PressureLaw(K=1.0, gamma=0.5)
+    with pytest.raises(InputError, match="polytropic law needs finite K > 0 and gamma > 1"):
+        PressureLaw(K=math.inf, gamma=1.4)
     with pytest.raises(InputError, match="upper anchor"):
         build_profile(geometry, PressureLaw.linear(1.0), PressureLaw.linear(2.0), 1.0, -2.0)
     with pytest.raises(InputError, match="h_minus < 0 < h_plus"):

@@ -167,12 +167,24 @@ def test_top_pair_banded_pencils(rng):
                     spectral._top_pair(*nan_pencil)
 
 
-def test_top_pair_warm_start(rng):
-    """A warm start (value, vector) reaches the dense top in three cases: the
-    guessed value above the top, below it (the shift climbs from the guess),
-    and a start vector M-orthogonal to the top eigenvector, as when the top
-    branch changes between the guess's pencil and this one.  A repeated warm
-    call returns the same bits."""
+def _value_of(x, hb, mb, db):
+    """x's Rayleigh quotient for (H, M), or with ``db`` its Rayleigh
+    functional: the positive root p of p^2*x*Mx + p*x*Dx - x*Hx = 0, 0 when
+    x*Hx <= 0."""
+    m = float(np.real(np.vdot(x, band.matvec(mb, x))))
+    a = float(np.real(np.vdot(x, band.matvec(hb, x))))
+    if db is None:
+        return a / m
+    d = float(np.real(np.vdot(x, band.matvec(db, x))))
+    return 2.0 * a / (d + math.sqrt(d * d + 4.0 * m * a)) if a > 0.0 else 0.0
+
+
+def test_top_pair_start_vector(rng):
+    """A start vector reaches the dense top in three cases: near the top
+    eigenvector, near the bottom one (a value far below the top), and
+    M-orthogonal to the top eigenvector, as when the top branch changes
+    between the start's pencil and this one.  A repeated call from the same
+    start returns the same bits."""
     n = 120
     for p in (1, 5):
         for complex_valued in (False, True):
@@ -181,42 +193,85 @@ def test_top_pair_warm_start(rng):
             mb[p] += 8.0 * (2 * p + 1)
             H, M = dense(hb), dense(mb)
             w, V = sla.eigh(H, M)
-            spread = w[-1] - w[0]
-            guesses = {"above": (w[-1] + 0.05 * spread, V[:, -1] + 0.01 * V[:, -2]),
-                       "below": (w[-1] - 0.3 * spread, V[:, -1] + 0.01 * V[:, 0]),
-                       "orthogonal": (w[-2], V[:, -2])}
+            starts = {"near": V[:, -1] + 0.01 * V[:, -2], "low": V[:, 0] + 0.01 * V[:, -1],
+                      "orthogonal": V[:, -2]}
             assert abs(np.vdot(V[:, -1], M @ V[:, -2])) <= 1e-14
-            for name, guess in guesses.items():
-                top, v = spectral._top_pair(hb, mb, guess)
+            for name, start in starts.items():
+                top, v = spectral._top_pair(hb, mb, start)
                 assert top == pytest.approx(w[-1], rel=1e-10), name
                 assert np.real(np.vdot(v, M @ v)) == pytest.approx(1.0, rel=1e-12)
                 residual = np.linalg.norm(H @ v - top * (M @ v))
                 assert residual <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(v), name
-                top2, v2 = spectral._top_pair(hb, mb, guess)
+                top2, v2 = spectral._top_pair(hb, mb, start)
                 assert top2 == top and np.array_equal(v2, v)
 
 
-def test_top_pair_start_outside_the_top_block(rng):
-    """A cold start from a vector confined to a block of a block-diagonal
-    pencil that does not hold the top: the seeded share of the start reaches
-    the other block, so the eigenvector is the top one too, not only the
-    value (which the shift bracket certifies either way)."""
-    n, p = 40, 5
+def test_top_pair_starts_from_its_start_value(rng, monkeypatch):
+    """A start's value, its Rayleigh quotient (linear pencil) or functional
+    (quadratic pencil), is a lower bound of the top: it is never above the
+    returned top, and the first shift tried is max(1, 4*value).  Without a
+    start the first shift is 1.  On a random complex pencil and on the same
+    pencil lifted by 10*M, the starts' values range from below 0.25 (first
+    shift 1) to above 4."""
+    n, p = 60, 3
+    hb = _random_band(rng, n, p, True)
+    mb = _random_band(rng, n, p, True)
+    mb[p] += 8.0 * (2 * p + 1)
+    db = _random_band(rng, n, p, True)
+    db[p] += 4.0 * (2 * p + 1)                # diagonally dominant: D definite
+    shifts, real_shifted = [], spectral._shifted
 
-    def block_band():
-        ab = _random_band(rng, n, p, False)
-        for k in range(1, p + 1):
-            ab[p - k, 20:20 + k] = 0.0        # no entry couples dof < 20 with dof >= 20
-        return ab
+    def recording(hb, mb, db, sigma):
+        shifts.append(sigma)
+        return real_shifted(hb, mb, db, sigma)
 
-    hb, mb = block_band(), 0.1 * block_band()
-    hb[p, 20:] += 3.0                         # the top lies in the second block
-    mb[p] = 2.0
-    H, M = dense(hb), dense(mb)
-    first = sla.eigh(H[:20, :20], M[:20, :20])[1][:, -1]
-    top, v = spectral._top_pair(hb, mb, (None, np.concatenate([first, np.zeros(20)])))
-    assert top == pytest.approx(sla.eigh(H, M, eigvals_only=True)[-1], rel=1e-12)
-    assert np.linalg.norm(H @ v - top * (M @ v)) <= 1e-10 * np.linalg.norm(H)
+    monkeypatch.setattr(spectral, "_shifted", recording)
+    H0, M, D = dense(hb), dense(mb), dense(db)
+    firsts = []
+    for lift in (0.0, 10.0):
+        H = H0 + lift * M
+        hb_lift = hb + lift * mb
+        w, V = sla.eigh(H, M)
+        eye, zero = np.eye(n), np.zeros((n, n))
+        c = sla.eig(np.block([[zero, eye], [H, -D]]), np.block([[eye, zero], [zero, M]]),
+                    right=False)
+        c = c[np.isfinite(c) & (np.abs(c.imag) <= 1e-9 * np.abs(c))].real
+        starts = [V[:, -1], V[:, -1] + 0.3 * V[:, 0], V[:, 0], rng.standard_normal(n)]
+        for db_case, reference in ((None, w[-1]), (db, float(np.max(c)))):
+            shifts.clear()
+            top, _ = spectral._top_pair(hb_lift, mb, None, db_case)
+            assert shifts[0] == 1.0 and top == pytest.approx(reference, rel=1e-10)
+            for start in starts:
+                value = _value_of(start, hb_lift, mb, db_case)
+                shifts.clear()
+                top, _ = spectral._top_pair(hb_lift, mb, start, db_case)
+                assert top == pytest.approx(reference, rel=1e-10)
+                assert value <= top * (1.0 + 1e-12), (value, top)
+                assert shifts[0] == pytest.approx(max(1.0, 4.0 * value), rel=1e-12)
+                firsts.append(shifts[0])
+    assert min(firsts) == 1.0 and max(firsts) > 16.0    # both rules of the first shift ran
+
+
+def test_xi_start_outside_the_top_block(mm_vertical, monkeypatch):
+    """An alpha(0) vector confined to a block of the discriminant pencil that
+    does not hold the top: on mode (1,0) under a vertical field the
+    transverse horizontal component w2 decouples from (w1, w3), and the
+    gravity numerator vanishes on it.  The seeded share that xi_per_mode adds
+    to its start reaches the other block, so the eigenvector is the top one
+    too, not only the value (which the shift bracket certifies either way);
+    without that share the iterates stay in the w2 block."""
+    value, _ = spectral.xi_per_mode(mm_vertical)
+    confined = np.zeros(mm_vertical.n_dof)
+    confined[1::3] = spectral._start_vector(mm_vertical.n_dof // 3)
+    N, B = (dense(X) for X in mm_vertical.discriminant_pencil)
+    assert np.array_equal(N[1::3], np.zeros_like(N[1::3]))
+    residuals = []
+    for share in (spectral.SEEDED_SHARE, 0.0):
+        monkeypatch.setattr(spectral, "SEEDED_SHARE", share)
+        top, v = spectral.xi_per_mode(mm_vertical, alpha0=(-1.0, confined))
+        assert top == pytest.approx(value, rel=1e-10)
+        residuals.append(np.linalg.norm(N @ v - top * (B @ v)) / np.linalg.norm(N))
+    assert residuals[0] <= 1e-10 and residuals[1] > 1e-3, residuals
 
 
 def _splitmix64(state):
@@ -255,8 +310,9 @@ def test_start_vector():
 def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geometry, monkeypatch):
     """Every top value of a growth scan (complex pencils, linear and
     quadratic) lies in its closed bracket [lo, sigma]: not below any value
-    (Rayleigh quotient or functional) of the iterates of its own solve or
-    shift that did not factor, not above the lowest shift that did, and
+    (Rayleigh quotient or functional) of its start vector or of the
+    iterates of its own solve, nor below a shift that did not factor, not
+    above the lowest shift that did, and
     within BRACKET_TOL of it.  Shifts are read back from the factorized
     bands, iterates recorded from band.solve."""
     params = dataclasses.replace(baseline_params, M=(0.03, -0.05, -0.02))
@@ -275,9 +331,10 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
         iterates.append(x)
         return x
 
-    def recording(hb, mb, guess=None, db=None, lo=-math.inf):
+    def recording(hb, mb, start=None, db=None):
         events.clear()
-        top, v = real_top(hb, mb, guess, db, lo)
+        lo = -math.inf if start is None else _value_of(start, hb, mb, db)
+        top, v = real_top(hb, mb, start, db)
         d = np.zeros(mb.shape[1]) if db is None else db[-1].real
         scale = mb[-1].real * (1.0 if db is None else 2.0 * abs(top)) + d
         j = int(np.argmin(np.abs(hb[-1]) / scale))      # least cancellation in the read-back
@@ -292,14 +349,7 @@ def test_top_pair_value_in_its_bracket(canonical_profile, baseline_params, geome
         sigma = math.inf
         for kind, x, factored in events:
             if kind == "iterate":
-                m = float(np.real(np.vdot(x, band.matvec(mb, x))))
-                a = float(np.real(np.vdot(x, band.matvec(hb, x))))
-                if db is None:
-                    value = a / m
-                else:
-                    dx = float(np.real(np.vdot(x, band.matvec(db, x))))
-                    value = 2.0 * a / (dx + math.sqrt(dx * dx + 4.0 * m * a))
-                quotient = max(quotient, value)
+                quotient = max(quotient, _value_of(x, hb, mb, db))
             elif factored:
                 sigma = min(sigma, shift(x))
             else:
@@ -568,8 +618,8 @@ def test_growth_rate_matches_companion_eigenvalue(canonical_profile, geometry, c
         mm = dataclasses.replace(mm, dissipation=np.zeros_like(mm.dissipation))
     real, brackets = spectral._top_pair, []
 
-    def recording(hb, mb, guess=None, db=None, lo=-math.inf):
-        top, v = real(hb, mb, guess, db, lo)
+    def recording(hb, mb, start=None, db=None):
+        top, v = real(hb, mb, start, db)
         if db is not None:
             brackets.append(top)
         return top, v
@@ -939,16 +989,18 @@ def test_alpha_zero_solved_once(mm_nofield, monkeypatch):
 
 
 def test_banded_factorizations_per_solve(mm_nofield, mm_vertical, monkeypatch):
-    """The growth rate as one bracket of the quadratic pencil plus one warm
-    alpha, aimed trial shifts and the discriminant started from the
-    alpha(0) eigenvector: one growth rate (alpha(0) included), one stable
-    verdict and that verdict's discriminant, alpha(0) handed over, stay
-    under a ceiling of banded Cholesky factorizations (measured 24, 14 and
-    7, its denominator check included; 39 for the growth rate as a Newton
-    iteration of warm alpha solves; 20 and 13 with the discriminant started
-    from the seeded vector, whose first quotient is about 1e-7 against a
-    top of 0.13; 114 and 33 with cold starts and fixed 10 % steps as well),
-    and the count repeats exactly."""
+    """The growth rate as one bracket of the quadratic pencil plus one
+    alpha started from its last iterate, aimed trial shifts and the
+    discriminant started from the alpha(0) eigenvector: one growth rate
+    (alpha(0) included), one stable verdict and that verdict's
+    discriminant, alpha(0) handed over, stay under a ceiling of banded
+    Cholesky factorizations (measured 22, 14 and 7, its denominator check
+    included; 21 with the growth rate's first shift just above
+    sqrt(alpha(0)) and alpha(Lambda)'s just above Lambda^2; 39 for the
+    growth rate as a Newton iteration of warm alpha solves; 20 and 13 with
+    the discriminant started from the seeded vector, whose first quotient
+    is about 1e-7 against a top of 0.13; 114 and 33 with cold starts and
+    fixed 10 % steps as well), and the count repeats exactly."""
     alpha0 = spectral.alpha(0.0, mm_vertical)
     real, calls, counts = band.cholesky, [], []
 
